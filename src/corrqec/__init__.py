@@ -40,7 +40,6 @@ from .gates import (
     pauli,
     realize,
 )
-from .kernels import active_backend
 from .optimality import (
     PermutationTable,
     all_cnots,

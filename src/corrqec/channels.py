@@ -8,6 +8,7 @@ banded (diagonal plus anti-diagonal), which the kernels exploit.
 
 from __future__ import annotations
 
+from cmath import isfinite
 from dataclasses import dataclass
 from math import sqrt
 
@@ -31,6 +32,8 @@ class PauliChannel:
         probs = tuple(float(p) for p in self.probs)
         if len(probs) != 4:
             raise ValueError(f"expected 4 probabilities, got {len(probs)}")
+        if not all(isfinite(p) for p in probs):
+            raise ValueError(f"probabilities must be finite: {probs}")
         if any(p < 0 for p in probs):
             raise ValueError(f"probabilities must be nonnegative: {probs}")
         total = sum(probs)
@@ -81,6 +84,8 @@ class SpanChannel:
         )
         if any(len(row) != 4 for row in coeffs) or len(coeffs) == 0:
             raise ValueError("kraus_coeffs must be a nonempty list of 4-tuples")
+        if not all(isfinite(x) for row in coeffs for x in row):
+            raise ValueError(f"kraus_coeffs must be finite: {coeffs}")
         object.__setattr__(self, "kraus_coeffs", coeffs)
         dev = completeness_deviation(self.n, coeffs)
         if dev > 1e-10:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +32,11 @@ from .tensor import random_density
 # probabilistic mixing gets 1e-11.
 CONJ_TOL_EVEN = 1e-11
 TRIAL_TOL = 1e-11
+
+# Peak number of live 2**n x 2**n complex128 matrices during cmd_trial, from
+# tracemalloc at n = 8..11: 5.1-5.9 with a Pauli channel and 6.1-6.5 with
+# span channels, rounded up.
+TRIAL_PEAK_STATES = 7
 
 
 @dataclass
@@ -195,6 +201,15 @@ def cmd_trial(
     repeats: int,
 ) -> dict:
     """One full pipeline run, rendered as a JSON-ready dict."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    # largest n with TRIAL_PEAK_STATES * 16 * 4**n <= memory
+    max_n = ((memory // (TRIAL_PEAK_STATES * 16)).bit_length() - 1) // 2
+    if n > max_n:
+        raise BadQubitCount(
+            f"n={n} needs {TRIAL_PEAK_STATES} density matrices of 16*4**n bytes, "
+            f"more than the {memory / 2**30:.1f} GiB of physical memory "
+            f"(largest n: {max_n})"
+        )
     spec = build_pn(n)
     if channels_path is not None:
         channels = load_channels(channels_path, n)
@@ -293,7 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--json", type=Path, default=None, help="write the report here")
 
     t = sub.add_parser("trial", help="one pipeline run, JSON on stdout")
-    t.add_argument("--n", type=int, required=True, help="qubit count, >= 2")
+    t.add_argument(
+        "--n", type=int, required=True,
+        help="qubit count, >= 2 and small enough that "
+        f"{TRIAL_PEAK_STATES} density matrices of 16*4**n bytes fit in physical memory",
+    )
     t.add_argument("--probs", type=str, default=None, help="p0,p1,p2,p3")
     group = t.add_mutually_exclusive_group()
     group.add_argument(

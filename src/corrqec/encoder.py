@@ -75,25 +75,27 @@ def build_p3() -> EncoderSpec:
 
 @lru_cache(maxsize=None)
 def build_pn(n: int) -> EncoderSpec:
-    """Encoder for any n >= 2; odd n has 3k CNOTs, even n has 3k+2 CNOTs + 1 H."""
+    """Encoder for any n >= 2; odd n has 3k CNOTs, even n has 3k+2 CNOTs + 1 H.
+
+    The recursion P_m = (I ox P_inner)(head ox I) is unrolled into a loop:
+    each step emits the head (P_3 on the top three qubits of an odd m, P_2
+    on the top two of an even m) and descends to the inner register, until
+    the P_2 or P_3 base is reached.
+    """
     if n < 2:
         raise BadQubitCount(f"n must be >= 2, got {n}")
-    if n == 2:
-        return build_p2()
-    if n == 3:
-        return build_p3()
-    if n % 2 == 1:
-        head = build_p3().circuit.embed(n, n - 3)
-        inner = build_pn(n - 2)
-        k = (n - 1) // 2
-        parity = "odd"
-    else:
-        head = build_p2().circuit.embed(n, n - 2)
-        inner = build_pn(n - 1)
-        k = (n - 2) // 2
-        parity = "even"
-    circuit = Circuit(n, head.ops + inner.circuit.ops)
-    return EncoderSpec(n, parity, k, (-1) ** k, circuit)
+    p2, p3 = build_p2().circuit, build_p3().circuit
+    ops = []
+    m = n
+    while m > 3:
+        head = p3 if m % 2 == 1 else p2
+        offset = m - head.n_qubits
+        ops.extend(head.embed(n, offset).ops)
+        m = offset + 1  # the inner encoder shares the head's lowest qubit
+    ops.extend((p3 if m == 3 else p2).ops)
+    k = (n - 1) // 2  # n = 2k+1 (odd) or n = 2k+2 (even)
+    parity = "odd" if n % 2 == 1 else "even"
+    return EncoderSpec(n, parity, k, (-1) ** k, Circuit(n, tuple(ops)))
 
 
 @lru_cache(maxsize=None)

@@ -15,9 +15,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BadQubitCount, BadQubitIndex
-from .kernels import parity_signs
-
-_INV_SQRT2 = float(np.sqrt(0.5))
+from .kernels import _INV_SQRT2, parity_signs
 
 _PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -170,16 +168,6 @@ def circuit_permutation(circuit: Circuit) -> np.ndarray:
     return factors[0][1]
 
 
-def _hadamard_rows(m: np.ndarray, q: int) -> np.ndarray:
-    out = m.copy()
-    rows = out.reshape(-1, 2, (1 << q) * m.shape[0])
-    a = rows[:, 0].copy()
-    b = rows[:, 1]
-    rows[:, 0] = (a + b) * _INV_SQRT2
-    rows[:, 1] = (a - b) * _INV_SQRT2
-    return out
-
-
 def realize(circuit: Circuit) -> np.ndarray:
     """Dense matrix of the circuit: realize([g1, ..., gm]) = G_m ... G_1.
 
@@ -192,7 +180,7 @@ def realize(circuit: Circuit) -> np.ndarray:
         if kind == "perm":
             m = permutation_matrix(arg) if m is None else m[np.argsort(arg), :]
         else:
-            m = _hadamard_rows(np.eye(dim, dtype=np.complex128) if m is None else m, arg)
+            m = kernels.hadamard_rows(np.eye(dim, dtype=np.complex128) if m is None else m, arg)
     if m is None:
         return np.eye(dim, dtype=np.complex128)
     return m

@@ -1,29 +1,16 @@
-"""Hot numeric kernels, each with a numba and a pure-numpy implementation.
+"""Hot numeric kernels, in numpy.
 
 All encoders in this package are CNOT permutations plus at most one Hadamard,
 and all error operators are diagonal or anti-diagonal up to signs.  Every hot
-operation therefore reduces to index gathers, in-place butterflies, and sign
-masks, which cost O(dim^2) memory passes instead of O(dim^3) matrix products.
-
-Backend selection: set CORRQEC_BACKEND to "numba", "numpy", or "auto"
-(default).  "auto" uses numba when it is importable and falls back to numpy.
-Both implementations are kept in IMPLEMENTATIONS so tests and benchmarks can
-compare them directly.
+operation therefore reduces to index gathers, butterflies, and sign masks,
+which cost O(dim^2) memory passes instead of O(dim^3) matrix products.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
 
 _INV_SQRT2 = float(np.sqrt(0.5))
 
@@ -44,24 +31,28 @@ def _as_cmatrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-
-def _gather_conjugate_np(m: np.ndarray, perm: np.ndarray) -> np.ndarray:
+def gather_conjugate(m: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """P_dag M P for the permutation matrix P whose column s is e_perm[s]."""
+    m = _as_cmatrix(m)
+    perm = np.ascontiguousarray(perm, dtype=np.int64)
     return m[np.ix_(perm, perm)]
 
 
-def _hadamard_conjugate_np(m: np.ndarray, q: int) -> np.ndarray:
-    dim = m.shape[0]
-    lo = 1 << q
+def hadamard_rows(m: np.ndarray, q: int) -> np.ndarray:
+    """H_q M for the Hadamard embedded on qubit q: a butterfly over rows."""
     out = m.copy()
-    rows = out.reshape(-1, 2, lo * dim)
+    rows = out.reshape(-1, 2, (1 << q) * m.shape[0])
     a = rows[:, 0].copy()
     b = rows[:, 1]
     rows[:, 0] = (a + b) * _INV_SQRT2
     rows[:, 1] = (a - b) * _INV_SQRT2
-    cols = out.reshape(dim, -1, 2, lo)
+    return out
+
+
+def hadamard_conjugate(m: np.ndarray, q: int) -> np.ndarray:
+    """H_q M H_q for the Hadamard embedded on qubit q (self-adjoint)."""
+    out = hadamard_rows(_as_cmatrix(m), q)
+    cols = out.reshape(out.shape[0], -1, 2, 1 << q)
     a = cols[:, :, 0].copy()
     b = cols[:, :, 1]
     cols[:, :, 0] = (a + b) * _INV_SQRT2
@@ -69,203 +60,14 @@ def _hadamard_conjugate_np(m: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def _pauli_channel_apply_np(
-    rho: np.ndarray, z: np.ndarray, p0: float, p1: float, p2: float, p3: float
-) -> np.ndarray:
-    flip = rho[::-1, ::-1]
-    zz = np.multiply.outer(z, z)
-    return (p0 + p3 * zz) * rho + (p1 + p2 * zz) * flip
-
-
-def _span_conjugate_np(m: np.ndarray, fd: np.ndarray, fa: np.ndarray) -> np.ndarray:
-    left = fd[:, None] * m + fa[:, None] * m[::-1, :]
-    return left * fd.conj()[None, :] + left[:, ::-1] * fa.conj()[None, :]
-
-
-def _ptrace_leading_np(m: np.ndarray, keep: int) -> np.ndarray:
-    d = m.shape[0] // keep
-    return np.einsum("ikil->kl", m.reshape(d, keep, d, keep))
-
-
-def _ptrace_trailing_np(m: np.ndarray, keep: int) -> np.ndarray:
-    d = m.shape[0] // keep
-    return np.einsum("ikjk->ij", m.reshape(keep, d, keep, d))
-
-
-def _frob_dist_np(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(a - b))
-
-
-IMPLEMENTATIONS: dict[str, dict[str, object]] = {
-    "numpy": {
-        "gather_conjugate": _gather_conjugate_np,
-        "hadamard_conjugate": _hadamard_conjugate_np,
-        "pauli_channel_apply": _pauli_channel_apply_np,
-        "span_conjugate": _span_conjugate_np,
-        "ptrace_leading": _ptrace_leading_np,
-        "ptrace_trailing": _ptrace_trailing_np,
-        "frob_dist": _frob_dist_np,
-    }
-}
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _gather_conjugate_nb(m, perm):
-        dim = perm.shape[0]
-        out = np.empty((dim, dim), dtype=np.complex128)
-        for i in range(dim):
-            pi = perm[i]
-            for j in range(dim):
-                out[i, j] = m[pi, perm[j]]
-        return out
-
-    @njit(cache=True)
-    def _hadamard_conjugate_nb(m, q):
-        dim = m.shape[0]
-        step = 1 << q
-        out = m.copy()
-        for base in range(0, dim, step << 1):
-            for off in range(step):
-                i0 = base + off
-                i1 = i0 + step
-                for j in range(dim):
-                    a = out[i0, j]
-                    b = out[i1, j]
-                    out[i0, j] = (a + b) * _INV_SQRT2
-                    out[i1, j] = (a - b) * _INV_SQRT2
-        for i in range(dim):
-            for base in range(0, dim, step << 1):
-                for off in range(step):
-                    j0 = base + off
-                    j1 = j0 + step
-                    a = out[i, j0]
-                    b = out[i, j1]
-                    out[i, j0] = (a + b) * _INV_SQRT2
-                    out[i, j1] = (a - b) * _INV_SQRT2
-        return out
-
-    @njit(cache=True)
-    def _pauli_channel_apply_nb(rho, z, p0, p1, p2, p3):
-        dim = rho.shape[0]
-        out = np.empty_like(rho)
-        for i in range(dim):
-            zi = z[i]
-            ic = dim - 1 - i
-            for j in range(dim):
-                zz = zi * z[j]
-                out[i, j] = (p0 + p3 * zz) * rho[i, j] + (p1 + p2 * zz) * rho[
-                    ic, dim - 1 - j
-                ]
-        return out
-
-    @njit(cache=True)
-    def _span_conjugate_nb(m, fd, fa):
-        dim = m.shape[0]
-        out = np.empty_like(m)
-        for i in range(dim):
-            di = fd[i]
-            ai = fa[i]
-            ic = dim - 1 - i
-            for j in range(dim):
-                jc = dim - 1 - j
-                dj = np.conj(fd[j])
-                aj = np.conj(fa[j])
-                out[i, j] = di * (m[i, j] * dj + m[i, jc] * aj) + ai * (
-                    m[ic, j] * dj + m[ic, jc] * aj
-                )
-        return out
-
-    @njit(cache=True)
-    def _ptrace_leading_nb(m, keep):
-        d = m.shape[0] // keep
-        out = np.zeros((keep, keep), dtype=np.complex128)
-        for i in range(d):
-            base = i * keep
-            for k in range(keep):
-                for l in range(keep):
-                    out[k, l] += m[base + k, base + l]
-        return out
-
-    @njit(cache=True)
-    def _ptrace_trailing_nb(m, keep):
-        d = m.shape[0] // keep
-        out = np.zeros((keep, keep), dtype=np.complex128)
-        for i in range(keep):
-            for j in range(keep):
-                acc = 0.0 + 0.0j
-                for k in range(d):
-                    acc += m[i * d + k, j * d + k]
-                out[i, j] = acc
-        return out
-
-    @njit(cache=True)
-    def _frob_dist_nb(a, b):
-        acc = 0.0
-        for i in range(a.shape[0]):
-            for j in range(a.shape[1]):
-                d = a[i, j] - b[i, j]
-                acc += d.real * d.real + d.imag * d.imag
-        return np.sqrt(acc)
-
-    IMPLEMENTATIONS["numba"] = {
-        "gather_conjugate": _gather_conjugate_nb,
-        "hadamard_conjugate": _hadamard_conjugate_nb,
-        "pauli_channel_apply": _pauli_channel_apply_nb,
-        "span_conjugate": _span_conjugate_nb,
-        "ptrace_leading": _ptrace_leading_nb,
-        "ptrace_trailing": _ptrace_trailing_nb,
-        "frob_dist": _frob_dist_nb,
-    }
-
-
-def _resolve_backend() -> str:
-    choice = os.environ.get("CORRQEC_BACKEND", "auto").strip().lower()
-    if choice == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    if choice not in IMPLEMENTATIONS:
-        available = ", ".join(sorted(set(IMPLEMENTATIONS) | {"auto"}))
-        raise RuntimeError(
-            f"CORRQEC_BACKEND={choice!r} is not available (options: {available})"
-        )
-    return choice
-
-
-_BACKEND = _resolve_backend()
-
-
-def active_backend() -> str:
-    """Name of the backend selected at import time ("numba" or "numpy")."""
-    return _BACKEND
-
-
-# ---------------------------------------------------------------------------
-# public wrappers: coerce dtype/contiguity, dispatch to the active backend
-
-
-def gather_conjugate(m: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """P_dag M P for the permutation matrix P whose column s is e_perm[s]."""
-    m = _as_cmatrix(m)
-    perm = np.ascontiguousarray(perm, dtype=np.int64)
-    return IMPLEMENTATIONS[_BACKEND]["gather_conjugate"](m, perm)
-
-
-def hadamard_conjugate(m: np.ndarray, q: int) -> np.ndarray:
-    """H_q M H_q for the Hadamard embedded on qubit q (self-adjoint)."""
-    return IMPLEMENTATIONS[_BACKEND]["hadamard_conjugate"](_as_cmatrix(m), q)
-
-
 def pauli_channel_apply(rho: np.ndarray, probs) -> np.ndarray:
     """p0 rho + p1 X rho X + p2 Y rho Y + p3 Z rho Z, fused into two passes."""
     rho = _as_cmatrix(rho)
-    n = rho.shape[0].bit_length() - 1
-    z = parity_signs(n)
+    z = parity_signs(rho.shape[0].bit_length() - 1)
     p0, p1, p2, p3 = (float(p) for p in probs)
-    return IMPLEMENTATIONS[_BACKEND]["pauli_channel_apply"](rho, z, p0, p1, p2, p3)
+    flip = rho[::-1, ::-1]
+    zz = np.multiply.outer(z, z)
+    return (p0 + p3 * zz) * rho + (p1 + p2 * zz) * flip
 
 
 def span_conjugate(m: np.ndarray, fd: np.ndarray, fa: np.ndarray) -> np.ndarray:
@@ -273,32 +75,23 @@ def span_conjugate(m: np.ndarray, fd: np.ndarray, fa: np.ndarray) -> np.ndarray:
     m = _as_cmatrix(m)
     fd = np.ascontiguousarray(fd, dtype=np.complex128)
     fa = np.ascontiguousarray(fa, dtype=np.complex128)
-    return IMPLEMENTATIONS[_BACKEND]["span_conjugate"](m, fd, fa)
+    left = fd[:, None] * m + fa[:, None] * m[::-1, :]
+    return left * fd.conj()[None, :] + left[:, ::-1] * fa.conj()[None, :]
 
 
 def ptrace_leading(m: np.ndarray, keep: int) -> np.ndarray:
     """Trace out the leading factor, keeping the trailing keep x keep block."""
-    return IMPLEMENTATIONS[_BACKEND]["ptrace_leading"](_as_cmatrix(m), keep)
+    m = _as_cmatrix(m)
+    d = m.shape[0] // keep
+    return np.einsum("ikil->kl", m.reshape(d, keep, d, keep))
 
 
 def ptrace_trailing(m: np.ndarray, keep: int) -> np.ndarray:
     """Trace out the trailing factor, keeping the leading keep x keep block."""
-    return IMPLEMENTATIONS[_BACKEND]["ptrace_trailing"](_as_cmatrix(m), keep)
+    m = _as_cmatrix(m)
+    d = m.shape[0] // keep
+    return np.einsum("ikjk->ij", m.reshape(keep, d, keep, d))
 
 
 def frob_dist(a: np.ndarray, b: np.ndarray) -> float:
-    return float(IMPLEMENTATIONS[_BACKEND]["frob_dist"](_as_cmatrix(a), _as_cmatrix(b)))
-
-
-def warm_up() -> None:
-    """Run every kernel once on tiny inputs so JIT compilation happens here."""
-    m = np.eye(4, dtype=np.complex128)
-    perm = np.array([0, 2, 1, 3], dtype=np.int64)
-    gather_conjugate(m, perm)
-    hadamard_conjugate(m, 0)
-    pauli_channel_apply(m / 4.0, (0.25, 0.25, 0.25, 0.25))
-    fd = np.ones(4, dtype=np.complex128)
-    span_conjugate(m, fd, 0.0 * fd)
-    ptrace_leading(m, 2)
-    ptrace_trailing(m, 2)
-    frob_dist(m, m)
+    return float(np.linalg.norm(_as_cmatrix(a) - _as_cmatrix(b)))

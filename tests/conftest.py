@@ -3,14 +3,4 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).parent))
-
-from corrqec import kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile any JIT kernels up front so timed tests measure work, not compilation
-    kernels.warm_up()

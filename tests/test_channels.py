@@ -33,6 +33,9 @@ def test_prob_validation():
         PauliChannel(2, (1.2, -0.2, 0.0, 0.0))
     with pytest.raises(ValueError):
         PauliChannel(2, (1.0, 0.0, 0.0))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            PauliChannel(3, (bad, 0.0, 0.0, 1.0))
     # near-1 sums are normalized rather than rejected
     ch = PauliChannel(2, (0.25 + 2e-10, 0.25, 0.25, 0.25))
     assert abs(sum(ch.probs) - 1.0) < 1e-15
@@ -90,6 +93,9 @@ def test_span_rejects_non_trace_preserving():
     s = 1 / np.sqrt(2)
     with pytest.raises(NotTracePreserving):
         SpanChannel(2, ((s, s, 0.0, 0.0),))
+    for bad in (np.nan, np.inf, complex(0.0, np.inf)):
+        with pytest.raises(ValueError):
+            SpanChannel(3, ((bad, 0.0, 0.0, 0.0),))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

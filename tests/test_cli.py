@@ -92,6 +92,13 @@ def test_trial_classical_needs_even_n():
         cmd_trial(3, (1, 0, 0, 0), "10", 0, None, 1)
 
 
+def test_trial_rejects_n_past_physical_memory(capsys):
+    with pytest.raises(BadQubitCount):
+        cmd_trial(30, (1, 0, 0, 0), None, 0, None, 1)
+    assert main(["trial", "--n", "30", "--probs", "1,0,0,0"]) == 2
+    assert "physical memory" in capsys.readouterr().err
+
+
 def test_trial_cli_rejects_bad_probs(capsys):
     assert main(["trial", "--n", "3", "--probs", "0.5,0.5,0.5,0.5"]) == 2
     assert main(["trial", "--n", "3", "--probs", "0.5,0.5"]) == 2
@@ -135,6 +142,14 @@ def test_channels_file_validation(tmp_path):
     path.write_text(json.dumps({}))
     with pytest.raises(ValueError):
         load_channels(path, 2)
+    # json accepts NaN and Infinity
+    for text in (
+        '[{"pauli": [NaN, 0, 0, 1]}]',
+        '[{"span": [[Infinity, 0, 0, 0, 0, 0, 0, 0]]}]',
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_channels(path, 2)
 
 
 def test_export_qasm_cli(tmp_path):

@@ -40,7 +40,7 @@ def test_bad_qubit_count():
         build_pn(0)
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", [*range(2, 13), 1013, 5000, 5001])
 def test_gate_counts(n):
     spec = build_pn(n)
     if n % 2 == 1:
@@ -113,6 +113,16 @@ def test_recursion_matrix_identity(n):
         assert dist == 0.0
     else:
         assert dist < 1e-12
+
+
+def test_recursion_gate_lists():
+    # the recursion at gate level, for sizes the dense check cannot reach
+    for n in range(4, 201):
+        if n % 2 == 1:
+            head, inner = build_p3().circuit.embed(n, n - 3), build_pn(n - 2)
+        else:
+            head, inner = build_p2().circuit.embed(n, n - 2), build_pn(n - 1)
+        assert build_pn(n).circuit.ops == head.ops + inner.circuit.ops, n
 
 
 @pytest.mark.parametrize("n", range(2, 13))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from corrqec import kernels
-from corrqec.kernels import IMPLEMENTATIONS, parity_signs
+from corrqec.kernels import parity_signs
 
 from oracles import (
     HAD,
@@ -13,11 +13,6 @@ from oracles import (
     ptrace_leading_direct,
     ptrace_trailing_direct,
     random_complex_matrix,
-)
-
-BACKENDS = sorted(IMPLEMENTATIONS)
-needs_numba = pytest.mark.skipif(
-    "numba" not in IMPLEMENTATIONS, reason="numba not importable"
 )
 
 
@@ -35,40 +30,36 @@ def test_parity_signs():
     assert not z.flags.writeable
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_gather_conjugate_against_gemm(backend):
+def test_gather_conjugate_against_gemm():
     rng = np.random.default_rng(0)
     m = random_complex_matrix(16, 1)
     perm = rng.permutation(16).astype(np.int64)
-    got = IMPLEMENTATIONS[backend]["gather_conjugate"](m, perm)
+    got = kernels.gather_conjugate(m, perm)
     p = _perm_matrix(perm)
     assert np.allclose(got, p.conj().T @ m @ p, atol=1e-13)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("q", [0, 1, 3])
-def test_hadamard_conjugate_against_gemm(backend, q):
+def test_hadamard_conjugate_against_gemm(q):
     m = random_complex_matrix(16, 2)
-    got = IMPLEMENTATIONS[backend]["hadamard_conjugate"](m.copy(), q)
     h = embed_single(HAD, 4, q)
-    assert np.allclose(got, h @ m @ h, atol=1e-13)
+    assert np.allclose(kernels.hadamard_rows(m, q), h @ m, atol=1e-13)
+    assert np.allclose(kernels.hadamard_conjugate(m, q), h @ m @ h, atol=1e-13)
+    eye = np.eye(16, dtype=complex)
+    assert np.allclose(kernels.hadamard_conjugate(eye, q), eye, atol=1e-15)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pauli_channel_apply_against_kraus_sum(backend):
+def test_pauli_channel_apply_against_kraus_sum():
     rng = np.random.default_rng(3)
     n = 3
     rho = random_complex_matrix(1 << n, 4)
     rho = rho + rho.conj().T
     probs = rng.dirichlet(np.ones(4))
-    got = IMPLEMENTATIONS[backend]["pauli_channel_apply"](
-        np.ascontiguousarray(rho), parity_signs(n), *map(float, probs)
-    )
+    got = kernels.pauli_channel_apply(rho, probs)
     assert np.allclose(got, pauli_channel_dense(n, probs, rho), atol=1e-13)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_span_conjugate_against_gemm(backend):
+def test_span_conjugate_against_gemm():
     rng = np.random.default_rng(5)
     dim = 8
     m = random_complex_matrix(dim, 6)
@@ -76,67 +67,25 @@ def test_span_conjugate_against_gemm(backend):
     fa = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     f = np.diag(fd).astype(complex)
     f[np.arange(dim), dim - 1 - np.arange(dim)] += fa
-    got = IMPLEMENTATIONS[backend]["span_conjugate"](
-        m, fd.astype(complex), fa.astype(complex)
-    )
+    got = kernels.span_conjugate(m, fd, fa)
     assert np.allclose(got, f @ m @ f.conj().T, atol=1e-12)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("keep", [1, 2, 4, 8])
-def test_ptrace_kernels_against_direct_sum(backend, keep):
+def test_ptrace_kernels_against_direct_sum(keep):
     m = random_complex_matrix(8, 7)
-    lead = IMPLEMENTATIONS[backend]["ptrace_leading"](m, keep)
-    trail = IMPLEMENTATIONS[backend]["ptrace_trailing"](m, keep)
+    lead = kernels.ptrace_leading(m, keep)
+    trail = kernels.ptrace_trailing(m, keep)
     assert np.allclose(lead, ptrace_leading_direct(m, 8 // keep), atol=1e-13)
     assert np.allclose(trail, ptrace_trailing_direct(m, 8 // keep), atol=1e-13)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_frob_dist_matches_numpy_norm(backend):
+def test_frob_dist_matches_numpy_norm():
     a = random_complex_matrix(6, 8)
     b = random_complex_matrix(6, 9)
-    got = IMPLEMENTATIONS[backend]["frob_dist"](a, b)
+    got = kernels.frob_dist(a, b)
     assert got == pytest.approx(float(np.linalg.norm(a - b)), rel=1e-13)
-    assert IMPLEMENTATIONS[backend]["frob_dist"](a, a.copy()) == 0.0
-
-
-@needs_numba
-@pytest.mark.parametrize(
-    "name", sorted(IMPLEMENTATIONS.get("numba", IMPLEMENTATIONS["numpy"]))
-)
-def test_backend_parity(name):
-    """numba and numpy implementations agree on random inputs."""
-    rng = np.random.default_rng(10)
-    m = random_complex_matrix(16, 11)
-    np_impl = IMPLEMENTATIONS["numpy"][name]
-    nb_impl = IMPLEMENTATIONS["numba"][name]
-    if name == "gather_conjugate":
-        args = [(m, rng.permutation(16).astype(np.int64))]
-    elif name == "hadamard_conjugate":
-        args = [(m, q) for q in range(4)]
-    elif name == "pauli_channel_apply":
-        args = [(m, parity_signs(4), 0.4, 0.3, 0.2, 0.1)]
-    elif name == "span_conjugate":
-        fd = (rng.normal(size=16) + 1j * rng.normal(size=16)).astype(complex)
-        fa = (rng.normal(size=16) + 1j * rng.normal(size=16)).astype(complex)
-        args = [(m, fd, fa)]
-    elif name in ("ptrace_leading", "ptrace_trailing"):
-        args = [(m, keep) for keep in (1, 2, 4, 16)]
-    else:
-        args = [(m, random_complex_matrix(16, 12))]
-    for a in args:
-        x = np_impl(*a)
-        y = nb_impl(*a)
-        assert np.allclose(x, y, rtol=1e-13, atol=1e-13)
-
-
-def test_active_backend_consistent_with_dispatch():
-    assert kernels.active_backend() in IMPLEMENTATIONS
-    m = np.eye(4, dtype=complex)
-    out = kernels.hadamard_conjugate(m, 0)
-    # H I H = I regardless of backend
-    assert np.allclose(out, m, atol=1e-15)
+    assert kernels.frob_dist(a, a.copy()) == 0.0
 
 
 def test_wrappers_accept_noncontiguous_input():
