@@ -41,8 +41,7 @@ from .gates import (
     realize,
 )
 from .optimality import (
-    PermutationTable,
-    all_cnots,
+    BitMatrix,
     circuit_table,
     cnot_pairs,
     counting_lower_bound,

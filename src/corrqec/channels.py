@@ -16,7 +16,8 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionMismatch, NotTracePreserving
-from .kernels import parity_signs
+from .gates import banded_error
+from .tolerances import COMPLETENESS_TOL, PROB_SUM_TOL
 
 Coeffs = tuple[complex, complex, complex, complex]
 
@@ -37,18 +38,9 @@ class PauliChannel:
         if any(p < 0 for p in probs):
             raise ValueError(f"probabilities must be nonnegative: {probs}")
         total = sum(probs)
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > PROB_SUM_TOL:
             raise NotTracePreserving(f"probabilities sum to {total}, not 1")
         object.__setattr__(self, "probs", tuple(p / total for p in probs))
-
-
-def _banded_coeffs(n: int, coeffs: Coeffs) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and anti-diagonal of F = a I + b X_n + c Y_n + d Z_n."""
-    a, b, c, d = coeffs
-    z = parity_signs(n)
-    fd = a + d * z
-    fa = b + c * ((-1j) ** n) * z
-    return fd.astype(np.complex128), fa.astype(np.complex128)
 
 
 def completeness_deviation(n: int, kraus_coeffs) -> float:
@@ -88,7 +80,7 @@ class SpanChannel:
             raise ValueError(f"kraus_coeffs must be finite: {coeffs}")
         object.__setattr__(self, "kraus_coeffs", coeffs)
         dev = completeness_deviation(self.n, coeffs)
-        if dev > 1e-10:
+        if dev > COMPLETENESS_TOL:
             raise NotTracePreserving(
                 f"sum of F_dag F deviates from identity by {dev:.3e}"
             )
@@ -116,7 +108,7 @@ def apply_span_channel(ch: SpanChannel, rho: np.ndarray) -> np.ndarray:
     rho = _check_dim(ch, rho)
     out = np.zeros_like(rho)
     for coeffs in ch.kraus_coeffs:
-        fd, fa = _banded_coeffs(ch.n, coeffs)
+        fd, fa = banded_error(ch.n, coeffs)
         out += kernels.span_conjugate(rho, fd, fa)
     return out
 

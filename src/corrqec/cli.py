@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,19 +23,9 @@ from .optimality import (
     word_circuit,
 )
 from .qasm import ERROR_CHOICES, WHICH_CHOICES, export_qasm
-from .scheme import classical_state, hybrid_sweep, run_trial
-from .tensor import random_density
-
-# Pass thresholds: odd-n conjugation residuals must be exactly zero (the
-# circuits are pure permutations); everything touched by the Hadamard or by
-# probabilistic mixing gets 1e-11.
-CONJ_TOL_EVEN = 1e-11
-TRIAL_TOL = 1e-11
-
-# Peak number of live 2**n x 2**n complex128 matrices during cmd_trial, from
-# tracemalloc at n = 8..11: 5.1-5.9 with a Pauli channel and 6.1-6.5 with
-# span channels, rounded up.
-TRIAL_PEAK_STATES = 7
+from .scheme import TRIAL_PEAK_STATES, classical_state, hybrid_sweep, run_trial
+from .tensor import check_memory, random_density
+from .tolerances import CONJ_TOL_EVEN, TRIAL_TOL
 
 
 @dataclass
@@ -201,15 +190,7 @@ def cmd_trial(
     repeats: int,
 ) -> dict:
     """One full pipeline run, rendered as a JSON-ready dict."""
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    # largest n with TRIAL_PEAK_STATES * 16 * 4**n <= memory
-    max_n = ((memory // (TRIAL_PEAK_STATES * 16)).bit_length() - 1) // 2
-    if n > max_n:
-        raise BadQubitCount(
-            f"n={n} needs {TRIAL_PEAK_STATES} density matrices of 16*4**n bytes, "
-            f"more than the {memory / 2**30:.1f} GiB of physical memory "
-            f"(largest n: {max_n})"
-        )
+    check_memory(n, TRIAL_PEAK_STATES)
     spec = build_pn(n)
     if channels_path is not None:
         channels = load_channels(channels_path, n)
@@ -330,7 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="uniform error layer for roundtrip")
     q.add_argument("--out", type=Path, required=True, help="output path")
 
-    sub.add_parser("optimality", help="minimal CNOT count for the 3-qubit encoder")
+    sub.add_parser(
+        "optimality",
+        help="GF(2) row-count bound and exhaustive search: P_3 needs 3 CNOTs",
+    )
     return parser
 
 

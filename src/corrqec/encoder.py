@@ -104,15 +104,23 @@ def encoder_factors(n: int) -> tuple:
     return circuit_factors(build_pn(n).circuit)
 
 
+def ancilla_images(parity: str, sign: int) -> tuple[np.ndarray, ...]:
+    """Images of I, X_n, Y_n, Z_n on the ancilla after conjugation by P_n.
+
+    Odd parity: I, X, sign Y, Z on one qubit; even parity: I, D_X, sign D_Y,
+    D_Z on two.  sign is (-1)**k.
+    """
+    if parity == "odd":
+        return (np.eye(2, dtype=np.complex128), pauli("X"), sign * pauli("Y"), pauli("Z"))
+    return (np.eye(4, dtype=np.complex128), d_matrix("X"), sign * d_matrix("Y"), d_matrix("Z"))
+
+
 def expected_conjugation(spec: EncoderSpec, axis: str) -> np.ndarray:
     """The predicted value of P_dag W P for W the correlated error on `axis`."""
-    sign = spec.sign if axis == "Y" else 1
-    if spec.parity == "odd":
-        head = sign * pauli(axis)
-        rest = 1 << (spec.n - 1)
-    else:
-        head = sign * d_matrix(axis)
-        rest = 1 << (spec.n - 2)
+    if axis not in ("X", "Y", "Z"):
+        raise ValueError(f"axis must be X, Y, or Z, got {axis!r}")
+    head = ancilla_images(spec.parity, spec.sign)["IXYZ".index(axis)]
+    rest = (1 << spec.n) // spec.ancilla_dim
     return kron(head, np.eye(rest, dtype=np.complex128))
 
 

@@ -101,34 +101,32 @@ def cnot_matrix(n: int, control: int, target: int) -> np.ndarray:
     return permutation_matrix(cnot_perm(n, control, target))
 
 
-_ERROR_CACHE: dict[tuple[str, int], np.ndarray] = {}
+_AXIS_COEFFS = {"X": (0, 1, 0, 0), "Y": (0, 0, 1, 0), "Z": (0, 0, 0, 1)}
+
+
+def banded_error(n: int, coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and anti-diagonal of F = a I + b X_n + c Y_n + d Z_n, with z
+    the parity signs: Z_n = diag(z), X_n = antidiag(1), Y_n = antidiag((-i)**n z)."""
+    a, b, c, d = coeffs
+    z = parity_signs(n)
+    fd = a + d * z
+    fa = b + c * ((-1j) ** n) * z
+    return fd.astype(np.complex128), fa.astype(np.complex128)
 
 
 def correlated_error(axis: str, n: int) -> np.ndarray:
-    """The n-fold Kronecker power of a Pauli matrix (X_n, Y_n, or Z_n).
-
-    Built by direct index fill, which is exact and O(4**n); results are
-    cached per (axis, n) and returned as read-only arrays.
-    """
+    """X_n, Y_n or Z_n, the n-fold Kronecker power of a Pauli matrix, filled
+    exactly from its banded form in O(4**n); every call allocates a new one."""
     if axis not in _PAULI:
         raise ValueError(f"axis must be X, Y, or Z, got {axis!r}")
     if n < 1:
         raise BadQubitCount(f"n must be >= 1, got {n}")
-    key = (axis, n)
-    cached = _ERROR_CACHE.get(key)
-    if cached is not None:
-        return cached
+    fd, fa = banded_error(n, _AXIS_COEFFS[axis])
     dim = 1 << n
     idx = np.arange(dim)
     out = np.zeros((dim, dim), dtype=np.complex128)
-    if axis == "Z":
-        out[idx, idx] = parity_signs(n)
-    elif axis == "X":
-        out[idx, dim - 1 - idx] = 1.0
-    else:
-        out[idx, dim - 1 - idx] = ((-1j) ** n) * parity_signs(n)
-    out.setflags(write=False)
-    _ERROR_CACHE[key] = out
+    out[idx, idx] = fd
+    out[idx, dim - 1 - idx] = fa
     return out
 
 
@@ -156,16 +154,6 @@ def circuit_factors(circuit: Circuit) -> tuple:
     if comp is not None:
         factors.append(("perm", comp))
     return tuple(factors)
-
-
-def circuit_permutation(circuit: Circuit) -> np.ndarray:
-    """Basis permutation of a CNOT-only circuit; raises on other gates."""
-    factors = circuit_factors(circuit)
-    if len(factors) == 0:
-        return np.arange(1 << circuit.n_qubits, dtype=np.int64)
-    if len(factors) != 1 or factors[0][0] != "perm":
-        raise BadQubitIndex("circuit contains non-CNOT gates")
-    return factors[0][1]
 
 
 def realize(circuit: Circuit) -> np.ndarray:

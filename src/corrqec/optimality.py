@@ -1,10 +1,13 @@
 """Minimality of the three-CNOT encoder P_3, by counting and by search.
 
-CNOT-only circuits are basis permutations, represented here as index tables.
-Writing each column index in binary, mismatch_count totals the differing
-bits against another table; one CNOT changes at most 4 of the 24 bit
-positions at n=3, so P_3's 12 mismatches force at least 3 gates.  The
-exhaustive search over short CNOT words confirms the bound is tight.
+A CNOT-only circuit maps basis states by an invertible n x n matrix over
+GF(2), kept as n row masks; CNOT(c, t) is rows[t] ^= rows[c], so it changes
+one row.  A row that differs between two circuits flips its output bit on
+exactly half of the 2**n basis states, so the binary digits in which their
+basis permutations differ number 2**(n-1) per differing row (4 of 24 at
+n=3).  The rows that differ from the identity therefore bound the CNOT count
+below at every n: P_3's 12 mismatches are three rows.  The exhaustive search
+over short CNOT words confirms the bound is tight.
 """
 
 from __future__ import annotations
@@ -12,50 +15,66 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import DimensionMismatch
-from .gates import Circuit, circuit_permutation, cnot_op, cnot_perm
+from .errors import BadQubitIndex, DimensionMismatch
+from .gates import Circuit, cnot_op
 
 CnotPair = tuple[int, int]
 
 
 @dataclass(frozen=True)
-class PermutationTable:
+class BitMatrix:
+    """Invertible n x n matrix over GF(2); rows[t] masks the inputs of output bit t."""
+
     n: int
-    perm: tuple[int, ...]
+    rows: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "perm", tuple(int(x) for x in self.perm))
-        if sorted(self.perm) != list(range(1 << self.n)):
-            raise DimensionMismatch(
-                f"perm is not a bijection on 0..{(1 << self.n) - 1}"
-            )
+        rows = tuple(int(r) for r in self.rows)
+        object.__setattr__(self, "rows", rows)
+        n = self.n
+        if n < 1 or len(rows) != n or any(not 0 <= r < 1 << n for r in rows):
+            raise DimensionMismatch(f"need n={n} >= 1 row masks below 2**n, got {rows}")
+        rest = list(rows)
+        while rest:  # Gaussian elimination on each row's lowest set bit
+            r = rest.pop()
+            if r == 0:
+                raise DimensionMismatch(f"rows {rows} are singular over GF(2)")
+            rest = [x ^ r if x & r & -r else x for x in rest]
 
 
-def identity_table(n: int) -> PermutationTable:
-    return PermutationTable(n, tuple(range(1 << n)))
+def identity_table(n: int) -> BitMatrix:
+    return BitMatrix(n, tuple(1 << t for t in range(n)))
 
 
-def cnot_table(n: int, control: int, target: int) -> PermutationTable:
-    return PermutationTable(n, tuple(cnot_perm(n, control, target)))
+def circuit_table(circuit: Circuit) -> BitMatrix:
+    """Matrix of a CNOT-only circuit (raises on other gates)."""
+    rows = list(identity_table(circuit.n_qubits).rows)
+    for op in circuit.ops:
+        if op.kind != "cnot":
+            raise BadQubitIndex("circuit contains non-CNOT gates")
+        c, t = op.qubits
+        rows[t] ^= rows[c]
+    return BitMatrix(circuit.n_qubits, rows)
 
 
-def compose(first: PermutationTable, second: PermutationTable) -> PermutationTable:
-    """Table of applying `first` then `second`."""
-    if first.n != second.n:
-        raise DimensionMismatch(f"tables on n={first.n} and n={second.n}")
-    return PermutationTable(first.n, tuple(second.perm[s] for s in first.perm))
+def word_circuit(n: int, word) -> Circuit:
+    return Circuit(n, tuple(cnot_op(c, t) for c, t in word))
 
 
-def circuit_table(circuit: Circuit) -> PermutationTable:
-    """Table of a CNOT-only circuit (raises on other gates)."""
-    return PermutationTable(circuit.n_qubits, tuple(circuit_permutation(circuit)))
+def word_table(n: int, word) -> BitMatrix:
+    """Matrix of a CNOT word given as (control, target) pairs in application order."""
+    return circuit_table(word_circuit(n, word))
 
 
-def mismatch_count(a: PermutationTable, b: PermutationTable) -> int:
-    """Total differing binary digits between corresponding columns."""
+def cnot_table(n: int, control: int, target: int) -> BitMatrix:
+    return word_table(n, [(control, target)])
+
+
+def mismatch_count(a: BitMatrix, b: BitMatrix) -> int:
+    """Total differing binary digits between corresponding permutation columns."""
     if a.n != b.n:
         raise DimensionMismatch(f"tables on n={a.n} and n={b.n}")
-    return sum((x ^ y).bit_count() for x, y in zip(a.perm, b.perm))
+    return sum(x != y for x, y in zip(a.rows, b.rows)) << (a.n - 1)
 
 
 def cnot_pairs(n: int) -> list[CnotPair]:
@@ -63,26 +82,7 @@ def cnot_pairs(n: int) -> list[CnotPair]:
     return [(c, t) for c in range(n) for t in range(n) if t != c]
 
 
-def all_cnots(n: int) -> list[PermutationTable]:
-    """Tables for every ordered CNOT pair, aligned with cnot_pairs(n)."""
-    return [cnot_table(n, c, t) for c, t in cnot_pairs(n)]
-
-
-def word_table(n: int, word) -> PermutationTable:
-    """Table of a CNOT word given as (control, target) pairs in application order."""
-    table = identity_table(n)
-    for c, t in word:
-        table = compose(table, cnot_table(n, c, t))
-    return table
-
-
-def word_circuit(n: int, word) -> Circuit:
-    return Circuit(n, tuple(cnot_op(c, t) for c, t in word))
-
-
-def exhaustive_search(
-    target: PermutationTable, max_len: int
-) -> list[CnotPair] | None:
+def exhaustive_search(target: BitMatrix, max_len: int) -> list[CnotPair] | None:
     """Shortest CNOT word of length <= max_len composing to target, or None.
 
     Enumerates words in lexicographic order over the cnot_pairs alphabet,
@@ -90,21 +90,17 @@ def exhaustive_search(
     """
     if max_len > 4:
         raise ValueError(f"max_len must be <= 4, got {max_len}")
-    pairs = cnot_pairs(target.n)
-    tables = all_cnots(target.n)
-    ident = identity_table(target.n)
-    if target == ident:
-        return []
-    for length in range(1, max_len + 1):
-        for choice in product(range(len(pairs)), repeat=length):
-            table = ident
-            for g in choice:
-                table = compose(table, tables[g])
-            if table == target:
-                return [pairs[g] for g in choice]
+    ident = identity_table(target.n).rows
+    for length in range(max_len + 1):
+        for word in product(cnot_pairs(target.n), repeat=length):
+            rows = list(ident)
+            for c, t in word:
+                rows[t] ^= rows[c]
+            if tuple(rows) == target.rows:
+                return list(word)
     return None
 
 
-def counting_lower_bound(target: PermutationTable) -> int:
-    """ceil(mismatch_count(I, target) / 4): one CNOT fixes at most 4 bits."""
-    return -(-mismatch_count(identity_table(target.n), target) // 4)
+def counting_lower_bound(target: BitMatrix) -> int:
+    """The rows that differ from the identity: one CNOT changes one row."""
+    return mismatch_count(identity_table(target.n), target) >> (target.n - 1)

@@ -14,12 +14,17 @@ from math import sqrt
 import numpy as np
 
 from .channels import Channel, PauliChannel, SpanChannel, apply_sequence
-from .encoder import EncoderSpec, build_pn, d_matrix, encoder_factors
+from .encoder import EncoderSpec, ancilla_images, build_pn, encoder_factors
 from .errors import AncillaSizeError, BadQubitCount, DimensionMismatch
-from .gates import circuit_conjugate, pauli
-from .tensor import frobenius_distance, partial_trace_leading, partial_trace_trailing
+from .gates import circuit_conjugate
+from .tensor import check_memory, frobenius_distance
+from .tensor import partial_trace_leading, partial_trace_trailing
+from .tolerances import CLASSICAL_TOL, HYBRID_TOL
 
-HYBRID_TOL = 1e-11
+# Peak number of live 2**n x 2**n complex128 matrices during a trial, from
+# tracemalloc at n = 8..11: 5.1-5.9 with a Pauli channel and 6.1-6.5 with
+# span channels, rounded up.
+TRIAL_PEAK_STATES = 7
 
 
 @dataclass(eq=False)
@@ -76,30 +81,13 @@ def decode(spec: EncoderSpec, tau: np.ndarray) -> np.ndarray:
     return circuit_conjugate(encoder_factors(spec.n), tau, adjoint=True)
 
 
-def _induced_basis(parity: str, sign: int):
-    """Images of I, X_n, Y_n, Z_n on the ancilla after conjugation by P_n."""
-    if parity == "odd":
-        return (
-            np.eye(2, dtype=np.complex128),
-            pauli("X"),
-            sign * pauli("Y"),
-            pauli("Z"),
-        )
-    return (
-        np.eye(4, dtype=np.complex128),
-        d_matrix("X"),
-        sign * d_matrix("Y"),
-        d_matrix("Z"),
-    )
-
-
 def induced_kraus(ch: Channel, parity: str, sign: int) -> list[np.ndarray]:
     """The ancilla-side Kraus operators a channel induces through the encoder.
 
     The sign on the Y image cancels for a PauliChannel (it conjugates each
     term separately) but matters inside a span operator's cross terms.
     """
-    basis = _induced_basis(parity, sign)
+    basis = ancilla_images(parity, sign)
     if isinstance(ch, PauliChannel):
         return [sqrt(p) * op for p, op in zip(ch.probs, basis) if p > 0.0]
     return [
@@ -108,30 +96,17 @@ def induced_kraus(ch: Channel, parity: str, sign: int) -> list[np.ndarray]:
     ]
 
 
-def predicted_ancilla(sigma: np.ndarray, probs, parity: str, k: int) -> np.ndarray:
-    """Ancilla output for a single Pauli channel.
-
-    Odd parity: p0 s + p1 X s X + p2 Y s Y + p3 Z s Z on one qubit; even
-    parity: the same with the diagonal D images on two qubits.  The (-1)**k
-    sign cancels in conjugation, so k does not change the value.
-    """
-    sigma = np.asarray(sigma, dtype=np.complex128)
-    expected = 2 if parity == "odd" else 4
-    if sigma.shape != (expected, expected):
-        raise DimensionMismatch(
-            f"{parity} ancilla must be {expected}x{expected}, got {sigma.shape}"
-        )
-    basis = _induced_basis(parity, (-1) ** k)
-    out = np.zeros_like(sigma)
-    for p, op in zip(probs, basis):
-        out += p * (op @ sigma @ op.conj().T)
-    return out
-
-
-def _predict_sequence(
+def predicted_ancilla(
     sigma: np.ndarray, channels, repeats: int, parity: str, sign: int
 ) -> np.ndarray:
+    """Ancilla output of the channel list, applied `repeats` times through the
+    Kraus operators each channel induces on the ancilla; sign is (-1)**k."""
     out = np.asarray(sigma, dtype=np.complex128)
+    expected = 2 if parity == "odd" else 4
+    if out.shape != (expected, expected):
+        raise DimensionMismatch(
+            f"{parity} ancilla must be {expected}x{expected}, got {out.shape}"
+        )
     kraus_per_channel = [induced_kraus(ch, parity, sign) for ch in channels]
     for _ in range(repeats):
         for kraus in kraus_per_channel:
@@ -140,14 +115,11 @@ def _predict_sequence(
 
 
 def _is_classical(sigma: np.ndarray) -> bool:
-    if sigma.shape != (4, 4):
-        return False
-    for idx in range(4):
-        proj = np.zeros((4, 4), dtype=np.complex128)
-        proj[idx, idx] = 1.0
-        if frobenius_distance(sigma, proj) <= 1e-12:
-            return True
-    return False
+    return sigma.shape == (4, 4) and any(
+        frobenius_distance(sigma, classical_state(i, j)) <= CLASSICAL_TOL
+        for i in (0, 1)
+        for j in (0, 1)
+    )
 
 
 def run_trial(
@@ -162,6 +134,7 @@ def run_trial(
     if isinstance(channels, (PauliChannel, SpanChannel)):
         channels = [channels]
     channels = list(channels)
+    check_memory(n, TRIAL_PEAK_STATES)
     spec = build_pn(n)
     sigma, rho = _check_states(spec, sigma, rho)
 
@@ -171,7 +144,7 @@ def run_trial(
 
     recovered_rho = partial_trace_leading(decoded, sigma.shape[0])
     ancilla_out = partial_trace_trailing(decoded, rho.shape[0])
-    predicted = _predict_sequence(sigma, channels, repeats, spec.parity, spec.sign)
+    predicted = predicted_ancilla(sigma, channels, repeats, spec.parity, spec.sign)
 
     rho_residual = frobenius_distance(recovered_rho, rho)
     ancilla_residual = frobenius_distance(ancilla_out, predicted)

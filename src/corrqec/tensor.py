@@ -8,10 +8,17 @@ Matrices are dense row-major complex128 numpy arrays.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from . import kernels
-from .errors import DimensionMismatch
+from .errors import BadQubitCount, DimensionMismatch
+from .tolerances import EIG_FLOOR, HERM_TOL, TRACE_TOL
+
+# Peak number of live dim x dim complex128 matrices inside random_density,
+# from tracemalloc at dim = 32..256 (3.0-3.6), rounded up.
+RANDOM_DENSITY_PEAK_STATES = 4
 
 
 def as_square(m) -> np.ndarray:
@@ -64,6 +71,19 @@ def frobenius_distance(a, b) -> float:
     return kernels.frob_dist(a, b)
 
 
+def check_memory(n: int, states: int) -> None:
+    """Raise BadQubitCount unless `states` 2**n x 2**n complex128 matrices,
+    16*4**n bytes each, fit in physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    # largest n with states * 16 * 4**n <= memory
+    max_n = ((memory // (states * 16)).bit_length() - 1) // 2
+    if n > max_n:
+        raise BadQubitCount(
+            f"n={n} needs {states} density matrices of 16*4**n bytes, more than the "
+            f"{memory / 2**30:.1f} GiB of physical memory (largest n: {max_n})"
+        )
+
+
 def random_density(dim: int, seed: int) -> np.ndarray:
     """G G_dag / tr(G G_dag) for G with entries uniform in the unit square.
 
@@ -71,22 +91,19 @@ def random_density(dim: int, seed: int) -> np.ndarray:
     """
     if dim < 1:
         raise DimensionMismatch(f"dim must be >= 1, got {dim}")
+    # n = ceil(log2 dim): exact for the power-of-two dims the package uses
+    check_memory((int(dim) - 1).bit_length(), RANDOM_DENSITY_PEAK_STATES)
     rng = np.random.default_rng(seed)
     g = rng.random((dim, dim)) + 1j * rng.random((dim, dim))
     m = g @ g.conj().T
     return m / np.trace(m).real
 
 
-def is_density_matrix(
-    m,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-12,
-    eig_floor: float = -1e-10,
-) -> bool:
-    """Check Hermiticity, unit trace, and PSD within the given tolerances."""
+def is_density_matrix(m) -> bool:
+    """Check Hermiticity, unit trace, and PSD within the pinned tolerances."""
     m = as_square(m)
-    if np.linalg.norm(m - m.conj().T) > herm_tol:
+    if np.linalg.norm(m - m.conj().T) > HERM_TOL:
         return False
-    if abs(np.trace(m) - 1.0) > trace_tol:
+    if abs(np.trace(m) - 1.0) > TRACE_TOL:
         return False
-    return float(np.linalg.eigvalsh(m).min()) >= eig_floor
+    return float(np.linalg.eigvalsh(m).min()) >= EIG_FLOOR

@@ -2,7 +2,8 @@
 
 Each test prints a single PASS line (visible with -rA or -s) after its
 asserts hold at the stated tolerance; a failure reads as the criterion
-number.  Timed criteria measure wall clock after JIT warmup (conftest).
+number.  Timed criteria measure cold wall clock: the kernels are plain
+numpy, so there is no JIT and no warm-up.
 """
 
 from __future__ import annotations

@@ -76,6 +76,9 @@ def test_expected_conjugation_against_dense_route(n):
     for axis in "XYZ":
         dense = _dense_conjugation(spec, axis)
         assert np.allclose(dense, expected_conjugation(spec, axis), atol=1e-12)
+    for axis in ("I", "XY", "W"):
+        with pytest.raises(ValueError):
+            expected_conjugation(spec, axis)
 
 
 @pytest.mark.parametrize("n", range(2, 11))

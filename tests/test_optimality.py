@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrqec import (
+    BadQubitIndex,
+    BitMatrix,
     DimensionMismatch,
-    all_cnots,
     build_p3,
+    build_pn,
     circuit_table,
     cnot_pairs,
     counting_lower_bound,
@@ -17,11 +21,23 @@ from corrqec import (
     mismatch_count,
     realize,
 )
-from corrqec.optimality import PermutationTable, cnot_table, compose, word_circuit, word_table
+from corrqec.optimality import cnot_table, word_circuit, word_table
+
+from oracles import circuit_matrix
 
 
 def _p3_table():
     return circuit_table(build_p3().circuit)
+
+
+def _dense_perm(n: int, word) -> np.ndarray:
+    """Basis permutation of a CNOT word, read off the dense oracle product."""
+    m = circuit_matrix([("cnot", c, t) for c, t in word], n)
+    return np.argmax(np.abs(m), axis=0)
+
+
+def _image(table: BitMatrix, s: int) -> int:
+    return sum(((r & s).bit_count() & 1) << t for t, r in enumerate(table.rows))
 
 
 def test_mismatch_examples():
@@ -38,21 +54,38 @@ def test_mismatch_rejects_size_mix():
 
 def test_table_validation():
     with pytest.raises(DimensionMismatch):
-        PermutationTable(2, (0, 0, 1, 2))
+        BitMatrix(2, (0b01, 0b01))  # singular: equal rows
+    with pytest.raises(DimensionMismatch):
+        BitMatrix(3, (0b011, 0b110, 0b101))  # singular: rows sum to 0
+    with pytest.raises(DimensionMismatch):
+        BitMatrix(2, (0b01, 0b100))  # a mask past 2**n
+    with pytest.raises(DimensionMismatch):
+        BitMatrix(2, (0b01,))  # too few rows
+    assert BitMatrix(2, (0b11, 0b10)).rows == (3, 2)
+    with pytest.raises(BadQubitIndex):
+        word_table(3, [(1, 1)])
+    with pytest.raises(BadQubitIndex):
+        word_table(3, [(0, 3)])
+    with pytest.raises(BadQubitIndex):
+        circuit_table(build_pn(2).circuit)  # P_2 carries a Hadamard
 
 
 def test_all_cnots():
-    assert len(all_cnots(3)) == 6
-    assert len(all_cnots(2)) == 2
-    ident = identity_table(3)
-    for t in all_cnots(3):
-        assert compose(t, t) == ident
+    assert len(cnot_pairs(3)) == 6
+    assert len(cnot_pairs(2)) == 2
+    for n in (2, 3, 4):
+        ident = identity_table(n)
+        for c, t in cnot_pairs(n):
+            assert cnot_table(n, c, t) != ident
+            assert word_table(n, [(c, t), (c, t)]) == ident  # self-inverse
 
 
 def test_every_cnot_changes_four_bits_against_identity():
-    ident = identity_table(3)
-    for t in all_cnots(3):
-        assert mismatch_count(ident, t) == 4
+    # 2**(n-1) digits per CNOT: the paper's 4 of 24 at n=3
+    for n in (2, 3, 4, 5):
+        ident = identity_table(n)
+        for c, t in cnot_pairs(n):
+            assert mismatch_count(ident, cnot_table(n, c, t)) == 1 << (n - 1)
 
 
 def test_exhaustive_search_p3():
@@ -77,39 +110,48 @@ def test_counting_lower_bound():
     assert counting_lower_bound(_p3_table()) == 3
     assert counting_lower_bound(identity_table(3)) == 0
     assert counting_lower_bound(cnot_table(3, 0, 2)) == 1
+    for n in range(2, 7):
+        assert counting_lower_bound(cnot_table(n, 0, 1)) == 1
+        assert exhaustive_search(cnot_table(n, 0, 1), 1) == [(0, 1)]
 
 
 def test_single_cnot_changes_at_most_four_bits_against_any_short_word():
-    # exhaustively validate the counting step at n=3 for words up to length 3
-    ident = identity_table(3)
-    gates = all_cnots(3)
-    words = [ident]
-    frontier = [ident]
-    for _ in range(3):
-        frontier = [compose(w, g) for w in frontier for g in gates]
-        words.extend(frontier)
-    for w in words:
-        base = mismatch_count(ident, w)
-        for g in gates:
-            assert abs(mismatch_count(ident, compose(w, g)) - base) <= 4
+    # the GF(2) rows give the dense oracle's basis permutation, mismatch_count
+    # equals its column popcount against the identity, and one more CNOT moves
+    # that by at most 2**(n-1) (4 at n=3): every word of length <= 3 at n=2, 3,
+    # and every 37th one at n=4
+    for n, step in ((2, 1), (3, 1), (4, 37)):
+        pairs = cnot_pairs(n)
+        words = [w for k in range(4) for w in product(pairs, repeat=k)]
+        for word in words[::step]:
+            table = word_table(n, word)
+            perm = _dense_perm(n, word)
+            assert [_image(table, s) for s in range(1 << n)] == perm.tolist()
+            dense = sum(int(x ^ s).bit_count() for s, x in enumerate(perm))
+            base = mismatch_count(identity_table(n), table)
+            assert base == dense, (n, word)
+            for g in pairs:
+                after = mismatch_count(identity_table(n), word_table(n, [*word, g]))
+                assert abs(after - base) <= 1 << (n - 1)
 
 
-@given(st.lists(st.integers(0, 5), min_size=0, max_size=4))
+@given(st.data())
 @settings(max_examples=40, deadline=None)
-def test_search_never_beats_counting_bound(word_ids):
-    pairs = cnot_pairs(3)
-    word = [pairs[i] for i in word_ids]
-    target = word_table(3, word)
-    found = exhaustive_search(target, 4)
+def test_search_never_beats_counting_bound(data):
+    n, max_len = data.draw(st.sampled_from([(3, 4), (4, 3)]))
+    pairs = cnot_pairs(n)
+    word = data.draw(st.lists(st.sampled_from(pairs), max_size=max_len))
+    target = word_table(n, word)
+    found = exhaustive_search(target, max_len)
     assert found is not None  # reachable by construction
     assert len(found) >= counting_lower_bound(target)
-    assert word_table(3, found) == target
+    assert word_table(n, found) == target
 
 
 def test_circuit_table_matches_realized_matrix():
-    # cross-module consistency: table composition equals the dense realization
+    # cross-module consistency: the GF(2) rows give the dense realization's columns
     p3 = build_p3()
     table = circuit_table(p3.circuit)
     m = realize(p3.circuit)
     for s in range(8):
-        assert m[table.perm[s], s] == 1.0
+        assert m[_image(table, s), s] == 1.0

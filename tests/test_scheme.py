@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -48,30 +50,31 @@ def test_encode_validation():
 
 def test_predicted_ancilla_identity_channel():
     sigma = random_density(2, 3)
-    assert np.allclose(
-        predicted_ancilla(sigma, (1, 0, 0, 0), "odd", 1), sigma, atol=1e-15
-    )
+    ch = PauliChannel(3, (1, 0, 0, 0))
+    assert np.allclose(predicted_ancilla(sigma, [ch], 1, "odd", 1), sigma, atol=1e-15)
 
 
 def test_predicted_ancilla_classical_even_is_fixed():
     for i in (0, 1):
         for j in (0, 1):
             sigma = classical_state(i, j)
-            out = predicted_ancilla(sigma, (0.1, 0.2, 0.3, 0.4), "even", 2)
+            ch = PauliChannel(4, (0.1, 0.2, 0.3, 0.4))
+            out = predicted_ancilla(sigma, [ch], 1, "even", 1)
             assert np.allclose(out, sigma, atol=1e-15)
 
 
 def test_predicted_ancilla_maximally_mixed_odd():
     sigma = np.eye(2, dtype=complex) / 2
-    out = predicted_ancilla(sigma, (0.25, 0.25, 0.25, 0.25), "odd", 3)
+    ch = PauliChannel(7, (0.25, 0.25, 0.25, 0.25))
+    out = predicted_ancilla(sigma, [ch], 1, "odd", -1)
     assert np.allclose(out, sigma, atol=1e-15)
 
 
 def test_predicted_ancilla_sign_is_irrelevant():
     sigma = random_density(2, 4)
-    probs = (0.4, 0.1, 0.3, 0.2)
-    a = predicted_ancilla(sigma, probs, "odd", 1)
-    b = predicted_ancilla(sigma, probs, "odd", 2)
+    ch = PauliChannel(3, (0.4, 0.1, 0.3, 0.2))
+    a = predicted_ancilla(sigma, [ch], 1, "odd", -1)
+    b = predicted_ancilla(sigma, [ch], 1, "odd", 1)
     assert np.array_equal(a, b)
 
 
@@ -128,7 +131,7 @@ def test_run_trial_channel_corners_give_predicted_product():
     for corner in [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]:
         ch = PauliChannel(n, corner)
         decoded = decode(spec, apply_sequence([ch], encode(spec, sigma, rho)))
-        predicted = predicted_ancilla(sigma, corner, spec.parity, spec.k)
+        predicted = predicted_ancilla(sigma, [ch], 1, spec.parity, spec.sign)
         assert np.allclose(decoded, np.kron(predicted, rho), atol=1e-11)
 
 
@@ -158,6 +161,19 @@ def test_run_trial_single_channel_argument():
     a = run_trial(3, random_density(2, 15), random_density(4, 16), ch)
     b = run_trial(3, random_density(2, 15), random_density(4, 16), [ch])
     assert a.rho_residual == b.rho_residual
+
+
+def test_run_trial_rejects_n_past_physical_memory(monkeypatch):
+    sigma, rho = random_density(4, 17), random_density(64, 18)
+    small = (random_density(2, 19), random_density(4, 20))
+    ch = PauliChannel(8, (0.7, 0.1, 0.1, 0.1))
+    # report 2 MiB of physical memory; n=8 needs 7 matrices of 1 MiB
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 512}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+    with pytest.raises(BadQubitCount, match="physical memory"):
+        run_trial(8, sigma, rho, ch)
+    out = run_trial(3, *small, PauliChannel(3, (0.7, 0.1, 0.1, 0.1)))
+    assert out.rho_residual < 1e-12
 
 
 def test_degenerate_two_qubit_case():

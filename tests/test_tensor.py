@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrqec import (
+    CorrQecError,
     DimensionMismatch,
     dagger,
     frobenius_distance,
@@ -112,3 +115,12 @@ def test_random_density_deterministic():
     assert np.array_equal(a, b)
     c = random_density(4, 8)
     assert not np.array_equal(a, c)
+
+
+def test_random_density_rejects_dim_past_physical_memory(monkeypatch):
+    # report 2 MiB of physical memory; dim 256 peaks at 4 matrices of 1 MiB
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 512}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+    with pytest.raises(CorrQecError, match="physical memory"):
+        random_density(256, 0)
+    assert is_density_matrix(random_density(16, 0))
