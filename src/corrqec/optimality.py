@@ -7,13 +7,13 @@ exactly half of the 2**n basis states, so the binary digits in which their
 basis permutations differ number 2**(n-1) per differing row (4 of 24 at
 n=3).  The rows that differ from the identity therefore bound the CNOT count
 below at every n: P_3's 12 mismatches are three rows.  The exhaustive search
-over short CNOT words confirms the bound is tight.
+over short CNOT words, which extends each word prefix once by the GF(2)
+product `compose`, confirms the bound is tight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import BadQubitIndex, DimensionMismatch
 from .gates import Circuit, cnot_op
@@ -46,15 +46,40 @@ def identity_table(n: int) -> BitMatrix:
     return BitMatrix(n, tuple(1 << t for t in range(n)))
 
 
+def cnot_table(n: int, control: int, target: int) -> BitMatrix:
+    """One CNOT: output bit target also reads input bit control."""
+    word_circuit(n, [(control, target)])  # raises BadQubitIndex on bad indices
+    rows = list(identity_table(n).rows)
+    rows[target] |= 1 << control
+    return BitMatrix(n, rows)
+
+
+def compose(first: BitMatrix, second: BitMatrix) -> BitMatrix:
+    """Apply first, then second: the GF(2) product second * first.
+
+    Output bit t of second reads the bits in second.rows[t] of first's
+    output, so its row is the XOR of those rows of first.
+    """
+    if first.n != second.n:
+        raise DimensionMismatch(f"tables on n={first.n} and n={second.n}")
+    rows = []
+    for mask in second.rows:
+        row = 0
+        for s, r in enumerate(first.rows):
+            if mask >> s & 1:
+                row ^= r
+        rows.append(row)
+    return BitMatrix(first.n, rows)
+
+
 def circuit_table(circuit: Circuit) -> BitMatrix:
     """Matrix of a CNOT-only circuit (raises on other gates)."""
-    rows = list(identity_table(circuit.n_qubits).rows)
+    table = identity_table(circuit.n_qubits)
     for op in circuit.ops:
         if op.kind != "cnot":
             raise BadQubitIndex("circuit contains non-CNOT gates")
-        c, t = op.qubits
-        rows[t] ^= rows[c]
-    return BitMatrix(circuit.n_qubits, rows)
+        table = compose(table, cnot_table(circuit.n_qubits, *op.qubits))
+    return table
 
 
 def word_circuit(n: int, word) -> Circuit:
@@ -64,10 +89,6 @@ def word_circuit(n: int, word) -> Circuit:
 def word_table(n: int, word) -> BitMatrix:
     """Matrix of a CNOT word given as (control, target) pairs in application order."""
     return circuit_table(word_circuit(n, word))
-
-
-def cnot_table(n: int, control: int, target: int) -> BitMatrix:
-    return word_table(n, [(control, target)])
 
 
 def mismatch_count(a: BitMatrix, b: BitMatrix) -> int:
@@ -86,21 +107,30 @@ def exhaustive_search(target: BitMatrix, max_len: int) -> list[CnotPair] | None:
     """Shortest CNOT word of length <= max_len composing to target, or None.
 
     Enumerates words in lexicographic order over the cnot_pairs alphabet,
-    shortest first, and returns the first exact match.
+    shortest first, and returns the first exact match.  Words that share a
+    prefix share its product.
     """
     if max_len > 4:
         raise ValueError(f"max_len must be <= 4, got {max_len}")
-    ident = identity_table(target.n).rows
+    pairs = cnot_pairs(target.n)
+    gates = [cnot_table(target.n, c, t) for c, t in pairs]
+
+    def first_match(table: BitMatrix, left: int) -> list[CnotPair] | None:
+        if left == 0:
+            return [] if table.rows == target.rows else None
+        for pair, gate in zip(pairs, gates):
+            rest = first_match(compose(table, gate), left - 1)
+            if rest is not None:
+                return [pair, *rest]
+        return None
+
     for length in range(max_len + 1):
-        for word in product(cnot_pairs(target.n), repeat=length):
-            rows = list(ident)
-            for c, t in word:
-                rows[t] ^= rows[c]
-            if tuple(rows) == target.rows:
-                return list(word)
+        word = first_match(identity_table(target.n), length)
+        if word is not None:
+            return word
     return None
 
 
 def counting_lower_bound(target: BitMatrix) -> int:
     """The rows that differ from the identity: one CNOT changes one row."""
-    return mismatch_count(identity_table(target.n), target) >> (target.n - 1)
+    return sum(r != 1 << t for t, r in enumerate(target.rows))

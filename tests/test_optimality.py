@@ -21,7 +21,7 @@ from corrqec import (
     mismatch_count,
     realize,
 )
-from corrqec.optimality import cnot_table, word_circuit, word_table
+from corrqec.optimality import cnot_table, compose, word_circuit, word_table
 
 from oracles import circuit_matrix
 
@@ -88,6 +88,20 @@ def test_every_cnot_changes_four_bits_against_identity():
             assert mismatch_count(ident, cnot_table(n, c, t)) == 1 << (n - 1)
 
 
+def test_compose_is_the_dense_product():
+    # compose(a, b) applies a, then b: its basis permutation is that of the
+    # dense product B @ A, for every pair of CNOT words of length <= 1 at n=3
+    words = [w for k in range(2) for w in product(cnot_pairs(3), repeat=k)]
+    for a, b in product(words, repeat=2):
+        table = compose(word_table(3, a), word_table(3, b))
+        assert table == word_table(3, [*a, *b])
+        perm = _dense_perm(3, [*a, *b])
+        assert [_image(table, s) for s in range(8)] == perm.tolist()
+    assert compose(identity_table(3), _p3_table()) == _p3_table()
+    with pytest.raises(DimensionMismatch):
+        compose(identity_table(2), identity_table(3))
+
+
 def test_exhaustive_search_p3():
     t = _p3_table()
     assert exhaustive_search(t, 2) is None
@@ -130,6 +144,7 @@ def test_single_cnot_changes_at_most_four_bits_against_any_short_word():
             dense = sum(int(x ^ s).bit_count() for s, x in enumerate(perm))
             base = mismatch_count(identity_table(n), table)
             assert base == dense, (n, word)
+            assert counting_lower_bound(table) << (n - 1) == base
             for g in pairs:
                 after = mismatch_count(identity_table(n), word_table(n, [*word, g]))
                 assert abs(after - base) <= 1 << (n - 1)
