@@ -50,6 +50,8 @@ def test_mismatch_examples():
 def test_mismatch_rejects_size_mix():
     with pytest.raises(DimensionMismatch):
         mismatch_count(identity_table(2), identity_table(3))
+    with pytest.raises(DimensionMismatch):
+        compose(identity_table(2), identity_table(3))
 
 
 def test_table_validation():
@@ -76,8 +78,10 @@ def test_all_cnots():
     for n in (2, 3, 4):
         ident = identity_table(n)
         for c, t in cnot_pairs(n):
-            assert cnot_table(n, c, t) != ident
-            assert word_table(n, [(c, t), (c, t)]) == ident  # self-inverse
+            g = cnot_table(n, c, t)
+            assert g != ident
+            assert compose(g, g) == ident  # self-inverse
+            assert word_table(n, [(c, t), (c, t)]) == ident
 
 
 def test_every_cnot_changes_four_bits_against_identity():
@@ -86,20 +90,6 @@ def test_every_cnot_changes_four_bits_against_identity():
         ident = identity_table(n)
         for c, t in cnot_pairs(n):
             assert mismatch_count(ident, cnot_table(n, c, t)) == 1 << (n - 1)
-
-
-def test_compose_is_the_dense_product():
-    # compose(a, b) applies a, then b: its basis permutation is that of the
-    # dense product B @ A, for every pair of CNOT words of length <= 1 at n=3
-    words = [w for k in range(2) for w in product(cnot_pairs(3), repeat=k)]
-    for a, b in product(words, repeat=2):
-        table = compose(word_table(3, a), word_table(3, b))
-        assert table == word_table(3, [*a, *b])
-        perm = _dense_perm(3, [*a, *b])
-        assert [_image(table, s) for s in range(8)] == perm.tolist()
-    assert compose(identity_table(3), _p3_table()) == _p3_table()
-    with pytest.raises(DimensionMismatch):
-        compose(identity_table(2), identity_table(3))
 
 
 def test_exhaustive_search_p3():
