@@ -106,10 +106,10 @@ def apply_pauli_channel(ch: PauliChannel, rho: np.ndarray) -> np.ndarray:
 def apply_span_channel(ch: SpanChannel, rho: np.ndarray) -> np.ndarray:
     """sum_j F_j rho F_j_dag over the banded Kraus operators."""
     rho = _check_dim(ch, rho)
-    out = np.zeros_like(rho)
-    for coeffs in ch.kraus_coeffs:
-        fd, fa = banded_error(ch.n, coeffs)
-        out += kernels.span_conjugate(rho, fd, fa)
+    kraus = iter(ch.kraus_coeffs)
+    out = kernels.span_conjugate(rho, *banded_error(ch.n, next(kraus)))
+    for coeffs in kraus:
+        out += kernels.span_conjugate(rho, *banded_error(ch.n, coeffs))
     return out
 
 

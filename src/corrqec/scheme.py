@@ -22,9 +22,10 @@ from .tensor import partial_trace_leading, partial_trace_trailing
 from .tolerances import CLASSICAL_TOL, HYBRID_TOL
 
 # Peak number of live 2**n x 2**n complex128 matrices during a trial, from
-# tracemalloc at n = 8..11: 5.1-5.9 with a Pauli channel and 6.1-6.5 with
-# span channels, rounded up.
-TRIAL_PEAK_STATES = 7
+# tracemalloc at n = 8..11 with Pauli, span and mixed channel lists (repeats
+# 1 and 2): 5.07-5.27 at n = 8, 5.25 at n = 9, 4.19 at n = 10 and 4.28 at
+# n = 11, rounded up.
+TRIAL_PEAK_STATES = 6
 
 
 @dataclass(eq=False)

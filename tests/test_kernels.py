@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import inspect
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -98,3 +101,120 @@ def test_wrappers_accept_noncontiguous_input():
         kernels.gather_conjugate(view, perm),
         kernels.gather_conjugate(np.ascontiguousarray(view), perm),
     )
+
+
+def _checked(fn, *args):
+    """fn(*args), asserting it leaves its array arguments unmodified."""
+    before = [np.copy(a) for a in args]
+    out = fn(*args)
+    for a, b in zip(args, before):
+        assert np.array_equal(a, b)
+    return out
+
+
+# _TILE_BYTES = 16*dim*k, k rows of the matrix.  k = 1: one row (or pair of
+# rows) per step; 6 and 15: steps of 3 for the Hadamard pairs and frob_dist
+# (k = 6) or Pauli and span (k = 15), which leave an uneven last tile at
+# every dim here.
+@pytest.mark.parametrize(
+    "n, k", [(n, k) for n in (3, 4, 5, 6) for k in (1, 6, 15) if k < 1 << n]
+)
+def test_kernels_are_tile_size_independent(monkeypatch, n, k):
+    dim = 1 << n
+    rng = np.random.default_rng(n * 31 + k)
+    m = random_complex_matrix(dim, n + 40)
+    rho = m + m.conj().T
+    probs = rng.dirichlet(np.ones(4))
+    fd = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    fa = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    qs = sorted({0, n - 2, n - 1})
+    whole = {
+        "rows": [kernels.hadamard_rows(m, q) for q in qs],
+        "had": [kernels.hadamard_conjugate(m, q) for q in qs],
+        "pauli": kernels.pauli_channel_apply(rho, probs),
+        "span": kernels.span_conjugate(m, fd, fa),
+        "dist": kernels.frob_dist(m, rho),
+    }
+    monkeypatch.setattr(kernels, "_TILE_BYTES", 16 * dim * k)
+    assert m.nbytes > kernels._TILE_BYTES
+    for q, rows, had in zip(qs, whole["rows"], whole["had"]):
+        h = embed_single(HAD, n, q)
+        got_rows = _checked(kernels.hadamard_rows, m, q)
+        got = _checked(kernels.hadamard_conjugate, m, q)
+        assert np.array_equal(got_rows, rows)
+        assert np.array_equal(got, had)
+        assert np.allclose(got_rows, h @ m, atol=1e-12)
+        assert np.allclose(got, h @ m @ h, atol=1e-12)
+    got = _checked(kernels.pauli_channel_apply, rho, probs)
+    assert np.array_equal(got, whole["pauli"])
+    assert np.allclose(got, pauli_channel_dense(n, probs, rho), atol=1e-12)
+    f = np.diag(fd).astype(complex)
+    f[np.arange(dim), dim - 1 - np.arange(dim)] += fa
+    got = _checked(kernels.span_conjugate, m, fd, fa)
+    assert np.array_equal(got, whole["span"])
+    assert np.allclose(got, f @ m @ f.conj().T, atol=1e-11)
+    assert _checked(kernels.frob_dist, m, rho) == pytest.approx(whole["dist"], rel=1e-12)
+    assert _checked(kernels.frob_dist, m, m.copy()) == 0.0
+
+
+def test_whole_tile_kernels_leave_input_unmodified():
+    m = random_complex_matrix(16, 50)
+    _checked(kernels.hadamard_rows, m, 2)
+    _checked(kernels.hadamard_conjugate, m, 2)
+    _checked(kernels.pauli_channel_apply, m, (0.1, 0.2, 0.3, 0.4))
+    _checked(kernels.span_conjugate, m, np.ones(16), np.ones(16))
+    _checked(kernels.gather_conjugate, m, np.arange(16)[::-1].copy())
+    _checked(kernels.frob_dist, m, 2 * m)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_kernels_hold_one_output_plus_tile_scratch():
+    n = 10
+    dim = 1 << n
+    state = 16 * dim * dim
+    m = random_complex_matrix(dim, 60)
+    fd = np.ones(dim, dtype=complex)
+    fa = np.ones(dim, dtype=complex)
+    for fn, args in (
+        (kernels.hadamard_conjugate, (m, n - 1)),
+        (kernels.hadamard_conjugate, (m, 0)),
+        (kernels.pauli_channel_apply, (m, (0.4, 0.3, 0.2, 0.1))),
+        (kernels.span_conjugate, (m, fd, fa)),
+    ):
+        assert _peak_bytes(fn, *args) < 1.25 * state, fn.__name__
+    # no output matrix: scratch only
+    assert _peak_bytes(kernels.frob_dist, m, 2 * m) < kernels._TILE_BYTES
+
+
+# Each kernel's positional parameters, as callers (and the benchmark's
+# per-kernel byte counts, which bind these names) use them.
+KERNEL_SIGNATURES = {
+    "gather_conjugate": ("m", "perm"),
+    "hadamard_conjugate": ("m", "q"),
+    "pauli_channel_apply": ("rho", "probs"),
+    "span_conjugate": ("m", "fd", "fa"),
+    "ptrace_leading": ("m", "keep"),
+    "ptrace_trailing": ("m", "keep"),
+    "frob_dist": ("a", "b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SIGNATURES))
+def test_kernel_signatures_are_pinned(name):
+    sig = inspect.signature(getattr(kernels, name))
+    names = KERNEL_SIGNATURES[name]
+    assert tuple(sig.parameters) == names
+    for p in sig.parameters.values():
+        assert p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        assert p.default is inspect.Parameter.empty
+    sig.bind(*names)
+    with pytest.raises(TypeError):
+        sig.bind(*names, None)

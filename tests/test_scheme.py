@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from corrqec import (
     random_density,
     run_trial,
 )
-from corrqec.scheme import induced_kraus
+from corrqec.scheme import TRIAL_PEAK_STATES, induced_kraus
 
 from oracles import circuit_matrix, plain_ops, span_kraus_dense, random_span_coeffs
 
@@ -167,13 +168,32 @@ def test_run_trial_rejects_n_past_physical_memory(monkeypatch):
     sigma, rho = random_density(4, 17), random_density(64, 18)
     small = (random_density(2, 19), random_density(4, 20))
     ch = PauliChannel(8, (0.7, 0.1, 0.1, 0.1))
-    # report 2 MiB of physical memory; n=8 needs 7 matrices of 1 MiB
+    # report 2 MiB of physical memory; n=8 needs 6 matrices of 1 MiB
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 512}
     monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
     with pytest.raises(BadQubitCount, match="physical memory"):
         run_trial(8, sigma, rho, ch)
     out = run_trial(3, *small, PauliChannel(3, (0.7, 0.1, 0.1, 0.1)))
     assert out.rho_residual < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["pauli", "span"])
+def test_run_trial_peak_memory_within_trial_peak_states(kind):
+    n = 9
+    sigma, rho = random_density(2, 21), random_density(256, 22)
+    if kind == "pauli":
+        channels = [PauliChannel(n, (0.4, 0.3, 0.2, 0.1))]
+    else:
+        c = np.sqrt(0.32)
+        span = SpanChannel(n, ((0.6, 0, 0, 0), (0, c, 0, 0), (0, 0, 1j * c, 0)))
+        channels = [span, span]
+    tracemalloc.start()
+    try:
+        run_trial(n, sigma, rho, channels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < TRIAL_PEAK_STATES * 16 * 4**n
 
 
 def test_degenerate_two_qubit_case():
