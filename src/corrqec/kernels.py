@@ -11,6 +11,8 @@ tiles of _TILE_BYTES (4 MiB), so no temporary outgrows a tile:
 - A matrix that fits in one tile (dim <= 512) is evaluated whole, in one
   step.  A larger one is walked in steps of whole rows whose scratch stays
   within half a tile, so a call holds its output plus at most that much.
+  Each kernel's arithmetic is one helper, called once on the whole matrix
+  or once per step.
 - Each output element gets the same floating-point operations, in the same
   order, as the whole-array expression, so hadamard_rows,
   hadamard_conjugate, pauli_channel_apply and span_conjugate are
@@ -119,6 +121,16 @@ def hadamard_conjugate(m: np.ndarray, q: int) -> np.ndarray:
     return _hadamard(m, q, conjugate=True)
 
 
+def _pauli_rows(rows, flip_rows, z_rows, z, probs, out=None) -> np.ndarray:
+    """Output rows of pauli_channel_apply from the same rows of rho, of its
+    flip and of z; built in out (new if None)."""
+    p0, p1, p2, p3 = probs
+    zz = np.multiply.outer(z_rows, z)
+    rows = np.multiply(p0 + p3 * zz, rows, out=out)
+    rows += (p1 + p2 * zz) * flip_rows
+    return rows
+
+
 def pauli_channel_apply(rho: np.ndarray, probs) -> np.ndarray:
     """p0 rho + p1 X rho X + p2 Y rho Y + p3 Z rho Z, fused.
 
@@ -129,18 +141,15 @@ def pauli_channel_apply(rho: np.ndarray, probs) -> np.ndarray:
     rho = _as_cmatrix(rho)
     dim = rho.shape[0]
     z = parity_signs(dim.bit_length() - 1)
-    p0, p1, p2, p3 = (float(p) for p in probs)
+    probs = tuple(map(float, probs))
     flip = rho[::-1, ::-1]
     if rho.nbytes <= _TILE_BYTES:
-        zz = np.multiply.outer(z, z)
-        return (p0 + p3 * zz) * rho + (p1 + p2 * zz) * flip
+        return _pauli_rows(rho, flip, z, z, probs)
     out = np.empty_like(rho)
     step = _step_rows(40 * dim)
     for r0 in range(0, dim, step):
         r = slice(r0, r0 + step)
-        zz = np.multiply.outer(z[r], z)
-        rows = np.multiply(p0 + p3 * zz, rho[r], out=out[r])
-        rows += (p1 + p2 * zz) * flip[r]
+        _pauli_rows(rho[r], flip[r], z[r], z, probs, out[r])
     return out
 
 
@@ -148,7 +157,7 @@ def _span_rows(rows, flip_rows, fd_rows, fa_rows, fdc, fac, out=None) -> np.ndar
     """Output rows of span_conjugate from the same rows of m, of its flip and
     of fd, fa as columns; built in out (new if None), then multiplied by
     F_dag in place, so one row block of scratch is live at a time."""
-    left = np.multiply(fd_rows, rows, out)
+    left = np.multiply(fd_rows, rows, out=out)
     left += fa_rows * flip_rows
     right = left[:, ::-1] * fac
     left *= fdc
@@ -193,19 +202,23 @@ def ptrace_trailing(m: np.ndarray, keep: int) -> np.ndarray:
     return np.einsum("ikjk->ij", m.reshape(keep, d, keep, d))
 
 
+def _square_dist(a, b, scratch=None) -> float:
+    """Sum of |a - b|**2, with a - b built in scratch (new if None)."""
+    d = np.subtract(a, b, out=scratch)
+    return np.vdot(d, d).real
+
+
 def frob_dist(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius norm of a - b, summed tile by tile; 0.0 when a == b."""
     a = _as_cmatrix(a)
     b = _as_cmatrix(b)
     if a.nbytes <= _TILE_BYTES:
-        d = a - b
-        return sqrt(np.vdot(d, d).real)
+        return sqrt(_square_dist(a, b))
     rows = a.shape[0]
     step = _step_rows(a.itemsize * a.shape[1])
     scratch = np.empty((step,) + a.shape[1:], dtype=np.complex128)
     total = 0.0
     for r0 in range(0, rows, step):
-        d = scratch[: min(step, rows - r0)]
-        np.subtract(a[r0 : r0 + step], b[r0 : r0 + step], out=d)
-        total += np.vdot(d, d).real
+        r = slice(r0, r0 + step)
+        total += _square_dist(a[r], b[r], scratch[: min(step, rows - r0)])
     return sqrt(total)

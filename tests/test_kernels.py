@@ -112,21 +112,23 @@ def _checked(fn, *args):
     return out
 
 
-# _TILE_BYTES = 16*dim*k, k rows of the matrix.  k = 1: one row (or pair of
-# rows) per step; 6 and 15: steps of 3 for the Hadamard pairs and frob_dist
-# (k = 6) or Pauli and span (k = 15), which leave an uneven last tile at
-# every dim here.
+# _TILE_BYTES = 16*dim*k, k rows of the matrix.  k = None: the default tile,
+# which holds each matrix whole; k = 1: one row (or pair of rows) per step;
+# 6 and 15: steps of 3 for the Hadamard pairs and frob_dist (k = 6) or Pauli
+# and span (k = 15), which leave an uneven last tile at every dim here.
 @pytest.mark.parametrize(
-    "n, k", [(n, k) for n in (3, 4, 5, 6) for k in (1, 6, 15) if k < 1 << n]
+    "n, k",
+    [(n, k) for n in (3, 4, 5, 6) for k in (None, 1, 6, 15) if k is None or k < 1 << n],
 )
 def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     dim = 1 << n
-    rng = np.random.default_rng(n * 31 + k)
+    rng = np.random.default_rng(n * 31 + (k or 0))
     m = random_complex_matrix(dim, n + 40)
     rho = m + m.conj().T
     probs = rng.dirichlet(np.ones(4))
     fd = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     fa = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    perm = rng.permutation(dim).astype(np.int64)
     qs = sorted({0, n - 2, n - 1})
     whole = {
         "rows": [kernels.hadamard_rows(m, q) for q in qs],
@@ -135,8 +137,9 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
         "span": kernels.span_conjugate(m, fd, fa),
         "dist": kernels.frob_dist(m, rho),
     }
-    monkeypatch.setattr(kernels, "_TILE_BYTES", 16 * dim * k)
-    assert m.nbytes > kernels._TILE_BYTES
+    if k is not None:
+        monkeypatch.setattr(kernels, "_TILE_BYTES", 16 * dim * k)
+        assert m.nbytes > kernels._TILE_BYTES
     for q, rows, had in zip(qs, whole["rows"], whole["had"]):
         h = embed_single(HAD, n, q)
         got_rows = _checked(kernels.hadamard_rows, m, q)
@@ -153,18 +156,11 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     got = _checked(kernels.span_conjugate, m, fd, fa)
     assert np.array_equal(got, whole["span"])
     assert np.allclose(got, f @ m @ f.conj().T, atol=1e-11)
+    p = _perm_matrix(perm)
+    got = _checked(kernels.gather_conjugate, m, perm)
+    assert np.allclose(got, p.conj().T @ m @ p, atol=1e-13)
     assert _checked(kernels.frob_dist, m, rho) == pytest.approx(whole["dist"], rel=1e-12)
     assert _checked(kernels.frob_dist, m, m.copy()) == 0.0
-
-
-def test_whole_tile_kernels_leave_input_unmodified():
-    m = random_complex_matrix(16, 50)
-    _checked(kernels.hadamard_rows, m, 2)
-    _checked(kernels.hadamard_conjugate, m, 2)
-    _checked(kernels.pauli_channel_apply, m, (0.1, 0.2, 0.3, 0.4))
-    _checked(kernels.span_conjugate, m, np.ones(16), np.ones(16))
-    _checked(kernels.gather_conjugate, m, np.arange(16)[::-1].copy())
-    _checked(kernels.frob_dist, m, 2 * m)
 
 
 def _peak_bytes(fn, *args):
