@@ -30,12 +30,10 @@ from .gates import (
     Circuit,
     GateOp,
     circuit_conjugate,
-    cnot_matrix,
     cnot_op,
     cnot_perm,
     correlated_error,
     h_op,
-    hadamard,
     invert,
     pauli,
     realize,
@@ -60,11 +58,8 @@ from .scheme import (
     run_trial,
 )
 from .tensor import (
-    dagger,
     frobenius_distance,
-    is_density_matrix,
     kron,
-    matmul,
     partial_trace_leading,
     partial_trace_trailing,
     random_density,

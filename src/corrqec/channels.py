@@ -4,12 +4,22 @@ A PauliChannel mixes conjugations by X_n, Y_n, Z_n with probabilities
 (p0, p1, p2, p3).  A SpanChannel has Kraus operators in the linear span
 of {I, X_n, Y_n, Z_n}; each operator F = a I + b X_n + c Y_n + d Z_n is
 banded (diagonal plus anti-diagonal), which the kernels exploit.
+
+The span E = (I, X_n, Y_n, Z_n) is closed under products, so every channel
+here, and any list of them repeated any number of times, is one 4x4 PSD
+process matrix chi: rho -> sum_ab chi_ab E_a rho E_b_dag.  apply_sequence
+composes a channel list into one chi with 4x4 algebra, raises it to the
+repeat count by squaring (O(log r) compositions), and applies it to the
+state once: as one Pauli pass when chi is diagonal (every Pauli-only list),
+else as at most 4 banded conjugations, one per eigenvalue of chi.
 """
 
 from __future__ import annotations
 
+import operator
 from cmath import isfinite
 from dataclasses import dataclass
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -17,7 +27,7 @@ import numpy as np
 from . import kernels
 from .errors import DimensionMismatch, NotTracePreserving
 from .gates import banded_error
-from .tolerances import COMPLETENESS_TOL, PROB_SUM_TOL
+from .tolerances import CHI_EIG_FLOOR, COMPLETENESS_TOL, PROB_SUM_TOL
 
 Coeffs = tuple[complex, complex, complex, complex]
 
@@ -43,24 +53,51 @@ class PauliChannel:
         object.__setattr__(self, "probs", tuple(p / total for p in probs))
 
 
+@lru_cache(maxsize=None)
+def pauli_products(n: int) -> np.ndarray:
+    """t with E_a E_b = sum_c t[a, c, b] E_c for E = (I, X_n, Y_n, Z_n), read-only.
+
+    E_a E_b is a phase times E_(a xor b): X_n Y_n = i**n Z_n and cyclically,
+    with the conjugate phase for the reversed order, and 1 when a factor is
+    I or the two are equal.
+    """
+    omega = 1j ** (n % 4)
+    t = np.zeros((4, 4, 4), dtype=np.complex128)
+    for a in range(4):
+        for b in range(4):
+            phase = 1.0
+            if a and b and a != b:
+                phase = omega if (b - a) % 3 == 1 else np.conj(omega)
+            t[a, a ^ b, b] = phase
+    t.setflags(write=False)
+    return t
+
+
+# coefficients of I in the basis E
+_I_COEFFS = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
+
+
+def _rows_chi(kraus_coeffs) -> np.ndarray:
+    """chi = sum_j f_j f_j_dag over Kraus coefficient rows f_j."""
+    f = np.array(kraus_coeffs, dtype=np.complex128).reshape(-1, 4)
+    return f.T @ f.conj()
+
+
+def _kraus_gram(chi: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients in E of sum_j F_j_dag F_j = sum_ab chi_ab E_b E_a, as
+    every E_b is Hermitian."""
+    return np.einsum("ab,bca->c", chi, pauli_products(n))
+
+
 def completeness_deviation(n: int, kraus_coeffs) -> float:
     """Frobenius norm of sum_j F_j_dag F_j - I, computed from coefficients.
 
-    Products of correlated errors stay in the span: X_n Y_n = i**n Z_n and
-    cyclically, with the conjugate phase for the reversed order.  Expanding
-    each F_dag F in the orthogonal basis {I, X_n, Y_n, Z_n} (each of squared
-    Frobenius norm 2**n) gives the deviation without any dense algebra.
+    Expanding the sum in the orthogonal basis {I, X_n, Y_n, Z_n} (each of
+    squared Frobenius norm 2**n) with pauli_products gives the deviation
+    without any dense algebra.
     """
-    omega = 1j ** (n % 4)
-    c_i = c_x = c_y = c_z = 0.0 + 0.0j
-    for a, b, c, d in kraus_coeffs:
-        ac, bc, cc, dc = np.conj(a), np.conj(b), np.conj(c), np.conj(d)
-        c_i += ac * a + bc * b + cc * c + dc * d
-        c_x += ac * b + bc * a + omega * cc * d + np.conj(omega) * dc * c
-        c_y += ac * c + cc * a + omega * dc * b + np.conj(omega) * bc * d
-        c_z += ac * d + dc * a + omega * bc * c + np.conj(omega) * cc * b
-    dev = abs(c_i - 1.0) ** 2 + abs(c_x) ** 2 + abs(c_y) ** 2 + abs(c_z) ** 2
-    return sqrt((1 << n) * dev)
+    dev = _kraus_gram(_rows_chi(kraus_coeffs), n) - _I_COEFFS
+    return sqrt((1 << n) * np.vdot(dev, dev).real)
 
 
 @dataclass(frozen=True)
@@ -119,16 +156,90 @@ def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
     return apply_span_channel(ch, rho)
 
 
+def chi_matrix(ch: Channel) -> np.ndarray:
+    """chi of one channel: diag(probs), or sum_j f_j f_j_dag over Kraus rows f_j."""
+    if isinstance(ch, PauliChannel):
+        return np.diag(np.array(ch.probs, dtype=np.complex128))
+    return _rows_chi(ch.kraus_coeffs)
+
+
+def _is_diagonal(chi: np.ndarray) -> bool:
+    return not np.any(chi - np.diag(np.diagonal(chi)))
+
+
+def _then(first: np.ndarray, second: np.ndarray, n: int) -> np.ndarray:
+    """chi of applying `first`, then `second`: E_c E_a rho (E_d E_b)_dag
+    weighted by second_cd first_ab, each product expanded by pauli_products.
+
+    The squarings in sequence_chi would compound the rounding of each
+    composition in proportion to the repeat count, so the result is put
+    back on the set of channels.  Negative eigenvalues of chi are clipped
+    to 0 (a diagonal chi has none).  Then, with sum_j F_j_dag F_j = I + D,
+    every Kraus operator F_j is multiplied on the right by I - D/2, which
+    leaves a deviation of order D**2; for a diagonal chi this is a
+    rescaling to unit trace.
+    """
+    t = pauli_products(n)
+    chi = np.einsum("cd,cea,ab,dfb->ef", second, t, first, t.conj())
+    if not _is_diagonal(chi):
+        w, v = np.linalg.eigh(chi)
+        chi = (v * np.maximum(w, 0.0)) @ v.conj().T
+    d = _kraus_gram(chi, n) - _I_COEFFS
+    # F -> F (I - D/2) maps the coefficient row f to right @ f
+    right = np.einsum("aec,c->ea", t, _I_COEFFS - 0.5 * d)
+    return right @ chi @ right.conj().T
+
+
+def sequence_chi(channels, repeats: int) -> np.ndarray:
+    """chi of the channel list applied in order, the whole list `repeats`
+    times; the repeats by squaring, so O(log repeats) compositions."""
+    n = channels[0].n
+    chi = chi_matrix(channels[0])
+    for ch in channels[1:]:
+        chi = _then(chi, chi_matrix(ch), n)
+    out = None
+    while True:
+        if repeats & 1:
+            out = chi if out is None else _then(out, chi, n)
+        repeats >>= 1
+        if not repeats:
+            return out
+        chi = _then(chi, chi, n)
+
+
+def chi_channel(n: int, chi: np.ndarray) -> Channel:
+    """The channel with process matrix chi, weights at or below CHI_EIG_FLOOR
+    dropped: a PauliChannel when chi is diagonal, else a SpanChannel with one
+    Kraus row sqrt(w) v per eigenpair (w, v) of chi, so at most 4."""
+    if _is_diagonal(chi):
+        p = np.diagonal(chi).real
+        return PauliChannel(n, tuple(np.where(p > CHI_EIG_FLOOR, p, 0.0)))
+    w, v = np.linalg.eigh(chi)
+    keep = w > CHI_EIG_FLOOR
+    rows = (v[:, keep] * np.sqrt(w[keep])).T
+    return SpanChannel(n, tuple(map(tuple, rows)))
+
+
 def apply_sequence(channels, rho: np.ndarray, repeats: int = 1) -> np.ndarray:
-    """Apply the channel list in order, the whole list `repeats` times."""
+    """Apply the channel list in order, the whole list `repeats` times.
+
+    One channel with at most 4 Kraus operators, applied once, goes through
+    its own applier.  Anything else is composed into one chi and applied as
+    chi_channel, so it costs one Pauli pass or at most 4 banded
+    conjugations of the state, whatever the list length and repeat count.
+    """
     channels = list(channels)
+    repeats = operator.index(repeats)
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     ns = {ch.n for ch in channels}
     if len(ns) > 1:
         raise DimensionMismatch(f"channels act on different qubit counts: {ns}")
-    out = np.asarray(rho, dtype=np.complex128)
-    for _ in range(repeats):
-        for ch in channels:
-            out = apply_channel(ch, out)
-    return out
+    if not channels:
+        return np.asarray(rho, dtype=np.complex128)
+    first = channels[0]
+    if repeats == 1 and len(channels) == 1 and (
+        isinstance(first, PauliChannel) or len(first.kraus_coeffs) <= 4
+    ):
+        return apply_channel(first, rho)
+    return apply_channel(chi_channel(first.n, sequence_chi(channels, repeats)), rho)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BadQubitCount, BadQubitIndex
-from .kernels import _INV_SQRT2, parity_signs
+from .kernels import parity_signs
 
 _PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -75,10 +75,6 @@ def pauli(axis: str) -> np.ndarray:
     return _PAULI[axis].copy()
 
 
-def hadamard() -> np.ndarray:
-    return _INV_SQRT2 * np.array([[1, 1], [1, -1]], dtype=np.complex128)
-
-
 def cnot_perm(n: int, control: int, target: int) -> np.ndarray:
     """Basis permutation of C_{control,target}: flip target bit when control is 1."""
     if not (0 <= control < n and 0 <= target < n):
@@ -95,10 +91,6 @@ def permutation_matrix(perm) -> np.ndarray:
     m = np.zeros((dim, dim), dtype=np.complex128)
     m[perm, np.arange(dim)] = 1.0
     return m
-
-
-def cnot_matrix(n: int, control: int, target: int) -> np.ndarray:
-    return permutation_matrix(cnot_perm(n, control, target))
 
 
 _AXIS_COEFFS = {"X": (0, 1, 0, 0), "Y": (0, 0, 1, 0), "Z": (0, 0, 0, 1)}

@@ -101,18 +101,31 @@ def predicted_ancilla(
     sigma: np.ndarray, channels, repeats: int, parity: str, sign: int
 ) -> np.ndarray:
     """Ancilla output of the channel list, applied `repeats` times through the
-    Kraus operators each channel induces on the ancilla; sign is (-1)**k."""
+    Kraus operators each channel induces on the ancilla; sign is (-1)**k.
+
+    Each channel acts on the row-major vec(sigma) as sum_g g ox conj(g); the
+    list's product is raised to `repeats` by matrix_power, so the cost grows
+    with log(repeats).  The power is scaled so that it maps I to a matrix of
+    trace tr(I), as a trace-preserving map does: the squarings would
+    otherwise compound the rounding of that unit gain, in modulus and in
+    phase, by the repeat count.
+    """
     out = np.asarray(sigma, dtype=np.complex128)
     expected = 2 if parity == "odd" else 4
     if out.shape != (expected, expected):
         raise DimensionMismatch(
             f"{parity} ancilla must be {expected}x{expected}, got {out.shape}"
         )
-    kraus_per_channel = [induced_kraus(ch, parity, sign) for ch in channels]
-    for _ in range(repeats):
-        for kraus in kraus_per_channel:
-            out = sum(g @ out @ g.conj().T for g in kraus)
-    return out
+    if repeats < 0:
+        raise ValueError(f"repeats must be >= 0, got {repeats}")
+    step = np.eye(expected * expected, dtype=np.complex128)
+    for ch in channels:
+        superop = sum(np.kron(g, g.conj()) for g in induced_kraus(ch, parity, sign))
+        step = superop @ step
+    total = np.linalg.matrix_power(step, repeats)
+    vec_eye = np.eye(expected).reshape(-1)
+    total /= (vec_eye @ total @ vec_eye) / expected
+    return (total @ out.reshape(-1)).reshape(expected, expected)
 
 
 def _is_classical(sigma: np.ndarray) -> bool:

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import kernels
 from .errors import BadQubitCount, DimensionMismatch
-from .tolerances import EIG_FLOOR, HERM_TOL, TRACE_TOL
 
 # Peak number of live dim x dim complex128 matrices inside random_density,
 # from tracemalloc at dim = 32..256 (3.0-3.6), rounded up.
@@ -31,18 +30,6 @@ def as_square(m) -> np.ndarray:
 
 def kron(a, b) -> np.ndarray:
     return np.kron(as_square(a), as_square(b))
-
-
-def dagger(a) -> np.ndarray:
-    return np.ascontiguousarray(as_square(a).conj().T)
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_square(a)
-    b = as_square(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"matmul on shapes {a.shape} and {b.shape}")
-    return a @ b
 
 
 def partial_trace_leading(t, d_lead: int) -> np.ndarray:
@@ -97,13 +84,3 @@ def random_density(dim: int, seed: int) -> np.ndarray:
     g = rng.random((dim, dim)) + 1j * rng.random((dim, dim))
     m = g @ g.conj().T
     return m / np.trace(m).real
-
-
-def is_density_matrix(m) -> bool:
-    """Check Hermiticity, unit trace, and PSD within the pinned tolerances."""
-    m = as_square(m)
-    if np.linalg.norm(m - m.conj().T) > HERM_TOL:
-        return False
-    if abs(np.trace(m) - 1.0) > TRACE_TOL:
-        return False
-    return float(np.linalg.eigvalsh(m).min()) >= EIG_FLOOR

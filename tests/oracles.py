@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from corrqec.errors import DimensionMismatch
+from corrqec.gates import cnot_perm, permutation_matrix
+from corrqec.tensor import as_square
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -145,3 +149,42 @@ def random_span_coeffs(n: int, seed: int, terms: int = 2) -> tuple:
 def random_complex_matrix(dim: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+# ---------------------------------------------------------------------------
+# dense helpers that the tests use but the package never needs
+
+HERM_TOL = 1e-12  # is_density_matrix: Hermiticity, unit trace, smallest eigenvalue
+TRACE_TOL = 1e-12
+EIG_FLOOR = -1e-10
+
+
+def dagger(a) -> np.ndarray:
+    return np.ascontiguousarray(as_square(a).conj().T)
+
+
+def matmul(a, b) -> np.ndarray:
+    a = as_square(a)
+    b = as_square(b)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"matmul on shapes {a.shape} and {b.shape}")
+    return a @ b
+
+
+def is_density_matrix(m) -> bool:
+    """Check Hermiticity, unit trace, and PSD within the pinned tolerances."""
+    m = as_square(m)
+    if np.linalg.norm(m - m.conj().T) > HERM_TOL:
+        return False
+    if abs(np.trace(m) - 1.0) > TRACE_TOL:
+        return False
+    return float(np.linalg.eigvalsh(m).min()) >= EIG_FLOOR
+
+
+def hadamard() -> np.ndarray:
+    return float(np.sqrt(0.5)) * np.array([[1, 1], [1, -1]], dtype=np.complex128)
+
+
+def cnot_matrix(n: int, control: int, target: int) -> np.ndarray:
+    """The package's CNOT permutation as a dense matrix."""
+    return permutation_matrix(cnot_perm(n, control, target))

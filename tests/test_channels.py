@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from corrqec import (
     DimensionMismatch,
+    kernels,
     NotTracePreserving,
     PauliChannel,
     SpanChannel,
@@ -14,13 +15,17 @@ from corrqec import (
     apply_sequence,
     apply_span_channel,
     completeness_deviation,
-    is_density_matrix,
     random_density,
 )
 
+from corrqec.channels import pauli_products
+
 from oracles import (
     compose_pauli_probs,
+    is_density_matrix,
+    kraus_apply,
     pauli_channel_dense,
+    pauli_power,
     random_span_coeffs,
     span_kraus_dense,
 )
@@ -176,3 +181,92 @@ def test_pauli_channel_is_affine():
     mixed = apply_pauli_channel(ch, lam * r1 + (1 - lam) * r2)
     parts = lam * apply_pauli_channel(ch, r1) + (1 - lam) * apply_pauli_channel(ch, r2)
     assert np.allclose(mixed, parts, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pauli_products_match_dense(n):
+    basis = [pauli_power(axis, n) for axis in "IXYZ"]
+    t = pauli_products(n)
+    for a in range(4):
+        for b in range(4):
+            want = basis[a] @ basis[b]
+            got = sum(t[a, c, b] * basis[c] for c in range(4))
+            assert np.array_equal(got, want)
+
+
+def _random_channel(rng, n: int):
+    if rng.random() < 0.5:
+        return PauliChannel(n, tuple(rng.dirichlet(np.ones(4))))
+    terms = int(rng.integers(1, 6))
+    return SpanChannel(n, random_span_coeffs(n, int(rng.integers(1 << 31)), terms))
+
+
+def _sequential_dense(channels, rho, repeats):
+    """The channel list applied one dense Kraus pass per channel per repeat."""
+    for _ in range(repeats):
+        for ch in channels:
+            if isinstance(ch, PauliChannel):
+                rho = pauli_channel_dense(ch.n, ch.probs, rho)
+            else:
+                rho = kraus_apply(span_kraus_dense(ch.n, ch.kraus_coeffs), rho)
+    return rho
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_composed_sequence_matches_sequential_dense_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    channels = [_random_channel(rng, n) for _ in range(int(rng.integers(1, 5)))]
+    repeats = int(rng.integers(1, 5))
+    rho = random_density(1 << n, seed)
+    got = apply_sequence(channels, rho, repeats)
+    want = _sequential_dense(channels, rho, repeats)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def _count_kernel_calls(monkeypatch) -> dict:
+    calls = {"pauli_channel_apply": 0, "span_conjugate": 0}
+    for name in calls:
+        real = getattr(kernels, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(kernels, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("length,repeats", [(1, 1), (1, 7), (3, 1), (4, 1000)])
+def test_pauli_only_list_is_one_pauli_pass(monkeypatch, length, repeats):
+    n = 4
+    rng = np.random.default_rng(length + repeats)
+    channels = [PauliChannel(n, tuple(rng.dirichlet(np.ones(4)))) for _ in range(length)]
+    calls = _count_kernel_calls(monkeypatch)
+    apply_sequence(channels, random_density(1 << n, 1), repeats)
+    assert calls == {"pauli_channel_apply": 1, "span_conjugate": 0}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_list_with_a_span_channel_makes_at_most_four_conjugations(monkeypatch, seed):
+    n = 3
+    rng = np.random.default_rng(seed)
+    channels = [_random_channel(rng, n) for _ in range(int(rng.integers(0, 6)))]
+    channels.insert(
+        int(rng.integers(len(channels) + 1)),
+        SpanChannel(n, random_span_coeffs(n, seed, terms=int(rng.integers(1, 7)))),
+    )
+    repeats = int(rng.choice([1, 2, 3, 10**6]))
+    calls = _count_kernel_calls(monkeypatch)
+    apply_sequence(channels, random_density(1 << n, seed), repeats)
+    assert calls["span_conjugate"] <= 4
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_one_channel_applied_once_is_the_direct_applier(n):
+    rho = random_density(1 << n, n)
+    pauli = PauliChannel(n, (0.4, 0.3, 0.2, 0.1))
+    span = SpanChannel(n, random_span_coeffs(n, n, terms=4))
+    assert np.array_equal(apply_sequence([pauli], rho), apply_pauli_channel(pauli, rho))
+    assert np.array_equal(apply_sequence([span], rho), apply_span_channel(span, rho))

@@ -10,18 +10,27 @@ from corrqec import (
     BadQubitIndex,
     Circuit,
     circuit_conjugate,
-    cnot_matrix,
     cnot_op,
     cnot_perm,
     correlated_error,
     h_op,
-    hadamard,
     invert,
     pauli,
     realize,
 )
 
-from oracles import HAD, SX, SY, SZ, circuit_matrix, cnot_dense, pauli_power, plain_ops
+from oracles import (
+    HAD,
+    SX,
+    SY,
+    SZ,
+    circuit_matrix,
+    cnot_dense,
+    cnot_matrix,
+    hadamard,
+    pauli_power,
+    plain_ops,
+)
 
 
 def test_pauli_matrices():

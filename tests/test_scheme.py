@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from corrqec import (
     run_trial,
 )
 from corrqec.scheme import TRIAL_PEAK_STATES, induced_kraus
+from corrqec.tolerances import TRIAL_TOL
 
 from oracles import circuit_matrix, plain_ops, span_kraus_dense, random_span_coeffs
 
@@ -225,3 +227,42 @@ def test_classical_state_validation():
         classical_state(2, 0)
     assert np.trace(classical_state(0, 1)) == 1.0
     assert classical_state(1, 0)[2, 2] == 1.0
+
+
+@pytest.mark.parametrize("parity,n", [("odd", 5), ("even", 4)])
+def test_predicted_ancilla_matches_per_repeat_loop(parity, n):
+    spec = build_pn(n)
+    sigma = random_density(spec.ancilla_dim, n)
+    channels = [
+        SpanChannel(n, random_span_coeffs(n, seed=n + 80, terms=3)),
+        PauliChannel(n, (0.5, 0.2, 0.2, 0.1)),
+    ]
+    want = sigma
+    for repeats in range(1, 6):
+        for ch in channels:
+            want = sum(g @ want @ g.conj().T for g in induced_kraus(ch, parity, spec.sign))
+        got = predicted_ancilla(sigma, channels, repeats, parity, spec.sign)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+def test_run_trial_repeats_cost_grows_with_log_repeats():
+    channels = [
+        SpanChannel(3, random_span_coeffs(3, seed=s, terms=2)) for s in (1, 2)
+    ] + [PauliChannel(3, (0.7, 0.1, 0.1, 0.1))]
+    for chs in (channels[-1:], channels):
+        start = time.perf_counter()
+        out = run_trial(3, random_density(2, 23), random_density(4, 24), chs, 10**12)
+        assert time.perf_counter() - start < 1.0
+        assert out.rho_residual < TRIAL_TOL
+        assert out.ancilla_residual < TRIAL_TOL
+        assert out.product_residual < TRIAL_TOL
+
+
+def test_unitary_channel_at_huge_repeats_stays_a_channel():
+    # the r-th power of a unitary carries r times the rounding of its angle
+    # into the ancilla; the composed channel must still be completely
+    # positive and trace preserving, so the data residuals stay at rounding
+    unitary = SpanChannel(3, random_span_coeffs(3, seed=5, terms=1))
+    out = run_trial(3, random_density(2, 25), random_density(4, 26), unitary, 10**12)
+    assert out.rho_residual < TRIAL_TOL
+    assert out.product_residual < TRIAL_TOL

@@ -10,17 +10,24 @@ from hypothesis import strategies as st
 from corrqec import (
     CorrQecError,
     DimensionMismatch,
-    dagger,
     frobenius_distance,
-    is_density_matrix,
     kron,
-    matmul,
     partial_trace_leading,
     partial_trace_trailing,
     random_density,
 )
 
-from oracles import SX, SY, SZ, ptrace_leading_direct, ptrace_trailing_direct, random_complex_matrix
+from oracles import (
+    SX,
+    SY,
+    SZ,
+    dagger,
+    is_density_matrix,
+    matmul,
+    ptrace_leading_direct,
+    ptrace_trailing_direct,
+    random_complex_matrix,
+)
 
 I2 = np.eye(2, dtype=complex)
 
