@@ -120,8 +120,10 @@ def predicted_ancilla(
         raise ValueError(f"repeats must be >= 0, got {repeats}")
     step = np.eye(expected * expected, dtype=np.complex128)
     for ch in channels:
-        superop = sum(np.kron(g, g.conj()) for g in induced_kraus(ch, parity, sign))
-        step = superop @ step
+        g = np.array(induced_kraus(ch, parity, sign))
+        # sum_g g ox conj(g), indexed [(i, j), (a, b)]
+        superop = np.einsum("gia,gjb->ijab", g, g.conj())
+        step = superop.reshape(step.shape) @ step
     total = np.linalg.matrix_power(step, repeats)
     vec_eye = np.eye(expected).reshape(-1)
     total /= (vec_eye @ total @ vec_eye) / expected

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from corrqec import (
     DimensionMismatch,
-    kernels,
     NotTracePreserving,
     PauliChannel,
     SpanChannel,
@@ -15,9 +14,9 @@ from corrqec import (
     apply_sequence,
     apply_span_channel,
     completeness_deviation,
+    kernels,
     random_density,
 )
-
 from corrqec.channels import pauli_products
 
 from oracles import (
