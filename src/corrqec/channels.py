@@ -10,8 +10,9 @@ here, and any list of them repeated any number of times, is one 4x4 PSD
 process matrix chi: rho -> sum_ab chi_ab E_a rho E_b_dag.  apply_sequence
 composes a channel list into one chi with 4x4 algebra, raises it to the
 repeat count by squaring (O(log r) compositions), and applies it to the
-state once: as one Pauli pass when chi is diagonal (every Pauli-only list),
-else as at most 4 banded conjugations, one per eigenvalue of chi.
+state in one fused pass of kernels.pauli_channel_apply that reads the
+state once, whatever chi is (a diagonal chi, as every Pauli-only list
+gives, takes its cheaper Pauli arm).
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionMismatch, NotTracePreserving
-from .gates import banded_error
-from .tolerances import CHI_EIG_FLOOR, COMPLETENESS_TOL, PROB_SUM_TOL
+from .tolerances import COMPLETENESS_TOL, PROB_SUM_TOL
 
 Coeffs = tuple[complex, complex, complex, complex]
 
@@ -141,19 +141,9 @@ def apply_pauli_channel(ch: PauliChannel, rho: np.ndarray) -> np.ndarray:
 
 
 def apply_span_channel(ch: SpanChannel, rho: np.ndarray) -> np.ndarray:
-    """sum_j F_j rho F_j_dag over the banded Kraus operators."""
-    rho = _check_dim(ch, rho)
-    kraus = iter(ch.kraus_coeffs)
-    out = kernels.span_conjugate(rho, *banded_error(ch.n, next(kraus)))
-    for coeffs in kraus:
-        out += kernels.span_conjugate(rho, *banded_error(ch.n, coeffs))
-    return out
-
-
-def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
-    if isinstance(ch, PauliChannel):
-        return apply_pauli_channel(ch, rho)
-    return apply_span_channel(ch, rho)
+    """sum_j F_j rho F_j_dag over the banded Kraus operators, as one pass of
+    the channel's chi."""
+    return kernels.pauli_channel_apply(_check_dim(ch, rho), chi_matrix(ch))
 
 
 def chi_matrix(ch: Channel) -> np.ndarray:
@@ -207,39 +197,33 @@ def sequence_chi(channels, repeats: int) -> np.ndarray:
         chi = _then(chi, chi, n)
 
 
-def chi_channel(n: int, chi: np.ndarray) -> Channel:
-    """The channel with process matrix chi, weights at or below CHI_EIG_FLOOR
-    dropped: a PauliChannel when chi is diagonal, else a SpanChannel with one
-    Kraus row sqrt(w) v per eigenpair (w, v) of chi, so at most 4."""
-    if _is_diagonal(chi):
-        p = np.diagonal(chi).real
-        return PauliChannel(n, tuple(np.where(p > CHI_EIG_FLOOR, p, 0.0)))
-    w, v = np.linalg.eigh(chi)
-    keep = w > CHI_EIG_FLOOR
-    rows = (v[:, keep] * np.sqrt(w[keep])).T
-    return SpanChannel(n, tuple(map(tuple, rows)))
+def check_repeats(repeats) -> int:
+    """repeats as an int, which must be >= 1."""
+    try:
+        repeats = operator.index(repeats)
+    except TypeError:
+        raise TypeError(f"repeats must be an integer, got {repeats!r}") from None
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    return repeats
 
 
 def apply_sequence(channels, rho: np.ndarray, repeats: int = 1) -> np.ndarray:
     """Apply the channel list in order, the whole list `repeats` times.
 
-    One channel with at most 4 Kraus operators, applied once, goes through
-    its own applier.  Anything else is composed into one chi and applied as
-    chi_channel, so it costs one Pauli pass or at most 4 banded
-    conjugations of the state, whatever the list length and repeat count.
+    One Pauli channel applied once goes through its own applier.  Anything
+    else is composed into one chi and applied in one fused pass of the
+    state, whatever the list length and repeat count.
     """
     channels = list(channels)
-    repeats = operator.index(repeats)
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    repeats = check_repeats(repeats)
     ns = {ch.n for ch in channels}
     if len(ns) > 1:
         raise DimensionMismatch(f"channels act on different qubit counts: {ns}")
     if not channels:
         return np.asarray(rho, dtype=np.complex128)
     first = channels[0]
-    if repeats == 1 and len(channels) == 1 and (
-        isinstance(first, PauliChannel) or len(first.kraus_coeffs) <= 4
-    ):
-        return apply_channel(first, rho)
-    return apply_channel(chi_channel(first.n, sequence_chi(channels, repeats)), rho)
+    if repeats == 1 and len(channels) == 1 and isinstance(first, PauliChannel):
+        return apply_pauli_channel(first, rho)
+    rho = _check_dim(first, rho)
+    return kernels.pauli_channel_apply(rho, sequence_chi(channels, repeats))

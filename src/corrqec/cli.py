@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import PauliChannel, SpanChannel
+from .channels import PauliChannel, SpanChannel, check_repeats
 from .encoder import build_p3, build_pn, conjugation_report
 from .errors import AncillaSizeError, BadQubitCount, CorrQecError
 from .gates import realize
@@ -190,6 +190,7 @@ def cmd_trial(
     repeats: int,
 ) -> dict:
     """One full pipeline run, rendered as a JSON-ready dict."""
+    repeats = check_repeats(repeats)
     check_memory(n, TRIAL_PEAK_STATES)
     spec = build_pn(n)
     if channels_path is not None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BadQubitCount, BadQubitIndex
-from .kernels import parity_signs
+from .kernels import parity_signs, y_phase
 
 _PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -102,7 +102,7 @@ def banded_error(n: int, coeffs) -> tuple[np.ndarray, np.ndarray]:
     a, b, c, d = coeffs
     z = parity_signs(n)
     fd = a + d * z
-    fa = b + c * ((-1j) ** n) * z
+    fa = b + c * y_phase(n) * z
     return fd.astype(np.complex128), fa.astype(np.complex128)
 
 

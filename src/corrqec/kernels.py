@@ -15,12 +15,17 @@ tiles of _TILE_BYTES (4 MiB), so no temporary outgrows a tile:
   or once per step.
 - Each output element gets the same floating-point operations, in the same
   order, as the whole-array expression, so hadamard_rows,
-  hadamard_conjugate, pauli_channel_apply and span_conjugate are
-  bit-identical at every tile size.  frob_dist sums per-tile squares in a
-  different order (equal to within rounding) and is exactly 0.0 on equal
-  inputs.
+  hadamard_conjugate and pauli_channel_apply (both its Pauli and its chi
+  arm) are bit-identical at every tile size.  frob_dist sums per-tile
+  squares in a different order (equal to within rounding) and is exactly
+  0.0 on equal inputs.
 - gather_conjugate is one fancy-index gather: a tiled gather measured no
   faster on the encoders' CNOT permutations.
+
+pauli_channel_apply applies any channel whose Kraus operators lie in
+span{I, X_n, Y_n, Z_n}, given as its 4x4 process matrix chi, in one fused
+pass that reads the state once: each entry of the output is a weighted sum
+of the same entry of rho and of its three reversed views.
 """
 
 from __future__ import annotations
@@ -121,9 +126,14 @@ def hadamard_conjugate(m: np.ndarray, q: int) -> np.ndarray:
     return _hadamard(m, q, conjugate=True)
 
 
+def y_phase(n: int) -> complex:
+    """omega = (-i)**n, the phase in Y_n = antidiag(omega * z); exact at every n."""
+    return (-1j) ** (n % 4)
+
+
 def _pauli_rows(rows, flip_rows, z_rows, z, probs, out=None) -> np.ndarray:
-    """Output rows of pauli_channel_apply from the same rows of rho, of its
-    flip and of z; built in out (new if None)."""
+    """Output rows of the Pauli arm of pauli_channel_apply from the same rows
+    of rho, of its flip and of z; built in out (new if None)."""
     p0, p1, p2, p3 = probs
     zz = np.multiply.outer(z_rows, z)
     rows = np.multiply(p0 + p3 * zz, rows, out=out)
@@ -131,14 +141,92 @@ def _pauli_rows(rows, flip_rows, z_rows, z, probs, out=None) -> np.ndarray:
     return rows
 
 
-def pauli_channel_apply(rho: np.ndarray, probs) -> np.ndarray:
-    """p0 rho + p1 X rho X + p2 Y rho Y + p3 Z rho Z, fused.
+# E = (I, X_n, Y_n, Z_n) reordered as (I, Z_n, X_n, Y_n): the elements that
+# keep the rows in place, then the ones that reverse them.
+_BY_FLIP = (0, 3, 1, 2)
 
-    With zz = outer(z, z) this is (p0 + p3 zz) rho + (p1 + p2 zz) flip,
-    flip = rho[::-1, ::-1], whose rows [r0, r1) are rows [dim - r1, dim - r0)
-    of rho, both axes reversed.
+
+def _chi_weights(chi: np.ndarray, n: int) -> np.ndarray:
+    """w with w[2r + c, s] the weight row of block (r, c) for rows of parity
+    class s (0: z = +1, 1: z = -1), shape (4, 2, 2**n).
+
+    E_a = diag(u_a) P**r_a, with P the reversal, r_a = 1 for X_n and Y_n,
+    u = 1 for I and X_n, z for Z_n and omega z for Y_n.  So
+    E_a rho E_b_dag [i, k] = u_a[i] conj(u_b[k]) rho[P**r_a(i), P**r_b(k)],
+    and block (r, c) of the sum collects the four (a, b) with r_a = r and
+    r_b = c: with m = diag(1, lambda_r) chi_rc diag(1, conj(lambda_c)),
+    lambda = (1, omega), its weight is
+    (1, z_i) m (1, z_k)^T = alpha(z_i) + beta(z_i) z_k.
+    """
+    z = parity_signs(n)
+    phase = np.array([1.0, 1.0, 1.0, y_phase(n)])
+    m = chi[np.ix_(_BY_FLIP, _BY_FLIP)] * np.outer(phase, phase.conj())
+    # alpha, beta of each block and row class, indexed [r, c, s, (alpha, beta)]
+    ab = np.einsum("si,ricj->rcsj", [[1.0, 1.0], [1.0, -1.0]], m.reshape(2, 2, 2, 2))
+    w = ab[..., :1] + ab[..., 1:] * z
+    return w.reshape(4, 2, -1)
+
+
+def _chi_rows(views, weights, rows_class, out, scratch) -> np.ndarray:
+    """Output rows of the chi arm of pauli_channel_apply, built in out from
+    the same rows of the four views of rho, block by block.
+
+    The class indices are 0 or 1, so mode="clip" never clips; it lets take
+    write into out directly, where the default mode buffers it.
+    """
+    np.take(weights[0], rows_class, axis=0, out=out, mode="clip")
+    out *= views[0]
+    for view, w in zip(views[1:], weights[1:]):
+        np.take(w, rows_class, axis=0, out=scratch, mode="clip")
+        scratch *= view
+        out += scratch
+    return out
+
+
+def _chi_apply(rho: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """sum_ab chi_ab E_a rho E_b_dag as sum over blocks (r, c) of
+    W_rc * rho[P**r, P**c] (see _chi_weights), in one pass over rho and its
+    three reversed views.
+
+    A step touches six complex rows per output row (the output, one row of
+    scratch and the four views), so steps are sized to keep all six within
+    half a tile.
+    """
+    dim = rho.shape[0]
+    n = dim.bit_length() - 1
+    weights = _chi_weights(chi, n)
+    rows_class = (parity_signs(n) < 0).astype(np.intp)
+    views = (rho, rho[:, ::-1], rho[::-1], rho[::-1, ::-1])
+    out = np.empty_like(rho)
+    step = dim if rho.nbytes <= _TILE_BYTES else _step_rows(96 * dim)
+    scratch = np.empty((step, dim), dtype=np.complex128)
+    for r0 in range(0, dim, step):
+        r = slice(r0, r0 + step)
+        o = out[r]
+        _chi_rows(
+            [v[r] for v in views], weights, rows_class[r], o, scratch[: len(o)]
+        )
+    return out
+
+
+def pauli_channel_apply(rho: np.ndarray, probs) -> np.ndarray:
+    """sum_ab chi_ab E_a rho E_b_dag over E = (I, X_n, Y_n, Z_n), fused.
+
+    probs is a 4x4 chi or the probabilities (p0, p1, p2, p3), which are the
+    diagonal of chi: p0 rho + p1 X rho X + p2 Y rho Y + p3 Z rho Z.  The
+    probabilities, or a chi that is diagonal with a real diagonal, take the
+    Pauli arm: with zz = outer(z, z) this is
+    (p0 + p3 zz) rho + (p1 + p2 zz) flip, flip = rho[::-1, ::-1], whose rows
+    [r0, r1) are rows [dim - r1, dim - r0) of rho, both axes reversed.  Any
+    other chi takes _chi_apply.
     """
     rho = _as_cmatrix(rho)
+    if np.ndim(probs) == 2:
+        chi = np.asarray(probs, dtype=np.complex128)
+        diag = np.diagonal(chi).real
+        if np.any(chi != np.diag(diag)):
+            return _chi_apply(rho, chi)
+        probs = diag
     dim = rho.shape[0]
     z = parity_signs(dim.bit_length() - 1)
     probs = tuple(map(float, probs))
@@ -150,41 +238,6 @@ def pauli_channel_apply(rho: np.ndarray, probs) -> np.ndarray:
     for r0 in range(0, dim, step):
         r = slice(r0, r0 + step)
         _pauli_rows(rho[r], flip[r], z[r], z, probs, out[r])
-    return out
-
-
-def _span_rows(rows, flip_rows, fd_rows, fa_rows, fdc, fac, out=None) -> np.ndarray:
-    """Output rows of span_conjugate from the same rows of m, of its flip and
-    of fd, fa as columns; built in out (new if None), then multiplied by
-    F_dag in place, so one row block of scratch is live at a time."""
-    left = np.multiply(fd_rows, rows, out=out)
-    left += fa_rows * flip_rows
-    right = left[:, ::-1] * fac
-    left *= fdc
-    left += right
-    return left
-
-
-def span_conjugate(m: np.ndarray, fd: np.ndarray, fa: np.ndarray) -> np.ndarray:
-    """F M F_dag for banded F with F[i,i] = fd[i] and F[i, dim-1-i] = fa[i].
-
-    Rows [r0, r1) of left = F M need only rows [r0, r1) of m and of its
-    flip m[::-1].
-    """
-    m = _as_cmatrix(m)
-    dim = m.shape[0]
-    fd = np.ascontiguousarray(fd, dtype=np.complex128)
-    fa = np.ascontiguousarray(fa, dtype=np.complex128)
-    fdc, fac = fd.conj(), fa.conj()
-    fd, fa = fd[:, None], fa[:, None]
-    flip = m[::-1]
-    if m.nbytes <= _TILE_BYTES:
-        return _span_rows(m, flip, fd, fa, fdc, fac)
-    out = np.empty_like(m)
-    step = _step_rows(32 * dim)
-    for r0 in range(0, dim, step):
-        r = slice(r0, r0 + step)
-        _span_rows(m[r], flip[r], fd[r], fa[r], fdc, fac, out[r])
     return out
 
 

@@ -13,7 +13,7 @@ from math import sqrt
 
 import numpy as np
 
-from .channels import Channel, PauliChannel, SpanChannel, apply_sequence
+from .channels import Channel, PauliChannel, SpanChannel, apply_sequence, check_repeats
 from .encoder import EncoderSpec, ancilla_images, build_pn, encoder_factors
 from .errors import AncillaSizeError, BadQubitCount, DimensionMismatch
 from .gates import circuit_conjugate
@@ -147,6 +147,7 @@ def run_trial(
     the outcome reports the Frobenius residuals of that prediction and of
     the product factorization itself.
     """
+    repeats = check_repeats(repeats)
     if isinstance(channels, (PauliChannel, SpanChannel)):
         channels = [channels]
     channels = list(channels)

@@ -2,7 +2,6 @@
 
 PROB_SUM_TOL = 1e-9  # PauliChannel: |sum p - 1|
 COMPLETENESS_TOL = 1e-10  # SpanChannel: Frobenius norm of sum F_dag F - I
-CHI_EIG_FLOOR = 1e-14  # composed chi: Kraus weights at or below this are dropped
 CLASSICAL_TOL = 1e-12  # an ancilla this close to some |ij><ij| is classical
 HYBRID_TOL = 1e-11  # classical ancilla: decoded state vs sigma ox rho
 CONJ_TOL_EVEN = 1e-11  # even-n conjugation residuals (odd n must be 0.0)

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from corrqec import cli, scheme
+from corrqec.channels import PauliChannel
 from corrqec.cli import (
     VerificationReport,
     cmd_optimality,
@@ -150,6 +152,22 @@ def test_channels_file_validation(tmp_path):
         path.write_text(text)
         with pytest.raises(ValueError):
             load_channels(path, 2)
+
+
+@pytest.mark.parametrize("repeats", [0, -1, 2.0])
+def test_bad_repeats_rejected_before_any_state_is_built(monkeypatch, repeats):
+    def fail(*args):
+        raise AssertionError("a state was built before repeats was checked")
+
+    monkeypatch.setattr(scheme, "encode", fail)
+    monkeypatch.setattr(cli, "random_density", fail)
+    probs = (0.7, 0.1, 0.1, 0.1)
+    error = TypeError if isinstance(repeats, float) else ValueError
+    with pytest.raises(error, match="repeats"):
+        cmd_trial(11, probs, None, 0, None, repeats)
+    sigma, rho = np.eye(2) / 2, np.eye(1024) / 1024
+    with pytest.raises(error, match="repeats"):
+        scheme.run_trial(11, sigma, rho, PauliChannel(11, probs), repeats)
 
 
 def test_export_qasm_cli(tmp_path):

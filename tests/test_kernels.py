@@ -13,6 +13,7 @@ from oracles import (
     HAD,
     embed_single,
     pauli_channel_dense,
+    pauli_power,
     ptrace_leading_direct,
     ptrace_trailing_direct,
     random_complex_matrix,
@@ -60,18 +61,37 @@ def test_pauli_channel_apply_against_kraus_sum():
     probs = rng.dirichlet(np.ones(4))
     got = kernels.pauli_channel_apply(rho, probs)
     assert np.allclose(got, pauli_channel_dense(n, probs, rho), atol=1e-13)
+    # a diagonal chi is the same Pauli arithmetic as its diagonal
+    assert np.array_equal(kernels.pauli_channel_apply(rho, np.diag(probs)), got)
+    chi = np.diag(probs).astype(complex)
+    assert np.array_equal(kernels.pauli_channel_apply(rho, chi), got)
 
 
-def test_span_conjugate_against_gemm():
+def _random_chi(rng) -> np.ndarray:
+    """A random Hermitian 4x4 chi with nonzero off-diagonal entries; not PSD
+    in general, as the kernel is linear in chi."""
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return h + h.conj().T
+
+
+def _chi_dense(chi, m) -> np.ndarray:
+    """sum_ab chi_ab E_a m E_b_dag over dense Kronecker powers E."""
+    n = m.shape[0].bit_length() - 1
+    basis = [pauli_power(axis, n) for axis in "IXYZ"]
+    left = [e @ m for e in basis]
+    return sum(
+        chi[a, b] * left[a] @ basis[b].conj().T for a in range(4) for b in range(4)
+    )
+
+
+def test_pauli_channel_apply_chi_against_dense_oracle():
+    # n = 1..8 covers every residue of n mod 4, so every phase of Y_n
     rng = np.random.default_rng(5)
-    dim = 8
-    m = random_complex_matrix(dim, 6)
-    fd = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    fa = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    f = np.diag(fd).astype(complex)
-    f[np.arange(dim), dim - 1 - np.arange(dim)] += fa
-    got = kernels.span_conjugate(m, fd, fa)
-    assert np.allclose(got, f @ m @ f.conj().T, atol=1e-12)
+    for n in range(1, 9):
+        m = random_complex_matrix(1 << n, n + 6)
+        chi = _random_chi(rng)
+        got = _checked(kernels.pauli_channel_apply, m, chi)
+        assert np.allclose(got, _chi_dense(chi, m), rtol=0.0, atol=1e-11), n
 
 
 @pytest.mark.parametrize("keep", [1, 2, 4, 8])
@@ -114,11 +134,17 @@ def _checked(fn, *args):
 
 # _TILE_BYTES = 16*dim*k, k rows of the matrix.  k = None: the default tile,
 # which holds each matrix whole; k = 1: one row (or pair of rows) per step;
-# 6 and 15: steps of 3 for the Hadamard pairs and frob_dist (k = 6) or Pauli
-# and span (k = 15), which leave an uneven last tile at every dim here.
+# 6, 15 and 36: steps of 3 for the Hadamard pairs and frob_dist (k = 6), the
+# Pauli arm (k = 15) and the chi arm (k = 36) of pauli_channel_apply, which
+# leave an uneven last tile at every dim here.
 @pytest.mark.parametrize(
     "n, k",
-    [(n, k) for n in (3, 4, 5, 6) for k in (None, 1, 6, 15) if k is None or k < 1 << n],
+    [
+        (n, k)
+        for n in (3, 4, 5, 6)
+        for k in (None, 1, 6, 15, 36)
+        if k is None or k < 1 << n
+    ],
 )
 def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     dim = 1 << n
@@ -126,15 +152,14 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     m = random_complex_matrix(dim, n + 40)
     rho = m + m.conj().T
     probs = rng.dirichlet(np.ones(4))
-    fd = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    fa = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    chi = _random_chi(rng)
     perm = rng.permutation(dim).astype(np.int64)
     qs = sorted({0, n - 2, n - 1})
     whole = {
         "rows": [kernels.hadamard_rows(m, q) for q in qs],
         "had": [kernels.hadamard_conjugate(m, q) for q in qs],
         "pauli": kernels.pauli_channel_apply(rho, probs),
-        "span": kernels.span_conjugate(m, fd, fa),
+        "chi": kernels.pauli_channel_apply(m, chi),
         "dist": kernels.frob_dist(m, rho),
     }
     if k is not None:
@@ -151,11 +176,9 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     got = _checked(kernels.pauli_channel_apply, rho, probs)
     assert np.array_equal(got, whole["pauli"])
     assert np.allclose(got, pauli_channel_dense(n, probs, rho), atol=1e-12)
-    f = np.diag(fd).astype(complex)
-    f[np.arange(dim), dim - 1 - np.arange(dim)] += fa
-    got = _checked(kernels.span_conjugate, m, fd, fa)
-    assert np.array_equal(got, whole["span"])
-    assert np.allclose(got, f @ m @ f.conj().T, atol=1e-11)
+    got = _checked(kernels.pauli_channel_apply, m, chi)
+    assert np.array_equal(got, whole["chi"])
+    assert np.allclose(got, _chi_dense(chi, m), rtol=0.0, atol=1e-11)
     p = _perm_matrix(perm)
     got = _checked(kernels.gather_conjugate, m, perm)
     assert np.allclose(got, p.conj().T @ m @ p, atol=1e-13)
@@ -177,13 +200,12 @@ def test_dense_kernels_hold_one_output_plus_tile_scratch():
     dim = 1 << n
     state = 16 * dim * dim
     m = random_complex_matrix(dim, 60)
-    fd = np.ones(dim, dtype=complex)
-    fa = np.ones(dim, dtype=complex)
+    chi = _random_chi(np.random.default_rng(61))
     for fn, args in (
         (kernels.hadamard_conjugate, (m, n - 1)),
         (kernels.hadamard_conjugate, (m, 0)),
         (kernels.pauli_channel_apply, (m, (0.4, 0.3, 0.2, 0.1))),
-        (kernels.span_conjugate, (m, fd, fa)),
+        (kernels.pauli_channel_apply, (m, chi)),
     ):
         assert _peak_bytes(fn, *args) < 1.25 * state, fn.__name__
     # no output matrix: scratch only
@@ -196,7 +218,6 @@ KERNEL_SIGNATURES = {
     "gather_conjugate": ("m", "perm"),
     "hadamard_conjugate": ("m", "q"),
     "pauli_channel_apply": ("rho", "probs"),
-    "span_conjugate": ("m", "fd", "fa"),
     "ptrace_leading": ("m", "keep"),
     "ptrace_trailing": ("m", "keep"),
     "frob_dist": ("a", "b"),
