@@ -2,9 +2,11 @@
 
 A Circuit lists gates in application order (first element acts first on the
 state), so realize([g1, ..., gm]) = G_m ... G_1 as a matrix product.  CNOT
-runs compose into exact basis permutations; a Hadamard becomes an in-place
-butterfly.  circuit_conjugate exploits this factored form so conjugating a
-matrix by a realized circuit never needs a dense matrix product.
+runs compose into exact basis permutations; a Hadamard becomes a butterfly.
+circuit_conjugate exploits this factored form so conjugating a matrix by a
+realized circuit never needs a dense matrix product: each Hadamard is one
+kernel pass that also applies the permutations on either side of it, and
+an H-free circuit is one gather.
 """
 
 from __future__ import annotations
@@ -175,19 +177,33 @@ def circuit_conjugate(factors_or_circuit, m: np.ndarray, adjoint: bool = False) 
     """Conjugate m by the realized circuit P without forming P.
 
     adjoint=False returns P m P_dag (encode direction); adjoint=True returns
-    P_dag m P (decode direction).  Permutation factors are index gathers and
-    Hadamard factors are butterflies, so CNOT-only circuits stay exact.
+    P_dag m P (decode direction).  Each permutation factor conjugates as an
+    index gather G_t(x) = x[t][:, t], and consecutive gathers compose
+    exactly into one table (G_u after G_t is G_t[u]).  Each Hadamard is one
+    kernels.gather_hadamard_conjugate call that takes the table before it,
+    and the last one also the table after it, so an even-n encoder (a
+    permutation, one Hadamard, a permutation) is one pass over m.  An
+    H-free circuit is one gather_conjugate, so CNOT-only circuits stay
+    exact.
     """
     if isinstance(factors_or_circuit, Circuit):
         factors = circuit_factors(factors_or_circuit)
     else:
         factors = factors_or_circuit
-    out = np.asarray(m, dtype=np.complex128)
-    seq = reversed(factors) if adjoint else factors
-    for kind, arg in seq:
+    # tables[i] is the composed gather before Hadamard i; tables[-1] follows
+    # the last one
+    tables, qubits = [None], []
+    for kind, arg in reversed(factors) if adjoint else factors:
         if kind == "perm":
             table = arg if adjoint else np.argsort(arg)
-            out = kernels.gather_conjugate(out, table)
+            tables[-1] = table if tables[-1] is None else tables[-1][table]
         else:
-            out = kernels.hadamard_conjugate(out, arg)
+            qubits.append(arg)
+            tables.append(None)
+    out = np.asarray(m, dtype=np.complex128)
+    if not qubits:
+        return out if tables[0] is None else kernels.gather_conjugate(out, tables[0])
+    for i, q in enumerate(qubits):
+        after = tables[-1] if i == len(qubits) - 1 else None
+        out = kernels.gather_hadamard_conjugate(out, tables[i], q, after)
     return out

@@ -15,12 +15,20 @@ tiles of _TILE_BYTES (4 MiB), so no temporary outgrows a tile:
   or once per step.
 - Each output element gets the same floating-point operations, in the same
   order, as the whole-array expression, so hadamard_rows,
-  hadamard_conjugate and pauli_channel_apply (both its Pauli and its chi
-  arm) are bit-identical at every tile size.  frob_dist sums per-tile
-  squares in a different order (equal to within rounding) and is exactly
-  0.0 on equal inputs.
-- gather_conjugate is one fancy-index gather: a tiled gather measured no
-  faster on the encoders' CNOT permutations.
+  gather_hadamard_conjugate (and hadamard_conjugate, its table-free case)
+  and pauli_channel_apply (both its Pauli and its chi arm) are
+  bit-identical at every tile size.  frob_dist sums per-tile squares in a
+  different order (equal to within rounding) and is exactly 0.0 on equal
+  inputs.
+- gather_hadamard_conjugate conjugates by a permutation, a Hadamard and a
+  permutation in one pass: the permutations only change which rows of the
+  input a step reads and which rows and columns of the output it writes,
+  so an even-n encoder costs one read and one write of the state.  Its row
+  and column butterflies are the one butterfly, _hadamard_block, that
+  hadamard_rows also runs.
+- gather_conjugate is one fancy-index gather, for CNOT-only (odd-n)
+  circuits: a tiled gather measured no faster on the encoders' CNOT
+  permutations.
 
 pauli_channel_apply applies any channel whose Kraus operators lie in
 span{I, X_n, Y_n, Z_n}, given as its 4x4 process matrix chi, in one fused
@@ -70,30 +78,37 @@ def _step_rows(scratch_per_row: int) -> int:
     return max(1, _TILE_BYTES // 2 // scratch_per_row)
 
 
-def _hadamard_block(a, b, block, cols) -> None:
-    """Row butterfly of the row pairs (a, b) into block, the output rows of
-    those pairs; then, if cols views block with each column index split as
-    (high bits, bit q, low bits), the column butterfly of block in place."""
+def _hadamard_block(a, b, block) -> None:
+    """Butterfly of the paired slices a and b into block[:, 0] = a + b and
+    block[:, 1] = a - b, then block *= 1/sqrt2: the same two roundings as
+    (a + b) * (1/sqrt2).  Rows pass block as is; columns pass a view with
+    the pair axis moved to position 1."""
     np.add(a, b, out=block[:, 0])
     np.subtract(a, b, out=block[:, 1])
     block *= _INV_SQRT2
-    if cols is not None:
-        x, y = cols[..., 0, :], cols[..., 1, :]
-        d = x - y
-        x += y
-        y[...] = d
-        block *= _INV_SQRT2
 
 
-def _hadamard(m: np.ndarray, q: int, conjugate: bool) -> np.ndarray:
-    """H_q M, or H_q M H_q when conjugate.
+def _pair_blocks(hi: int, lo: int, pairs: int):
+    """((kh, kl), blocks): slices (h, l) that walk the hi*lo row pairs
+    (h, 0, l), (h, 1, l) of a matrix whose rows are split as (hi, 2, lo),
+    about `pairs` pairs per block: at most kh values of h by kl of l, with
+    the l range whole once pairs >= lo."""
+    kh, kl = (pairs // lo, lo) if pairs >= lo else (1, pairs)
+    blocks = [
+        (slice(h0, h0 + kh), slice(l0, l0 + kl))
+        for h0 in range(0, hi, kh)
+        for l0 in range(0, lo, kl)
+    ]
+    return (kh, kl), blocks
+
+
+def hadamard_rows(m: np.ndarray, q: int) -> np.ndarray:
+    """H_q M for the Hadamard embedded on qubit q: a butterfly over rows.
 
     Row r (bit q clear) pairs with row r + 2**q: with src = m viewed as
-    (hi, 2, lo, columns) they are src[h, 0, l] and src[h, 1, l].  A step
-    takes a block of pairs, kh values of h by kl of l, and runs
-    _hadamard_block on it while its output rows are in cache.  Each
-    butterfly forms a + b and a - b, then scales them by 1/sqrt2: the same
-    two roundings as (a + b) * (1/sqrt2).
+    (hi, 2, lo, columns) they are src[h, 0, l] and src[h, 1, l].  A matrix
+    of one tile is one block; a larger one is walked in blocks of pairs
+    whose output rows fill about one tile.
     """
     m = _as_cmatrix(m)
     dim = m.shape[0]
@@ -102,28 +117,70 @@ def _hadamard(m: np.ndarray, q: int, conjugate: bool) -> np.ndarray:
     out = np.empty_like(m)
     src = m.reshape(hi, 2, lo, -1)
     dst = out.reshape(hi, 2, lo, -1)
-    cols = out.reshape(hi, 2, lo, hi, 2, lo) if conjugate else None
-    if m.nbytes <= _TILE_BYTES:
-        _hadamard_block(src[:, 0], src[:, 1], dst, cols)
-        return out
-    pairs = max(1, _step_rows(8 * m.shape[1]) // 2)
-    kh, kl = (pairs // lo, lo) if pairs >= lo else (1, pairs)
-    for h0 in range(0, hi, kh):
-        for l0 in range(0, lo, kl):
-            h, l = slice(h0, h0 + kh), slice(l0, l0 + kl)
-            block_cols = cols[h, :, l] if conjugate else None
-            _hadamard_block(src[h, 0, l], src[h, 1, l], dst[h, :, l], block_cols)
+    pairs = hi * lo if m.nbytes <= _TILE_BYTES else max(1, _step_rows(8 * m.shape[1]) // 2)
+    for h, l in _pair_blocks(hi, lo, pairs)[1]:
+        _hadamard_block(src[h, 0, l], src[h, 1, l], dst[h, :, l])
     return out
 
 
-def hadamard_rows(m: np.ndarray, q: int) -> np.ndarray:
-    """H_q M for the Hadamard embedded on qubit q: a butterfly over rows."""
-    return _hadamard(m, q, conjugate=False)
+def gather_hadamard_conjugate(m: np.ndarray, before, q: int, after) -> np.ndarray:
+    """G_after(H_q G_before(m) H_q), with G_t(x) = x[t][:, t] for a
+    permutation table t and None the identity, in one pass over m.
+
+    Split rows and columns as (hi, 2, lo), lo = 2**q.  Output row pair
+    x0 = (h, 0, l), x1 = (h, 1, l) of H_q G_before(m) H_q is the row
+    butterfly of rows before[x0] and before[x1] of m, gathered by before
+    along columns, followed by the column butterfly over the same split;
+    G_after then sends row x to row argsort(after)[x], gathered by after
+    along columns.  Each butterfly is a sum or difference and one scaling,
+    so the output is bit-identical to gather_conjugate, hadamard_conjugate
+    and gather_conjugate in turn.
+
+    A step walks a block of row pairs through two scratch buffers; it
+    touches eight rows per pair (two of m, two in each buffer, two of the
+    output), so steps are sized to keep them within half a tile.  Tables
+    are gathered with mode="clip", which never clips a permutation and
+    lets take write into its buffer directly.
+    """
+    m = _as_cmatrix(m)
+    dim = m.shape[0]
+    lo = 1 << q
+    hi = dim >> (q + 1)
+    out = np.empty_like(m)
+    src = m.reshape(hi, 2, lo, dim)
+    dst = out.reshape(hi, 2, lo, dim)
+    if before is not None:
+        before = np.asarray(before, dtype=np.intp)
+        rows = before.reshape(hi, 2, lo)
+    if after is not None:
+        after = np.asarray(after, dtype=np.intp)
+        dest = np.argsort(after).reshape(hi, 2, lo)
+    pairs = hi * lo if m.nbytes <= _TILE_BYTES else _step_rows(128 * dim)
+    (kh, kl), blocks = _pair_blocks(hi, lo, pairs)
+    buffers = np.empty((2, kh, 2, kl, dim), dtype=np.complex128)
+    for h, l in blocks:
+        part = dst[h, :, l]
+        x, y = buffers[:, : part.shape[0], :, : part.shape[2]]
+        if before is None:
+            rows_in = src[h, :, l]
+        else:
+            np.take(m, rows[h, :, l], axis=0, out=x, mode="clip")
+            rows_in = np.take(x, before, axis=-1, out=y, mode="clip")
+        _hadamard_block(rows_in[:, 0], rows_in[:, 1], x)
+        block = part if after is None else y
+        cols_in = x.reshape(x.shape[:-1] + (hi, 2, lo))
+        cols_out = block.reshape(block.shape[:-1] + (hi, 2, lo))
+        # the column pair axis moved to position 1, as _hadamard_block takes it
+        cols_out = cols_out.transpose(0, 4, 1, 2, 3, 5)
+        _hadamard_block(cols_in[..., 0, :], cols_in[..., 1, :], cols_out)
+        if after is not None:
+            out[dest[h, :, l]] = np.take(y, after, axis=-1, out=x, mode="clip")
+    return out
 
 
 def hadamard_conjugate(m: np.ndarray, q: int) -> np.ndarray:
     """H_q M H_q for the Hadamard embedded on qubit q (self-adjoint)."""
-    return _hadamard(m, q, conjugate=True)
+    return gather_hadamard_conjugate(m, None, q, None)
 
 
 def y_phase(n: int) -> complex:

@@ -23,9 +23,10 @@ from .tolerances import CLASSICAL_TOL, HYBRID_TOL
 
 # Peak number of live 2**n x 2**n complex128 matrices during a trial, from
 # tracemalloc at n = 8..11 with Pauli, span and mixed channel lists (repeats
-# 1 and 2): 5.07-5.27 at n = 8, 5.25 at n = 9, 4.19 at n = 10 and 4.28 at
-# n = 11, rounded up.
-TRIAL_PEAK_STATES = 6
+# 1 and 2, random and classical ancillas): 4.38-4.40 at n = 8, 4.03 at n = 9
+# (whole-matrix kernels, below one tile), 2.19 at n = 10 and 2.28 at n = 11,
+# rounded up.
+TRIAL_PEAK_STATES = 5
 
 
 @dataclass(eq=False)
@@ -155,9 +156,13 @@ def run_trial(
     spec = build_pn(n)
     sigma, rho = _check_states(spec, sigma, rho)
 
+    # drop each stage's input once the next stage has consumed it, so the
+    # checks below hold only the decoded state and their own kron product
     encoded = encode(spec, sigma, rho)
     corrupted = apply_sequence(channels, encoded, repeats)
+    del encoded
     decoded = decode(spec, corrupted)
+    del corrupted
 
     recovered_rho = partial_trace_leading(decoded, sigma.shape[0])
     ancilla_out = partial_trace_trailing(decoded, rho.shape[0])

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from corrqec import (
     BadQubitCount,
+    build_pn,
+    kernels,
     BadQubitIndex,
     Circuit,
     circuit_conjugate,
@@ -180,6 +182,56 @@ def test_circuit_conjugate_matches_dense():
     assert np.allclose(
         circuit_conjugate(c, m, adjoint=True), p.conj().T @ m @ p, atol=1e-13
     )
+
+
+# Circuits with 0 to 3 Hadamards: adjacent ones, a leading and a trailing
+# one, and CNOT runs between them.
+CONJUGATE_CIRCUITS = [
+    Circuit(3),
+    Circuit(3, (cnot_op(2, 1), cnot_op(0, 2), cnot_op(1, 0))),
+    Circuit(3, (h_op(1),)),
+    Circuit(3, (h_op(2), cnot_op(0, 1), cnot_op(1, 2))),
+    Circuit(3, (cnot_op(0, 1), cnot_op(2, 0), h_op(0))),
+    Circuit(4, (cnot_op(3, 0), h_op(2), h_op(0), cnot_op(1, 2), cnot_op(0, 3))),
+    Circuit(4, (h_op(3), cnot_op(0, 1), h_op(1), cnot_op(2, 0), cnot_op(3, 1))),
+    Circuit(4, (h_op(0), h_op(0), cnot_op(2, 3), h_op(3))),
+    Circuit(5, (cnot_op(4, 0), h_op(1), cnot_op(0, 2), h_op(4), h_op(2), cnot_op(3, 4))),
+]
+
+
+@pytest.mark.parametrize("index", range(len(CONJUGATE_CIRCUITS)))
+def test_circuit_conjugate_matches_realize(index):
+    c = CONJUGATE_CIRCUITS[index]
+    dim = 1 << c.n_qubits
+    p = realize(c)
+    rng = np.random.default_rng(index)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    # one factor per gate, so consecutive CNOT tables compose inside
+    # circuit_conjugate rather than in circuit_factors
+    per_gate = tuple(
+        ("perm", cnot_perm(c.n_qubits, *op.qubits)) if op.kind == "cnot" else ("h", op.qubits[0])
+        for op in c.ops
+    )
+    for factors in (c, per_gate):
+        got = circuit_conjugate(factors, m)
+        assert np.allclose(got, p @ m @ p.conj().T, atol=1e-13)
+        got = circuit_conjugate(factors, m, adjoint=True)
+        assert np.allclose(got, p.conj().T @ m @ p, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_encoder_conjugation_is_one_kernel_call(monkeypatch, n):
+    calls = []
+    for name in ("gather_conjugate", "hadamard_conjugate", "gather_hadamard_conjugate"):
+        fn = getattr(kernels, name)
+        monkeypatch.setattr(
+            kernels, name, lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args)
+        )
+    m = np.eye(1 << n, dtype=complex)
+    for adjoint in (False, True):
+        calls.clear()
+        circuit_conjugate(build_pn(n).circuit, m, adjoint=adjoint)
+        assert calls == (["gather_hadamard_conjugate"] if n % 2 == 0 else ["gather_conjugate"])
 
 
 def test_single_qubit_embedding_convention():

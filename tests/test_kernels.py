@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from corrqec import kernels
+from corrqec.encoder import encoder_factors
 from corrqec.kernels import parity_signs
 
 from oracles import (
@@ -51,6 +52,56 @@ def test_hadamard_conjugate_against_gemm(q):
     assert np.allclose(kernels.hadamard_conjugate(m, q), h @ m @ h, atol=1e-13)
     eye = np.eye(16, dtype=complex)
     assert np.allclose(kernels.hadamard_conjugate(eye, q), eye, atol=1e-15)
+
+
+def _gather_hadamard_dense(m, before, q, after):
+    """G_after(H_q G_before(m) H_q) from dense matrices, G_t(x) = P_t_dag x P_t."""
+    n = m.shape[0].bit_length() - 1
+    eye = np.eye(m.shape[0], dtype=complex)
+    pa = eye if before is None else _perm_matrix(before)
+    pb = eye if after is None else _perm_matrix(after)
+    h = embed_single(HAD, n, q)
+    return pb.conj().T @ h @ pa.conj().T @ m @ pa @ h @ pb
+
+
+def test_gather_hadamard_conjugate_against_dense_oracle():
+    rng = np.random.default_rng(11)
+    for n in range(1, 9):
+        dim = 1 << n
+        m = random_complex_matrix(dim, n + 70)
+        for q in range(n):
+            perms = [rng.permutation(dim) for _ in range(2)]
+            for before, after in ((None, None), (perms[0], None), (None, perms[1]), perms):
+                got = _checked(kernels.gather_hadamard_conjugate, m, before, q, after)
+                want = _gather_hadamard_dense(m, before, q, after)
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12), (n, q)
+
+
+def _three_kernels(m, before, q, after):
+    if before is not None:
+        m = kernels.gather_conjugate(m, before)
+    m = kernels.hadamard_conjugate(m, q)
+    return m if after is None else kernels.gather_conjugate(m, after)
+
+
+def _encoder_tables(n):
+    """(before, q, after) of the encoder's conjugation in each direction:
+    for even n its own (perm, H_q, perm) factors, for odd n (CNOTs only) its
+    one table around a Hadamard on the top qubit."""
+    factors = encoder_factors(n)
+    if n % 2 == 1:
+        ((_, perm),) = factors
+        return [(np.argsort(perm), n - 1, perm), (perm, n - 1, np.argsort(perm))]
+    (_, first), (_, q), (_, last) = factors
+    return [(np.argsort(first), q, np.argsort(last)), (last, q, first)]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_gather_hadamard_conjugate_equals_three_kernels(n):
+    m = random_complex_matrix(1 << n, n + 80)
+    for before, q, after in _encoder_tables(n):
+        got = kernels.gather_hadamard_conjugate(m, before, q, after)
+        assert np.array_equal(got, _three_kernels(m, before, q, after))
 
 
 def test_pauli_channel_apply_against_kraus_sum():
@@ -136,13 +187,15 @@ def _checked(fn, *args):
 # which holds each matrix whole; k = 1: one row (or pair of rows) per step;
 # 6, 15 and 36: steps of 3 for the Hadamard pairs and frob_dist (k = 6), the
 # Pauli arm (k = 15) and the chi arm (k = 36) of pauli_channel_apply, which
-# leave an uneven last tile at every dim here.
+# leave an uneven last tile at every dim here; the fused gather-Hadamard
+# pass takes 1 pair per step at k = 6 and 15, 2 at k = 36 and 3, uneven, at
+# k = 48.
 @pytest.mark.parametrize(
     "n, k",
     [
         (n, k)
         for n in (3, 4, 5, 6)
-        for k in (None, 1, 6, 15, 36)
+        for k in (None, 1, 6, 15, 36, 48)
         if k is None or k < 1 << n
     ],
 )
@@ -154,10 +207,12 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     probs = rng.dirichlet(np.ones(4))
     chi = _random_chi(rng)
     perm = rng.permutation(dim).astype(np.int64)
+    perm2 = rng.permutation(dim)
     qs = sorted({0, n - 2, n - 1})
     whole = {
         "rows": [kernels.hadamard_rows(m, q) for q in qs],
         "had": [kernels.hadamard_conjugate(m, q) for q in qs],
+        "fused": [kernels.gather_hadamard_conjugate(m, perm, q, perm2) for q in qs],
         "pauli": kernels.pauli_channel_apply(rho, probs),
         "chi": kernels.pauli_channel_apply(m, chi),
         "dist": kernels.frob_dist(m, rho),
@@ -165,7 +220,7 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     if k is not None:
         monkeypatch.setattr(kernels, "_TILE_BYTES", 16 * dim * k)
         assert m.nbytes > kernels._TILE_BYTES
-    for q, rows, had in zip(qs, whole["rows"], whole["had"]):
+    for q, rows, had, fused in zip(qs, whole["rows"], whole["had"], whole["fused"]):
         h = embed_single(HAD, n, q)
         got_rows = _checked(kernels.hadamard_rows, m, q)
         got = _checked(kernels.hadamard_conjugate, m, q)
@@ -173,6 +228,10 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
         assert np.array_equal(got, had)
         assert np.allclose(got_rows, h @ m, atol=1e-12)
         assert np.allclose(got, h @ m @ h, atol=1e-12)
+        got = _checked(kernels.gather_hadamard_conjugate, m, perm, q, perm2)
+        assert np.array_equal(got, fused)
+        want = _gather_hadamard_dense(m, perm, q, perm2)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
     got = _checked(kernels.pauli_channel_apply, rho, probs)
     assert np.array_equal(got, whole["pauli"])
     assert np.allclose(got, pauli_channel_dense(n, probs, rho), atol=1e-12)
@@ -200,10 +259,14 @@ def test_dense_kernels_hold_one_output_plus_tile_scratch():
     dim = 1 << n
     state = 16 * dim * dim
     m = random_complex_matrix(dim, 60)
-    chi = _random_chi(np.random.default_rng(61))
+    rng = np.random.default_rng(61)
+    chi = _random_chi(rng)
+    perm = rng.permutation(dim)
     for fn, args in (
         (kernels.hadamard_conjugate, (m, n - 1)),
         (kernels.hadamard_conjugate, (m, 0)),
+        (kernels.gather_hadamard_conjugate, (m, perm, n - 1, perm[::-1])),
+        (kernels.gather_hadamard_conjugate, (m, perm, 0, perm[::-1])),
         (kernels.pauli_channel_apply, (m, (0.4, 0.3, 0.2, 0.1))),
         (kernels.pauli_channel_apply, (m, chi)),
     ):
@@ -216,6 +279,7 @@ def test_dense_kernels_hold_one_output_plus_tile_scratch():
 # per-kernel byte counts, which bind these names) use them.
 KERNEL_SIGNATURES = {
     "gather_conjugate": ("m", "perm"),
+    "gather_hadamard_conjugate": ("m", "before", "q", "after"),
     "hadamard_conjugate": ("m", "q"),
     "pauli_channel_apply": ("rho", "probs"),
     "ptrace_leading": ("m", "keep"),
