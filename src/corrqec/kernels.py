@@ -117,13 +117,16 @@ def hadamard_rows(m: np.ndarray, q: int) -> np.ndarray:
     out = np.empty_like(m)
     src = m.reshape(hi, 2, lo, -1)
     dst = out.reshape(hi, 2, lo, -1)
-    pairs = hi * lo if m.nbytes <= _TILE_BYTES else max(1, _step_rows(8 * m.shape[1]) // 2)
+    whole = m.nbytes <= _TILE_BYTES
+    pairs = hi * lo if whole else max(1, _step_rows(8 * m.shape[1]) // 2)
     for h, l in _pair_blocks(hi, lo, pairs)[1]:
         _hadamard_block(src[h, 0, l], src[h, 1, l], dst[h, :, l])
     return out
 
 
-def gather_hadamard_conjugate(m: np.ndarray, before, q: int, after) -> np.ndarray:
+def gather_hadamard_conjugate(
+    m: np.ndarray, before: np.ndarray | None, q: int, after: np.ndarray | None
+) -> np.ndarray:
     """G_after(H_q G_before(m) H_q), with G_t(x) = x[t][:, t] for a
     permutation table t and None the identity, in one pass over m.
 
@@ -179,7 +182,8 @@ def gather_hadamard_conjugate(m: np.ndarray, before, q: int, after) -> np.ndarra
 
 
 def hadamard_conjugate(m: np.ndarray, q: int) -> np.ndarray:
-    """H_q M H_q for the Hadamard embedded on qubit q (self-adjoint)."""
+    """H_q M H_q for the Hadamard embedded on qubit q (self-adjoint): the
+    fused pass with identity tables."""
     return gather_hadamard_conjugate(m, None, q, None)
 
 
