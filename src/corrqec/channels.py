@@ -209,11 +209,9 @@ def check_repeats(repeats) -> int:
 
 
 def apply_sequence(channels, rho: np.ndarray, repeats: int = 1) -> np.ndarray:
-    """Apply the channel list in order, the whole list `repeats` times.
-
-    One Pauli channel applied once goes through its own applier.  Anything
-    else is composed into one chi and applied in one fused pass of the
-    state, whatever the list length and repeat count.
+    """Apply the channel list in order, the whole list `repeats` times: it is
+    composed into one chi and applied in one fused pass of the state,
+    whatever the list length and repeat count.
     """
     channels = list(channels)
     repeats = check_repeats(repeats)
@@ -222,8 +220,5 @@ def apply_sequence(channels, rho: np.ndarray, repeats: int = 1) -> np.ndarray:
         raise DimensionMismatch(f"channels act on different qubit counts: {ns}")
     if not channels:
         return np.asarray(rho, dtype=np.complex128)
-    first = channels[0]
-    if repeats == 1 and len(channels) == 1 and isinstance(first, PauliChannel):
-        return apply_pauli_channel(first, rho)
-    rho = _check_dim(first, rho)
+    rho = _check_dim(channels[0], rho)
     return kernels.pauli_channel_apply(rho, sequence_chi(channels, repeats))

@@ -80,6 +80,8 @@ def cmd_verify(n: int, trials: int = 5, seed: int = 0) -> VerificationReport:
     """Conjugation identities, gate counts, and random recovery trials for one n."""
     if not 2 <= n <= 12:
         raise BadQubitCount(f"n must be in 2..12, got {n}")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     spec = build_pn(n)
     conj = conjugation_report(spec)
     counts_ok = (spec.cnot_count, spec.h_count) == _expected_counts(
@@ -147,9 +149,19 @@ def _matrix_json(m: np.ndarray) -> dict:
     return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
+def _numbers(value, count: int, what: str) -> list[float]:
+    """value, which must be a list of `count` numbers (floats, as parsed)."""
+    if not isinstance(value, list) or len(value) != count or any(
+        type(x) is not float for x in value
+    ):
+        raise ValueError(f"{what} needs a list of {count} numbers, got {value!r}")
+    return value
+
+
 def load_channels(path: Path, n: int) -> list:
     """Parse a JSON channel list: {"pauli": [p0..p3]} or {"span": [[8 reals], ...]}."""
-    data = json.loads(Path(path).read_text())
+    # integers parse as floats too: one past the float range becomes inf
+    data = json.loads(Path(path).read_text(), parse_int=float)
     if not isinstance(data, list) or not data:
         raise ValueError("channels file must be a nonempty JSON array")
     out = []
@@ -157,14 +169,13 @@ def load_channels(path: Path, n: int) -> list:
         if not isinstance(item, dict):
             raise ValueError(f"channel entry must be an object, got {item!r}")
         if "pauli" in item:
-            out.append(PauliChannel(n, tuple(item["pauli"])))
+            out.append(PauliChannel(n, tuple(_numbers(item["pauli"], 4, "pauli"))))
         elif "span" in item:
+            if not isinstance(item["span"], list):
+                raise ValueError(f"span needs a list of rows, got {item['span']!r}")
             coeffs = []
             for row in item["span"]:
-                if len(row) != 8:
-                    raise ValueError(
-                        "span rows need 8 reals (re/im pairs for a, b, c, d)"
-                    )
+                row = _numbers(row, 8, "a span row (re/im pairs of a, b, c, d)")
                 coeffs.append(
                     tuple(complex(row[2 * i], row[2 * i + 1]) for i in range(4))
                 )

@@ -5,14 +5,12 @@ and all error operators are diagonal or anti-diagonal up to signs.  Every hot
 operation therefore reduces to index gathers, butterflies, and sign masks,
 which cost O(dim^2) memory passes instead of O(dim^3) matrix products.
 
-The dense kernels allocate one output matrix and walk their input in row
-tiles of _TILE_BYTES (4 MiB), so no temporary outgrows a tile:
+The dense kernels allocate one output matrix and walk their input in steps
+of whole rows (or row pairs) sized by one rule, _step_rows: as many rows as
+keep all a step touches (inputs and views, scratch and output) within half
+of _TILE_BYTES (4 MiB), and no more than the matrix has.  So a call holds
+its output plus one step's scratch, and a small matrix is one step.
 
-- A matrix that fits in one tile (dim <= 512) is evaluated whole, in one
-  step.  A larger one is walked in steps of whole rows whose scratch stays
-  within half a tile, so a call holds its output plus at most that much.
-  Each kernel's arithmetic is one helper, called once on the whole matrix
-  or once per step.
 - Each output element gets the same floating-point operations, in the same
   order, as the whole-array expression, so hadamard_rows,
   gather_hadamard_conjugate (and hadamard_conjugate, its table-free case)
@@ -44,8 +42,7 @@ from math import sqrt
 import numpy as np
 
 _INV_SQRT2 = float(np.sqrt(0.5))
-# A matrix of at most this many bytes is evaluated whole; a larger one is
-# walked in row steps whose scratch stays within half of it.
+# Every row a step of a dense kernel touches fits in half of this many bytes.
 _TILE_BYTES = 1 << 22
 
 
@@ -72,10 +69,10 @@ def gather_conjugate(m: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return m[np.ix_(perm, perm)]
 
 
-def _step_rows(scratch_per_row: int) -> int:
-    """Rows per step of a matrix past one tile: as many as keep the step's
-    scratch, scratch_per_row bytes a row, within half a tile."""
-    return max(1, _TILE_BYTES // 2 // scratch_per_row)
+def _step_rows(rows: int, bytes_per_row: int) -> int:
+    """Rows (or row pairs) per step: as many as keep bytes_per_row bytes each
+    within half a tile, at least 1 and at most `rows`."""
+    return min(rows, max(1, _TILE_BYTES // 2 // bytes_per_row))
 
 
 def _hadamard_block(a, b, block) -> None:
@@ -106,9 +103,8 @@ def hadamard_rows(m: np.ndarray, q: int) -> np.ndarray:
     """H_q M for the Hadamard embedded on qubit q: a butterfly over rows.
 
     Row r (bit q clear) pairs with row r + 2**q: with src = m viewed as
-    (hi, 2, lo, columns) they are src[h, 0, l] and src[h, 1, l].  A matrix
-    of one tile is one block; a larger one is walked in blocks of pairs
-    whose output rows fill about one tile.
+    (hi, 2, lo, columns) they are src[h, 0, l] and src[h, 1, l].  A step
+    touches four rows per pair, two of m and two of the output.
     """
     m = _as_cmatrix(m)
     dim = m.shape[0]
@@ -117,8 +113,7 @@ def hadamard_rows(m: np.ndarray, q: int) -> np.ndarray:
     out = np.empty_like(m)
     src = m.reshape(hi, 2, lo, -1)
     dst = out.reshape(hi, 2, lo, -1)
-    whole = m.nbytes <= _TILE_BYTES
-    pairs = hi * lo if whole else max(1, _step_rows(8 * m.shape[1]) // 2)
+    pairs = _step_rows(hi * lo, 64 * m.shape[1])
     for h, l in _pair_blocks(hi, lo, pairs)[1]:
         _hadamard_block(src[h, 0, l], src[h, 1, l], dst[h, :, l])
     return out
@@ -158,8 +153,7 @@ def gather_hadamard_conjugate(
     if after is not None:
         after = np.asarray(after, dtype=np.intp)
         dest = np.argsort(after).reshape(hi, 2, lo)
-    pairs = hi * lo if m.nbytes <= _TILE_BYTES else _step_rows(128 * dim)
-    (kh, kl), blocks = _pair_blocks(hi, lo, pairs)
+    (kh, kl), blocks = _pair_blocks(hi, lo, _step_rows(hi * lo, 128 * dim))
     buffers = np.empty((2, kh, 2, kl, dim), dtype=np.complex128)
     for h, l in blocks:
         part = dst[h, :, l]
@@ -192,9 +186,9 @@ def y_phase(n: int) -> complex:
     return (-1j) ** (n % 4)
 
 
-def _pauli_rows(rows, flip_rows, z_rows, z, probs, out=None) -> np.ndarray:
+def _pauli_rows(rows, flip_rows, z_rows, z, probs, out) -> np.ndarray:
     """Output rows of the Pauli arm of pauli_channel_apply from the same rows
-    of rho, of its flip and of z; built in out (new if None)."""
+    of rho, of its flip and of z; built in out."""
     p0, p1, p2, p3 = probs
     zz = np.multiply.outer(z_rows, z)
     rows = np.multiply(p0 + p3 * zz, rows, out=out)
@@ -250,8 +244,7 @@ def _chi_apply(rho: np.ndarray, chi: np.ndarray) -> np.ndarray:
     three reversed views.
 
     A step touches six complex rows per output row (the output, one row of
-    scratch and the four views), so steps are sized to keep all six within
-    half a tile.
+    scratch and the four views), 96*dim bytes.
     """
     dim = rho.shape[0]
     n = dim.bit_length() - 1
@@ -259,7 +252,7 @@ def _chi_apply(rho: np.ndarray, chi: np.ndarray) -> np.ndarray:
     rows_class = (parity_signs(n) < 0).astype(np.intp)
     views = (rho, rho[:, ::-1], rho[::-1], rho[::-1, ::-1])
     out = np.empty_like(rho)
-    step = dim if rho.nbytes <= _TILE_BYTES else _step_rows(96 * dim)
+    step = _step_rows(dim, 96 * dim)
     scratch = np.empty((step, dim), dtype=np.complex128)
     for r0 in range(0, dim, step):
         r = slice(r0, r0 + step)
@@ -279,7 +272,8 @@ def pauli_channel_apply(rho: np.ndarray, probs) -> np.ndarray:
     Pauli arm: with zz = outer(z, z) this is
     (p0 + p3 zz) rho + (p1 + p2 zz) flip, flip = rho[::-1, ::-1], whose rows
     [r0, r1) are rows [dim - r1, dim - r0) of rho, both axes reversed.  Any
-    other chi takes _chi_apply.
+    other chi takes _chi_apply.  A step of the Pauli arm touches rows of
+    rho, flip, out and 1 complex and 3 real (zz, weights) scratch rows.
     """
     rho = _as_cmatrix(rho)
     if np.ndim(probs) == 2:
@@ -292,10 +286,8 @@ def pauli_channel_apply(rho: np.ndarray, probs) -> np.ndarray:
     z = parity_signs(dim.bit_length() - 1)
     probs = tuple(map(float, probs))
     flip = rho[::-1, ::-1]
-    if rho.nbytes <= _TILE_BYTES:
-        return _pauli_rows(rho, flip, z, z, probs)
     out = np.empty_like(rho)
-    step = _step_rows(40 * dim)
+    step = _step_rows(dim, 88 * dim)
     for r0 in range(0, dim, step):
         r = slice(r0, r0 + step)
         _pauli_rows(rho[r], flip[r], z[r], z, probs, out[r])
@@ -316,23 +308,16 @@ def ptrace_trailing(m: np.ndarray, keep: int) -> np.ndarray:
     return np.einsum("ikjk->ij", m.reshape(keep, d, keep, d))
 
 
-def _square_dist(a, b, scratch=None) -> float:
-    """Sum of |a - b|**2, with a - b built in scratch (new if None)."""
-    d = np.subtract(a, b, out=scratch)
-    return np.vdot(d, d).real
-
-
 def frob_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of a - b, summed tile by tile; 0.0 when a == b."""
+    """Frobenius norm of a - b, summed step by step; 0.0 when a == b."""
     a = _as_cmatrix(a)
     b = _as_cmatrix(b)
-    if a.nbytes <= _TILE_BYTES:
-        return sqrt(_square_dist(a, b))
     rows = a.shape[0]
-    step = _step_rows(a.itemsize * a.shape[1])
+    step = _step_rows(rows, 48 * a.shape[1])
     scratch = np.empty((step,) + a.shape[1:], dtype=np.complex128)
     total = 0.0
     for r0 in range(0, rows, step):
         r = slice(r0, r0 + step)
-        total += _square_dist(a[r], b[r], scratch[: min(step, rows - r0)])
+        d = np.subtract(a[r], b[r], out=scratch[: min(step, rows - r0)])
+        total += np.vdot(d, d).real
     return sqrt(total)

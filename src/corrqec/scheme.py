@@ -22,11 +22,11 @@ from .tensor import partial_trace_leading, partial_trace_trailing
 from .tolerances import CLASSICAL_TOL, HYBRID_TOL
 
 # Peak number of live 2**n x 2**n complex128 matrices during a trial, from
-# tracemalloc at n = 8..11 with Pauli, span and mixed channel lists (repeats
-# 1 and 2, random and classical ancillas): 4.38-4.40 at n = 8, 4.03 at n = 9
-# (whole-matrix kernels, below one tile), 2.19 at n = 10 and 2.28 at n = 11,
-# rounded up.
-TRIAL_PEAK_STATES = 5
+# tracemalloc at n = 8..11 with Pauli and span-Pauli-span lists (repeats 1
+# and 2, random and classical ancillas): 3.39 at n = 8, 2.42 at n = 9, 2.11
+# at n = 10 and 2.26 at n = 11, rounded up (below n = 8 the kernels' half
+# tile of step scratch, 2 MiB, outweighs the states).
+TRIAL_PEAK_STATES = 3
 
 
 @dataclass(eq=False)

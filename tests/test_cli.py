@@ -70,6 +70,16 @@ def test_verify_cli_error_exit(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_rejects_negative_trials(capsys):
+    with pytest.raises(ValueError, match="trials"):
+        cmd_verify(3, trials=-2)
+    assert main(["verify", "--n", "3", "--trials", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert "result:" not in captured.out
+    assert "error:" in captured.err
+    assert main(["verify", "--n", "3", "--trials", "0"]) == 0
+
+
 def test_trial_cli_json_output(capsys):
     code = main(["trial", "--n", "3", "--probs", "0.4,0.3,0.2,0.1", "--seed", "5"])
     assert code == 0
@@ -152,6 +162,23 @@ def test_channels_file_validation(tmp_path):
         path.write_text(text)
         with pytest.raises(ValueError):
             load_channels(path, 2)
+    # entries of the wrong JSON type, and an integer past the float range
+    for entry in (
+        {"pauli": 5},
+        {"pauli": None},
+        {"pauli": ["0.7", 0.1, 0.1, 0.1]},
+        {"pauli": [True, 0, 0, 0]},
+        {"pauli": [10**400, 0, 0, 0]},
+        {"span": 5},
+        {"span": [5]},
+        {"span": [["a", 0, 0, 0, 0, 0, 0, 0]]},
+        {"span": [[[1], 0, 0, 0, 0, 0, 0, 0]]},
+    ):
+        path.write_text(json.dumps([entry]))
+        with pytest.raises(ValueError):
+            load_channels(path, 3)
+        code = main(["trial", "--n", "3", "--channels", str(path)])
+        assert code == 2, entry
 
 
 @pytest.mark.parametrize("repeats", [0, -1, 2.0])

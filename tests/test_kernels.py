@@ -183,19 +183,21 @@ def _checked(fn, *args):
     return out
 
 
-# _TILE_BYTES = 16*dim*k, k rows of the matrix.  k = None: the default tile,
-# which holds each matrix whole; k = 1: one row (or pair of rows) per step;
-# 6, 15 and 36: steps of 3 for the Hadamard pairs and frob_dist (k = 6), the
-# Pauli arm (k = 15) and the chi arm (k = 36) of pauli_channel_apply, which
-# leave an uneven last tile at every dim here; the fused gather-Hadamard
-# pass takes 1 pair per step at k = 6 and 15, 2 at k = 36 and 3, uneven, at
-# k = 48.
+# _TILE_BYTES = 16*dim*k, k rows of the matrix, so a step takes k // 8 row
+# pairs of hadamard_rows, k // 16 of the fused gather-Hadamard pass, and
+# k // 11, k // 12 and k // 6 rows of the Pauli arm, the chi arm and
+# frob_dist (at least 1).  k = None: the default tile, one step per matrix;
+# k = 1 and 6: one row (or pair of rows) per step for every kernel; k = 15:
+# the same but 2 rows of frob_dist; k = 30: 3 pairs of hadamard_rows and 5
+# rows of frob_dist; k = 36: 3 rows of both arms of pauli_channel_apply;
+# k = 48: 3 pairs of the fused pass and 6 of hadamard_rows.  The steps of
+# 3, 5 and 6 leave an uneven last step at every dim they run at.
 @pytest.mark.parametrize(
     "n, k",
     [
         (n, k)
         for n in (3, 4, 5, 6)
-        for k in (None, 1, 6, 15, 36, 48)
+        for k in (None, 1, 6, 15, 30, 36, 48)
         if k is None or k < 1 << n
     ],
 )
@@ -255,24 +257,28 @@ def _peak_bytes(fn, *args):
 
 
 def test_dense_kernels_hold_one_output_plus_tile_scratch():
-    n = 10
-    dim = 1 << n
-    state = 16 * dim * dim
-    m = random_complex_matrix(dim, 60)
-    rng = np.random.default_rng(61)
-    chi = _random_chi(rng)
-    perm = rng.permutation(dim)
-    for fn, args in (
-        (kernels.hadamard_conjugate, (m, n - 1)),
-        (kernels.hadamard_conjugate, (m, 0)),
-        (kernels.gather_hadamard_conjugate, (m, perm, n - 1, perm[::-1])),
-        (kernels.gather_hadamard_conjugate, (m, perm, 0, perm[::-1])),
-        (kernels.pauli_channel_apply, (m, (0.4, 0.3, 0.2, 0.1))),
-        (kernels.pauli_channel_apply, (m, chi)),
-    ):
-        assert _peak_bytes(fn, *args) < 1.25 * state, fn.__name__
-    # no output matrix: scratch only
-    assert _peak_bytes(kernels.frob_dist, m, 2 * m) < kernels._TILE_BYTES
+    # n = 8 and 9 are below one tile, n = 10 past it: the same steps either way
+    scratch = kernels._TILE_BYTES // 2
+    for n in (8, 9, 10):
+        dim = 1 << n
+        state = 16 * dim * dim
+        m = random_complex_matrix(dim, 60 + n)
+        rng = np.random.default_rng(61 + n)
+        chi = _random_chi(rng)
+        perm = rng.permutation(dim)
+        for fn, args in (
+            (kernels.hadamard_rows, (m, n - 1)),
+            (kernels.hadamard_rows, (m, 0)),
+            (kernels.hadamard_conjugate, (m, n - 1)),
+            (kernels.hadamard_conjugate, (m, 0)),
+            (kernels.gather_hadamard_conjugate, (m, perm, n - 1, perm[::-1])),
+            (kernels.gather_hadamard_conjugate, (m, perm, 0, perm[::-1])),
+            (kernels.pauli_channel_apply, (m, (0.4, 0.3, 0.2, 0.1))),
+            (kernels.pauli_channel_apply, (m, chi)),
+        ):
+            assert _peak_bytes(fn, *args) < state + scratch, (fn.__name__, n)
+        # no output matrix: scratch only
+        assert _peak_bytes(kernels.frob_dist, m, 2 * m) < scratch, n
 
 
 # Each kernel's positional parameters, as callers (and the benchmark's

@@ -24,6 +24,7 @@ from corrqec import (
     random_density,
     run_trial,
 )
+from corrqec.kernels import _TILE_BYTES
 from corrqec.scheme import TRIAL_PEAK_STATES, induced_kraus
 from corrqec.tolerances import TRIAL_TOL
 
@@ -170,7 +171,7 @@ def test_run_trial_rejects_n_past_physical_memory(monkeypatch):
     sigma, rho = random_density(4, 17), random_density(64, 18)
     small = (random_density(2, 19), random_density(4, 20))
     ch = PauliChannel(8, (0.7, 0.1, 0.1, 0.1))
-    # report 2 MiB of physical memory; n=8 needs 5 matrices of 1 MiB
+    # report 2 MiB of physical memory; n=8 needs 3 matrices of 1 MiB
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 512}
     monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
     with pytest.raises(BadQubitCount, match="physical memory"):
@@ -198,11 +199,31 @@ def test_run_trial_peak_memory_within_trial_peak_states(kind):
     assert peak < TRIAL_PEAK_STATES * 16 * 4**n
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_run_trial_below_one_tile_holds_three_states_plus_half_a_tile(n):
+    # below one tile each kernel is one step, whose scratch is within half a
+    # tile: at n = 7 that half tile is 8 states, so it, not the states, bounds
+    # the peak (4.5 states measured; 3.4 at n = 8)
+    spec = build_pn(n)
+    sigma = classical_state(1, 0) if n % 2 == 0 else random_density(2, 24)
+    rho = random_density((1 << n) // spec.ancilla_dim, 25)
+    c = np.sqrt(0.32)
+    span = SpanChannel(n, ((0.6, 0, 0, 0), (0, c, 0, 0), (0, 0, 1j * c, 0)))
+    channels = [span, PauliChannel(n, (0.4, 0.3, 0.2, 0.1)), span]
+    tracemalloc.start()
+    try:
+        run_trial(n, sigma, rho, channels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 16 * 4**n + _TILE_BYTES // 2
+
+
 @pytest.mark.parametrize("kind", ["pauli", "span"])
 def test_run_trial_past_one_tile_holds_under_three_states(kind):
-    # n = 10 is past one tile, so every kernel holds one output plus tile
-    # scratch; a classical ancilla also runs the hybrid check.  Each stage's
-    # input is released once consumed: at most two states live (2.19 measured)
+    # n = 10 is past one tile, so every kernel's step scratch is small beside
+    # its output; a classical ancilla also runs the hybrid check.  Each stage's
+    # input is released once consumed: at most two states live (2.11 measured)
     n = 10
     rho = random_density(256, 23)
     if kind == "pauli":
