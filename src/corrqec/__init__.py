@@ -4,9 +4,7 @@ n-qubit Pauli channels, with machine checks of every structural claim."""
 from .channels import (
     PauliChannel,
     SpanChannel,
-    apply_pauli_channel,
     apply_sequence,
-    apply_span_channel,
     completeness_deviation,
 )
 from .encoder import (

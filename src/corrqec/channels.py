@@ -11,8 +11,8 @@ process matrix chi: rho -> sum_ab chi_ab E_a rho E_b_dag.  apply_sequence
 composes a channel list into one chi with 4x4 algebra, raises it to the
 repeat count by squaring (O(log r) compositions), and applies it to the
 state in one fused pass of kernels.pauli_channel_apply that reads the
-state once, whatever chi is (a diagonal chi, as every Pauli-only list
-gives, takes its cheaper Pauli arm).
+state once, whatever chi is.  apply_sequence([ch], rho) applies a single
+channel.
 """
 
 from __future__ import annotations
@@ -40,7 +40,12 @@ class PauliChannel:
     def __post_init__(self):
         if self.n < 1:
             raise DimensionMismatch(f"n must be >= 1, got {self.n}")
-        probs = tuple(float(p) for p in self.probs)
+        try:
+            probs = tuple(float(p) for p in self.probs)
+        except TypeError:
+            raise ValueError(
+                f"probabilities must be 4 real numbers, got {self.probs!r}"
+            ) from None
         if len(probs) != 4:
             raise ValueError(f"expected 4 probabilities, got {len(probs)}")
         if not all(isfinite(p) for p in probs):
@@ -108,11 +113,17 @@ class SpanChannel:
     def __post_init__(self):
         if self.n < 1:
             raise DimensionMismatch(f"n must be >= 1, got {self.n}")
-        coeffs = tuple(
-            tuple(complex(x) for x in row) for row in self.kraus_coeffs
-        )
+        try:
+            coeffs = tuple(
+                tuple(complex(x) for x in row) for row in self.kraus_coeffs
+            )
+        except TypeError:
+            coeffs = ()  # not rows of numbers: rejected just below
         if any(len(row) != 4 for row in coeffs) or len(coeffs) == 0:
-            raise ValueError("kraus_coeffs must be a nonempty list of 4-tuples")
+            raise ValueError(
+                "kraus_coeffs must be a nonempty list of 4-tuples of numbers, "
+                f"got {self.kraus_coeffs!r}"
+            )
         if not all(isfinite(x) for row in coeffs for x in row):
             raise ValueError(f"kraus_coeffs must be finite: {coeffs}")
         object.__setattr__(self, "kraus_coeffs", coeffs)
@@ -133,17 +144,6 @@ def _check_dim(ch: Channel, rho: np.ndarray) -> np.ndarray:
             f"state shape {rho.shape} does not match n={ch.n} qubits"
         )
     return rho
-
-
-def apply_pauli_channel(ch: PauliChannel, rho: np.ndarray) -> np.ndarray:
-    """p0 rho + p1 X rho X_dag + p2 Y rho Y_dag + p3 Z rho Z_dag."""
-    return kernels.pauli_channel_apply(_check_dim(ch, rho), ch.probs)
-
-
-def apply_span_channel(ch: SpanChannel, rho: np.ndarray) -> np.ndarray:
-    """sum_j F_j rho F_j_dag over the banded Kraus operators, as one pass of
-    the channel's chi."""
-    return kernels.pauli_channel_apply(_check_dim(ch, rho), chi_matrix(ch))
 
 
 def chi_matrix(ch: Channel) -> np.ndarray:

@@ -13,11 +13,9 @@ its output plus one step's scratch, and a small matrix is one step.
 
 - Each output element gets the same floating-point operations, in the same
   order, as the whole-array expression, so hadamard_rows,
-  gather_hadamard_conjugate (and hadamard_conjugate, its table-free case)
-  and pauli_channel_apply (both its Pauli and its chi arm) are
-  bit-identical at every tile size.  frob_dist sums per-tile squares in a
-  different order (equal to within rounding) and is exactly 0.0 on equal
-  inputs.
+  gather_hadamard_conjugate and pauli_channel_apply are bit-identical at
+  every tile size.  frob_dist sums per-tile squares in a different order
+  (equal to within rounding) and is exactly 0.0 on equal inputs.
 - gather_hadamard_conjugate conjugates by a permutation, a Hadamard and a
   permutation in one pass: the permutations only change which rows of the
   input a step reads and which rows and columns of the output it writes,
@@ -29,9 +27,11 @@ its output plus one step's scratch, and a small matrix is one step.
   permutations.
 
 pauli_channel_apply applies any channel whose Kraus operators lie in
-span{I, X_n, Y_n, Z_n}, given as its 4x4 process matrix chi, in one fused
-pass that reads the state once: each entry of the output is a weighted sum
-of the same entry of rho and of its three reversed views.
+span{I, X_n, Y_n, Z_n}, given as its 4x4 process matrix chi (a Pauli
+channel by its probabilities, the diagonal of chi), in one fused pass that
+reads the state once: each entry of the output is a weighted sum of the
+same entry of rho and of its reversed views.  A view whose weights are all
+zero is skipped, so a Pauli channel reads only rho and its flip.
 """
 
 from __future__ import annotations
@@ -175,25 +175,9 @@ def gather_hadamard_conjugate(
     return out
 
 
-def hadamard_conjugate(m: np.ndarray, q: int) -> np.ndarray:
-    """H_q M H_q for the Hadamard embedded on qubit q (self-adjoint): the
-    fused pass with identity tables."""
-    return gather_hadamard_conjugate(m, None, q, None)
-
-
 def y_phase(n: int) -> complex:
     """omega = (-i)**n, the phase in Y_n = antidiag(omega * z); exact at every n."""
     return (-1j) ** (n % 4)
-
-
-def _pauli_rows(rows, flip_rows, z_rows, z, probs, out) -> np.ndarray:
-    """Output rows of the Pauli arm of pauli_channel_apply from the same rows
-    of rho, of its flip and of z; built in out."""
-    p0, p1, p2, p3 = probs
-    zz = np.multiply.outer(z_rows, z)
-    rows = np.multiply(p0 + p3 * zz, rows, out=out)
-    rows += (p1 + p2 * zz) * flip_rows
-    return rows
 
 
 # E = (I, X_n, Y_n, Z_n) reordered as (I, Z_n, X_n, Y_n): the elements that
@@ -222,75 +206,45 @@ def _chi_weights(chi: np.ndarray, n: int) -> np.ndarray:
     return w.reshape(4, 2, -1)
 
 
-def _chi_rows(views, weights, rows_class, out, scratch) -> np.ndarray:
-    """Output rows of the chi arm of pauli_channel_apply, built in out from
-    the same rows of the four views of rho, block by block.
+def pauli_channel_apply(rho: np.ndarray, probs) -> np.ndarray:
+    """sum_ab chi_ab E_a rho E_b_dag over E = (I, X_n, Y_n, Z_n), in one pass.
+
+    probs is a 4x4 chi or the probabilities (p0, p1, p2, p3), which are the
+    diagonal of chi: p0 rho + p1 X rho X + p2 Y rho Y + p3 Z rho Z.  The
+    output is the sum over blocks (r, c) of W_rc * rho[P**r, P**c] (see
+    _chi_weights).  Block (0, 0) is always summed, every other block only
+    where its weights are not all zero, so a step reads only the views of
+    rho it needs: a diagonal chi (any Pauli channel) has zero cross blocks
+    and reads rho and its flip rho[::-1, ::-1], a full chi all four views.
+    A step touches the output, one scratch row and each view read, per
+    output row.
 
     The class indices are 0 or 1, so mode="clip" never clips; it lets take
     write into out directly, where the default mode buffers it.
     """
-    np.take(weights[0], rows_class, axis=0, out=out, mode="clip")
-    out *= views[0]
-    for view, w in zip(views[1:], weights[1:]):
-        np.take(w, rows_class, axis=0, out=scratch, mode="clip")
-        scratch *= view
-        out += scratch
-    return out
-
-
-def _chi_apply(rho: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """sum_ab chi_ab E_a rho E_b_dag as sum over blocks (r, c) of
-    W_rc * rho[P**r, P**c] (see _chi_weights), in one pass over rho and its
-    three reversed views.
-
-    A step touches six complex rows per output row (the output, one row of
-    scratch and the four views), 96*dim bytes.
-    """
+    rho = _as_cmatrix(rho)
+    chi = np.asarray(probs, dtype=np.complex128)
+    if chi.ndim == 1:
+        chi = np.diag(chi)
     dim = rho.shape[0]
     n = dim.bit_length() - 1
     weights = _chi_weights(chi, n)
-    rows_class = (parity_signs(n) < 0).astype(np.intp)
     views = (rho, rho[:, ::-1], rho[::-1], rho[::-1, ::-1])
+    blocks = [0] + [b for b in (1, 2, 3) if weights[b].any()]
+    rows_class = (parity_signs(n) < 0).astype(np.intp)
     out = np.empty_like(rho)
-    step = _step_rows(dim, 96 * dim)
+    step = _step_rows(dim, 16 * (2 + len(blocks)) * dim)
     scratch = np.empty((step, dim), dtype=np.complex128)
     for r0 in range(0, dim, step):
         r = slice(r0, r0 + step)
         o = out[r]
-        _chi_rows(
-            [v[r] for v in views], weights, rows_class[r], o, scratch[: len(o)]
-        )
-    return out
-
-
-def pauli_channel_apply(rho: np.ndarray, probs) -> np.ndarray:
-    """sum_ab chi_ab E_a rho E_b_dag over E = (I, X_n, Y_n, Z_n), fused.
-
-    probs is a 4x4 chi or the probabilities (p0, p1, p2, p3), which are the
-    diagonal of chi: p0 rho + p1 X rho X + p2 Y rho Y + p3 Z rho Z.  The
-    probabilities, or a chi that is diagonal with a real diagonal, take the
-    Pauli arm: with zz = outer(z, z) this is
-    (p0 + p3 zz) rho + (p1 + p2 zz) flip, flip = rho[::-1, ::-1], whose rows
-    [r0, r1) are rows [dim - r1, dim - r0) of rho, both axes reversed.  Any
-    other chi takes _chi_apply.  A step of the Pauli arm touches rows of
-    rho, flip, out and 1 complex and 3 real (zz, weights) scratch rows.
-    """
-    rho = _as_cmatrix(rho)
-    if np.ndim(probs) == 2:
-        chi = np.asarray(probs, dtype=np.complex128)
-        diag = np.diagonal(chi).real
-        if np.any(chi != np.diag(diag)):
-            return _chi_apply(rho, chi)
-        probs = diag
-    dim = rho.shape[0]
-    z = parity_signs(dim.bit_length() - 1)
-    probs = tuple(map(float, probs))
-    flip = rho[::-1, ::-1]
-    out = np.empty_like(rho)
-    step = _step_rows(dim, 88 * dim)
-    for r0 in range(0, dim, step):
-        r = slice(r0, r0 + step)
-        _pauli_rows(rho[r], flip[r], z[r], z, probs, out[r])
+        s = scratch[: len(o)]
+        np.take(weights[0], rows_class[r], axis=0, out=o, mode="clip")
+        o *= rho[r]
+        for b in blocks[1:]:
+            np.take(weights[b], rows_class[r], axis=0, out=s, mode="clip")
+            s *= views[b][r]
+            o += s
     return out
 
 

@@ -117,8 +117,7 @@ def predicted_ancilla(
         raise DimensionMismatch(
             f"{parity} ancilla must be {expected}x{expected}, got {out.shape}"
         )
-    if repeats < 0:
-        raise ValueError(f"repeats must be >= 0, got {repeats}")
+    repeats = check_repeats(repeats)
     step = np.eye(expected * expected, dtype=np.complex128)
     for ch in channels:
         g = np.array(induced_kraus(ch, parity, sign))

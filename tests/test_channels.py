@@ -10,14 +10,12 @@ from corrqec import (
     NotTracePreserving,
     PauliChannel,
     SpanChannel,
-    apply_pauli_channel,
     apply_sequence,
-    apply_span_channel,
     completeness_deviation,
     kernels,
     random_density,
 )
-from corrqec.channels import pauli_products, sequence_chi
+from corrqec.channels import chi_matrix, pauli_products, sequence_chi
 
 from oracles import (
     compose_pauli_probs,
@@ -37,6 +35,8 @@ def test_prob_validation():
         PauliChannel(2, (1.2, -0.2, 0.0, 0.0))
     with pytest.raises(ValueError):
         PauliChannel(2, (1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="4 real numbers"):
+        PauliChannel(3, 5)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             PauliChannel(3, (bad, 0.0, 0.0, 1.0))
@@ -48,14 +48,14 @@ def test_prob_validation():
 def test_identity_channel():
     rho = random_density(4, 0)
     ch = PauliChannel(2, (1.0, 0.0, 0.0, 0.0))
-    assert np.array_equal(apply_pauli_channel(ch, rho), rho)
+    assert np.array_equal(apply_sequence([ch], rho), rho)
 
 
 def test_phase_flip_on_plus_state():
     plus = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
     minus = 0.5 * np.array([[1, -1], [-1, 1]], dtype=complex)
     ch = PauliChannel(1, (0.0, 0.0, 0.0, 1.0))
-    assert np.allclose(apply_pauli_channel(ch, plus), minus, atol=1e-15)
+    assert np.allclose(apply_sequence([ch], plus), minus, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -63,7 +63,7 @@ def test_pauli_channel_matches_dense_kraus_oracle(n):
     rng = np.random.default_rng(n)
     probs = tuple(rng.dirichlet(np.ones(4)))
     rho = random_density(1 << n, n + 50)
-    got = apply_pauli_channel(PauliChannel(n, probs), rho)
+    got = apply_sequence([PauliChannel(n, probs)], rho)
     want = pauli_channel_dense(n, probs, rho)
     assert np.allclose(got, want, atol=1e-13)
     assert is_density_matrix(got)
@@ -72,13 +72,13 @@ def test_pauli_channel_matches_dense_kraus_oracle(n):
 def test_dimension_mismatch():
     ch = PauliChannel(3, (0.7, 0.1, 0.1, 0.1))
     with pytest.raises(DimensionMismatch):
-        apply_pauli_channel(ch, random_density(4, 1))
+        apply_sequence([ch], random_density(4, 1))
 
 
 def test_span_identity_channel():
     rho = random_density(8, 2)
     ch = SpanChannel(3, ((1.0, 0.0, 0.0, 0.0),))
-    assert np.allclose(apply_span_channel(ch, rho), rho, atol=1e-15)
+    assert np.allclose(apply_sequence([ch], rho), rho, atol=1e-15)
 
 
 def test_span_reduces_to_pauli_for_sqrt_coeffs():
@@ -88,8 +88,8 @@ def test_span_reduces_to_pauli_for_sqrt_coeffs():
         for k, p in enumerate(probs)
     )
     rho = random_density(8, 3)
-    a = apply_span_channel(SpanChannel(3, rows), rho)
-    b = apply_pauli_channel(PauliChannel(3, probs), rho)
+    a = apply_sequence([SpanChannel(3, rows)], rho)
+    b = apply_sequence([PauliChannel(3, probs)], rho)
     assert np.allclose(a, b, atol=1e-13)
 
 
@@ -100,6 +100,9 @@ def test_span_rejects_non_trace_preserving():
     for bad in (np.nan, np.inf, complex(0.0, np.inf)):
         with pytest.raises(ValueError):
             SpanChannel(3, ((bad, 0.0, 0.0, 0.0),))
+    for bad in (5, (5,), (), ((1.0, 0.0, 0.0),)):
+        with pytest.raises(ValueError, match="4-tuples"):
+            SpanChannel(3, bad)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -120,7 +123,7 @@ def test_completeness_deviation_matches_dense(n):
 def test_span_channel_matches_dense_kraus_oracle(n):
     coeffs = random_span_coeffs(n, seed=n + 30, terms=3)
     rho = random_density(1 << n, n + 60)
-    got = apply_span_channel(SpanChannel(n, coeffs), rho)
+    got = apply_sequence([SpanChannel(n, coeffs)], rho)
     want = np.zeros_like(rho)
     for f in span_kraus_dense(n, coeffs):
         want += f @ rho @ f.conj().T
@@ -134,7 +137,7 @@ def test_sequence_of_two_pauli_channels_convolves():
     q = (0.6, 0.1, 0.1, 0.2)
     rho = random_density(1 << n, 4)
     seq = apply_sequence([PauliChannel(n, p), PauliChannel(n, q)], rho)
-    single = apply_pauli_channel(PauliChannel(n, compose_pauli_probs(p, q)), rho)
+    single = apply_sequence([PauliChannel(n, compose_pauli_probs(p, q))], rho)
     assert np.allclose(seq, single, atol=1e-13)
 
 
@@ -143,7 +146,7 @@ def test_sequence_repeats():
     ch = PauliChannel(n, (0.7, 0.1, 0.1, 0.1))
     rho = random_density(4, 5)
     twice = apply_sequence([ch], rho, repeats=2)
-    manual = apply_pauli_channel(ch, apply_pauli_channel(ch, rho))
+    manual = apply_sequence([ch], apply_sequence([ch], rho))
     assert np.allclose(twice, manual, atol=1e-14)
     assert np.array_equal(
         apply_sequence([PauliChannel(n, (1, 0, 0, 0))], rho), rho
@@ -177,8 +180,8 @@ def test_pauli_channel_is_affine():
     r1 = random_density(4, 8)
     r2 = random_density(4, 9)
     lam = 0.3
-    mixed = apply_pauli_channel(ch, lam * r1 + (1 - lam) * r2)
-    parts = lam * apply_pauli_channel(ch, r1) + (1 - lam) * apply_pauli_channel(ch, r2)
+    mixed = apply_sequence([ch], lam * r1 + (1 - lam) * r2)
+    parts = lam * apply_sequence([ch], r1) + (1 - lam) * apply_sequence([ch], r2)
     assert np.allclose(mixed, parts, atol=1e-12)
 
 
@@ -244,7 +247,7 @@ def test_pauli_only_list_is_one_pauli_pass(monkeypatch, length, repeats):
     rng = np.random.default_rng(length + repeats)
     channels = [PauliChannel(n, tuple(rng.dirichlet(np.ones(4)))) for _ in range(length)]
     rho = random_density(1 << n, 1)
-    # the Pauli arm: the same output as the 4-vector of chi's diagonal
+    # the same output as the probabilities form, the 4-vector of chi's diagonal
     want = kernels.pauli_channel_apply(
         rho, np.diagonal(sequence_chi(channels, repeats)).real
     )
@@ -277,5 +280,9 @@ def test_one_channel_applied_once_is_the_direct_applier(n):
     rho = random_density(1 << n, n)
     pauli = PauliChannel(n, (0.4, 0.3, 0.2, 0.1))
     span = SpanChannel(n, random_span_coeffs(n, n, terms=4))
-    assert np.array_equal(apply_sequence([pauli], rho), apply_pauli_channel(pauli, rho))
-    assert np.array_equal(apply_sequence([span], rho), apply_span_channel(span, rho))
+    for ch in (pauli, span):
+        want = kernels.pauli_channel_apply(rho, chi_matrix(ch))
+        assert np.array_equal(apply_sequence([ch], rho), want)
+    assert np.array_equal(
+        apply_sequence([pauli], rho), kernels.pauli_channel_apply(rho, pauli.probs)
+    )

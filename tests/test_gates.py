@@ -222,7 +222,7 @@ def test_circuit_conjugate_matches_realize(index):
 @pytest.mark.parametrize("n", range(2, 10))
 def test_encoder_conjugation_is_one_kernel_call(monkeypatch, n):
     calls = []
-    for name in ("gather_conjugate", "hadamard_conjugate", "gather_hadamard_conjugate"):
+    for name in ("gather_conjugate", "gather_hadamard_conjugate"):
         fn = getattr(kernels, name)
         monkeypatch.setattr(
             kernels, name, lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args)

@@ -49,9 +49,11 @@ def test_hadamard_conjugate_against_gemm(q):
     m = random_complex_matrix(16, 2)
     h = embed_single(HAD, 4, q)
     assert np.allclose(kernels.hadamard_rows(m, q), h @ m, atol=1e-13)
-    assert np.allclose(kernels.hadamard_conjugate(m, q), h @ m @ h, atol=1e-13)
+    got = kernels.gather_hadamard_conjugate(m, None, q, None)
+    assert np.allclose(got, h @ m @ h, atol=1e-13)
     eye = np.eye(16, dtype=complex)
-    assert np.allclose(kernels.hadamard_conjugate(eye, q), eye, atol=1e-15)
+    got = kernels.gather_hadamard_conjugate(eye, None, q, None)
+    assert np.allclose(got, eye, atol=1e-15)
 
 
 def _gather_hadamard_dense(m, before, q, after):
@@ -80,7 +82,7 @@ def test_gather_hadamard_conjugate_against_dense_oracle():
 def _three_kernels(m, before, q, after):
     if before is not None:
         m = kernels.gather_conjugate(m, before)
-    m = kernels.hadamard_conjugate(m, q)
+    m = kernels.gather_hadamard_conjugate(m, None, q, None)
     return m if after is None else kernels.gather_conjugate(m, after)
 
 
@@ -112,7 +114,7 @@ def test_pauli_channel_apply_against_kraus_sum():
     probs = rng.dirichlet(np.ones(4))
     got = kernels.pauli_channel_apply(rho, probs)
     assert np.allclose(got, pauli_channel_dense(n, probs, rho), atol=1e-13)
-    # a diagonal chi is the same Pauli arithmetic as its diagonal
+    # a diagonal chi, real or complex, is the same pass as its diagonal
     assert np.array_equal(kernels.pauli_channel_apply(rho, np.diag(probs)), got)
     chi = np.diag(probs).astype(complex)
     assert np.array_equal(kernels.pauli_channel_apply(rho, chi), got)
@@ -135,14 +137,35 @@ def _chi_dense(chi, m) -> np.ndarray:
     )
 
 
+def _span_row_chi(f) -> np.ndarray:
+    """chi = f f_dag of the one Kraus row f."""
+    f = np.asarray(f, dtype=complex)
+    return np.outer(f, f.conj())
+
+
+# chi matrices some of whose blocks (see kernels._chi_weights) are all zero:
+# X-only and Y-only probabilities keep only the flip block (1, 1), an I/Z
+# row only block (0, 0), an X/Y row only block (1, 1); block (0, 0) of the
+# last is zero too, though the kernel always sums it
+_PARTLY_ZERO_CHI = [
+    np.diag([0.0, 1.0, 0.0, 0.0]),
+    np.diag([0.0, 0.0, 1.0, 0.0]),
+    _span_row_chi([0.6, 0.0, 0.0, 0.8j]),
+    _span_row_chi([0.0, 0.6, 0.8j, 0.0]),
+]
+
+
 def test_pauli_channel_apply_chi_against_dense_oracle():
     # n = 1..8 covers every residue of n mod 4, so every phase of Y_n
     rng = np.random.default_rng(5)
     for n in range(1, 9):
         m = random_complex_matrix(1 << n, n + 6)
-        chi = _random_chi(rng)
-        got = _checked(kernels.pauli_channel_apply, m, chi)
-        assert np.allclose(got, _chi_dense(chi, m), rtol=0.0, atol=1e-11), n
+        for chi in [_random_chi(rng)] + _PARTLY_ZERO_CHI:
+            got = _checked(kernels.pauli_channel_apply, m, chi)
+            assert np.allclose(got, _chi_dense(chi, m), rtol=0.0, atol=1e-11), n
+        for chi in _PARTLY_ZERO_CHI[:2]:
+            got = kernels.pauli_channel_apply(m, np.diagonal(chi))
+            assert np.array_equal(got, kernels.pauli_channel_apply(m, chi)), n
 
 
 @pytest.mark.parametrize("keep", [1, 2, 4, 8])
@@ -185,13 +208,15 @@ def _checked(fn, *args):
 
 # _TILE_BYTES = 16*dim*k, k rows of the matrix, so a step takes k // 8 row
 # pairs of hadamard_rows, k // 16 of the fused gather-Hadamard pass, and
-# k // 11, k // 12 and k // 6 rows of the Pauli arm, the chi arm and
-# frob_dist (at least 1).  k = None: the default tile, one step per matrix;
-# k = 1 and 6: one row (or pair of rows) per step for every kernel; k = 15:
-# the same but 2 rows of frob_dist; k = 30: 3 pairs of hadamard_rows and 5
-# rows of frob_dist; k = 36: 3 rows of both arms of pauli_channel_apply;
-# k = 48: 3 pairs of the fused pass and 6 of hadamard_rows.  The steps of
-# 3, 5 and 6 leave an uneven last step at every dim they run at.
+# k // 8, k // 12 and k // 6 rows of pauli_channel_apply with a diagonal
+# chi (two views read), with a full chi (four views) and of frob_dist (at
+# least 1).  k = None: the default tile, one step per matrix; k = 1 and 6:
+# one row (or pair of rows) per step for every kernel; k = 15: the same but
+# 2 rows of frob_dist; k = 30: 3 pairs of hadamard_rows, 3 rows of the
+# diagonal chi and 5 of frob_dist; k = 36: 3 rows of the full chi; k = 48:
+# 3 pairs of the fused pass, 6 of hadamard_rows and 6 rows of the diagonal
+# chi.  The steps of 3, 5 and 6 leave an uneven last step at every dim they
+# run at.
 @pytest.mark.parametrize(
     "n, k",
     [
@@ -213,7 +238,7 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     qs = sorted({0, n - 2, n - 1})
     whole = {
         "rows": [kernels.hadamard_rows(m, q) for q in qs],
-        "had": [kernels.hadamard_conjugate(m, q) for q in qs],
+        "had": [kernels.gather_hadamard_conjugate(m, None, q, None) for q in qs],
         "fused": [kernels.gather_hadamard_conjugate(m, perm, q, perm2) for q in qs],
         "pauli": kernels.pauli_channel_apply(rho, probs),
         "chi": kernels.pauli_channel_apply(m, chi),
@@ -225,7 +250,7 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     for q, rows, had, fused in zip(qs, whole["rows"], whole["had"], whole["fused"]):
         h = embed_single(HAD, n, q)
         got_rows = _checked(kernels.hadamard_rows, m, q)
-        got = _checked(kernels.hadamard_conjugate, m, q)
+        got = _checked(kernels.gather_hadamard_conjugate, m, None, q, None)
         assert np.array_equal(got_rows, rows)
         assert np.array_equal(got, had)
         assert np.allclose(got_rows, h @ m, atol=1e-12)
@@ -269,8 +294,8 @@ def test_dense_kernels_hold_one_output_plus_tile_scratch():
         for fn, args in (
             (kernels.hadamard_rows, (m, n - 1)),
             (kernels.hadamard_rows, (m, 0)),
-            (kernels.hadamard_conjugate, (m, n - 1)),
-            (kernels.hadamard_conjugate, (m, 0)),
+            (kernels.gather_hadamard_conjugate, (m, None, n - 1, None)),
+            (kernels.gather_hadamard_conjugate, (m, None, 0, None)),
             (kernels.gather_hadamard_conjugate, (m, perm, n - 1, perm[::-1])),
             (kernels.gather_hadamard_conjugate, (m, perm, 0, perm[::-1])),
             (kernels.pauli_channel_apply, (m, (0.4, 0.3, 0.2, 0.1))),
@@ -286,7 +311,6 @@ def test_dense_kernels_hold_one_output_plus_tile_scratch():
 KERNEL_SIGNATURES = {
     "gather_conjugate": ("m", "perm"),
     "gather_hadamard_conjugate": ("m", "before", "q", "after"),
-    "hadamard_conjugate": ("m", "q"),
     "pauli_channel_apply": ("rho", "probs"),
     "ptrace_leading": ("m", "keep"),
     "ptrace_trailing": ("m", "keep"),

@@ -82,6 +82,17 @@ def test_predicted_ancilla_sign_is_irrelevant():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("repeats", [0, -1, 2.0])
+def test_predicted_ancilla_rejects_bad_repeats_like_run_trial(repeats):
+    sigma = random_density(2, 5)
+    ch = PauliChannel(3, (0.4, 0.1, 0.3, 0.2))
+    error = TypeError if isinstance(repeats, float) else ValueError
+    with pytest.raises(error, match="repeats"):
+        predicted_ancilla(sigma, [ch], repeats, "odd", 1)
+    with pytest.raises(error, match="repeats"):
+        run_trial(3, sigma, random_density(4, 6), [ch], repeats)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_induced_kraus_matches_dense_conjugation(n):
     # P_dag F P must equal (induced ancilla operator) ox I, per Kraus operator
