@@ -146,12 +146,15 @@ def _span_row_chi(f) -> np.ndarray:
 # chi matrices some of whose blocks (see kernels._chi_weights) are all zero:
 # X-only and Y-only probabilities keep only the flip block (1, 1), an I/Z
 # row only block (0, 0), an X/Y row only block (1, 1); block (0, 0) of the
-# last is zero too, though the kernel always sums it
+# last is zero too, though the kernel always sums it.  The row with
+# f_Z = -f_I has a block (0, 1) that is zero on the rows of even parity
+# only, so it must still be summed.
 _PARTLY_ZERO_CHI = [
     np.diag([0.0, 1.0, 0.0, 0.0]),
     np.diag([0.0, 0.0, 1.0, 0.0]),
     _span_row_chi([0.6, 0.0, 0.0, 0.8j]),
     _span_row_chi([0.0, 0.6, 0.8j, 0.0]),
+    _span_row_chi([0.5, 0.5j, 0.0, -0.5]),
 ]
 
 

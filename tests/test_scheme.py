@@ -214,7 +214,7 @@ def test_run_trial_peak_memory_within_trial_peak_states(kind):
 def test_run_trial_below_one_tile_holds_three_states_plus_half_a_tile(n):
     # below one tile each kernel is one step, whose scratch is within half a
     # tile: at n = 7 that half tile is 8 states, so it, not the states, bounds
-    # the peak (4.5 states measured; 3.4 at n = 8)
+    # the peak (3.3 states measured; 3.4 at n = 8)
     spec = build_pn(n)
     sigma = classical_state(1, 0) if n % 2 == 0 else random_density(2, 24)
     rho = random_density((1 << n) // spec.ancilla_dim, 25)
