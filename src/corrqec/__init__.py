@@ -58,6 +58,7 @@ from .scheme import (
 from .tensor import (
     frobenius_distance,
     kron,
+    kron_distance,
     partial_trace_leading,
     partial_trace_trailing,
     random_density,

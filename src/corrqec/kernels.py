@@ -14,14 +14,21 @@ its output plus one step's scratch, and a small matrix is one step.
 - Each output element gets the same floating-point operations, in the same
   order, as the whole-array expression, so hadamard_rows,
   gather_hadamard_conjugate and pauli_channel_apply are bit-identical at
-  every tile size.  frob_dist sums per-tile squares in a different order
-  (equal to within rounding) and is exactly 0.0 on equal inputs.
+  every tile size.  frob_dist and kron_dist sum per-step squares in a
+  different order (equal to within rounding) and are exactly 0.0 on equal
+  inputs.
 - gather_hadamard_conjugate conjugates by a permutation, a Hadamard and a
   permutation in one pass: the permutations only change which rows of the
   input a step reads and which rows and columns of the output it writes,
   so an even-n encoder costs one read and one write of the state.  Its row
   and column butterflies are the one butterfly, _hadamard_block, that
-  hadamard_rows also runs.
+  hadamard_rows also runs.  Here both run unscaled and the column
+  butterfly's output is scaled once by 0.5, exact in binary, so
+  conjugating a matrix of Gaussian integers (as the correlated errors
+  are) is exact.
+- kron_dist measures d against a kron product a ox r (r = I when None)
+  with no output at all: each step builds its own slice of a ox r in
+  scratch, so the product checks hold one state, not two.
 - gather_conjugate is one fancy-index gather, for CNOT-only (odd-n)
   circuits: a tiled gather measured no faster on the encoders' CNOT
   permutations.
@@ -75,14 +82,15 @@ def _step_rows(rows: int, bytes_per_row: int) -> int:
     return min(rows, max(1, _TILE_BYTES // 2 // bytes_per_row))
 
 
-def _hadamard_block(a, b, block) -> None:
+def _hadamard_block(a, b, block, scale: float | None) -> None:
     """Butterfly of the paired slices a and b into block[:, 0] = a + b and
-    block[:, 1] = a - b, then block *= 1/sqrt2: the same two roundings as
-    (a + b) * (1/sqrt2).  Rows pass block as is; columns pass a view with
-    the pair axis moved to position 1."""
+    block[:, 1] = a - b, then block *= scale unless scale is None: the same
+    roundings as (a + b) * scale.  Rows pass block as is; columns pass a
+    view with the pair axis moved to position 1."""
     np.add(a, b, out=block[:, 0])
     np.subtract(a, b, out=block[:, 1])
-    block *= _INV_SQRT2
+    if scale is not None:
+        block *= scale
 
 
 def _pair_blocks(hi: int, lo: int, pairs: int):
@@ -115,7 +123,7 @@ def hadamard_rows(m: np.ndarray, q: int) -> np.ndarray:
     dst = out.reshape(hi, 2, lo, -1)
     pairs = _step_rows(hi * lo, 64 * m.shape[1])
     for h, l in _pair_blocks(hi, lo, pairs)[1]:
-        _hadamard_block(src[h, 0, l], src[h, 1, l], dst[h, :, l])
+        _hadamard_block(src[h, 0, l], src[h, 1, l], dst[h, :, l], _INV_SQRT2)
     return out
 
 
@@ -130,9 +138,13 @@ def gather_hadamard_conjugate(
     butterfly of rows before[x0] and before[x1] of m, gathered by before
     along columns, followed by the column butterfly over the same split;
     G_after then sends row x to row argsort(after)[x], gathered by after
-    along columns.  Each butterfly is a sum or difference and one scaling,
-    so the output is bit-identical to gather_conjugate, hadamard_conjugate
-    and gather_conjugate in turn.
+    along columns.  Both butterflies are unscaled sums and differences, and
+    the column butterfly's output is scaled once by 0.5 = (1/sqrt2)**2,
+    which is exact: on Gaussian-integer entries (the correlated errors have
+    0, +-1, +-i) every operation is exact, so an even-n conjugation is as
+    exact as a gather.  The tables only move entries, so the output is
+    bit-identical to gather_conjugate, the table-free call and
+    gather_conjugate in turn.
 
     A step walks a block of row pairs through two scratch buffers; it
     touches eight rows per pair (two of m, two in each buffer, two of the
@@ -163,13 +175,13 @@ def gather_hadamard_conjugate(
         else:
             np.take(m, rows[h, :, l], axis=0, out=x, mode="clip")
             rows_in = np.take(x, before, axis=-1, out=y, mode="clip")
-        _hadamard_block(rows_in[:, 0], rows_in[:, 1], x)
+        _hadamard_block(rows_in[:, 0], rows_in[:, 1], x, None)
         block = part if after is None else y
         cols_in = x.reshape(x.shape[:-1] + (hi, 2, lo))
         cols_out = block.reshape(block.shape[:-1] + (hi, 2, lo))
         # the column pair axis moved to position 1, as _hadamard_block takes it
         cols_out = cols_out.transpose(0, 4, 1, 2, 3, 5)
-        _hadamard_block(cols_in[..., 0, :], cols_in[..., 1, :], cols_out)
+        _hadamard_block(cols_in[..., 0, :], cols_in[..., 1, :], cols_out, 0.5)
         if after is not None:
             out[dest[h, :, l]] = np.take(y, after, axis=-1, out=x, mode="clip")
     return out
@@ -183,6 +195,19 @@ def y_phase(n: int) -> complex:
 # E = (I, X_n, Y_n, Z_n) reordered as (I, Z_n, X_n, Y_n): the elements that
 # keep the rows in place, then the ones that reverse them.
 _BY_FLIP = (0, 3, 1, 2)
+_BY_FLIP_IX = np.ix_(_BY_FLIP, _BY_FLIP)
+# splits a block's weight into alpha and beta: rows s = 0, 1 are 1 and z
+_SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+@lru_cache(maxsize=None)
+def _phase_outer(n4: int) -> np.ndarray:
+    """outer(phase, conj(phase)) for phase = (1, 1, 1, omega) in _BY_FLIP
+    order at n = n4 mod 4, read-only."""
+    phase = np.array([1.0, 1.0, 1.0, y_phase(n4)])
+    out = np.outer(phase, phase.conj())
+    out.setflags(write=False)
+    return out
 
 
 def _chi_weights(chi: np.ndarray, n: int) -> np.ndarray:
@@ -197,12 +222,10 @@ def _chi_weights(chi: np.ndarray, n: int) -> np.ndarray:
     lambda = (1, omega), its weight is
     (1, z_i) m (1, z_k)^T = alpha(z_i) + beta(z_i) z_k.
     """
-    z = parity_signs(n)
-    phase = np.array([1.0, 1.0, 1.0, y_phase(n)])
-    m = chi[np.ix_(_BY_FLIP, _BY_FLIP)] * np.outer(phase, phase.conj())
+    m = chi[_BY_FLIP_IX] * _phase_outer(n % 4)
     # alpha, beta of each block and row class, indexed [r, c, s, (alpha, beta)]
-    ab = np.einsum("si,ricj->rcsj", [[1.0, 1.0], [1.0, -1.0]], m.reshape(2, 2, 2, 2))
-    w = ab[..., :1] + ab[..., 1:] * z
+    ab = np.einsum("si,ricj->rcsj", _SUM_DIFF, m.reshape(2, 2, 2, 2))
+    w = ab[..., :1] + ab[..., 1:] * parity_signs(n)
     return w.reshape(4, 2, -1)
 
 
@@ -274,4 +297,40 @@ def frob_dist(a: np.ndarray, b: np.ndarray) -> float:
         r = slice(r0, r0 + step)
         d = np.subtract(a[r], b[r], out=scratch[: min(step, rows - r0)])
         total += np.vdot(d, d).real
+    return sqrt(total)
+
+
+def kron_dist(d: np.ndarray, a: np.ndarray, r: np.ndarray | None) -> float:
+    """Frobenius norm of d - a ox r, r None for the identity, without forming
+    a ox r; 0.0 when d equals it.
+
+    d is walked as (A, R, A, R), d[i, j, k, l] = d[i R + j, k R + l], in
+    blocks of rows (i, j) from _pair_blocks, in frob_dist's steps (a row
+    of d, of scratch and at most one of r per row of d).  A
+    step builds its slice of a[i, k] * r[j, l] in scratch, the one rounding
+    np.kron makes, and subtracts it from d; for r None the slice is d less
+    a[i, k] where l = j, the entries a[i, k] * 1 of a ox I.
+    """
+    d = _as_cmatrix(d)
+    a = _as_cmatrix(a)
+    dim = d.shape[0]
+    na = a.shape[0]
+    nr = dim // na
+    d4 = d.reshape(na, nr, na, nr)
+    (ki, kj), blocks = _pair_blocks(na, nr, _step_rows(dim, 48 * dim))
+    scratch = np.empty((ki, kj, na, nr), dtype=np.complex128)
+    if r is not None:
+        r = _as_cmatrix(r)
+    total = 0.0
+    for i, j in blocks:
+        part = d4[i, j]
+        s = scratch[: part.shape[0], : part.shape[1]]
+        if r is None:
+            np.copyto(s, part)
+            t = np.arange(s.shape[1])
+            s[:, t, :, j.start + t] -= a[i]
+        else:
+            np.multiply(a[i, None, :, None], r[None, j, None, :], out=s)
+            np.subtract(part, s, out=s)
+        total += np.vdot(s, s).real
     return sqrt(total)

@@ -58,6 +58,23 @@ def frobenius_distance(a, b) -> float:
     return kernels.frob_dist(a, b)
 
 
+def kron_distance(d, a, r=None) -> float:
+    """Frobenius distance of d from a ox r (r None: the identity), without
+    forming a ox r; DimensionMismatch unless the shapes factor."""
+    d = as_square(d)
+    a = as_square(a)
+    dim = d.shape[0]
+    if dim % a.shape[0] != 0:
+        raise DimensionMismatch(f"a of dim {a.shape[0]} does not divide dim={dim}")
+    if r is not None:
+        r = as_square(r)
+        if a.shape[0] * r.shape[0] != dim:
+            raise DimensionMismatch(
+                f"a of dim {a.shape[0]} ox r of dim {r.shape[0]} is not dim={dim}"
+            )
+    return kernels.kron_dist(d, a, r)
+
+
 def check_memory(n: int, states: int) -> None:
     """Raise BadQubitCount unless `states` 2**n x 2**n complex128 matrices,
     16*4**n bytes each, fit in physical memory."""

@@ -39,14 +39,10 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_criterion_1_conjugation_identities():
-    """Residuals exactly 0 for odd n, < 1e-12 for even n, n = 2..12, < 10 s."""
+    """Residuals exactly 0 at both parities, n = 2..12, < 10 s."""
     start = time.perf_counter()
     for n in range(2, 13):
-        rx, ry, rz = conjugation_report(build_pn(n))
-        if n % 2 == 1:
-            assert (rx, ry, rz) == (0.0, 0.0, 0.0), f"n={n}"
-        else:
-            assert max(rx, ry, rz) < 1e-12, f"n={n}"
+        assert conjugation_report(build_pn(n)) == (0.0, 0.0, 0.0), f"n={n}"
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
     print(f"PASS criterion 1: conjugation identities n=2..12 in {elapsed:.2f}s")

@@ -106,6 +106,31 @@ def test_gather_hadamard_conjugate_equals_three_kernels(n):
         assert np.array_equal(got, _three_kernels(m, before, q, after))
 
 
+def _integer_hadamard(n, q):
+    """The unnormalised H_q = [[1, 1], [1, -1]] on qubit q, as integers."""
+    eye = lambda k: np.eye(1 << k, dtype=np.int64)
+    return np.kron(np.kron(eye(n - 1 - q), np.array([[1, 1], [1, -1]])), eye(q))
+
+
+def test_gather_hadamard_conjugate_is_exact_on_gaussian_integers():
+    # both butterflies unscaled, then one scale by 0.5: on Gaussian-integer
+    # entries the kernel equals integer arithmetic divided by 2, bit for bit
+    rng = np.random.default_rng(17)
+    for n in range(1, 9):
+        dim = 1 << n
+        re, im = rng.integers(-100, 101, size=(2, dim, dim))
+        m = re + 1j * im
+        for q in range(n):
+            h = _integer_hadamard(n, q)
+            perms = [rng.permutation(dim) for _ in range(2)]
+            for before, after in ((None, None), (perms[0], None), perms):
+                b = np.arange(dim) if before is None else before
+                c = np.arange(dim) if after is None else after
+                want_re, want_im = ((h @ x[b][:, b] @ h)[c][:, c] for x in (re, im))
+                got = _checked(kernels.gather_hadamard_conjugate, m, before, q, after)
+                assert np.array_equal(got, (want_re + 1j * want_im) / 2), (n, q)
+
+
 def test_pauli_channel_apply_against_kraus_sum():
     rng = np.random.default_rng(3)
     n = 3
@@ -188,6 +213,41 @@ def test_frob_dist_matches_numpy_norm():
     assert kernels.frob_dist(a, a.copy()) == 0.0
 
 
+def _kron_cases(n, seed):
+    """(a, r) pairs for kron_dist at n: a 2x2 and (n >= 2) a 4x4 a, each with
+    a random r and with r None."""
+    cases = []
+    for na in (2, 4)[: min(n, 2)]:
+        a = random_complex_matrix(na, seed + na)
+        r = random_complex_matrix((1 << n) // na, seed + na + 1)
+        cases += [(a, r), (a, None)]
+    return cases
+
+
+def _kron(a, r, dim):
+    return np.kron(a, np.eye(dim // a.shape[0]) if r is None else r)
+
+
+def test_kron_dist_against_kron_oracle(monkeypatch):
+    for n in range(1, 9):
+        dim = 1 << n
+        d = random_complex_matrix(dim, n + 90)
+        for a, r in _kron_cases(n, n + 91):
+            want = kernels.frob_dist(d, _kron(a, r, dim))
+            got = _checked(kernels.kron_dist, d, a, r)
+            assert got == pytest.approx(want, rel=1e-12), n
+            assert kernels.kron_dist(_kron(a, r, dim), a, r) == 0.0, n
+    # steps of several whole row blocks i, the last one shorter: 3 of the
+    # four blocks of 4 rows of d at n = 4, then 1
+    n, dim = 4, 16
+    monkeypatch.setattr(kernels, "_TILE_BYTES", 2 * 48 * dim * 12)
+    d = random_complex_matrix(dim, 99)
+    for a, r in _kron_cases(n, 100)[2:]:
+        got = _checked(kernels.kron_dist, d, a, r)
+        assert got == pytest.approx(kernels.frob_dist(d, _kron(a, r, dim)), rel=1e-12)
+        assert kernels.kron_dist(_kron(a, r, dim), a, r) == 0.0
+
+
 def test_wrappers_accept_noncontiguous_input():
     m = random_complex_matrix(8, 13)
     view = m[::2, ::2]
@@ -212,14 +272,18 @@ def _checked(fn, *args):
 # _TILE_BYTES = 16*dim*k, k rows of the matrix, so a step takes k // 8 row
 # pairs of hadamard_rows, k // 16 of the fused gather-Hadamard pass, and
 # k // 8, k // 12 and k // 6 rows of pauli_channel_apply with a diagonal
-# chi (two views read), with a full chi (four views) and of frob_dist (at
-# least 1).  k = None: the default tile, one step per matrix; k = 1 and 6:
-# one row (or pair of rows) per step for every kernel; k = 15: the same but
-# 2 rows of frob_dist; k = 30: 3 pairs of hadamard_rows, 3 rows of the
-# diagonal chi and 5 of frob_dist; k = 36: 3 rows of the full chi; k = 48:
-# 3 pairs of the fused pass, 6 of hadamard_rows and 6 rows of the diagonal
-# chi.  The steps of 3, 5 and 6 leave an uneven last step at every dim they
-# run at.
+# chi (two views read), with a full chi (four views) and of frob_dist and
+# kron_dist (at least 1).  kron_dist keeps a step within one block of
+# dim / A rows of d (A = 2 or 4, the size of its a) while the step is
+# shorter than the block.  k = None: the default tile, one step per matrix;
+# k = 1 and 6: one row (or pair of rows) per step for every kernel;
+# k = 15: the same but 2 rows of frob_dist and kron_dist; k = 30: 3 pairs
+# of hadamard_rows, 3 rows of the diagonal chi and 5 of frob_dist and
+# kron_dist; k = 36: 3 rows of the full chi; k = 48: 3 pairs of the fused
+# pass, 6 of hadamard_rows and 6 rows of the diagonal chi, and 8 of
+# kron_dist.  The steps of 3, 5 and 6 leave an uneven last step at every
+# dim they run at, and kron_dist's 5 rows one in each of its blocks (8 to
+# 32 rows at n = 5 and 6).
 @pytest.mark.parametrize(
     "n, k",
     [
@@ -239,6 +303,7 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     perm = rng.permutation(dim).astype(np.int64)
     perm2 = rng.permutation(dim)
     qs = sorted({0, n - 2, n - 1})
+    kron_cases = _kron_cases(n, n + 50)
     whole = {
         "rows": [kernels.hadamard_rows(m, q) for q in qs],
         "had": [kernels.gather_hadamard_conjugate(m, None, q, None) for q in qs],
@@ -246,6 +311,7 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
         "pauli": kernels.pauli_channel_apply(rho, probs),
         "chi": kernels.pauli_channel_apply(m, chi),
         "dist": kernels.frob_dist(m, rho),
+        "kron": [kernels.kron_dist(m, a, r) for a, r in kron_cases],
     }
     if k is not None:
         monkeypatch.setattr(kernels, "_TILE_BYTES", 16 * dim * k)
@@ -273,6 +339,9 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     assert np.allclose(got, p.conj().T @ m @ p, atol=1e-13)
     assert _checked(kernels.frob_dist, m, rho) == pytest.approx(whole["dist"], rel=1e-12)
     assert _checked(kernels.frob_dist, m, m.copy()) == 0.0
+    for (a, r), dist in zip(kron_cases, whole["kron"]):
+        assert _checked(kernels.kron_dist, m, a, r) == pytest.approx(dist, rel=1e-12)
+        assert kernels.kron_dist(_kron(a, r, dim), a, r) == 0.0
 
 
 def _peak_bytes(fn, *args):
@@ -307,6 +376,8 @@ def test_dense_kernels_hold_one_output_plus_tile_scratch():
             assert _peak_bytes(fn, *args) < state + scratch, (fn.__name__, n)
         # no output matrix: scratch only
         assert _peak_bytes(kernels.frob_dist, m, 2 * m) < scratch, n
+        for a, r in _kron_cases(n, 62 + n):
+            assert _peak_bytes(kernels.kron_dist, m, a, r) < scratch, n
 
 
 # Each kernel's positional parameters, as callers (and the benchmark's
@@ -318,6 +389,7 @@ KERNEL_SIGNATURES = {
     "ptrace_leading": ("m", "keep"),
     "ptrace_trailing": ("m", "keep"),
     "frob_dist": ("a", "b"),
+    "kron_dist": ("d", "a", "r"),
 }
 
 

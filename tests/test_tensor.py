@@ -12,6 +12,7 @@ from corrqec import (
     DimensionMismatch,
     frobenius_distance,
     kron,
+    kron_distance,
     partial_trace_leading,
     partial_trace_trailing,
     random_density,
@@ -107,6 +108,27 @@ def test_frobenius_distance():
     assert frobenius_distance(SZ, -SZ) == pytest.approx(2 * np.sqrt(2), abs=1e-15)
     with pytest.raises(DimensionMismatch):
         frobenius_distance(np.eye(2), np.eye(3))
+
+
+def test_kron_distance():
+    a = random_complex_matrix(2, 18)
+    r = random_complex_matrix(4, 19)
+    d = random_complex_matrix(8, 20)
+    assert kron_distance(kron(a, r), a, r) == 0.0
+    assert kron_distance(kron(a, np.eye(4)), a) == 0.0
+    assert kron_distance(d, a, r) == pytest.approx(frobenius_distance(d, kron(a, r)))
+    assert kron_distance(d, a) == pytest.approx(frobenius_distance(d, kron(a, np.eye(4))))
+    for args in (
+        (d, np.eye(3)),  # a does not divide d
+        (d, np.eye(3), np.eye(3)),
+        (d, a, np.eye(2)),  # r of the wrong size
+        (d, a, np.eye(8)),
+        (d, np.ones((2, 3))),  # not square
+        (d, a, np.ones((4, 2))),
+        (d[:, :4], a),
+    ):
+        with pytest.raises(DimensionMismatch):
+            kron_distance(*args)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 8])
