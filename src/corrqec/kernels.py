@@ -196,7 +196,7 @@ def y_phase(n: int) -> complex:
 # keep the rows in place, then the ones that reverse them.
 _BY_FLIP = (0, 3, 1, 2)
 _BY_FLIP_IX = np.ix_(_BY_FLIP, _BY_FLIP)
-# splits a block's weight into alpha and beta: rows s = 0, 1 are 1 and z
+# row s is (1, z) for the row class s (z = +1, -1), as _chi_weights sums it
 _SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
@@ -305,11 +305,11 @@ def kron_dist(d: np.ndarray, a: np.ndarray, r: np.ndarray | None) -> float:
     a ox r; 0.0 when d equals it.
 
     d is walked as (A, R, A, R), d[i, j, k, l] = d[i R + j, k R + l], in
-    blocks of rows (i, j) from _pair_blocks, in frob_dist's steps (a row
-    of d, of scratch and at most one of r per row of d).  A
-    step builds its slice of a[i, k] * r[j, l] in scratch, the one rounding
-    np.kron makes, and subtracts it from d; for r None the slice is d less
-    a[i, k] where l = j, the entries a[i, k] * 1 of a ox I.
+    blocks of rows (i, j) from _pair_blocks, in frob_dist's steps (a row of
+    d, of scratch and at most one of r per row of d).  A step builds its
+    slice of a[i, k] * r[j, l] in scratch, the one rounding np.kron makes,
+    and subtracts it from d; for r None the slice is d less a[i, k] where
+    l = j, the entries a[i, k] * 1 of a ox I.
     """
     d = _as_cmatrix(d)
     a = _as_cmatrix(a)

@@ -108,8 +108,9 @@ def test_gather_hadamard_conjugate_equals_three_kernels(n):
 
 def _integer_hadamard(n, q):
     """The unnormalised H_q = [[1, 1], [1, -1]] on qubit q, as integers."""
-    eye = lambda k: np.eye(1 << k, dtype=np.int64)
-    return np.kron(np.kron(eye(n - 1 - q), np.array([[1, 1], [1, -1]])), eye(q))
+    high = np.eye(1 << (n - 1 - q), dtype=np.int64)
+    low = np.eye(1 << q, dtype=np.int64)
+    return np.kron(np.kron(high, np.array([[1, 1], [1, -1]])), low)
 
 
 def test_gather_hadamard_conjugate_is_exact_on_gaussian_integers():
