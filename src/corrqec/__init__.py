@@ -14,7 +14,6 @@ from .encoder import (
     build_pn,
     conjugation_report,
     d_matrix,
-    expected_conjugation,
 )
 from .errors import (
     AncillaSizeError,

@@ -24,11 +24,11 @@ from .gates import (
     circuit_conjugate,
     circuit_factors,
     cnot_op,
-    correlated_error,
     h_op,
     pauli,
+    real_correlated_error,
 )
-from .tensor import kron, kron_distance
+from .tensor import check_memory, kron_distance
 
 _D_DIAG = {
     "X": np.array([1, -1, 1, -1], dtype=np.complex128),
@@ -115,30 +115,38 @@ def ancilla_images(parity: str, sign: int) -> tuple[np.ndarray, ...]:
     return (np.eye(4, dtype=np.complex128), d_matrix("X"), sign * d_matrix("Y"), d_matrix("Z"))
 
 
-def expected_conjugation(spec: EncoderSpec, axis: str) -> np.ndarray:
-    """The predicted value of P_dag W P for W the correlated error on `axis`."""
-    if axis not in ("X", "Y", "Z"):
-        raise ValueError(f"axis must be X, Y, or Z, got {axis!r}")
-    head = ancilla_images(spec.parity, spec.sign)["IXYZ".index(axis)]
-    rest = (1 << spec.n) // spec.ancilla_dim
-    return kron(head, np.eye(rest, dtype=np.complex128))
+# Peak number of live 2**n x 2**n complex128 matrices inside
+# conjugation_report, from tracemalloc at n = 8..11: 2.20 at n = 8, 1.17 at
+# n = 9, 1.08 at n = 10 and 1.01 at n = 11, rounded up (up to n = 8 the
+# kernels' half tile of step scratch outweighs the states).
+CONJUGATION_PEAK_STATES = 3
 
 
 def conjugation_report(spec: EncoderSpec) -> tuple[float, float, float]:
     """Frobenius residuals of the three conjugation identities for spec.
 
-    Every step is exact on the errors' entries (0, +-1, +-i): odd-n circuits
-    are pure permutations, and the one Hadamard of an even-n circuit defers
-    its scale to a single exact 0.5, so all three residuals are 0.0.  Each
-    is measured against (ancilla image) ox I blockwise, without forming it,
-    and each conjugate is dropped before the next error is built, so a call
-    holds at most two states.
+    Each error is u R with R real and u = 1 or (-i)**n (gates.
+    real_correlated_error), and the encoder's gates are real, so
+    P_dag (u R) P = u P_dag R P: R is conjugated in float64 and measured
+    against (ancilla image / u) ox I, which is the same residual as |u| = 1.
+    Every step is exact: odd-n circuits are pure permutations, the one
+    Hadamard of an even-n circuit defers its scale to a single exact 0.5,
+    and dividing an image by u in {+-1, +-i} only moves and negates its
+    parts, so all three residuals are 0.0.  Each is measured blockwise,
+    without forming the kron product, and each conjugate is dropped before
+    the next error is built, so a call holds two real matrices, one complex
+    state.  BadQubitCount if CONJUGATION_PEAK_STATES states do not fit in
+    physical memory.
     """
-    factors = encoder_factors(spec.n)
+    check_memory(spec.n, CONJUGATION_PEAK_STATES)
+    factors = circuit_factors(spec.circuit)
     images = ancilla_images(spec.parity, spec.sign)
     residuals = []
     for axis in "XYZ":
-        conj = circuit_conjugate(factors, correlated_error(axis, spec.n), adjoint=True)
-        residuals.append(kron_distance(conj, images["IXYZ".index(axis)]))
+        u, r = real_correlated_error(axis, spec.n)
+        conj = circuit_conjugate(factors, r, adjoint=True)
+        image = images["IXYZ".index(axis)] / u
+        # real for the true images; one with an imaginary part stays complex
+        residuals.append(kron_distance(conj, image if image.imag.any() else image.real))
         del conj
     return tuple(residuals)

@@ -95,32 +95,31 @@ def permutation_matrix(perm) -> np.ndarray:
     return m
 
 
-_AXIS_COEFFS = {"X": (0, 1, 0, 0), "Y": (0, 0, 1, 0), "Z": (0, 0, 0, 1)}
-
-
-def banded_error(n: int, coeffs) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and anti-diagonal of F = a I + b X_n + c Y_n + d Z_n, with z
-    the parity signs: Z_n = diag(z), X_n = antidiag(1), Y_n = antidiag((-i)**n z)."""
-    a, b, c, d = coeffs
-    z = parity_signs(n)
-    fd = a + d * z
-    fa = b + c * y_phase(n) * z
-    return fd.astype(np.complex128), fa.astype(np.complex128)
-
-
-def correlated_error(axis: str, n: int) -> np.ndarray:
-    """X_n, Y_n or Z_n, the n-fold Kronecker power of a Pauli matrix, filled
-    exactly from its banded form in O(4**n); every call allocates a new one."""
+def real_correlated_error(axis: str, n: int) -> tuple[complex, np.ndarray]:
+    """(u, R) with the correlated error X_n, Y_n or Z_n equal to u R, R a real
+    float64 matrix filled exactly from its banded form in O(4**n), with z the
+    parity signs: Z_n = diag(z), X_n = antidiag(1), Y_n = omega antidiag(z).
+    u is omega = (-i)**n for Y and 1 otherwise; every call allocates a new R."""
     if axis not in _PAULI:
         raise ValueError(f"axis must be X, Y, or Z, got {axis!r}")
     if n < 1:
         raise BadQubitCount(f"n must be >= 1, got {n}")
-    fd, fa = banded_error(n, _AXIS_COEFFS[axis])
     dim = 1 << n
     idx = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    out[idx, idx] = fd
-    out[idx, dim - 1 - idx] = fa
+    out = np.zeros((dim, dim))
+    if axis == "Z":
+        out[idx, idx] = parity_signs(n)
+    else:
+        out[idx, dim - 1 - idx] = parity_signs(n) if axis == "Y" else 1.0
+    return (y_phase(n) if axis == "Y" else 1.0 + 0.0j), out
+
+
+def correlated_error(axis: str, n: int) -> np.ndarray:
+    """X_n, Y_n or Z_n, the n-fold Kronecker power of a Pauli matrix, as the
+    complex128 u R of real_correlated_error."""
+    u, r = real_correlated_error(axis, n)
+    out = u * r
+    out += 0.0  # the -0.0 parts of u * 0.0 become +0.0
     return out
 
 
@@ -184,7 +183,8 @@ def circuit_conjugate(factors_or_circuit, m: np.ndarray, adjoint: bool = False) 
     and the last one also the table after it, so an even-n encoder (a
     permutation, one Hadamard, a permutation) is one pass over m.  An
     H-free circuit is one gather_conjugate, so CNOT-only circuits stay
-    exact.
+    exact.  A float64 m stays float64 (the gates are real); any other m is
+    conjugated as complex128.
     """
     if isinstance(factors_or_circuit, Circuit):
         factors = circuit_factors(factors_or_circuit)
@@ -200,7 +200,7 @@ def circuit_conjugate(factors_or_circuit, m: np.ndarray, adjoint: bool = False) 
         else:
             qubits.append(arg)
             tables.append(None)
-    out = np.asarray(m, dtype=np.complex128)
+    out = kernels.real_or_complex(m)
     if not qubits:
         return out if tables[0] is None else kernels.gather_conjugate(out, tables[0])
     for i, q in enumerate(qubits):

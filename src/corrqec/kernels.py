@@ -32,6 +32,12 @@ its output plus one step's scratch, and a small matrix is one step.
 - gather_conjugate is one fancy-index gather, for CNOT-only (odd-n)
   circuits: a tiled gather measured no faster on the encoders' CNOT
   permutations.
+- gather_conjugate, gather_hadamard_conjugate and kron_dist keep a float64
+  matrix float64 (real_or_complex), with buffers and scratch of the same
+  dtype: the encoders' gates are real, so a real matrix needs half the
+  bytes, and each real entry gets the operations the real part of a
+  complex one would.  kron_dist works in complex128 if any input is
+  complex.  Every other kernel takes its input as complex128.
 
 pauli_channel_apply applies any channel whose Kraus operators lie in
 span{I, X_n, Y_n, Z_n}, given as its 4x4 process matrix chi (a Pauli
@@ -69,9 +75,15 @@ def _as_cmatrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def real_or_complex(m: np.ndarray) -> np.ndarray:
+    """m as a C-contiguous float64 matrix if it is float64, else complex128."""
+    m = np.asarray(m)
+    return np.ascontiguousarray(m, dtype=np.float64 if m.dtype == np.float64 else np.complex128)
+
+
 def gather_conjugate(m: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """P_dag M P for the permutation matrix P whose column s is e_perm[s]."""
-    m = _as_cmatrix(m)
+    m = real_or_complex(m)
     perm = np.ascontiguousarray(perm, dtype=np.int64)
     return m[np.ix_(perm, perm)]
 
@@ -152,7 +164,7 @@ def gather_hadamard_conjugate(
     are gathered with mode="clip", which never clips a permutation and
     lets take write into its buffer directly.
     """
-    m = _as_cmatrix(m)
+    m = real_or_complex(m)
     dim = m.shape[0]
     lo = 1 << q
     hi = dim >> (q + 1)
@@ -165,8 +177,8 @@ def gather_hadamard_conjugate(
     if after is not None:
         after = np.asarray(after, dtype=np.intp)
         dest = np.argsort(after).reshape(hi, 2, lo)
-    (kh, kl), blocks = _pair_blocks(hi, lo, _step_rows(hi * lo, 128 * dim))
-    buffers = np.empty((2, kh, 2, kl, dim), dtype=np.complex128)
+    (kh, kl), blocks = _pair_blocks(hi, lo, _step_rows(hi * lo, 8 * m.itemsize * dim))
+    buffers = np.empty((2, kh, 2, kl, dim), dtype=m.dtype)
     for h, l in blocks:
         part = dst[h, :, l]
         x, y = buffers[:, : part.shape[0], :, : part.shape[2]]
@@ -309,18 +321,20 @@ def kron_dist(d: np.ndarray, a: np.ndarray, r: np.ndarray | None) -> float:
     d, of scratch and at most one of r per row of d).  A step builds its
     slice of a[i, k] * r[j, l] in scratch, the one rounding np.kron makes,
     and subtracts it from d; for r None the slice is d less a[i, k] where
-    l = j, the entries a[i, k] * 1 of a ox I.
+    l = j, the entries a[i, k] * 1 of a ox I.  The scratch is float64 when
+    d, a and r all are, complex128 otherwise.
     """
-    d = _as_cmatrix(d)
-    a = _as_cmatrix(a)
+    d = real_or_complex(d)
+    a = real_or_complex(a)
+    if r is not None:
+        r = real_or_complex(r)
+    dtype = np.result_type(d, a) if r is None else np.result_type(d, a, r)
     dim = d.shape[0]
     na = a.shape[0]
     nr = dim // na
     d4 = d.reshape(na, nr, na, nr)
-    (ki, kj), blocks = _pair_blocks(na, nr, _step_rows(dim, 48 * dim))
-    scratch = np.empty((ki, kj, na, nr), dtype=np.complex128)
-    if r is not None:
-        r = _as_cmatrix(r)
+    (ki, kj), blocks = _pair_blocks(na, nr, _step_rows(dim, 3 * dtype.itemsize * dim))
+    scratch = np.empty((ki, kj, na, nr), dtype=dtype)
     total = 0.0
     for i, j in blocks:
         part = d4[i, j]

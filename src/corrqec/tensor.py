@@ -3,7 +3,8 @@
 Index convention, fixed package-wide: the basis vector |q_{n-1} ... q_1 q_0>
 maps to the integer index sum_r q_r * 2**r, so qubit 0 is the least
 significant bit.  In kron(a, b), `a` acts on the higher-significance qubits.
-Matrices are dense row-major complex128 numpy arrays.
+Matrices are dense row-major complex128 numpy arrays; only kron_distance
+also keeps a float64 matrix as it is, for the real conjugation checks.
 """
 
 from __future__ import annotations
@@ -22,7 +23,10 @@ RANDOM_DENSITY_PEAK_STATES = 4
 
 def as_square(m) -> np.ndarray:
     """Coerce to a square complex128 matrix or raise DimensionMismatch."""
-    m = np.asarray(m, dtype=np.complex128)
+    return _square(np.asarray(m, dtype=np.complex128))
+
+
+def _square(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -60,14 +64,15 @@ def frobenius_distance(a, b) -> float:
 
 def kron_distance(d, a, r=None) -> float:
     """Frobenius distance of d from a ox r (r None: the identity), without
-    forming a ox r; DimensionMismatch unless the shapes factor."""
-    d = as_square(d)
-    a = as_square(a)
+    forming a ox r; DimensionMismatch unless the shapes factor.  float64
+    inputs stay float64, any other is taken as complex128."""
+    d = _square(kernels.real_or_complex(d))
+    a = _square(kernels.real_or_complex(a))
     dim = d.shape[0]
     if dim % a.shape[0] != 0:
         raise DimensionMismatch(f"a of dim {a.shape[0]} does not divide dim={dim}")
     if r is not None:
-        r = as_square(r)
+        r = _square(kernels.real_or_complex(r))
         if a.shape[0] * r.shape[0] != dim:
             raise DimensionMismatch(
                 f"a of dim {a.shape[0]} ox r of dim {r.shape[0]} is not dim={dim}"

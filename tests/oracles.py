@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from corrqec.encoder import ancilla_images
 from corrqec.errors import DimensionMismatch
 from corrqec.gates import cnot_perm, permutation_matrix
 from corrqec.tensor import as_square
@@ -67,6 +68,16 @@ def plain_ops(circuit) -> list[tuple]:
         else:
             out.append(("h", op.qubits[0]))
     return out
+
+
+def expected_conjugation(spec, axis: str) -> np.ndarray:
+    """The predicted value of P_dag W P for W the correlated error on `axis`:
+    its ancilla image ox I, formed densely."""
+    if axis not in ("X", "Y", "Z"):
+        raise ValueError(f"axis must be X, Y, or Z, got {axis!r}")
+    head = ancilla_images(spec.parity, spec.sign)["IXYZ".index(axis)]
+    rest = (1 << spec.n) // spec.ancilla_dim
+    return np.kron(head, np.eye(rest, dtype=complex))
 
 
 def ptrace_leading_direct(t: np.ndarray, d_lead: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -10,16 +11,17 @@ from corrqec import (
     build_p2,
     build_p3,
     build_pn,
+    circuit_conjugate,
     conjugation_report,
     correlated_error,
     d_matrix,
-    expected_conjugation,
     realize,
 )
-from corrqec.encoder import encoder_factors
+from corrqec.encoder import CONJUGATION_PEAK_STATES, encoder_factors
+from corrqec.gates import real_correlated_error
 from corrqec.kernels import _TILE_BYTES
 
-from oracles import circuit_matrix, plain_ops
+from oracles import circuit_matrix, expected_conjugation, plain_ops
 
 
 def _dense_conjugation(spec, axis):
@@ -104,6 +106,52 @@ def test_conjugation_report_holds_two_states_plus_half_a_tile():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 16 * 4**n + _TILE_BYTES // 2
+
+
+def _conjugation_peak(n):
+    spec = build_pn(n)
+    conjugation_report(spec)  # warm the caches
+    tracemalloc.start()
+    try:
+        conjugation_report(spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_conjugation_report_holds_one_state_plus_half_a_tile():
+    # the real error R and its real conjugate: two float64 matrices, 8*4**n
+    # bytes each, so one complex state (1.08 states measured at n = 10)
+    n = 10
+    assert _conjugation_peak(n) < 16 * 4**n + _TILE_BYTES // 2
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 11])
+def test_conjugation_report_peak_within_its_peak_states(n):
+    assert _conjugation_peak(n) < CONJUGATION_PEAK_STATES * 16 * 4**n
+
+
+def test_conjugation_report_rejects_n_past_physical_memory(monkeypatch):
+    # report 2 MiB of physical memory; n=8 needs 3 matrices of 1 MiB
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 512}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+    with pytest.raises(BadQubitCount, match="physical memory"):
+        conjugation_report(build_pn(8))
+    assert conjugation_report(build_pn(7)) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_real_conjugation_is_the_complex_one(n):
+    # P_dag (u R) P = u (P_dag R P) entry for entry, with P_dag R P real
+    factors = encoder_factors(n)
+    for axis in "XYZ":
+        u, r = real_correlated_error(axis, n)
+        assert r.dtype == np.float64
+        real = circuit_conjugate(factors, r, adjoint=True)
+        assert real.dtype == np.float64
+        want = circuit_conjugate(factors, correlated_error(axis, n), adjoint=True)
+        assert want.dtype == np.complex128
+        assert np.array_equal(u * real, want), (n, axis)
 
 
 def test_sign_alternation():

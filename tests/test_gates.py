@@ -20,6 +20,7 @@ from corrqec import (
     pauli,
     realize,
 )
+from corrqec.gates import real_correlated_error
 
 from oracles import (
     HAD,
@@ -96,6 +97,31 @@ def test_cnot_differs_from_identity_in_half_the_columns():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_correlated_error_equals_kron_power(axis, n):
     assert np.array_equal(correlated_error(axis, n), pauli_power(axis, n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_real_correlated_error_times_its_phase_is_the_error(n):
+    for axis in "XYZ":
+        u, r = real_correlated_error(axis, n)
+        assert r.dtype == np.float64
+        assert u == ((-1j) ** n if axis == "Y" else 1)
+        assert np.array_equal(u * r, pauli_power(axis, n))
+    with pytest.raises(ValueError):
+        real_correlated_error("W", n)
+    with pytest.raises(BadQubitCount):
+        real_correlated_error("X", 0)
+
+
+def test_circuit_conjugate_keeps_float64_and_coerces_the_rest():
+    circuit = build_pn(4).circuit
+    m = np.arange(256, dtype=np.float64).reshape(16, 16)
+    real = circuit_conjugate(circuit, m)
+    assert real.dtype == np.float64
+    for other in (m.astype(np.int64), m.astype(np.float32), m.astype(complex)):
+        got = circuit_conjugate(circuit, other)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, real)
+    assert circuit_conjugate(Circuit(4), m).dtype == np.float64
 
 
 def test_correlated_error_structure():

@@ -249,6 +249,48 @@ def test_kron_dist_against_kron_oracle(monkeypatch):
         assert kernels.kron_dist(_kron(a, r, dim), a, r) == 0.0
 
 
+def test_kron_dist_on_float64_matches_the_complex_call():
+    rng = np.random.default_rng(23)
+    for n in range(1, 9):
+        dim = 1 << n
+        d = rng.normal(size=(dim, dim))
+        for na in (2, 4)[: min(n, 2)]:
+            a = rng.normal(size=(na, na))
+            r = rng.normal(size=(dim // na, dim // na))
+            for rr in (r, None):
+                got = _checked(kernels.kron_dist, d, a, rr)
+                want = kernels.kron_dist(d.astype(complex), a.astype(complex), rr)
+                assert got == pytest.approx(want, rel=1e-12), n
+                assert kernels.kron_dist(_kron(a, rr, dim), a, rr) == 0.0, n
+            # a complex a against a real d: the difference is measured in full
+            ia = a + 1j * rng.normal(size=(na, na))
+            want = kernels.frob_dist(d, _kron(ia, None, dim))
+            assert kernels.kron_dist(d, ia, None) == pytest.approx(want, rel=1e-12), n
+
+
+def test_real_kernels_keep_float64_and_the_rest_take_complex():
+    rng = np.random.default_rng(29)
+    m = rng.normal(size=(16, 16))
+    perm = rng.permutation(16)
+    for got, want in (
+        (kernels.gather_conjugate(m, perm), kernels.gather_conjugate(m.astype(complex), perm)),
+        (
+            kernels.gather_hadamard_conjugate(m, perm, 2, perm[::-1]),
+            kernels.gather_hadamard_conjugate(m.astype(complex), perm, 2, perm[::-1]),
+        ),
+    ):
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+    # the other kernels take float64 as complex128, as before
+    assert kernels.hadamard_rows(m, 1).dtype == np.complex128
+    assert kernels.pauli_channel_apply(m, (0.4, 0.3, 0.2, 0.1)).dtype == np.complex128
+    assert kernels.ptrace_leading(m, 4).dtype == np.complex128
+    assert kernels.ptrace_trailing(m, 4).dtype == np.complex128
+    # integer and float32 input still become complex128
+    for other in (m.astype(np.float32), np.arange(256).reshape(16, 16)):
+        assert kernels.gather_conjugate(other, perm).dtype == np.complex128
+
+
 def test_wrappers_accept_noncontiguous_input():
     m = random_complex_matrix(8, 13)
     view = m[::2, ::2]
@@ -298,6 +340,12 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     dim = 1 << n
     rng = np.random.default_rng(n * 31 + (k or 0))
     m = random_complex_matrix(dim, n + 40)
+    # the real kernels on a float64 matrix, which take twice the rows a step
+    real = m.real.copy()
+    real_kron = [
+        (a.real.copy(), None if r is None else r.real.copy())
+        for a, r in _kron_cases(n, n + 55)
+    ]
     rho = m + m.conj().T
     probs = rng.dirichlet(np.ones(4))
     chi = _random_chi(rng)
@@ -313,6 +361,8 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
         "chi": kernels.pauli_channel_apply(m, chi),
         "dist": kernels.frob_dist(m, rho),
         "kron": [kernels.kron_dist(m, a, r) for a, r in kron_cases],
+        "real_fused": [kernels.gather_hadamard_conjugate(real, perm, q, perm2) for q in qs],
+        "real_kron": [kernels.kron_dist(real, a, r) for a, r in real_kron],
     }
     if k is not None:
         monkeypatch.setattr(kernels, "_TILE_BYTES", 16 * dim * k)
@@ -342,6 +392,15 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     assert _checked(kernels.frob_dist, m, m.copy()) == 0.0
     for (a, r), dist in zip(kron_cases, whole["kron"]):
         assert _checked(kernels.kron_dist, m, a, r) == pytest.approx(dist, rel=1e-12)
+        assert kernels.kron_dist(_kron(a, r, dim), a, r) == 0.0
+    for q, fused in zip(qs, whole["real_fused"]):
+        got = _checked(kernels.gather_hadamard_conjugate, real, perm, q, perm2)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, fused)
+        want = _gather_hadamard_dense(real, perm, q, perm2)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    for (a, r), dist in zip(real_kron, whole["real_kron"]):
+        assert _checked(kernels.kron_dist, real, a, r) == pytest.approx(dist, rel=1e-12)
         assert kernels.kron_dist(_kron(a, r, dim), a, r) == 0.0
 
 
@@ -379,6 +438,12 @@ def test_dense_kernels_hold_one_output_plus_tile_scratch():
         assert _peak_bytes(kernels.frob_dist, m, 2 * m) < scratch, n
         for a, r in _kron_cases(n, 62 + n):
             assert _peak_bytes(kernels.kron_dist, m, a, r) < scratch, n
+        # a float64 matrix: a float64 output, half a state
+        real = m.real.copy()
+        for q in (n - 1, 0):
+            peak = _peak_bytes(kernels.gather_hadamard_conjugate, real, perm, q, perm[::-1])
+            assert peak < state // 2 + scratch, n
+        assert _peak_bytes(kernels.kron_dist, real, real[:4, :4], None) < scratch, n
 
 
 # Each kernel's positional parameters, as callers (and the benchmark's
