@@ -3,15 +3,18 @@ broken one.
 
 Every single-gate mutant of build_pn(n) (a gate dropped, a CNOT's control
 and target swapped, the Hadamard moved by one qubit) must leave a nonzero
-conjugation residual and fail cmd_verify, and an ancilla image with the
-wrong sign on Y must leave a nonzero Y residual.  A check that passes these
-broken inputs would pass anything.
+conjugation residual and fail cmd_verify, an ancilla image with the wrong
+sign on Y must leave a nonzero Y residual, and an image with an imaginary
+part must be measured in full against the real conjugates.  A check that
+passes these broken inputs would pass anything.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 
 from corrqec import Circuit, GateOp, build_pn, cli, conjugation_report, encoder, scheme
@@ -80,3 +83,17 @@ def test_flipped_y_sign_is_rejected(n, monkeypatch):
     x, y, z = conjugation_report(build_pn(n))
     assert (x, z) == (0.0, 0.0)
     assert y > 0.0
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_an_imaginary_part_of_an_image_is_measured(n, monkeypatch):
+    # each conjugate is real, so an image (over its phase) with an imaginary
+    # part must be measured in complex arithmetic, never cut to its real part:
+    # adding i I to every image leaves exactly |i I_dim| = sqrt(2**n) each
+    real = encoder.ancilla_images
+    monkeypatch.setattr(
+        encoder,
+        "ancilla_images",
+        lambda parity, sign: tuple(m + 1j * np.eye(len(m)) for m in real(parity, sign)),
+    )
+    assert conjugation_report(build_pn(n)) == (math.sqrt(2**n),) * 3
