@@ -307,12 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
         f"{TRIAL_PEAK_STATES} density matrices of 16*4**n bytes fit in physical memory",
     )
     t.add_argument("--probs", type=str, default=None, help="p0,p1,p2,p3")
-    group = t.add_mutually_exclusive_group()
-    group.add_argument(
+    t.add_argument(
         "--classical", type=str, default=None, metavar="IJ",
         help="two-bit ancilla like 10 (even n only)",
     )
-    group.add_argument("--seed", type=int, default=0, help="seed for random states")
+    t.add_argument("--seed", type=int, default=0, help="seed for random states")
     t.add_argument("--channels", type=Path, default=None, help="JSON channel list")
     t.add_argument("--repeats", type=int, default=1, help="repeat the channel list")
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadQubitCount
+from .errors import BadQubitCount, CorrQecError
 from .gates import (
     Circuit,
     circuit_conjugate,
@@ -115,38 +115,54 @@ def ancilla_images(parity: str, sign: int) -> tuple[np.ndarray, ...]:
     return (np.eye(4, dtype=np.complex128), d_matrix("X"), sign * d_matrix("Y"), d_matrix("Z"))
 
 
-# Peak number of live 2**n x 2**n complex128 matrices inside
-# conjugation_report, from tracemalloc at n = 8..11: 2.20 at n = 8, 1.17 at
-# n = 9, 1.08 at n = 10 and 1.01 at n = 11, rounded up (up to n = 8 the
-# kernels' half tile of step scratch outweighs the states).
+# Bound on the live bytes inside conjugation_report, in 2**n x 2**n
+# complex128 matrices.  tracemalloc measures 0.78 of one at n = 8, 0.42 at
+# n = 9, 0.32 at n = 10 and 0.26 at n = 11 (two int16 matrices, plus the
+# kernels' half tile of step scratch that outweighs them up to n = 9); the
+# bound stays at the 3 states a trial of cmd_verify needs.
 CONJUGATION_PEAK_STATES = 3
+# The conjugation checks run in int16, whose entries reach 2**h for h
+# Hadamards; 2**15 does not fit.
+MAX_CHECKED_HADAMARDS = 14
 
 
 def conjugation_report(spec: EncoderSpec) -> tuple[float, float, float]:
     """Frobenius residuals of the three conjugation identities for spec.
 
-    Each error is u R with R real and u = 1 or (-i)**n (gates.
-    real_correlated_error), and the encoder's gates are real, so
-    P_dag (u R) P = u P_dag R P: R is conjugated in float64 and measured
-    against (ancilla image / u) ox I, which is the same residual as |u| = 1.
-    Every step is exact: odd-n circuits are pure permutations, the one
-    Hadamard of an even-n circuit defers its scale to a single exact 0.5,
-    and dividing an image by u in {+-1, +-i} only moves and negates its
-    parts, so all three residuals are 0.0.  Each is measured blockwise,
-    without forming the kron product, and each conjugate is dropped before
-    the next error is built, so a call holds two real matrices, one complex
-    state.  BadQubitCount if CONJUGATION_PEAK_STATES states do not fit in
-    physical memory.
+    Each error is u R with R a 0/+-1 int16 matrix and u = 1 or (-i)**n
+    (gates.real_correlated_error), and the encoder's gates are real, so
+    P_dag (u R) P = u P_dag R P.  R is conjugated in exact int16 arithmetic,
+    whose Hadamards are unscaled: for h Hadamards the result is 2**h P_dag R P,
+    with every intermediate entry at most 2**h in size.  It is measured
+    against 2**h (ancilla image / u) ox I, and the distance is divided by
+    2**h, which is the same residual as |u| = 1.  Every step is exact:
+    dividing an image by u in {+-1, +-i} only moves and negates its parts,
+    and scaling by 2**h is exact, so all three residuals are 0.0.  An image
+    with an imaginary part is measured in full, in complex128.  Each
+    residual is measured blockwise, without forming the kron product, and
+    each conjugate is dropped before the next error is built, so a call
+    holds two int16 matrices, a quarter of one complex state.
+    CorrQecError if the circuit has more than MAX_CHECKED_HADAMARDS
+    Hadamards; BadQubitCount if CONJUGATION_PEAK_STATES states do not fit
+    in physical memory.
     """
+    h = spec.h_count
+    if h > MAX_CHECKED_HADAMARDS:
+        raise CorrQecError(
+            f"the int16 conjugation checks hold at most {MAX_CHECKED_HADAMARDS} "
+            f"Hadamards, the circuit has {h}"
+        )
     check_memory(spec.n, CONJUGATION_PEAK_STATES)
     factors = circuit_factors(spec.circuit)
     images = ancilla_images(spec.parity, spec.sign)
+    scale = 1 << h
     residuals = []
     for axis in "XYZ":
         u, r = real_correlated_error(axis, spec.n)
         conj = circuit_conjugate(factors, r, adjoint=True)
-        image = images["IXYZ".index(axis)] / u
+        image = scale * images["IXYZ".index(axis)] / u
         # real for the true images; one with an imaginary part stays complex
-        residuals.append(kron_distance(conj, image if image.imag.any() else image.real))
+        dist = kron_distance(conj, image if image.imag.any() else image.real)
+        residuals.append(dist / scale)
         del conj
     return tuple(residuals)

@@ -96,9 +96,9 @@ def permutation_matrix(perm) -> np.ndarray:
 
 
 def real_correlated_error(axis: str, n: int) -> tuple[complex, np.ndarray]:
-    """(u, R) with the correlated error X_n, Y_n or Z_n equal to u R, R a real
-    float64 matrix filled exactly from its banded form in O(4**n), with z the
-    parity signs: Z_n = diag(z), X_n = antidiag(1), Y_n = omega antidiag(z).
+    """(u, R) with the correlated error X_n, Y_n or Z_n equal to u R, R an
+    int16 matrix of 0 and +-1 filled from its banded form in O(4**n), with z
+    the parity signs: Z_n = diag(z), X_n = antidiag(1), Y_n = omega antidiag(z).
     u is omega = (-i)**n for Y and 1 otherwise; every call allocates a new R."""
     if axis not in _PAULI:
         raise ValueError(f"axis must be X, Y, or Z, got {axis!r}")
@@ -106,7 +106,7 @@ def real_correlated_error(axis: str, n: int) -> tuple[complex, np.ndarray]:
         raise BadQubitCount(f"n must be >= 1, got {n}")
     dim = 1 << n
     idx = np.arange(dim)
-    out = np.zeros((dim, dim))
+    out = np.zeros((dim, dim), dtype=np.int16)
     if axis == "Z":
         out[idx, idx] = parity_signs(n)
     else:
@@ -183,8 +183,10 @@ def circuit_conjugate(factors_or_circuit, m: np.ndarray, adjoint: bool = False) 
     and the last one also the table after it, so an even-n encoder (a
     permutation, one Hadamard, a permutation) is one pass over m.  An
     H-free circuit is one gather_conjugate, so CNOT-only circuits stay
-    exact.  A float64 m stays float64 (the gates are real); any other m is
-    conjugated as complex128.
+    exact.  A float64 or int16 m keeps its dtype (the gates are real); any
+    other m is conjugated as complex128.  An int16 m comes back unscaled,
+    as 2**h P m P_dag (or 2**h P_dag m P) for a circuit with h Hadamards:
+    the caller must keep every intermediate entry within int16.
     """
     if isinstance(factors_or_circuit, Circuit):
         factors = circuit_factors(factors_or_circuit)

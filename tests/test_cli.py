@@ -99,6 +99,18 @@ def test_trial_cli_classical(capsys):
     assert data["sigma"] == "classical:10"
 
 
+def test_trial_cli_classical_takes_the_seed(capsys):
+    # --seed draws the data state rho, with a classical ancilla as well
+    probs = (0.25, 0.25, 0.25, 0.25)
+    argv = ["trial", "--n", "4", "--probs", "0.25,0.25,0.25,0.25", "--classical", "10"]
+    assert main(argv + ["--seed", "5"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["seed"] == 5
+    assert data["sigma"] == "classical:10"
+    assert data["recovered_rho"] == cmd_trial(4, probs, "10", 5, None, 1)["recovered_rho"]
+    assert data["recovered_rho"] != cmd_trial(4, probs, "10", 6, None, 1)["recovered_rho"]
+
+
 def test_trial_classical_needs_even_n():
     with pytest.raises(AncillaSizeError):
         cmd_trial(3, (1, 0, 0, 0), "10", 0, None, 1)

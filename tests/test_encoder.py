@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import os
 import tracemalloc
 
@@ -8,6 +9,8 @@ import pytest
 
 from corrqec import (
     BadQubitCount,
+    Circuit,
+    CorrQecError,
     build_p2,
     build_p3,
     build_pn,
@@ -15,6 +18,7 @@ from corrqec import (
     conjugation_report,
     correlated_error,
     d_matrix,
+    h_op,
     realize,
 )
 from corrqec.encoder import CONJUGATION_PEAK_STATES, encoder_factors
@@ -142,16 +146,58 @@ def test_conjugation_report_rejects_n_past_physical_memory(monkeypatch):
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_real_conjugation_is_the_complex_one(n):
-    # P_dag (u R) P = u (P_dag R P) entry for entry, with P_dag R P real
+    # P_dag (u R) P = u (P_dag R P) entry for entry, with P_dag R P real; the
+    # int16 route is unscaled, 2**h times it for h Hadamards
+    spec = build_pn(n)
     factors = encoder_factors(n)
     for axis in "XYZ":
         u, r = real_correlated_error(axis, n)
-        assert r.dtype == np.float64
-        real = circuit_conjugate(factors, r, adjoint=True)
-        assert real.dtype == np.float64
+        assert r.dtype == np.int16
+        conj = circuit_conjugate(factors, r, adjoint=True)
+        assert conj.dtype == np.int16
         want = circuit_conjugate(factors, correlated_error(axis, n), adjoint=True)
         assert want.dtype == np.complex128
+        assert np.array_equal(u * conj / 2**spec.h_count, want), (n, axis)
+        # the float64 kernel path, scaled by its exact 0.5
+        real = circuit_conjugate(factors, r.astype(np.float64), adjoint=True)
+        assert real.dtype == np.float64
         assert np.array_equal(u * real, want), (n, axis)
+
+
+def test_conjugation_report_holds_two_int16_matrices_plus_half_a_tile():
+    # the int16 R and its int16 conjugate, 2*4**n bytes each: a quarter of a
+    # complex state (0.32 states measured at n = 10)
+    n = 10
+    assert _conjugation_peak(n) < 16 * 4**n // 4 + _TILE_BYTES // 2
+
+
+def _with_hadamards(n, count):
+    """build_pn(n) followed by `count` Hadamards on qubit 0, in pairs that
+    cancel, so an even count leaves the encoder's unitary as it was."""
+    spec = build_pn(n)
+    circuit = Circuit(n, spec.circuit.ops + (h_op(0),) * count)
+    return dataclasses.replace(spec, circuit=circuit)
+
+
+def test_conjugation_report_runs_up_to_fourteen_hadamards():
+    # entries reach 2**14 in int16 and stay exact
+    assert _with_hadamards(3, 14).h_count == 14
+    assert conjugation_report(_with_hadamards(3, 14)) == (0.0, 0.0, 0.0)
+    assert conjugation_report(_with_hadamards(4, 12)) == (0.0, 0.0, 0.0)
+
+
+def test_conjugation_report_rejects_fifteen_hadamards_before_allocating():
+    spec = _with_hadamards(12, 14)
+    assert spec.h_count == 15
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorrQecError, match="at most 14 Hadamards"):
+            conjugation_report(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one int16 matrix at n = 12 is 32 MiB
+    assert peak < 1 << 20
 
 
 def test_sign_alternation():

@@ -103,7 +103,7 @@ def test_correlated_error_equals_kron_power(axis, n):
 def test_real_correlated_error_times_its_phase_is_the_error(n):
     for axis in "XYZ":
         u, r = real_correlated_error(axis, n)
-        assert r.dtype == np.float64
+        assert r.dtype == np.int16
         assert u == ((-1j) ** n if axis == "Y" else 1)
         assert np.array_equal(u * r, pauli_power(axis, n))
     with pytest.raises(ValueError):
@@ -122,6 +122,22 @@ def test_circuit_conjugate_keeps_float64_and_coerces_the_rest():
         assert got.dtype == np.complex128
         assert np.array_equal(got, real)
     assert circuit_conjugate(Circuit(4), m).dtype == np.float64
+
+
+def test_circuit_conjugate_keeps_int16_scaled_by_two_per_hadamard():
+    # an int16 m comes back unscaled: 2**h times the conjugate, h Hadamards
+    rng = np.random.default_rng(41)
+    m = rng.integers(-8, 9, size=(16, 16)).astype(np.int16)
+    for circuit, h in (
+        (build_pn(4).circuit, 1),
+        (Circuit(4, build_pn(4).circuit.ops + (h_op(3), h_op(1))), 3),
+        (Circuit(4, build_pn(3).circuit.ops), 0),
+    ):
+        for adjoint in (False, True):
+            got = circuit_conjugate(circuit, m, adjoint=adjoint)
+            assert got.dtype == np.int16
+            want = circuit_conjugate(circuit, m.astype(np.float64), adjoint=adjoint)
+            assert np.array_equal(got, 2**h * want), (h, adjoint)
 
 
 def test_correlated_error_structure():
