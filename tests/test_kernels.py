@@ -378,8 +378,7 @@ def _checked(fn, *args):
 # kron_dist.  The steps of 3, 5 and 6 leave an uneven last step at every
 # dim they run at, and kron_dist's 5 rows one in each of its blocks (8 to
 # 32 rows at n = 5 and 6).  The fused pass takes twice the pairs on a
-# float64 matrix and eight times on an int16 one (k // 2: 3, 15, 18 and 24
-# pairs).
+# float64 matrix and eight times on an int16 one (k // 2 pairs, at least 1).
 @pytest.mark.parametrize(
     "n, k",
     [
@@ -399,13 +398,13 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
         (a.real.copy(), None if r is None else r.real.copy())
         for a, r in _kron_cases(n, n + 55)
     ]
-    # the int16 kernels on small integers, which take eight times the rows
-    ints = _small_ints(rng, dim)
     rho = m + m.conj().T
     probs = rng.dirichlet(np.ones(4))
     chi = _random_chi(rng)
     perm = rng.permutation(dim).astype(np.int64)
     perm2 = rng.permutation(dim)
+    # the int16 kernels on small integers, which take eight times the rows
+    ints = _small_ints(rng, dim)
     qs = sorted({0, n - 2, n - 1})
     kron_cases = _kron_cases(n, n + 50)
     whole = {
