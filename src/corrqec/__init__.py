@@ -29,11 +29,9 @@ from .gates import (
     circuit_conjugate,
     cnot_op,
     cnot_perm,
-    correlated_error,
     h_op,
     invert,
     pauli,
-    realize,
 )
 from .optimality import (
     BitMatrix,
@@ -56,7 +54,6 @@ from .scheme import (
 )
 from .tensor import (
     frobenius_distance,
-    kron,
     kron_distance,
     partial_trace_leading,
     partial_trace_trailing,

@@ -1,12 +1,12 @@
 """Gate matrices, symbolic circuits, and correlated error operators.
 
 A Circuit lists gates in application order (first element acts first on the
-state), so realize([g1, ..., gm]) = G_m ... G_1 as a matrix product.  CNOT
-runs compose into exact basis permutations; a Hadamard becomes a butterfly.
+state), so its unitary is G_m ... G_1 for gates [g1, ..., gm].  CNOT runs
+compose into exact basis permutations; a Hadamard becomes a butterfly.
 circuit_conjugate exploits this factored form so conjugating a matrix by a
-realized circuit never needs a dense matrix product: each Hadamard is one
-kernel pass that also applies the permutations on either side of it, and
-an H-free circuit is one gather.
+circuit never needs its dense matrix: each Hadamard is one kernel pass that
+also applies the permutations on either side of it, and an H-free circuit
+is one gather.
 """
 
 from __future__ import annotations
@@ -87,14 +87,6 @@ def cnot_perm(n: int, control: int, target: int) -> np.ndarray:
     return s ^ (((s >> control) & 1) << target)
 
 
-def permutation_matrix(perm) -> np.ndarray:
-    perm = np.asarray(perm, dtype=np.int64)
-    dim = perm.shape[0]
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    m[perm, np.arange(dim)] = 1.0
-    return m
-
-
 def real_correlated_error(axis: str, n: int) -> tuple[complex, np.ndarray]:
     """(u, R) with the correlated error X_n, Y_n or Z_n equal to u R, R an
     int16 matrix of 0 and +-1 filled from its banded form in O(4**n), with z
@@ -112,15 +104,6 @@ def real_correlated_error(axis: str, n: int) -> tuple[complex, np.ndarray]:
     else:
         out[idx, dim - 1 - idx] = parity_signs(n) if axis == "Y" else 1.0
     return (y_phase(n) if axis == "Y" else 1.0 + 0.0j), out
-
-
-def correlated_error(axis: str, n: int) -> np.ndarray:
-    """X_n, Y_n or Z_n, the n-fold Kronecker power of a Pauli matrix, as the
-    complex128 u R of real_correlated_error."""
-    u, r = real_correlated_error(axis, n)
-    out = u * r
-    out += 0.0  # the -0.0 parts of u * 0.0 become +0.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -147,24 +130,6 @@ def circuit_factors(circuit: Circuit) -> tuple:
     if comp is not None:
         factors.append(("perm", comp))
     return tuple(factors)
-
-
-def realize(circuit: Circuit) -> np.ndarray:
-    """Dense matrix of the circuit: realize([g1, ..., gm]) = G_m ... G_1.
-
-    Single-qubit gates embed per the global index convention (H on qubit q
-    acts as I ox H ox I with 2**q trailing identity dimensions).
-    """
-    dim = 1 << circuit.n_qubits
-    m = None
-    for kind, arg in circuit_factors(circuit):
-        if kind == "perm":
-            m = permutation_matrix(arg) if m is None else m[np.argsort(arg), :]
-        else:
-            m = kernels.hadamard_rows(np.eye(dim, dtype=np.complex128) if m is None else m, arg)
-    if m is None:
-        return np.eye(dim, dtype=np.complex128)
-    return m
 
 
 def invert(circuit: Circuit) -> Circuit:

@@ -12,21 +12,19 @@ of _TILE_BYTES (4 MiB), and no more than the matrix has.  So a call holds
 its output plus one step's scratch, and a small matrix is one step.
 
 - Each output element gets the same floating-point operations, in the same
-  order, as the whole-array expression, so hadamard_rows,
-  gather_hadamard_conjugate and pauli_channel_apply are bit-identical at
-  every tile size.  frob_dist and kron_dist sum per-step squares in a
-  different order (equal to within rounding) and are exactly 0.0 on equal
-  inputs.
+  order, as the whole-array expression, so gather_hadamard_conjugate and
+  pauli_channel_apply are bit-identical at every tile size.  frob_dist and
+  kron_dist sum per-step squares in a different order (equal to within
+  rounding) and are exactly 0.0 on equal inputs.
 - gather_hadamard_conjugate conjugates by a permutation, a Hadamard and a
   permutation in one pass: the permutations only change which rows of the
   input a step reads and which rows and columns of the output it writes,
   so an even-n encoder costs one read and one write of the state.  Its row
-  and column butterflies are the one butterfly, _hadamard_block, that
-  hadamard_rows also runs.  Here both run unscaled and the column
-  butterfly's output is scaled once by 0.5, exact in binary, so
-  conjugating a matrix of Gaussian integers (as the correlated errors
-  are) is exact.  An int16 matrix skips that 0.5, which an integer cannot
-  hold, and comes back as twice the conjugate.
+  and column butterflies are the one butterfly, _hadamard_block.  Both run
+  unscaled and the column butterfly's output is scaled once by 0.5, exact
+  in binary, so conjugating a matrix of Gaussian integers (as the
+  correlated errors are) is exact.  An int16 matrix skips that 0.5, which
+  an integer cannot hold, and comes back as twice the conjugate.
 - kron_dist measures d against a kron product a ox r (r = I when None)
   with no output at all: each step builds its own slice of a ox r in
   scratch, so the product checks hold one state, not two.
@@ -58,7 +56,6 @@ from math import sqrt
 
 import numpy as np
 
-_INV_SQRT2 = float(np.sqrt(0.5))
 # Every row a step of a dense kernel touches fits in half of this many bytes.
 _TILE_BYTES = 1 << 22
 
@@ -125,26 +122,6 @@ def _pair_blocks(hi: int, lo: int, pairs: int):
         for l0 in range(0, lo, kl)
     ]
     return (kh, kl), blocks
-
-
-def hadamard_rows(m: np.ndarray, q: int) -> np.ndarray:
-    """H_q M for the Hadamard embedded on qubit q: a butterfly over rows.
-
-    Row r (bit q clear) pairs with row r + 2**q: with src = m viewed as
-    (hi, 2, lo, columns) they are src[h, 0, l] and src[h, 1, l].  A step
-    touches four rows per pair, two of m and two of the output.
-    """
-    m = _as_cmatrix(m)
-    dim = m.shape[0]
-    lo = 1 << q
-    hi = dim >> (q + 1)
-    out = np.empty_like(m)
-    src = m.reshape(hi, 2, lo, -1)
-    dst = out.reshape(hi, 2, lo, -1)
-    pairs = _step_rows(hi * lo, 64 * m.shape[1])
-    for h, l in _pair_blocks(hi, lo, pairs)[1]:
-        _hadamard_block(src[h, 0, l], src[h, 1, l], dst[h, :, l], _INV_SQRT2)
-    return out
 
 
 def gather_hadamard_conjugate(

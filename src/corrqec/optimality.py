@@ -86,11 +86,6 @@ def word_circuit(n: int, word) -> Circuit:
     return Circuit(n, tuple(cnot_op(c, t) for c, t in word))
 
 
-def word_table(n: int, word) -> BitMatrix:
-    """Matrix of a CNOT word given as (control, target) pairs in application order."""
-    return circuit_table(word_circuit(n, word))
-
-
 def mismatch_count(a: BitMatrix, b: BitMatrix) -> int:
     """Total differing binary digits between corresponding permutation columns."""
     if a.n != b.n:

@@ -2,7 +2,7 @@
 
 Index convention, fixed package-wide: the basis vector |q_{n-1} ... q_1 q_0>
 maps to the integer index sum_r q_r * 2**r, so qubit 0 is the least
-significant bit.  In kron(a, b), `a` acts on the higher-significance qubits.
+significant bit.  In np.kron(a, b), `a` acts on the higher-significance qubits.
 Matrices are dense row-major complex128 numpy arrays; only kron_distance
 also keeps a float64 or int16 matrix as it is, for the exact integer
 conjugation checks.
@@ -31,10 +31,6 @@ def _square(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     return m
-
-
-def kron(a, b) -> np.ndarray:
-    return np.kron(as_square(a), as_square(b))
 
 
 def partial_trace_leading(t, d_lead: int) -> np.ndarray:

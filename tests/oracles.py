@@ -11,14 +11,15 @@ import numpy as np
 
 from corrqec.encoder import ancilla_images
 from corrqec.errors import DimensionMismatch
-from corrqec.gates import cnot_perm, permutation_matrix
+from corrqec.gates import circuit_factors, cnot_perm
 from corrqec.tensor import as_square
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 SI = np.eye(2, dtype=complex)
-HAD = np.sqrt(0.5) * np.array([[1, 1], [1, -1]], dtype=complex)
+INV_SQRT2 = float(np.sqrt(0.5))
+HAD = INV_SQRT2 * np.array([[1, 1], [1, -1]], dtype=complex)
 
 SINGLE = {"I": SI, "X": SX, "Y": SY, "Z": SZ}
 
@@ -56,6 +57,26 @@ def circuit_matrix(plain_ops, n: int) -> np.ndarray:
         else:
             g = embed_single(HAD, n, op[1])
         m = g @ m
+    return m
+
+
+def realize(circuit) -> np.ndarray:
+    """Dense unitary G_m ... G_1 of a circuit [g1, ..., gm], built from its
+    factors: a merged CNOT permutation moves rows, and a Hadamard on qubit q
+    is one whole-array row butterfly (a +- b) * sqrt(1/2) over rows r and
+    r + 2**q."""
+    dim = 1 << circuit.n_qubits
+    m = np.eye(dim, dtype=complex)
+    for kind, arg in circuit_factors(circuit):
+        if kind == "perm":
+            m = m[np.argsort(arg)]
+        else:
+            pairs = m.reshape(dim >> (arg + 1), 2, 1 << arg, dim)
+            out = np.empty_like(pairs)
+            np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0])
+            np.subtract(pairs[:, 0], pairs[:, 1], out=out[:, 1])
+            out *= INV_SQRT2
+            m = out.reshape(dim, dim)
     return m
 
 
@@ -193,7 +214,12 @@ def is_density_matrix(m) -> bool:
 
 
 def hadamard() -> np.ndarray:
-    return float(np.sqrt(0.5)) * np.array([[1, 1], [1, -1]], dtype=np.complex128)
+    return HAD.copy()
+
+
+def permutation_matrix(perm) -> np.ndarray:
+    """The matrix whose column s is e_perm[s]."""
+    return np.eye(len(perm), dtype=complex)[:, perm]
 
 
 def cnot_matrix(n: int, control: int, target: int) -> np.ndarray:

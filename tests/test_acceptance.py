@@ -28,12 +28,11 @@ from corrqec import (
     identity_table,
     mismatch_count,
     random_density,
-    realize,
     run_trial,
 )
 from corrqec.optimality import cnot_pairs, word_circuit
 
-from oracles import random_span_coeffs
+from oracles import random_span_coeffs, realize
 
 GOLDEN = Path(__file__).parent / "golden"
 

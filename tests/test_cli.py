@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from corrqec import cli, scheme
 from corrqec.channels import PauliChannel
 from corrqec.cli import (
-    VerificationReport,
     cmd_optimality,
     cmd_trial,
     cmd_verify,
@@ -16,6 +16,8 @@ from corrqec.cli import (
     main,
 )
 from corrqec.errors import AncillaSizeError, BadQubitCount
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_cmd_verify_odd():
@@ -50,7 +52,7 @@ def test_cmd_verify_deterministic():
 def test_report_round_trips_through_json():
     report = cmd_verify(4, trials=2, seed=3)
     blob = json.dumps(report.to_dict())
-    assert VerificationReport.from_dict(json.loads(blob)) == report
+    assert json.loads(blob) == report.to_dict()
     assert json.loads(blob)["pass"] is True
 
 
@@ -226,3 +228,10 @@ def test_optimality_cli(capsys):
     assert "witness realizes P3 exactly: True" in out
     # deterministic on rerun
     assert cmd_optimality() == cmd_optimality()
+
+
+def test_optimality_output_matches_golden_file(capsys):
+    golden = (GOLDEN / "optimality.txt").read_bytes()
+    assert (cmd_optimality() + "\n").encode() == golden
+    assert main(["optimality"]) == 0
+    assert capsys.readouterr().out.encode() == golden

@@ -16,22 +16,20 @@ from corrqec import (
     build_pn,
     circuit_conjugate,
     conjugation_report,
-    correlated_error,
     d_matrix,
     h_op,
-    realize,
 )
 from corrqec.encoder import CONJUGATION_PEAK_STATES, encoder_factors
 from corrqec.gates import real_correlated_error
 from corrqec.kernels import _TILE_BYTES
 
-from oracles import circuit_matrix, expected_conjugation, plain_ops
+from oracles import circuit_matrix, expected_conjugation, pauli_power, plain_ops, realize
 
 
 def _dense_conjugation(spec, axis):
     # independent route: realize the circuit densely and conjugate with GEMMs
     p = circuit_matrix(plain_ops(spec.circuit), spec.n)
-    return p.conj().T @ correlated_error(axis, spec.n) @ p
+    return p.conj().T @ pauli_power(axis, spec.n) @ p
 
 
 def test_base_cases():
@@ -68,7 +66,7 @@ def test_p2_conjugation_values():
     spec = build_p2()
     p = realize(spec.circuit)
     for axis, diag in [("X", [1, -1, 1, -1]), ("Y", [-1, -1, 1, 1]), ("Z", [1, -1, -1, 1])]:
-        got = p.conj().T @ correlated_error(axis, 2) @ p
+        got = p.conj().T @ pauli_power(axis, 2) @ p
         assert np.allclose(got, np.diag(diag), atol=1e-14)
         assert np.array_equal(d_matrix(axis), np.diag(diag).astype(complex))
 
@@ -155,7 +153,7 @@ def test_real_conjugation_is_the_complex_one(n):
         assert r.dtype == np.int16
         conj = circuit_conjugate(factors, r, adjoint=True)
         assert conj.dtype == np.int16
-        want = circuit_conjugate(factors, correlated_error(axis, n), adjoint=True)
+        want = circuit_conjugate(factors, pauli_power(axis, n), adjoint=True)
         assert want.dtype == np.complex128
         assert np.array_equal(u * conj / 2**spec.h_count, want), (n, axis)
         # the float64 kernel path, scaled by its exact 0.5

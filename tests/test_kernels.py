@@ -15,17 +15,11 @@ from oracles import (
     embed_single,
     pauli_channel_dense,
     pauli_power,
+    permutation_matrix,
     ptrace_leading_direct,
     ptrace_trailing_direct,
     random_complex_matrix,
 )
-
-
-def _perm_matrix(perm):
-    dim = len(perm)
-    m = np.zeros((dim, dim), dtype=complex)
-    m[perm, np.arange(dim)] = 1.0
-    return m
 
 
 def test_parity_signs():
@@ -40,7 +34,7 @@ def test_gather_conjugate_against_gemm():
     m = random_complex_matrix(16, 1)
     perm = rng.permutation(16).astype(np.int64)
     got = kernels.gather_conjugate(m, perm)
-    p = _perm_matrix(perm)
+    p = permutation_matrix(perm)
     assert np.allclose(got, p.conj().T @ m @ p, atol=1e-13)
 
 
@@ -48,7 +42,6 @@ def test_gather_conjugate_against_gemm():
 def test_hadamard_conjugate_against_gemm(q):
     m = random_complex_matrix(16, 2)
     h = embed_single(HAD, 4, q)
-    assert np.allclose(kernels.hadamard_rows(m, q), h @ m, atol=1e-13)
     got = kernels.gather_hadamard_conjugate(m, None, q, None)
     assert np.allclose(got, h @ m @ h, atol=1e-13)
     eye = np.eye(16, dtype=complex)
@@ -60,8 +53,8 @@ def _gather_hadamard_dense(m, before, q, after):
     """G_after(H_q G_before(m) H_q) from dense matrices, G_t(x) = P_t_dag x P_t."""
     n = m.shape[0].bit_length() - 1
     eye = np.eye(m.shape[0], dtype=complex)
-    pa = eye if before is None else _perm_matrix(before)
-    pb = eye if after is None else _perm_matrix(after)
+    pa = eye if before is None else permutation_matrix(before)
+    pb = eye if after is None else permutation_matrix(after)
     h = embed_single(HAD, n, q)
     return pb.conj().T @ h @ pa.conj().T @ m @ pa @ h @ pb
 
@@ -282,7 +275,6 @@ def test_real_kernels_keep_float64_and_the_rest_take_complex():
         assert got.dtype == np.float64
         assert np.array_equal(got, want)
     # the other kernels take float64 as complex128, as before
-    assert kernels.hadamard_rows(m, 1).dtype == np.complex128
     assert kernels.pauli_channel_apply(m, (0.4, 0.3, 0.2, 0.1)).dtype == np.complex128
     assert kernels.ptrace_leading(m, 4).dtype == np.complex128
     assert kernels.ptrace_trailing(m, 4).dtype == np.complex128
@@ -363,22 +355,21 @@ def _checked(fn, *args):
     return out
 
 
-# _TILE_BYTES = 16*dim*k, k rows of the matrix, so a step takes k // 8 row
-# pairs of hadamard_rows, k // 16 of the fused gather-Hadamard pass, and
-# k // 8, k // 12 and k // 6 rows of pauli_channel_apply with a diagonal
-# chi (two views read), with a full chi (four views) and of frob_dist and
-# kron_dist (at least 1).  kron_dist keeps a step within one block of
-# dim / A rows of d (A = 2 or 4, the size of its a) while the step is
-# shorter than the block.  k = None: the default tile, one step per matrix;
-# k = 1 and 6: one row (or pair of rows) per step for every kernel;
-# k = 15: the same but 2 rows of frob_dist and kron_dist; k = 30: 3 pairs
-# of hadamard_rows, 3 rows of the diagonal chi and 5 of frob_dist and
+# _TILE_BYTES = 16*dim*k, k rows of the matrix, so a step takes k // 16 row
+# pairs of the fused gather-Hadamard pass, and k // 8, k // 12 and k // 6
+# rows of pauli_channel_apply with a diagonal chi (two views read), with a
+# full chi (four views) and of frob_dist and kron_dist (at least 1).
+# kron_dist keeps a step within one block of dim / A rows of d (A = 2 or 4,
+# the size of its a) while the step is shorter than the block.  k = None:
+# the default tile, one step per matrix; k = 1 and 6: one row (or pair of
+# rows) per step for every kernel; k = 15: the same but 2 rows of frob_dist
+# and kron_dist; k = 30: 3 rows of the diagonal chi and 5 of frob_dist and
 # kron_dist; k = 36: 3 rows of the full chi; k = 48: 3 pairs of the fused
-# pass, 6 of hadamard_rows and 6 rows of the diagonal chi, and 8 of
-# kron_dist.  The steps of 3, 5 and 6 leave an uneven last step at every
-# dim they run at, and kron_dist's 5 rows one in each of its blocks (8 to
-# 32 rows at n = 5 and 6).  The fused pass takes twice the pairs on a
-# float64 matrix and eight times on an int16 one (k // 2 pairs, at least 1).
+# pass, 6 rows of the diagonal chi, and 8 of frob_dist and kron_dist.  The
+# steps of 3, 5 and 6 leave an uneven last step at every dim they run at,
+# and kron_dist's 5 rows one in each of its blocks (8 to 32 rows at n = 5
+# and 6).  The fused pass takes twice the pairs on a float64 matrix and
+# eight times on an int16 one (k // 2 pairs, at least 1).
 @pytest.mark.parametrize(
     "n, k",
     [
@@ -408,7 +399,6 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     qs = sorted({0, n - 2, n - 1})
     kron_cases = _kron_cases(n, n + 50)
     whole = {
-        "rows": [kernels.hadamard_rows(m, q) for q in qs],
         "had": [kernels.gather_hadamard_conjugate(m, None, q, None) for q in qs],
         "fused": [kernels.gather_hadamard_conjugate(m, perm, q, perm2) for q in qs],
         "pauli": kernels.pauli_channel_apply(rho, probs),
@@ -426,13 +416,10 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     if k is not None:
         monkeypatch.setattr(kernels, "_TILE_BYTES", 16 * dim * k)
         assert m.nbytes > kernels._TILE_BYTES
-    for q, rows, had, fused in zip(qs, whole["rows"], whole["had"], whole["fused"]):
+    for q, had, fused in zip(qs, whole["had"], whole["fused"]):
         h = embed_single(HAD, n, q)
-        got_rows = _checked(kernels.hadamard_rows, m, q)
         got = _checked(kernels.gather_hadamard_conjugate, m, None, q, None)
-        assert np.array_equal(got_rows, rows)
         assert np.array_equal(got, had)
-        assert np.allclose(got_rows, h @ m, atol=1e-12)
         assert np.allclose(got, h @ m @ h, atol=1e-12)
         got = _checked(kernels.gather_hadamard_conjugate, m, perm, q, perm2)
         assert np.array_equal(got, fused)
@@ -444,7 +431,7 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     got = _checked(kernels.pauli_channel_apply, m, chi)
     assert np.array_equal(got, whole["chi"])
     assert np.allclose(got, _chi_dense(chi, m), rtol=0.0, atol=1e-11)
-    p = _perm_matrix(perm)
+    p = permutation_matrix(perm)
     got = _checked(kernels.gather_conjugate, m, perm)
     assert np.allclose(got, p.conj().T @ m @ p, atol=1e-13)
     assert _checked(kernels.frob_dist, m, rho) == pytest.approx(whole["dist"], rel=1e-12)
@@ -492,8 +479,6 @@ def test_dense_kernels_hold_one_output_plus_tile_scratch():
         chi = _random_chi(rng)
         perm = rng.permutation(dim)
         for fn, args in (
-            (kernels.hadamard_rows, (m, n - 1)),
-            (kernels.hadamard_rows, (m, 0)),
             (kernels.gather_hadamard_conjugate, (m, None, n - 1, None)),
             (kernels.gather_hadamard_conjugate, (m, None, 0, None)),
             (kernels.gather_hadamard_conjugate, (m, perm, n - 1, perm[::-1])),

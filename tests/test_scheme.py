@@ -19,7 +19,6 @@ from corrqec import (
     decode,
     encode,
     hybrid_sweep,
-    kron,
     predicted_ancilla,
     random_density,
     run_trial,
@@ -36,7 +35,7 @@ def test_encode_decode_roundtrip():
         spec = build_pn(n)
         sigma = random_density(spec.ancilla_dim, n)
         rho = random_density((1 << n) // spec.ancilla_dim, n + 20)
-        joint = kron(sigma, rho)
+        joint = np.kron(sigma, rho)
         encoded = encode(spec, sigma, rho)
         assert abs(np.trace(encoded) - 1) < 1e-12
         assert np.allclose(decode(spec, encoded), joint, atol=1e-13)

@@ -4,14 +4,11 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from corrqec import (
     CorrQecError,
     DimensionMismatch,
     frobenius_distance,
-    kron,
     kron_distance,
     partial_trace_leading,
     partial_trace_trailing,
@@ -31,21 +28,6 @@ from oracles import (
 )
 
 I2 = np.eye(2, dtype=complex)
-
-
-def test_kron_identities():
-    assert np.array_equal(kron(I2, I2), np.eye(4))
-    x2 = kron(SX, SX)
-    assert np.array_equal(x2, np.fliplr(np.eye(4)))
-    assert np.array_equal(kron(SZ, SZ), np.diag([1, -1, -1, 1]).astype(complex))
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=20, deadline=None)
-def test_kron_associative_on_integer_entries(seed):
-    rng = np.random.default_rng(seed)
-    a, b, c = (rng.integers(-3, 4, size=(2, 2)).astype(complex) for _ in range(3))
-    assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
 
 
 def test_dagger():
@@ -73,7 +55,7 @@ def test_matmul():
 def test_partial_trace_leading():
     sigma = random_density(2, 10)
     rho = random_density(4, 11)
-    assert np.allclose(partial_trace_leading(kron(sigma, rho), 2), rho, atol=1e-12)
+    assert np.allclose(partial_trace_leading(np.kron(sigma, rho), 2), rho, atol=1e-12)
     assert np.allclose(partial_trace_leading(np.eye(4) / 4, 2), I2 / 2)
     t = random_density(8, 12)
     out = partial_trace_leading(t, 2)
@@ -87,13 +69,13 @@ def test_partial_trace_leading_exact_for_classical_sigma():
     sigma = np.zeros((2, 2), dtype=complex)
     sigma[1, 1] = 1.0
     rho = random_density(4, 13)
-    assert np.array_equal(partial_trace_leading(kron(sigma, rho), 2), rho)
+    assert np.array_equal(partial_trace_leading(np.kron(sigma, rho), 2), rho)
 
 
 def test_partial_trace_trailing():
     sigma = random_density(2, 14)
     rho = random_density(4, 15)
-    assert np.allclose(partial_trace_trailing(kron(sigma, rho), 4), sigma, atol=1e-12)
+    assert np.allclose(partial_trace_trailing(np.kron(sigma, rho), 4), sigma, atol=1e-12)
     assert np.allclose(partial_trace_trailing(np.eye(4) / 4, 2), I2 / 2)
     t = random_complex_matrix(8, 16)
     out = partial_trace_trailing(t, 2)
@@ -114,10 +96,10 @@ def test_kron_distance():
     a = random_complex_matrix(2, 18)
     r = random_complex_matrix(4, 19)
     d = random_complex_matrix(8, 20)
-    assert kron_distance(kron(a, r), a, r) == 0.0
-    assert kron_distance(kron(a, np.eye(4)), a) == 0.0
-    assert kron_distance(d, a, r) == pytest.approx(frobenius_distance(d, kron(a, r)))
-    assert kron_distance(d, a) == pytest.approx(frobenius_distance(d, kron(a, np.eye(4))))
+    assert kron_distance(np.kron(a, r), a, r) == 0.0
+    assert kron_distance(np.kron(a, np.eye(4)), a) == 0.0
+    assert kron_distance(d, a, r) == pytest.approx(frobenius_distance(d, np.kron(a, r)))
+    assert kron_distance(d, a) == pytest.approx(frobenius_distance(d, np.kron(a, np.eye(4))))
     for args in (
         (d, np.eye(3)),  # a does not divide d
         (d, np.eye(3), np.eye(3)),
