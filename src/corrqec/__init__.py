@@ -29,6 +29,7 @@ from .gates import (
     circuit_conjugate,
     cnot_op,
     cnot_perm,
+    conjugate_pauli,
     h_op,
     invert,
     pauli,

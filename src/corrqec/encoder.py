@@ -9,26 +9,21 @@ X_n, Y_n, Z_n by P_n collapses them onto the ancilla qubits:
   even:  (D_X ox I,  (-1)**k D_Y ox I,  D_Z ox I)
 
 with D_X = diag(1,-1,1,-1), D_Y = diag(-1,-1,1,1), D_Z = diag(1,-1,-1,1).
+Each error is a Pauli string, and CNOT and H map Pauli strings to Pauli
+strings, so conjugation_report checks these identities on bit masks
+(gates.conjugate_pauli) in O(n) per gate, at any n.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadQubitCount, CorrQecError
-from .gates import (
-    Circuit,
-    circuit_conjugate,
-    circuit_factors,
-    cnot_op,
-    h_op,
-    pauli,
-    real_correlated_error,
-)
-from .tensor import check_memory, kron_distance
+from .errors import BadQubitCount
+from .gates import Circuit, circuit_factors, cnot_op, conjugate_pauli, h_op, pauli
 
 _D_DIAG = {
     "X": np.array([1, -1, 1, -1], dtype=np.complex128),
@@ -115,54 +110,58 @@ def ancilla_images(parity: str, sign: int) -> tuple[np.ndarray, ...]:
     return (np.eye(4, dtype=np.complex128), d_matrix("X"), sign * d_matrix("Y"), d_matrix("Z"))
 
 
-# Bound on the live bytes inside conjugation_report, in 2**n x 2**n
-# complex128 matrices.  tracemalloc measures 0.78 of one at n = 8, 0.42 at
-# n = 9, 0.32 at n = 10 and 0.26 at n = 11 (two int16 matrices, plus the
-# kernels' half tile of step scratch that outweighs them up to n = 9); the
-# bound stays at the 3 states a trial of cmd_verify needs.
-CONJUGATION_PEAK_STATES = 3
-# The conjugation checks run in int16, whose entries reach 2**h for h
-# Hadamards; 2**15 does not fit.
-MAX_CHECKED_HADAMARDS = 14
+def _ancilla_string(x: int, z: int, a: int) -> np.ndarray:
+    """X**x Z**z on a qubits as a 2**a x 2**a matrix, qubit a-1 the leading
+    factor of np.kron."""
+    out = np.ones((1, 1), dtype=np.complex128)
+    for q in reversed(range(a)):
+        xq, zq = (x >> q) & 1, (z >> q) & 1
+        factor = np.linalg.matrix_power(pauli("X"), xq) @ np.linalg.matrix_power(pauli("Z"), zq)
+        out = np.kron(out, factor)
+    return out
+
+
+def _scaled_root(q: float, s: int) -> float:
+    """sqrt(q * 2**s) rounded once, for an integer q >= 0; inf past the
+    float range.  Scaling by a power of two is exact, so this is the float
+    a square root gives on the exact product wherever that is a float."""
+    try:
+        return math.ldexp(math.sqrt(q * (1 + s % 2)), s // 2)
+    except OverflowError:
+        return math.inf
 
 
 def conjugation_report(spec: EncoderSpec) -> tuple[float, float, float]:
     """Frobenius residuals of the three conjugation identities for spec.
 
-    Each error is u R with R a 0/+-1 int16 matrix and u = 1 or (-i)**n
-    (gates.real_correlated_error), and the encoder's gates are real, so
-    P_dag (u R) P = u P_dag R P.  R is conjugated in exact int16 arithmetic,
-    whose Hadamards are unscaled: for h Hadamards the result is 2**h P_dag R P,
-    with every intermediate entry at most 2**h in size.  It is measured
-    against 2**h (ancilla image / u) ox I, and the distance is divided by
-    2**h, which is the same residual as |u| = 1.  Every step is exact:
-    dividing an image by u in {+-1, +-i} only moves and negates its parts,
-    and scaling by 2**h is exact, so all three residuals are 0.0.  An image
-    with an imaginary part is measured in full, in complex128.  Each
-    residual is measured blockwise, without forming the kron product, and
-    each conjugate is dropped before the next error is built, so a call
-    holds two int16 matrices, a quarter of one complex state.
-    CorrQecError if the circuit has more than MAX_CHECKED_HADAMARDS
-    Hadamards; BadQubitCount if CONJUGATION_PEAK_STATES states do not fit
-    in physical memory.
+    Each correlated error is the Pauli string i**e X**x Z**z with
+    X_n = (1...1, 0, 0), Y_n = (1...1, 1...1, n mod 4) and
+    Z_n = (0, 1...1, 0), since Y = i X Z; so is its conjugate i**e S =
+    P_dag W P (gates.conjugate_pauli).  The residual against A ox I, A the
+    ancilla image on the top a qubits, is exact without forming either:
+    an S that acts on a data qubit is orthogonal to every A ox I, so its
+    squared residual is |S|**2 + |A ox I|**2 = 2**n + 2**(n-a) |A|**2;
+    any other S is S_a ox I with S_a on the ancilla, and its squared
+    residual is 2**(n-a) |i**e S_a - A|**2.  Both are q 2**(n-a) with q an
+    integer summed exactly from at most 16 entries, and the residual is
+    its square root rounded once: the float that a dense check summing the
+    same squares exactly gives, and all three are 0.0 for build_pn.  The
+    cost is O(n) per gate and no 2**n-sized array is built.
     """
-    h = spec.h_count
-    if h > MAX_CHECKED_HADAMARDS:
-        raise CorrQecError(
-            f"the int16 conjugation checks hold at most {MAX_CHECKED_HADAMARDS} "
-            f"Hadamards, the circuit has {h}"
-        )
-    check_memory(spec.n, CONJUGATION_PEAK_STATES)
-    factors = circuit_factors(spec.circuit)
+    n = spec.n
+    a = spec.ancilla_dim.bit_length() - 1
+    data = n - a
+    ones = (1 << n) - 1
     images = ancilla_images(spec.parity, spec.sign)
-    scale = 1 << h
+    frames = {"X": (ones, 0, 0), "Y": (ones, ones, n % 4), "Z": (0, ones, 0)}
     residuals = []
     for axis in "XYZ":
-        u, r = real_correlated_error(axis, spec.n)
-        conj = circuit_conjugate(factors, r, adjoint=True)
-        image = scale * images["IXYZ".index(axis)] / u
-        # real for the true images; one with an imaginary part stays complex
-        dist = kron_distance(conj, image if image.imag.any() else image.real)
-        residuals.append(dist / scale)
-        del conj
+        image = images["IXYZ".index(axis)]
+        x, z, e = conjugate_pauli(spec.circuit, *frames[axis])
+        if (x | z) & ((1 << data) - 1):
+            squared = (1 << a) + np.vdot(image, image).real
+        else:
+            diff = (1, 1j, -1, -1j)[e] * _ancilla_string(x >> data, z >> data, a) - image
+            squared = np.vdot(diff, diff).real
+        residuals.append(_scaled_root(squared, data))
     return tuple(residuals)

@@ -1,12 +1,14 @@
-"""Gate matrices, symbolic circuits, and correlated error operators.
+"""Gate matrices, symbolic circuits, and their action on Pauli strings.
 
 A Circuit lists gates in application order (first element acts first on the
-state), so its unitary is G_m ... G_1 for gates [g1, ..., gm].  CNOT runs
-compose into exact basis permutations; a Hadamard becomes a butterfly.
-circuit_conjugate exploits this factored form so conjugating a matrix by a
-circuit never needs its dense matrix: each Hadamard is one kernel pass that
-also applies the permutations on either side of it, and an H-free circuit
-is one gather.
+state), so its unitary is G_m ... G_1 for gates [g1, ..., gm].  CNOT and H
+map Pauli strings to Pauli strings, so conjugate_pauli conjugates one as a
+pair of bit masks and a phase, in O(n) per gate.  On a dense matrix, CNOT
+runs compose into exact basis permutations and a Hadamard becomes a
+butterfly.  circuit_conjugate exploits this factored form so conjugating a
+matrix by a circuit never needs its dense matrix: each Hadamard is one
+kernel pass that also applies the permutations on either side of it, and
+an H-free circuit is one gather.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 
 from . import kernels
 from .errors import BadQubitCount, BadQubitIndex
-from .kernels import parity_signs, y_phase
 
 _PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -87,23 +88,28 @@ def cnot_perm(n: int, control: int, target: int) -> np.ndarray:
     return s ^ (((s >> control) & 1) << target)
 
 
-def real_correlated_error(axis: str, n: int) -> tuple[complex, np.ndarray]:
-    """(u, R) with the correlated error X_n, Y_n or Z_n equal to u R, R an
-    int16 matrix of 0 and +-1 filled from its banded form in O(4**n), with z
-    the parity signs: Z_n = diag(z), X_n = antidiag(1), Y_n = omega antidiag(z).
-    u is omega = (-i)**n for Y and 1 otherwise; every call allocates a new R."""
-    if axis not in _PAULI:
-        raise ValueError(f"axis must be X, Y, or Z, got {axis!r}")
-    if n < 1:
-        raise BadQubitCount(f"n must be >= 1, got {n}")
-    dim = 1 << n
-    idx = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=np.int16)
-    if axis == "Z":
-        out[idx, idx] = parity_signs(n)
-    else:
-        out[idx, dim - 1 - idx] = parity_signs(n) if axis == "Y" else 1.0
-    return (y_phase(n) if axis == "Y" else 1.0 + 0.0j), out
+def conjugate_pauli(circuit: Circuit, x: int, z: int, e: int) -> tuple[int, int, int]:
+    """P_dag (i**e X**x Z**z) P as (x, z, e mod 4), for P the circuit's unitary.
+
+    x and z are bit masks, bit q for qubit q, and X**x Z**z is the product of
+    X_q over the bits of x times Z_q over the bits of z.  The gates run last
+    first, each conjugating the string in place (Aaronson and Gottesman,
+    PRA 70, 052328): CNOT(c, t) sends X_c to X_c X_t and Z_t to Z_c Z_t, so
+    x_t ^= x_c and z_c ^= z_t; H(q) swaps X_q and Z_q, and X_q Z_q to
+    Z_q X_q = -X_q Z_q, so it swaps bits q of x and z and adds 2 x_q z_q to e.
+    """
+    for op in reversed(circuit.ops):
+        if op.kind == "cnot":
+            c, t = op.qubits
+            x ^= ((x >> c) & 1) << t
+            z ^= ((z >> t) & 1) << c
+        else:
+            (q,) = op.qubits
+            xq, zq = (x >> q) & 1, (z >> q) & 1
+            e += 2 * xq * zq
+            x ^= (xq ^ zq) << q
+            z ^= (xq ^ zq) << q
+    return x, z, e % 4
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +154,8 @@ def circuit_conjugate(factors_or_circuit, m: np.ndarray, adjoint: bool = False) 
     and the last one also the table after it, so an even-n encoder (a
     permutation, one Hadamard, a permutation) is one pass over m.  An
     H-free circuit is one gather_conjugate, so CNOT-only circuits stay
-    exact.  A float64 or int16 m keeps its dtype (the gates are real); any
-    other m is conjugated as complex128.  An int16 m comes back unscaled,
-    as 2**h P m P_dag (or 2**h P_dag m P) for a circuit with h Hadamards:
-    the caller must keep every intermediate entry within int16.
+    exact.  A float64 m keeps its dtype (the gates are real); any other m
+    is conjugated as complex128.
     """
     if isinstance(factors_or_circuit, Circuit):
         factors = circuit_factors(factors_or_circuit)

@@ -23,8 +23,7 @@ its output plus one step's scratch, and a small matrix is one step.
   and column butterflies are the one butterfly, _hadamard_block.  Both run
   unscaled and the column butterfly's output is scaled once by 0.5, exact
   in binary, so conjugating a matrix of Gaussian integers (as the
-  correlated errors are) is exact.  An int16 matrix skips that 0.5, which
-  an integer cannot hold, and comes back as twice the conjugate.
+  correlated errors are) is exact.
 - kron_dist measures d against a kron product a ox r (r = I when None)
   with no output at all: each step builds its own slice of a ox r in
   scratch, so the product checks hold one state, not two.
@@ -32,14 +31,11 @@ its output plus one step's scratch, and a small matrix is one step.
   circuits: a tiled gather measured no faster on the encoders' CNOT
   permutations.
 - gather_conjugate, gather_hadamard_conjugate and kron_dist keep a float64
-  or int16 matrix in its dtype (real_or_complex), with buffers and scratch
-  of the same dtype: the encoders' gates are real, and the correlated
-  errors are 0/+-1 matrices up to a phase, so an int16 conjugation is
-  exact integer arithmetic at an eighth of complex128's bytes.  Each
-  float64 entry gets the operations the real part of a complex one would.
-  kron_dist's scratch is float64 for float64 and int16 inputs (exact for
-  integer sums below 2**53) and complex128 if any input is complex.
-  Every other kernel takes its input as complex128.
+  matrix in its dtype (real_or_complex), with buffers and scratch of the
+  same dtype, since the encoders' gates are real: each float64 entry gets
+  the operations the real part of a complex one would.  kron_dist's
+  scratch is complex128 if any input is complex.  Every other kernel
+  takes its input as complex128.
 
 pauli_channel_apply applies any channel whose Kraus operators lie in
 span{I, X_n, Y_n, Z_n}, given as its 4x4 process matrix chi (a Pauli
@@ -76,14 +72,10 @@ def _as_cmatrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
-_REAL_DTYPES = (np.dtype(np.float64), np.dtype(np.int16))
-
-
 def real_or_complex(m: np.ndarray) -> np.ndarray:
-    """m as a C-contiguous matrix of its own dtype if that is float64 or
-    int16, else as complex128."""
+    """m as a C-contiguous float64 matrix if it is float64, else as complex128."""
     m = np.asarray(m)
-    return np.ascontiguousarray(m, dtype=m.dtype if m.dtype in _REAL_DTYPES else np.complex128)
+    return np.ascontiguousarray(m, dtype=np.float64 if m.dtype == np.float64 else np.complex128)
 
 
 def gather_conjugate(m: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -139,10 +131,7 @@ def gather_hadamard_conjugate(
     the column butterfly's output is scaled once by 0.5 = (1/sqrt2)**2,
     which is exact: on Gaussian-integer entries (the correlated errors have
     0, +-1, +-i) every operation is exact, so an even-n conjugation is as
-    exact as a gather.  An int16 m skips the 0.5 and returns
-    2 G_after(H_q G_before(m) H_q), exact while every entry of the row and
-    column butterflies fits in int16 (at most 4 max|m|); it wraps past that
-    unchecked.  The tables only move entries, so the output is
+    exact as a gather.  The tables only move entries, so the output is
     bit-identical to gather_conjugate, the table-free call and
     gather_conjugate in turn.
 
@@ -167,7 +156,6 @@ def gather_hadamard_conjugate(
         dest = np.argsort(after).reshape(hi, 2, lo)
     (kh, kl), blocks = _pair_blocks(hi, lo, _step_rows(hi * lo, 8 * m.itemsize * dim))
     buffers = np.empty((2, kh, 2, kl, dim), dtype=m.dtype)
-    scale = None if m.dtype == np.int16 else 0.5
     for h, l in blocks:
         part = dst[h, :, l]
         x, y = buffers[:, : part.shape[0], :, : part.shape[2]]
@@ -182,7 +170,7 @@ def gather_hadamard_conjugate(
         cols_out = block.reshape(block.shape[:-1] + (hi, 2, lo))
         # the column pair axis moved to position 1, as _hadamard_block takes it
         cols_out = cols_out.transpose(0, 4, 1, 2, 3, 5)
-        _hadamard_block(cols_in[..., 0, :], cols_in[..., 1, :], cols_out, scale)
+        _hadamard_block(cols_in[..., 0, :], cols_in[..., 1, :], cols_out, 0.5)
         if after is not None:
             out[dest[h, :, l]] = np.take(y, after, axis=-1, out=x, mode="clip")
     return out
@@ -311,15 +299,13 @@ def kron_dist(d: np.ndarray, a: np.ndarray, r: np.ndarray | None) -> float:
     slice of a[i, k] * r[j, l] in scratch, the one rounding np.kron makes,
     and subtracts it from d; for r None the slice is d less a[i, k] where
     l = j, the entries a[i, k] * 1 of a ox I.  The scratch is float64 when
-    d, a and r are each float64 or int16, complex128 otherwise.
+    d, a and r are each float64, complex128 otherwise.
     """
     d = real_or_complex(d)
     a = real_or_complex(a)
     if r is not None:
         r = real_or_complex(r)
-    # float64 at least, so that int16 inputs are summed exactly
-    inputs = (d, a) if r is None else (d, a, r)
-    dtype = np.result_type(np.float64, *inputs)
+    dtype = np.result_type(d, a) if r is None else np.result_type(d, a, r)
     dim = d.shape[0]
     na = a.shape[0]
     nr = dim // na

@@ -4,8 +4,7 @@ Index convention, fixed package-wide: the basis vector |q_{n-1} ... q_1 q_0>
 maps to the integer index sum_r q_r * 2**r, so qubit 0 is the least
 significant bit.  In np.kron(a, b), `a` acts on the higher-significance qubits.
 Matrices are dense row-major complex128 numpy arrays; only kron_distance
-also keeps a float64 or int16 matrix as it is, for the exact integer
-conjugation checks.
+also keeps a float64 matrix as it is.
 """
 
 from __future__ import annotations
@@ -61,9 +60,8 @@ def frobenius_distance(a, b) -> float:
 
 def kron_distance(d, a, r=None) -> float:
     """Frobenius distance of d from a ox r (r None: the identity), without
-    forming a ox r; DimensionMismatch unless the shapes factor.  float64 and
-    int16 inputs keep their dtype and are measured in float64 (exact on
-    integers), any other is taken as complex128."""
+    forming a ox r; DimensionMismatch unless the shapes factor.  float64
+    inputs keep their dtype, any other is taken as complex128."""
     d = _square(kernels.real_or_complex(d))
     a = _square(kernels.real_or_complex(a))
     dim = d.shape[0]

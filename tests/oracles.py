@@ -35,6 +35,17 @@ def pauli_power(axis: str, n: int) -> np.ndarray:
     return kron_chain(*([SINGLE[axis]] * n))
 
 
+def pauli_string(x: int, z: int, e: int, n: int) -> np.ndarray:
+    """i**e X**x Z**z on n qubits, densely: bit q of x and z gives the
+    factor X**x_q Z**z_q on qubit q, the first factor of kron_chain being
+    qubit n-1."""
+    factors = [
+        np.linalg.matrix_power(SX, (x >> q) & 1) @ np.linalg.matrix_power(SZ, (z >> q) & 1)
+        for q in reversed(range(n))
+    ]
+    return 1j**e * kron_chain(*factors)
+
+
 def embed_single(gate: np.ndarray, n: int, q: int) -> np.ndarray:
     return kron_chain(np.eye(1 << (n - 1 - q)), gate, np.eye(1 << q))
 

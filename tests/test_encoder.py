@@ -10,20 +10,26 @@ import pytest
 from corrqec import (
     BadQubitCount,
     Circuit,
-    CorrQecError,
     build_p2,
     build_p3,
     build_pn,
     circuit_conjugate,
+    conjugate_pauli,
     conjugation_report,
     d_matrix,
     h_op,
+    kernels,
 )
-from corrqec.encoder import CONJUGATION_PEAK_STATES, encoder_factors
-from corrqec.gates import real_correlated_error
-from corrqec.kernels import _TILE_BYTES
+from corrqec.encoder import encoder_factors
 
-from oracles import circuit_matrix, expected_conjugation, pauli_power, plain_ops, realize
+from oracles import (
+    circuit_matrix,
+    expected_conjugation,
+    pauli_power,
+    pauli_string,
+    plain_ops,
+    realize,
+)
 
 
 def _dense_conjugation(spec, axis):
@@ -95,24 +101,60 @@ def test_conjugation_report(n):
     assert conjugation_report(build_pn(n)) == (0.0, 0.0, 0.0)
 
 
-def test_conjugation_report_holds_two_states_plus_half_a_tile():
-    # one error and its conjugate at a time, each checked blockwise against
-    # (ancilla image) ox I without forming it (2.09 states measured)
-    n = 10
+@pytest.mark.parametrize("n", range(2, 10))
+def test_conjugate_pauli_against_dense_conjugation(n):
+    # the Pauli-frame route of conjugation_report, one axis at a time,
+    # against GEMMs with the densely realized encoder: equal to within
+    # rounding, and equal once rounded to the Gaussian integers that the
+    # entries of a Pauli string are
     spec = build_pn(n)
-    encoder_factors(n)
-    tracemalloc.start()
-    try:
-        conjugation_report(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 16 * 4**n + _TILE_BYTES // 2
+    ones = (1 << n) - 1
+    frames = {"X": (ones, 0, 0), "Y": (ones, ones, n % 4), "Z": (0, ones, 0)}
+    for axis in "XYZ":
+        x, z, e = conjugate_pauli(spec.circuit, *frames[axis])
+        got = pauli_string(x, z, e, n)
+        dense = _dense_conjugation(spec, axis)
+        assert np.abs(dense - got).max() < 1e-12, (n, axis)
+        assert np.array_equal(np.round(dense), got), (n, axis)
+        assert np.array_equal(got, expected_conjugation(spec, axis)), (n, axis)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_real_conjugation_is_the_complex_one(n):
+    # each error is u R with R real and u = 1 or (-i)**n, and the gates are
+    # real, so P_dag (u R) P = u (P_dag R P) entry for entry: the float64
+    # kernel path, scaled by its exact 0.5, against the complex128 one
+    factors = encoder_factors(n)
+    for axis in "XYZ":
+        w = pauli_power(axis, n)
+        u = (-1j) ** n if axis == "Y" else 1
+        r = (w / u).real
+        assert np.array_equal(u * r, w)
+        want = circuit_conjugate(factors, w, adjoint=True)
+        assert want.dtype == np.complex128
+        real = circuit_conjugate(factors, r, adjoint=True)
+        assert real.dtype == np.float64
+        assert np.array_equal(u * real, want), (n, axis)
+
+
+def test_conjugation_report_calls_no_kernel_and_no_memory_bound(monkeypatch):
+    # Pauli frames and at most 4x4 matrices: every dense kernel fails if
+    # called, and with 2 MiB of physical memory reported a memory bound
+    # would reject n = 8 already
+    def fail(*args):
+        raise AssertionError("conjugation_report called a dense kernel")
+
+    for name in ("gather_conjugate", "gather_hadamard_conjugate", "kron_dist", "frob_dist"):
+        monkeypatch.setattr(kernels, name, fail)
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 512}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+    for n in (2, 3, 8, 12, 13, 40):
+        assert conjugation_report(build_pn(n)) == (0.0, 0.0, 0.0), n
 
 
 def _conjugation_peak(n):
     spec = build_pn(n)
-    conjugation_report(spec)  # warm the caches
+    assert conjugation_report(spec) == (0.0, 0.0, 0.0)  # and warm the caches
     tracemalloc.start()
     try:
         conjugation_report(spec)
@@ -121,52 +163,21 @@ def _conjugation_peak(n):
         tracemalloc.stop()
 
 
+def test_conjugation_report_holds_two_states_plus_half_a_tile():
+    # far below it: no state is built at all (see the large-n test)
+    n = 10
+    assert _conjugation_peak(n) < 2 * 16 * 4**n + kernels._TILE_BYTES // 2
+
+
 def test_conjugation_report_holds_one_state_plus_half_a_tile():
-    # the real error R and its real conjugate: two float64 matrices, 8*4**n
-    # bytes each, so one complex state (1.08 states measured at n = 10)
     n = 10
-    assert _conjugation_peak(n) < 16 * 4**n + _TILE_BYTES // 2
+    assert _conjugation_peak(n) < 16 * 4**n + kernels._TILE_BYTES // 2
 
 
-@pytest.mark.parametrize("n", [8, 9, 10, 11])
-def test_conjugation_report_peak_within_its_peak_states(n):
-    assert _conjugation_peak(n) < CONJUGATION_PEAK_STATES * 16 * 4**n
-
-
-def test_conjugation_report_rejects_n_past_physical_memory(monkeypatch):
-    # report 2 MiB of physical memory; n=8 needs 3 matrices of 1 MiB
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 512}
-    monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
-    with pytest.raises(BadQubitCount, match="physical memory"):
-        conjugation_report(build_pn(8))
-    assert conjugation_report(build_pn(7)) == (0.0, 0.0, 0.0)
-
-
-@pytest.mark.parametrize("n", range(2, 11))
-def test_real_conjugation_is_the_complex_one(n):
-    # P_dag (u R) P = u (P_dag R P) entry for entry, with P_dag R P real; the
-    # int16 route is unscaled, 2**h times it for h Hadamards
-    spec = build_pn(n)
-    factors = encoder_factors(n)
-    for axis in "XYZ":
-        u, r = real_correlated_error(axis, n)
-        assert r.dtype == np.int16
-        conj = circuit_conjugate(factors, r, adjoint=True)
-        assert conj.dtype == np.int16
-        want = circuit_conjugate(factors, pauli_power(axis, n), adjoint=True)
-        assert want.dtype == np.complex128
-        assert np.array_equal(u * conj / 2**spec.h_count, want), (n, axis)
-        # the float64 kernel path, scaled by its exact 0.5
-        real = circuit_conjugate(factors, r.astype(np.float64), adjoint=True)
-        assert real.dtype == np.float64
-        assert np.array_equal(u * real, want), (n, axis)
-
-
-def test_conjugation_report_holds_two_int16_matrices_plus_half_a_tile():
-    # the int16 R and its int16 conjugate, 2*4**n bytes each: a quarter of a
-    # complex state (0.32 states measured at n = 10)
-    n = 10
-    assert _conjugation_peak(n) < 16 * 4**n // 4 + _TILE_BYTES // 2
+@pytest.mark.parametrize("n", [1001, 1002])
+def test_conjugation_report_at_large_n_holds_under_a_mebibyte(n):
+    # two n-bit masks per error and a few 4x4 matrices
+    assert _conjugation_peak(n) < 1 << 20
 
 
 def _with_hadamards(n, count):
@@ -177,25 +188,14 @@ def _with_hadamards(n, count):
     return dataclasses.replace(spec, circuit=circuit)
 
 
-def test_conjugation_report_runs_up_to_fourteen_hadamards():
-    # entries reach 2**14 in int16 and stay exact
-    assert _with_hadamards(3, 14).h_count == 14
-    assert conjugation_report(_with_hadamards(3, 14)) == (0.0, 0.0, 0.0)
-    assert conjugation_report(_with_hadamards(4, 12)) == (0.0, 0.0, 0.0)
-
-
-def test_conjugation_report_rejects_fifteen_hadamards_before_allocating():
-    spec = _with_hadamards(12, 14)
-    assert spec.h_count == 15
-    tracemalloc.start()
-    try:
-        with pytest.raises(CorrQecError, match="at most 14 Hadamards"):
-            conjugation_report(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one int16 matrix at n = 12 is 32 MiB
-    assert peak < 1 << 20
+def test_conjugation_report_runs_forty_cancelling_hadamards():
+    # no Hadamard count bounds the Pauli-frame check
+    for n in (3, 4, 12, 13):
+        spec = _with_hadamards(n, 40)
+        assert spec.h_count == 40 + (n % 2 == 0)
+        assert conjugation_report(spec) == (0.0, 0.0, 0.0), n
+    # an odd count leaves one Hadamard on a data qubit: the check sees it
+    assert conjugation_report(_with_hadamards(5, 41)) != (0.0, 0.0, 0.0)
 
 
 def test_sign_alternation():

@@ -278,60 +278,11 @@ def test_real_kernels_keep_float64_and_the_rest_take_complex():
     assert kernels.pauli_channel_apply(m, (0.4, 0.3, 0.2, 0.1)).dtype == np.complex128
     assert kernels.ptrace_leading(m, 4).dtype == np.complex128
     assert kernels.ptrace_trailing(m, 4).dtype == np.complex128
-    # integer and float32 input still become complex128
-    for other in (m.astype(np.float32), np.arange(256).reshape(16, 16)):
+    # integer (int16 included) and float32 input still become complex128
+    ints = np.arange(256).reshape(16, 16)
+    for other in (m.astype(np.float32), ints, ints.astype(np.int16)):
         assert kernels.gather_conjugate(other, perm).dtype == np.complex128
-
-
-def _small_ints(rng, dim):
-    """A dim x dim int16 matrix of integers in [-8, 8]: both butterflies of
-    the fused pass stay within 4 * 8."""
-    return rng.integers(-8, 9, size=(dim, dim)).astype(np.int16)
-
-
-def test_int16_hadamard_conjugate_is_twice_the_float64_call(monkeypatch):
-    # unscaled butterflies, no 0.5: every q, with and without tables, and
-    # tile sizes from one pair per step to the whole matrix
-    rng = np.random.default_rng(37)
-    tile = kernels._TILE_BYTES
-    for n in range(1, 7):
-        dim = 1 << n
-        ints = _small_ints(rng, dim)
-        perm, perm2 = rng.permutation(dim), rng.permutation(dim)
-        for q in range(n):
-            for before, after in ((None, None), (perm, perm2), (perm, None), (None, perm2)):
-                want = kernels.gather_hadamard_conjugate(
-                    ints.astype(np.float64), before, q, after
-                )
-                for k in (None, 1, 3, 8):
-                    monkeypatch.setattr(kernels, "_TILE_BYTES", tile if k is None else 16 * dim * k)
-                    got = _checked(kernels.gather_hadamard_conjugate, ints, before, q, after)
-                    assert got.dtype == np.int16
-                    assert np.array_equal(got, 2 * want), (n, q, k)
-                monkeypatch.setattr(kernels, "_TILE_BYTES", tile)
-
-
-def test_int16_kernels_keep_int16_and_measure_in_float64():
-    rng = np.random.default_rng(43)
-    for n in range(1, 7):
-        dim = 1 << n
-        ints = _small_ints(rng, dim)
-        perm = rng.permutation(dim)
-        got = _checked(kernels.gather_conjugate, ints, perm)
-        assert got.dtype == np.int16
-        assert np.array_equal(got, kernels.gather_conjugate(ints.astype(np.float64), perm))
-        # an int16 d against float64 a and r: the float64 call, exactly
-        for na in (2, 4)[: min(n, 2)]:
-            a = rng.normal(size=(na, na))
-            r = rng.normal(size=(dim // na, dim // na))
-            for rr in (r, None):
-                want = kernels.kron_dist(ints.astype(np.float64), a, rr)
-                assert _checked(kernels.kron_dist, ints, a, rr) == want, n
-            # all int16: summed in float64, so no int16 sum wraps
-            big = np.full((dim, dim), 20000, dtype=np.int16)
-            zero = np.zeros((na, na), dtype=np.int16)
-            want = 20000.0 * dim
-            assert kernels.kron_dist(big, zero, None) == want, n
+        assert kernels.gather_hadamard_conjugate(other, perm, 2, None).dtype == np.complex128
 
 
 def test_wrappers_accept_noncontiguous_input():
@@ -368,8 +319,7 @@ def _checked(fn, *args):
 # pass, 6 rows of the diagonal chi, and 8 of frob_dist and kron_dist.  The
 # steps of 3, 5 and 6 leave an uneven last step at every dim they run at,
 # and kron_dist's 5 rows one in each of its blocks (8 to 32 rows at n = 5
-# and 6).  The fused pass takes twice the pairs on a float64 matrix and
-# eight times on an int16 one (k // 2 pairs, at least 1).
+# and 6).  The fused pass takes twice the pairs on a float64 matrix.
 @pytest.mark.parametrize(
     "n, k",
     [
@@ -394,8 +344,6 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     chi = _random_chi(rng)
     perm = rng.permutation(dim).astype(np.int64)
     perm2 = rng.permutation(dim)
-    # the int16 kernels on small integers, which take eight times the rows
-    ints = _small_ints(rng, dim)
     qs = sorted({0, n - 2, n - 1})
     kron_cases = _kron_cases(n, n + 50)
     whole = {
@@ -407,11 +355,6 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
         "kron": [kernels.kron_dist(m, a, r) for a, r in kron_cases],
         "real_fused": [kernels.gather_hadamard_conjugate(real, perm, q, perm2) for q in qs],
         "real_kron": [kernels.kron_dist(real, a, r) for a, r in real_kron],
-        "int_fused": [
-            kernels.gather_hadamard_conjugate(ints.astype(np.float64), perm, q, perm2)
-            for q in qs
-        ],
-        "int_kron": [kernels.kron_dist(ints.astype(np.float64), a, r) for a, r in real_kron],
     }
     if k is not None:
         monkeypatch.setattr(kernels, "_TILE_BYTES", 16 * dim * k)
@@ -448,15 +391,6 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     for (a, r), dist in zip(real_kron, whole["real_kron"]):
         assert _checked(kernels.kron_dist, real, a, r) == pytest.approx(dist, rel=1e-12)
         assert kernels.kron_dist(_kron(a, r, dim), a, r) == 0.0
-    for q, fused in zip(qs, whole["int_fused"]):
-        got = _checked(kernels.gather_hadamard_conjugate, ints, perm, q, perm2)
-        assert got.dtype == np.int16
-        assert np.array_equal(got, 2 * fused)
-    for (a, r), dist in zip(real_kron, whole["int_kron"]):
-        got = _checked(kernels.kron_dist, ints, a, r)
-        # the float64 call in the same steps, exactly
-        assert got == kernels.kron_dist(ints.astype(np.float64), a, r)
-        assert got == pytest.approx(dist, rel=1e-12)
 
 
 def _peak_bytes(fn, *args):
@@ -497,12 +431,6 @@ def test_dense_kernels_hold_one_output_plus_tile_scratch():
             peak = _peak_bytes(kernels.gather_hadamard_conjugate, real, perm, q, perm[::-1])
             assert peak < state // 2 + scratch, n
         assert _peak_bytes(kernels.kron_dist, real, real[:4, :4], None) < scratch, n
-        # an int16 matrix: an int16 output, an eighth of a state
-        ints = _small_ints(rng, dim)
-        for q in (n - 1, 0):
-            peak = _peak_bytes(kernels.gather_hadamard_conjugate, ints, perm, q, perm[::-1])
-            assert peak < state // 8 + scratch, n
-        assert _peak_bytes(kernels.kron_dist, ints, real[:4, :4], None) < scratch, n
 
 
 # Each kernel's positional parameters, as callers (and the benchmark's

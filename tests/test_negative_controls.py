@@ -3,9 +3,9 @@ broken one.
 
 Every single-gate mutant of build_pn(n) (a gate dropped, a CNOT's control
 and target swapped, the Hadamard moved by one qubit) must leave a nonzero
-conjugation residual and fail cmd_verify, an ancilla image with the wrong
-sign on Y must leave a nonzero Y residual, and an image with an imaginary
-part must be measured in full against the real conjugates.  A check that
+conjugation residual, equal to the dense distance, and fail cmd_verify (at
+large n the residual alone), an ancilla image with the wrong sign on Y must leave a nonzero Y residual,
+and an image with an imaginary part must be measured in full.  A check that
 passes these broken inputs would pass anything.
 """
 
@@ -19,6 +19,8 @@ import pytest
 
 from corrqec import Circuit, GateOp, build_pn, cli, conjugation_report, encoder, scheme
 from corrqec.cli import cmd_verify
+
+from oracles import expected_conjugation, pauli_power, realize
 
 
 def _mutants(circuit: Circuit):
@@ -69,6 +71,55 @@ def test_every_single_gate_mutant_is_rejected(n, use_spec):
         assert report.conjugation_residuals == residuals, (n, label)
 
 
+def _dense_residuals(spec):
+    """spec's residuals by GEMMs with the densely realized circuit, each
+    conjugate rounded to the Gaussian integers of a Pauli string and the
+    squares summed exactly."""
+    p = realize(spec.circuit)
+    out = []
+    for axis in "XYZ":
+        conj = p.conj().T @ pauli_power(axis, spec.n) @ p
+        rounded = np.round(conj)
+        assert np.abs(conj - rounded).max() < 1e-12
+        d = rounded - expected_conjugation(spec, axis)
+        out.append(math.sqrt(np.vdot(d, d).real))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_mutant_residuals_are_the_dense_distances(n):
+    # the value of each residual, not only that it is nonzero; the spec with
+    # the other parity's ancilla leaves an odd number of data qubits
+    specs = [spec for _, spec in _mutant_specs(n)]
+    other = "odd" if n % 2 == 0 else "even"
+    specs.append(dataclasses.replace(build_pn(n), parity=other))
+    for spec in specs:
+        assert conjugation_report(spec) == _dense_residuals(spec), spec
+
+
+@pytest.mark.parametrize("n", [20, 21, 64, 65])
+def test_every_single_gate_mutant_is_rejected_at_large_n(n):
+    # the conjugation half of the sweep above, past any dense check
+    mutants = list(_mutant_specs(n))
+    assert len(mutants) >= build_pn(n).circuit.count("cnot") * 2
+    for label, spec in mutants:
+        assert any(r != 0.0 for r in conjugation_report(spec)), (n, label)
+
+
+def test_a_mutant_past_the_float_range_is_rejected_without_overflow():
+    # at n = 2001 a nonzero residual is about 2**1000, and past n = 2048 it
+    # is inf: either way nonzero, and no OverflowError on the way
+    for n in (2001, 2002, 2049):
+        spec = build_pn(n)
+        ops = spec.circuit.ops
+        for circuit in (Circuit(n, ops[1:]), Circuit(n, ops[:-1])):
+            residuals = conjugation_report(dataclasses.replace(spec, circuit=circuit))
+            assert any(r > 0.0 for r in residuals), n
+    # the empty circuit leaves X_n on every data qubit: sqrt(2**2049 + ...)
+    empty = dataclasses.replace(build_pn(2049), circuit=Circuit(2049))
+    assert math.inf in conjugation_report(empty)
+
+
 @pytest.mark.parametrize("n", range(2, 8))
 def test_the_unmutated_encoder_passes_under_the_same_patch(n, use_spec):
     # the patch itself breaks nothing: the true spec still verifies
@@ -87,9 +138,9 @@ def test_flipped_y_sign_is_rejected(n, monkeypatch):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_an_imaginary_part_of_an_image_is_measured(n, monkeypatch):
-    # each conjugate is real, so an image (over its phase) with an imaginary
-    # part must be measured in complex arithmetic, never cut to its real part:
-    # adding i I to every image leaves exactly |i I_dim| = sqrt(2**n) each
+    # an imaginary part of an image must be measured in full, never cut to
+    # its real part: adding i I to every image leaves exactly
+    # |i I_dim| = sqrt(2**n) each
     real = encoder.ancilla_images
     monkeypatch.setattr(
         encoder,
