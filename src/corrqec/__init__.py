@@ -21,6 +21,7 @@ from .errors import (
     BadQubitIndex,
     CorrQecError,
     DimensionMismatch,
+    NotHermitian,
     NotTracePreserving,
 )
 from .gates import (

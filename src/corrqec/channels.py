@@ -137,15 +137,6 @@ class SpanChannel:
 Channel = PauliChannel | SpanChannel
 
 
-def _check_dim(ch: Channel, rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] != (1 << ch.n):
-        raise DimensionMismatch(
-            f"state shape {rho.shape} does not match n={ch.n} qubits"
-        )
-    return rho
-
-
 def chi_matrix(ch: Channel) -> np.ndarray:
     """chi of one channel: diag(probs), or sum_j f_j f_j_dag over Kraus rows f_j."""
     if isinstance(ch, PauliChannel):
@@ -208,17 +199,28 @@ def check_repeats(repeats) -> int:
     return repeats
 
 
-def apply_sequence(channels, rho: np.ndarray, repeats: int = 1) -> np.ndarray:
-    """Apply the channel list in order, the whole list `repeats` times: it is
-    composed into one chi and applied in one fused pass of the state,
-    whatever the list length and repeat count.
-    """
+def checked_sequence_chi(channels, shape, repeats: int) -> np.ndarray | None:
+    """sequence_chi of the channel list for a state of the given shape, None
+    for an empty list; DimensionMismatch unless every channel acts on the
+    same n and the state is 2**n x 2**n."""
     channels = list(channels)
     repeats = check_repeats(repeats)
     ns = {ch.n for ch in channels}
     if len(ns) > 1:
         raise DimensionMismatch(f"channels act on different qubit counts: {ns}")
     if not channels:
-        return np.asarray(rho, dtype=np.complex128)
-    rho = _check_dim(channels[0], rho)
-    return kernels.pauli_channel_apply(rho, sequence_chi(channels, repeats))
+        return None
+    n = channels[0].n
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] != (1 << n):
+        raise DimensionMismatch(f"state shape {shape} does not match n={n} qubits")
+    return sequence_chi(channels, repeats)
+
+
+def apply_sequence(channels, rho: np.ndarray, repeats: int = 1) -> np.ndarray:
+    """Apply the channel list in order, the whole list `repeats` times: it is
+    composed into one chi and applied in one fused pass of the state,
+    whatever the list length and repeat count.
+    """
+    rho = np.asarray(rho, dtype=np.complex128)
+    chi = checked_sequence_chi(channels, rho.shape, repeats)
+    return rho if chi is None else kernels.pauli_channel_apply(rho, chi)

@@ -25,3 +25,7 @@ class AncillaSizeError(CorrQecError):
 
 class NotTracePreserving(CorrQecError):
     """Kraus coefficients fail the completeness relation."""
+
+
+class NotHermitian(CorrQecError):
+    """A trial state is not Hermitian within tolerances.HERMITIAN_TOL."""

@@ -12,10 +12,10 @@ of _TILE_BYTES (4 MiB), and no more than the matrix has.  So a call holds
 its output plus one step's scratch, and a small matrix is one step.
 
 - Each output element gets the same floating-point operations, in the same
-  order, as the whole-array expression, so gather_hadamard_conjugate and
-  pauli_channel_apply are bit-identical at every tile size.  frob_dist and
-  kron_dist sum per-step squares in a different order (equal to within
-  rounding) and are exactly 0.0 on equal inputs.
+  order, as the whole-array expression, so gather_hadamard_conjugate,
+  pauli_channel_apply and pauli_channel_packed are bit-identical at every
+  tile size.  frob_dist and kron_dist sum per-step squares in a different
+  order (equal to within rounding) and are exactly 0.0 on equal inputs.
 - gather_hadamard_conjugate conjugates by a permutation, a Hadamard and a
   permutation in one pass: the permutations only change which rows of the
   input a step reads and which rows and columns of the output it writes,
@@ -24,18 +24,24 @@ its output plus one step's scratch, and a small matrix is one step.
   unscaled and the column butterfly's output is scaled once by 0.5, exact
   in binary, so conjugating a matrix of Gaussian integers (as the
   correlated errors are) is exact.
-- kron_dist measures d against a kron product a ox r (r = I when None)
-  with no output at all: each step builds its own slice of a ox r in
+- kron_dist measures d against a kron product a ox r (r = I when None),
+  or against the two-term a1 ox r + a2 ox r^T of a packed product, with no
+  output at all: each step builds its own slice of the product in
   scratch, so the product checks hold one state, not two.
 - gather_conjugate is one fancy-index gather, for CNOT-only (odd-n)
   circuits: a tiled gather measured no faster on the encoders' CNOT
   permutations.
-- gather_conjugate, gather_hadamard_conjugate and kron_dist keep a float64
-  matrix in its dtype (real_or_complex), with buffers and scratch of the
-  same dtype, since the encoders' gates are real: each float64 entry gets
-  the operations the real part of a complex one would.  kron_dist's
-  scratch is complex128 if any input is complex.  Every other kernel
-  takes its input as complex128.
+- The trial carries its states packed, as one float64 matrix
+  Re rho + Im rho (tensor.pack), so the float64 paths are the ones it
+  runs.  gather_conjugate, gather_hadamard_conjugate and kron_dist keep a
+  float64 matrix in its dtype (real_or_complex), with buffers and scratch
+  of the same dtype, since the encoders' gates are real: each float64
+  entry gets the operations the real part of a complex one would.
+  kron_dist's scratch is complex128 if any input is complex.  ptrace_*
+  sum a float64 matrix in float64 and return the kept block as
+  complex128, as for any input.  frob_dist and pauli_channel_apply take
+  their input as complex128; pauli_channel_packed is the channel pass on
+  a packed state.
 
 pauli_channel_apply applies any channel whose Kraus operators lie in
 span{I, X_n, Y_n, Z_n}, given as its 4x4 process matrix chi (a Pauli
@@ -43,6 +49,9 @@ channel by its probabilities, the diagonal of chi), in one fused pass that
 reads the state once: each entry of the output is a weighted sum of the
 same entry of rho and of its reversed views.  A view whose weights are all
 zero is skipped, so a Pauli channel reads only rho and its flip.
+pauli_channel_packed makes the same pass in float64 with the real parts
+of the weights; a chi whose weights have imaginary parts (a span channel)
+adds a second pass whose rows are subtracted transposed.
 """
 
 from __future__ import annotations
@@ -54,6 +63,8 @@ import numpy as np
 
 # Every row a step of a dense kernel touches fits in half of this many bytes.
 _TILE_BYTES = 1 << 22
+# Rows of the output per transposed subtraction in pauli_channel_packed.
+_TRANSPOSE_ROWS = 128
 
 
 @lru_cache(maxsize=None)
@@ -91,15 +102,12 @@ def _step_rows(rows: int, bytes_per_row: int) -> int:
     return min(rows, max(1, _TILE_BYTES // 2 // bytes_per_row))
 
 
-def _hadamard_block(a, b, block, scale: float | None) -> None:
+def _hadamard_block(a, b, block) -> None:
     """Butterfly of the paired slices a and b into block[:, 0] = a + b and
-    block[:, 1] = a - b, then block *= scale unless scale is None: the same
-    roundings as (a + b) * scale.  Rows pass block as is; columns pass a
-    view with the pair axis moved to position 1."""
+    block[:, 1] = a - b.  Rows pass block as is; columns pass a view with
+    the pair axis moved to position 1."""
     np.add(a, b, out=block[:, 0])
     np.subtract(a, b, out=block[:, 1])
-    if scale is not None:
-        block *= scale
 
 
 def _pair_blocks(hi: int, lo: int, pairs: int):
@@ -164,13 +172,14 @@ def gather_hadamard_conjugate(
         else:
             np.take(m, rows[h, :, l], axis=0, out=x, mode="clip")
             rows_in = np.take(x, before, axis=-1, out=y, mode="clip")
-        _hadamard_block(rows_in[:, 0], rows_in[:, 1], x, None)
+        _hadamard_block(rows_in[:, 0], rows_in[:, 1], x)
         block = part if after is None else y
         cols_in = x.reshape(x.shape[:-1] + (hi, 2, lo))
         cols_out = block.reshape(block.shape[:-1] + (hi, 2, lo))
         # the column pair axis moved to position 1, as _hadamard_block takes it
         cols_out = cols_out.transpose(0, 4, 1, 2, 3, 5)
-        _hadamard_block(cols_in[..., 0, :], cols_in[..., 1, :], cols_out, 0.5)
+        _hadamard_block(cols_in[..., 0, :], cols_in[..., 1, :], cols_out)
+        cols_out *= 0.5
         if after is not None:
             out[dest[h, :, l]] = np.take(y, after, axis=-1, out=x, mode="clip")
     return out
@@ -218,6 +227,50 @@ def _chi_weights(chi: np.ndarray, n: int) -> np.ndarray:
     return w.reshape(4, 2, -1)
 
 
+def _as_chi(probs) -> np.ndarray:
+    """probs as a 4x4 complex chi: a 1-d probs is its diagonal."""
+    chi = np.asarray(probs, dtype=np.complex128)
+    return np.diag(chi) if chi.ndim == 1 else chi
+
+
+def _weighted_rows(o, s, views, weights, blocks, classes) -> None:
+    """o = sum over blocks b of weights[b][classes] * views[b], rows of one
+    step, with s the scratch: block blocks[0] first, then each other one
+    added in turn."""
+    np.take(weights[blocks[0]], classes, axis=0, out=o, mode="clip")
+    o *= views[blocks[0]]
+    for b in blocks[1:]:
+        np.take(weights[b], classes, axis=0, out=s, mode="clip")
+        s *= views[b]
+        o += s
+
+
+def _views(m):
+    """The four reversed views of m that _chi_weights' blocks read, and the
+    parity class (0 or 1) of each row."""
+    n = m.shape[0].bit_length() - 1
+    return (m, m[:, ::-1], m[::-1], m[::-1, ::-1]), (parity_signs(n) < 0).astype(np.intp)
+
+
+def _views_pass(out, m, weights, blocks) -> None:
+    """out = sum over blocks b of W_b * view_b(m) (see pauli_channel_apply),
+    in steps of whole rows: a step touches the output, one scratch row and
+    each view read, per output row."""
+    dim = m.shape[0]
+    views, rows_class = _views(m)
+    step = _step_rows(dim, m.itemsize * (2 + len(blocks)) * dim)
+    scratch = np.empty((step, dim), dtype=m.dtype)
+    for r0 in range(0, dim, step):
+        r = slice(r0, r0 + step)
+        o = out[r]
+        _weighted_rows(o, scratch[: len(o)], [v[r] for v in views], weights, blocks,
+                       rows_class[r])
+
+
+def _nonzero_blocks(weights, always=()) -> list[int]:
+    return [b for b in range(4) if b in always or weights[b].any()]
+
+
 def pauli_channel_apply(rho: np.ndarray, probs) -> np.ndarray:
     """sum_ab chi_ab E_a rho E_b_dag over E = (I, X_n, Y_n, Z_n), in one pass.
 
@@ -228,50 +281,78 @@ def pauli_channel_apply(rho: np.ndarray, probs) -> np.ndarray:
     where its weights are not all zero, so a step reads only the views of
     rho it needs: a diagonal chi (any Pauli channel) has zero cross blocks
     and reads rho and its flip rho[::-1, ::-1], a full chi all four views.
-    A step touches the output, one scratch row and each view read, per
-    output row.
 
     The class indices are 0 or 1, so mode="clip" never clips; it lets take
     write into out directly, where the default mode buffers it.
     """
     rho = _as_cmatrix(rho)
-    chi = np.asarray(probs, dtype=np.complex128)
-    if chi.ndim == 1:
-        chi = np.diag(chi)
-    dim = rho.shape[0]
-    n = dim.bit_length() - 1
-    weights = _chi_weights(chi, n)
-    views = (rho, rho[:, ::-1], rho[::-1], rho[::-1, ::-1])
-    blocks = [0] + [b for b in (1, 2, 3) if weights[b].any()]
-    rows_class = (parity_signs(n) < 0).astype(np.intp)
+    weights = _chi_weights(_as_chi(probs), rho.shape[0].bit_length() - 1)
     out = np.empty_like(rho)
-    step = _step_rows(dim, 16 * (2 + len(blocks)) * dim)
-    scratch = np.empty((step, dim), dtype=np.complex128)
+    _views_pass(out, rho, weights, _nonzero_blocks(weights, always=(0,)))
+    return out
+
+
+def pauli_channel_packed(m: np.ndarray, probs) -> np.ndarray:
+    """pauli_channel_apply on a packed Hermitian state, float64 in and out.
+
+    m = Re rho + Im rho packs a Hermitian rho (tensor.pack).  Each E_a is
+    u_a R_a with R_a real and u_a a phase, so with c_ab = chi_ab u_a
+    conj(u_b) = x_ab + i y_ab the packed output is
+    sum_ab x_ab R_a m R_b^T + y_ab R_a m^T R_b^T, and as chi is Hermitian
+    y is antisymmetric, so the second sum is -K^T for
+    K = sum_ab y_ab R_a m R_b^T.  The weights of the two sums are the real
+    and imaginary parts of _chi_weights: the first is pauli_channel_apply's
+    pass in float64, with the same skipped views; K, when any of its
+    weights is nonzero (never for a Pauli channel, whose c is real), is
+    summed a step of rows at a time into scratch and subtracted, transposed,
+    in tiles of _TRANSPOSE_ROWS rows of the output, which keep a transposed
+    read within the cache.  A step of K holds its rows of K and of scratch,
+    and a third row for the weights, within half a tile (the output's
+    column strip and the views it reads are not counted: wider strips
+    measured faster).
+    """
+    m = np.ascontiguousarray(m, dtype=np.float64)
+    dim = m.shape[0]
+    weights = _chi_weights(_as_chi(probs), dim.bit_length() - 1)
+    real = np.ascontiguousarray(weights.real)
+    imag = np.ascontiguousarray(weights.imag)
+    out = np.empty_like(m)
+    _views_pass(out, m, real, _nonzero_blocks(real, always=(0,)))
+    blocks = _nonzero_blocks(imag)
+    if not blocks:
+        return out
+    views, rows_class = _views(m)
+    step = _step_rows(dim, 24 * dim)
+    k, scratch = np.empty((2, step, dim))
     for r0 in range(0, dim, step):
         r = slice(r0, r0 + step)
-        o = out[r]
-        s = scratch[: len(o)]
-        np.take(weights[0], rows_class[r], axis=0, out=o, mode="clip")
-        o *= rho[r]
-        for b in blocks[1:]:
-            np.take(weights[b], rows_class[r], axis=0, out=s, mode="clip")
-            s *= views[b][r]
-            o += s
+        kr = k[: min(step, dim - r0)]
+        _weighted_rows(kr, scratch[: len(kr)], [v[r] for v in views], imag, blocks,
+                       rows_class[r])
+        for c0 in range(0, dim, _TRANSPOSE_ROWS):
+            c = slice(c0, c0 + _TRANSPOSE_ROWS)
+            out[c, r] -= kr[:, c].T
     return out
 
 
 def ptrace_leading(m: np.ndarray, keep: int) -> np.ndarray:
-    """Trace out the leading factor, keeping the trailing keep x keep block."""
-    m = _as_cmatrix(m)
+    """Trace out the leading factor, keeping the trailing keep x keep block.
+
+    A float64 m is summed in float64, with no complex copy of it; the block
+    is complex128 either way."""
+    m = real_or_complex(m)
     d = m.shape[0] // keep
-    return np.einsum("ikil->kl", m.reshape(d, keep, d, keep))
+    out = np.einsum("ikil->kl", m.reshape(d, keep, d, keep))
+    return out.astype(np.complex128, copy=False)
 
 
 def ptrace_trailing(m: np.ndarray, keep: int) -> np.ndarray:
-    """Trace out the trailing factor, keeping the leading keep x keep block."""
-    m = _as_cmatrix(m)
+    """Trace out the trailing factor, keeping the leading keep x keep block,
+    in float64 for a float64 m as ptrace_leading."""
+    m = real_or_complex(m)
     d = m.shape[0] // keep
-    return np.einsum("ikjk->ij", m.reshape(keep, d, keep, d))
+    out = np.einsum("ikjk->ij", m.reshape(keep, d, keep, d))
+    return out.astype(np.complex128, copy=False)
 
 
 def frob_dist(a: np.ndarray, b: np.ndarray) -> float:
@@ -293,35 +374,51 @@ def kron_dist(d: np.ndarray, a: np.ndarray, r: np.ndarray | None) -> float:
     """Frobenius norm of d - a ox r, r None for the identity, without forming
     a ox r; 0.0 when d equals it.
 
+    a may also be a stack (a1, a2) of two matrices, with an r: d is then
+    measured against a1 ox r + a2 ox r^T, which for a Hermitian
+    a1 + i a2 and r = Re rho + Im rho is the packed (a1 + i a2) ox rho
+    (tensor.pack_kron).  The a2 term is skipped where a2 is all zero.
+
     d is walked as (A, R, A, R), d[i, j, k, l] = d[i R + j, k R + l], in
     blocks of rows (i, j) from _pair_blocks, in frob_dist's steps (a row of
-    d, of scratch and at most one of r per row of d).  A step builds its
-    slice of a[i, k] * r[j, l] in scratch, the one rounding np.kron makes,
-    and subtracts it from d; for r None the slice is d less a[i, k] where
-    l = j, the entries a[i, k] * 1 of a ox I.  The scratch is float64 when
-    d, a and r are each float64, complex128 otherwise.
+    d, of scratch and at most one of r per row of d, two more for an a2
+    term).  A step builds its slice of a ox r in scratch, the one rounding
+    np.kron makes, and subtracts it from d; for r None the slice is d less
+    a[i, k] where l = j, the entries a[i, k] * 1 of a ox I.  An a2 term is
+    built in a second scratch, from a contiguous copy of r^T, and added to
+    the first before the subtraction.  The scratch is float64 when d, a and
+    r are each float64, complex128 otherwise.
     """
     d = real_or_complex(d)
     a = real_or_complex(a)
+    dtype = np.result_type(d, a)
+    terms = []
     if r is not None:
         r = real_or_complex(r)
-    dtype = np.result_type(d, a) if r is None else np.result_type(d, a, r)
+        dtype = np.result_type(dtype, r)
+        first, *rest = a if a.ndim == 3 else [a]
+        terms = [(first, r)]
+        terms += [(t, np.ascontiguousarray(r.T)) for t in rest if t.any()]
     dim = d.shape[0]
-    na = a.shape[0]
+    na = a.shape[-1]
     nr = dim // na
     d4 = d.reshape(na, nr, na, nr)
-    (ki, kj), blocks = _pair_blocks(na, nr, _step_rows(dim, 3 * dtype.itemsize * dim))
-    scratch = np.empty((ki, kj, na, nr), dtype=dtype)
+    rows = 1 + 2 * max(len(terms), 1)
+    (ki, kj), blocks = _pair_blocks(na, nr, _step_rows(dim, rows * dtype.itemsize * dim))
+    scratch = np.empty((max(len(terms), 1), ki, kj, na, nr), dtype=dtype)
     total = 0.0
     for i, j in blocks:
         part = d4[i, j]
-        s = scratch[: part.shape[0], : part.shape[1]]
+        s, *extra = scratch[:, : part.shape[0], : part.shape[1]]
         if r is None:
             np.copyto(s, part)
             t = np.arange(s.shape[1])
             s[:, t, :, j.start + t] -= a[i]
         else:
-            np.multiply(a[i, None, :, None], r[None, j, None, :], out=s)
+            (a1, r1), *rest = terms
+            np.multiply(a1[i, None, :, None], r1[None, j, None, :], out=s)
+            for (at, rt), e in zip(rest, extra):
+                s += np.multiply(at[i, None, :, None], rt[None, j, None, :], out=e)
             np.subtract(part, s, out=s)
         total += np.vdot(s, s).real
     return sqrt(total)

@@ -4,6 +4,14 @@ Encoding maps sigma ox rho to P_n (sigma ox rho) P_n_dag, where sigma is a
 one-qubit ancilla for odd n and a two-qubit ancilla for even n.  Correlated
 errors commute through P_n onto the ancilla alone, so decoding with P_n_dag
 leaves an exact product: the predicted ancilla times the untouched data rho.
+
+run_trial carries every 2**n-dimensional state packed (tensor.pack): one
+float64 matrix Re + Im, half the bytes of a complex one.  The encoder's
+gates are real and every state is Hermitian, so encode, the channel pass,
+decode, the partial traces and the product checks all act on the packed
+matrix; only the ancilla and the recovered rho are unpacked.  encode and
+decode keep their complex contract; decode also keeps a float64 state
+float64.
 """
 
 from __future__ import annotations
@@ -13,20 +21,24 @@ from math import sqrt
 
 import numpy as np
 
-from .channels import Channel, PauliChannel, SpanChannel, apply_sequence, check_repeats
+from . import kernels
+from .channels import Channel, PauliChannel, SpanChannel, check_repeats
+from .channels import checked_sequence_chi
 from .encoder import EncoderSpec, ancilla_images, build_pn, encoder_factors
-from .errors import AncillaSizeError, BadQubitCount, DimensionMismatch
+from .errors import AncillaSizeError, BadQubitCount, DimensionMismatch, NotHermitian
 from .gates import circuit_conjugate
-from .tensor import check_memory, frobenius_distance, kron_distance
+from .tensor import check_memory, frobenius_distance, hermitian_deviation, pack
+from .tensor import pack_kron, packed_kron_distance, unpack
 from .tensor import partial_trace_leading, partial_trace_trailing
-from .tolerances import CLASSICAL_TOL, HYBRID_TOL
+from .tolerances import CLASSICAL_TOL, HERMITIAN_TOL, HYBRID_TOL
 
-# Peak number of live 2**n x 2**n complex128 matrices during a trial, from
-# tracemalloc at n = 8..11 with Pauli and span-Pauli-span lists (repeats 1
-# and 2, random and classical ancillas): 3.38 at n = 8, 2.14 at n = 9, 2.09
-# at n = 10 and 2.01 at n = 11, rounded up (up to n = 8 the kernels' half
-# tile of step scratch, 2 MiB, outweighs the states).
-TRIAL_PEAK_STATES = 3
+# Peak number of live 2**n x 2**n packed states (float64, 8*4**n bytes)
+# during a trial, from tracemalloc at n = 8..11 with Pauli and
+# span-Pauli-span lists (repeats 1 and 2, random and classical ancillas):
+# 4.47 at n = 8, 2.72 at n = 9, 2.22 at n = 10 and 2.28 at n = 11, rounded
+# up (up to n = 9 the kernels' half tile of step scratch, 2 MiB, outweighs
+# the states).
+TRIAL_PEAK_STATES = 5
 
 
 @dataclass(eq=False)
@@ -76,8 +88,9 @@ def encode(spec: EncoderSpec, sigma: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def decode(spec: EncoderSpec, tau: np.ndarray) -> np.ndarray:
-    """P_n_dag tau P_n."""
-    tau = np.asarray(tau, dtype=np.complex128)
+    """P_n_dag tau P_n; a float64 tau (a real or a packed state) stays
+    float64, as the gates are real."""
+    tau = np.asarray(tau)
     if tau.ndim != 2 or tau.shape != (1 << spec.n, 1 << spec.n):
         raise DimensionMismatch(f"expected a {1 << spec.n}-dim state, got {tau.shape}")
     return circuit_conjugate(encoder_factors(spec.n), tau, adjoint=True)
@@ -138,6 +151,16 @@ def _is_classical(sigma: np.ndarray) -> bool:
     )
 
 
+def _check_hermitian(sigma: np.ndarray, rho: np.ndarray) -> None:
+    for name, m in (("ancilla", sigma), ("data state", rho)):
+        dev = hermitian_deviation(m)
+        if not dev <= HERMITIAN_TOL:
+            raise NotHermitian(
+                f"{name} is not Hermitian: an entry of m - m_dag reaches {dev:.3e}, "
+                f"past {HERMITIAN_TOL}"
+            )
+
+
 def run_trial(
     n: int, sigma: np.ndarray, rho: np.ndarray, channels, repeats: int = 1
 ) -> SchemeOutcome:
@@ -145,35 +168,47 @@ def run_trial(
 
     The decoded state is predicted to be (induced channel on sigma) ox rho;
     the outcome reports the Frobenius residuals of that prediction and of
-    the product factorization itself.
+    the product factorization itself.  sigma and rho must be Hermitian
+    (NotHermitian otherwise), as the trial carries its states packed:
+    M = pack(sigma ox rho) = Re sigma ox P + Im sigma ox P^T, P = pack(rho),
+    is encoded, passed through the channels and decoded as one float64
+    matrix.  The partial traces of the decoded M are the packed ancilla and
+    data states, which are unpacked; the product checks measure M against
+    the packed products blockwise.  Every check runs before any 4**n
+    allocation.
     """
     repeats = check_repeats(repeats)
     if isinstance(channels, (PauliChannel, SpanChannel)):
         channels = [channels]
     channels = list(channels)
-    check_memory(n, TRIAL_PEAK_STATES)
+    check_memory(n, TRIAL_PEAK_STATES, 8)
     spec = build_pn(n)
     sigma, rho = _check_states(spec, sigma, rho)
+    _check_hermitian(sigma, rho)
+    chi = checked_sequence_chi(channels, (1 << n, 1 << n), repeats)
 
-    # drop each stage's input once the next stage has consumed it, so the
-    # checks below hold only the decoded state: the product checks measure
-    # it against a kron product blockwise, without forming the product
-    encoded = encode(spec, sigma, rho)
-    corrupted = apply_sequence(channels, encoded, repeats)
-    del encoded
-    decoded = decode(spec, corrupted)
-    del corrupted
+    # each stage's input is dropped once the next stage has consumed it, so
+    # the checks below hold only the decoded state: the product checks
+    # measure it against a kron product blockwise, without forming it
+    p = pack(rho)
+    state = circuit_conjugate(encoder_factors(n), pack_kron(sigma, p))
+    if chi is not None:
+        state = kernels.pauli_channel_packed(state, chi)
+    state = decode(spec, state)
 
-    recovered_rho = partial_trace_leading(decoded, sigma.shape[0])
-    ancilla_out = partial_trace_trailing(decoded, rho.shape[0])
+    # the packed traces, as float64 (the kernels return complex128)
+    recovered = partial_trace_leading(state, sigma.shape[0]).real.copy()
+    ancilla = partial_trace_trailing(state, rho.shape[0]).real
+    recovered_rho = unpack(recovered)
+    ancilla_out = unpack(ancilla)
     predicted = predicted_ancilla(sigma, channels, repeats, spec.parity, spec.sign)
 
     rho_residual = frobenius_distance(recovered_rho, rho)
     ancilla_residual = frobenius_distance(ancilla_out, predicted)
-    product_residual = kron_distance(decoded, ancilla_out, recovered_rho)
+    product_residual = packed_kron_distance(state, ancilla_out, recovered)
     hybrid_exact = None
     if spec.parity == "even" and _is_classical(sigma):
-        hybrid_exact = kron_distance(decoded, sigma, rho) <= HYBRID_TOL
+        hybrid_exact = packed_kron_distance(state, sigma, p) <= HYBRID_TOL
     return SchemeOutcome(
         recovered_rho=recovered_rho,
         ancilla_out=ancilla_out,

@@ -9,3 +9,4 @@ HYBRID_TOL = 1e-11  # classical ancilla: decoded state vs sigma ox rho
 # conjugation check still reads it through cli
 CONJ_TOL_EVEN = 1e-11
 TRIAL_TOL = 1e-11  # each residual of a verify trial
+HERMITIAN_TOL = 1e-12  # run_trial: largest |m - m_dag| entry of sigma and of rho

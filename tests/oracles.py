@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from corrqec.encoder import ancilla_images
+from corrqec.channels import apply_sequence
+from corrqec.encoder import ancilla_images, build_pn
 from corrqec.errors import DimensionMismatch
 from corrqec.gates import circuit_factors, cnot_perm
-from corrqec.tensor import as_square
+from corrqec.scheme import classical_state, decode, encode, predicted_ancilla
+from corrqec.tensor import as_square, frobenius_distance, kron_distance
+from corrqec.tensor import partial_trace_leading, partial_trace_trailing
+from corrqec.tolerances import CLASSICAL_TOL, HYBRID_TOL
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -236,3 +240,41 @@ def permutation_matrix(perm) -> np.ndarray:
 def cnot_matrix(n: int, control: int, target: int) -> np.ndarray:
     """The package's CNOT permutation as a dense matrix."""
     return permutation_matrix(cnot_perm(n, control, target))
+
+
+def random_density_complex(dim: int, seed: int) -> np.ndarray:
+    """random_density's draws, G G_dag / tr(G G_dag) with G = A + iB, as one
+    complex GEMM."""
+    rng = np.random.default_rng(seed)
+    g = rng.random((dim, dim)) + 1j * rng.random((dim, dim))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def complex_trial(n: int, sigma, rho, channels, repeats: int = 1) -> dict:
+    """run_trial's residuals and hybrid flag with every state complex128:
+    np.kron, encode, apply_sequence and decode, then the partial traces and
+    the distances on the complex decoded state."""
+    spec = build_pn(n)
+    sigma = np.asarray(sigma, dtype=complex)
+    rho = np.asarray(rho, dtype=complex)
+    decoded = decode(spec, apply_sequence(channels, encode(spec, sigma, rho), repeats))
+    recovered = partial_trace_leading(decoded, sigma.shape[0])
+    ancilla = partial_trace_trailing(decoded, rho.shape[0])
+    predicted = predicted_ancilla(sigma, channels, repeats, spec.parity, spec.sign)
+    classical = sigma.shape == (4, 4) and any(
+        frobenius_distance(sigma, classical_state(i, j)) <= CLASSICAL_TOL
+        for i in (0, 1)
+        for j in (0, 1)
+    )
+    hybrid = None
+    if spec.parity == "even" and classical:
+        hybrid = kron_distance(decoded, sigma, rho) <= HYBRID_TOL
+    return {
+        "recovered_rho": recovered,
+        "ancilla_out": ancilla,
+        "rho_residual": frobenius_distance(recovered, rho),
+        "ancilla_residual": frobenius_distance(ancilla, predicted),
+        "product_residual": kron_distance(decoded, ancilla, recovered),
+        "hybrid_exact": hybrid,
+    }

@@ -457,3 +457,92 @@ def test_kernel_signatures_are_pinned(name):
     sig.bind(*names)
     with pytest.raises(TypeError):
         sig.bind(*names, None)
+
+
+def _pack(m):
+    return m.real + m.imag
+
+
+def _hermitian(n, seed):
+    m = random_complex_matrix(1 << n, seed)
+    return m + m.conj().T
+
+
+def test_pauli_channel_packed_is_the_packed_complex_pass():
+    # n = 1..8 covers every phase of Y_n; a Pauli chi has real weights only
+    rng = np.random.default_rng(41)
+    for n in range(1, 9):
+        rho = _hermitian(n, n + 120)
+        m = _pack(rho)
+        chis = [_random_chi(rng), np.diag(rng.dirichlet(np.ones(4)))] + _PARTLY_ZERO_CHI
+        for chi in chis:
+            got = _checked(kernels.pauli_channel_packed, m, chi)
+            assert got.dtype == np.float64
+            want = _pack(kernels.pauli_channel_apply(rho, chi))
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12), n
+        probs = rng.dirichlet(np.ones(4))
+        got = kernels.pauli_channel_packed(m, probs)
+        assert np.array_equal(got, kernels.pauli_channel_packed(m, np.diag(probs)))
+        # a real chi pass is the complex one's real part, bit for bit
+        assert np.array_equal(got, kernels.pauli_channel_apply(m, probs).real)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("k", [1, 5, 30])
+def test_pauli_channel_packed_is_tile_size_independent(monkeypatch, n, k):
+    # k rows of a float64 matrix per half tile, at most; transposed tiles of
+    # 1, 3 and the default 128 rows
+    rng = np.random.default_rng(n * 7 + k)
+    m = _pack(_hermitian(n, n + 130))
+    chis = [_random_chi(rng), np.diag(rng.dirichlet(np.ones(4)))]
+    whole = [kernels.pauli_channel_packed(m, chi) for chi in chis]
+    dim = 1 << n
+    monkeypatch.setattr(kernels, "_TILE_BYTES", 16 * dim * k)
+    for rows in (1, 3, 128):
+        monkeypatch.setattr(kernels, "_TRANSPOSE_ROWS", rows)
+        for chi, want in zip(chis, whole):
+            assert np.array_equal(_checked(kernels.pauli_channel_packed, m, chi), want)
+
+
+def test_pauli_channel_packed_holds_one_output_plus_tile_scratch():
+    scratch = kernels._TILE_BYTES // 2
+    for n in (8, 10):
+        m = _pack(_hermitian(n, n + 140))
+        for chi in (_random_chi(np.random.default_rng(n)), (0.4, 0.3, 0.2, 0.1)):
+            assert _peak_bytes(kernels.pauli_channel_packed, m, chi) < m.nbytes + scratch
+
+
+def test_kron_dist_two_terms_against_kron_oracle(monkeypatch):
+    rng = np.random.default_rng(43)
+    for n in range(1, 9):
+        dim = 1 << n
+        d = rng.normal(size=(dim, dim))
+        for na in (2, 4)[: min(n, 2)]:
+            a1, a2 = rng.normal(size=(2, na, na))
+            r = rng.normal(size=(dim // na, dim // na))
+            product = np.kron(a1, r) + np.kron(a2, r.T)
+            got = _checked(kernels.kron_dist, d, np.stack((a1, a2)), r)
+            assert got == pytest.approx(kernels.frob_dist(d, product), rel=1e-12), n
+            # equal inputs: the step builds the oracle's own roundings
+            assert kernels.kron_dist(product, np.stack((a1, a2)), r) == 0.0, n
+            # an all-zero a2 term is skipped: the one-term call, bit for bit
+            zero = np.stack((a1, np.zeros_like(a2)))
+            assert kernels.kron_dist(d, zero, r) == kernels.kron_dist(d, a1, r), n
+    # several steps per block of rows, the last one shorter
+    monkeypatch.setattr(kernels, "_TILE_BYTES", 2 * 40 * 16 * 3)
+    d = rng.normal(size=(16, 16))
+    a = rng.normal(size=(2, 4, 4))
+    r = rng.normal(size=(4, 4))
+    product = np.kron(a[0], r) + np.kron(a[1], r.T)
+    assert kernels.kron_dist(d, a, r) == pytest.approx(kernels.frob_dist(d, product), rel=1e-12)
+    assert kernels.kron_dist(product, a, r) == 0.0
+
+
+def test_ptrace_kernels_sum_float64_in_float64():
+    m = np.random.default_rng(44).normal(size=(16, 16))
+    for fn in (kernels.ptrace_leading, kernels.ptrace_trailing):
+        got = fn(m, 4)
+        assert got.dtype == np.complex128 and not got.imag.any()
+        assert np.allclose(got, fn(m.astype(complex), 4), rtol=0.0, atol=1e-15)
+    # no complex copy of the input: the peak is the 4x4 output
+    assert _peak_bytes(kernels.ptrace_leading, m, 4) < m.nbytes

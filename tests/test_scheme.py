@@ -10,7 +10,9 @@ import pytest
 from corrqec import (
     AncillaSizeError,
     BadQubitCount,
+    CorrQecError,
     DimensionMismatch,
+    NotHermitian,
     PauliChannel,
     SpanChannel,
     apply_sequence,
@@ -25,9 +27,10 @@ from corrqec import (
 )
 from corrqec.kernels import _TILE_BYTES
 from corrqec.scheme import TRIAL_PEAK_STATES, induced_kraus
-from corrqec.tolerances import TRIAL_TOL
+from corrqec.tolerances import HERMITIAN_TOL, TRIAL_TOL
 
-from oracles import circuit_matrix, plain_ops, span_kraus_dense, random_span_coeffs
+from oracles import circuit_matrix, complex_trial, plain_ops, span_kraus_dense
+from oracles import random_span_coeffs
 
 
 def test_encode_decode_roundtrip():
@@ -320,3 +323,121 @@ def test_unitary_channel_at_huge_repeats_stays_a_channel():
     out = run_trial(3, random_density(2, 25), random_density(4, 26), unitary, 10**12)
     assert out.rho_residual < TRIAL_TOL
     assert out.product_residual < TRIAL_TOL
+
+
+def _trial_cases():
+    """(n, kind, ancilla, repeats) for n = 2..10: a Pauli list and a
+    span-Pauli-span list, a random ancilla and (even n) a classical one."""
+    return [
+        (n, kind, ancilla, repeats)
+        for n in range(2, 11)
+        for kind in ("pauli", "span")
+        for ancilla in ("random", "classical")[: 2 - n % 2]
+        for repeats in (1, 2)
+    ]
+
+
+def _channels(n, kind):
+    pauli = PauliChannel(n, (0.4, 0.3, 0.2, 0.1))
+    if kind == "pauli":
+        return [pauli]
+    # span coefficients are trace preserving at every n of the same n mod 4,
+    # so they are drawn at a small n, where the dense oracle is cheap
+    small = 4 + n % 4
+    first = SpanChannel(n, random_span_coeffs(small, seed=n + 90, terms=2))
+    last = SpanChannel(n, random_span_coeffs(small, seed=n + 91, terms=3))
+    return [first, pauli, last]
+
+
+@pytest.mark.parametrize("n, kind, ancilla, repeats", _trial_cases())
+def test_packed_trial_matches_the_complex_pipeline(n, kind, ancilla, repeats):
+    spec = build_pn(n)
+    if ancilla == "classical":
+        sigma = classical_state(1, 0)
+    else:
+        sigma = random_density(spec.ancilla_dim, n + 100)
+    rho = random_density((1 << n) // spec.ancilla_dim, n + 101)
+    channels = _channels(n, kind)
+    got = run_trial(n, sigma, rho, channels, repeats)
+    want = complex_trial(n, sigma, rho, channels, repeats)
+    for key in ("rho_residual", "ancilla_residual", "product_residual"):
+        assert abs(getattr(got, key) - want[key]) <= 1e-15, key
+    assert got.hybrid_exact is want["hybrid_exact"]
+    # the unpacked traces are exactly Hermitian and match the complex ones
+    for key in ("recovered_rho", "ancilla_out"):
+        m = getattr(got, key)
+        assert m.dtype == np.complex128 and m.shape == want[key].shape
+        assert np.array_equal(m, m.conj().T)
+        assert np.allclose(m, want[key], rtol=0.0, atol=1e-15), key
+
+
+@pytest.mark.parametrize("which", ["sigma", "rho"])
+def test_run_trial_rejects_non_hermitian_states_before_allocating(which):
+    n = 10
+    sigma, rho = classical_state(0, 1), random_density(256, 30)
+    bad = (sigma if which == "sigma" else rho).copy()
+    bad[0, 1] += 10 * HERMITIAN_TOL
+    states = (bad, rho) if which == "sigma" else (sigma, bad)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotHermitian, match="ancilla" if which == "sigma" else "data"):
+            run_trial(n, *states, PauliChannel(n, (0.7, 0.1, 0.1, 0.1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a packed state at n = 10 is 8 MiB; the check holds a 64 x 64 tile pair
+    assert peak < 8 * 4**n // 16
+    assert issubclass(NotHermitian, CorrQecError)
+    # within the tolerance, a state is accepted
+    near = (sigma if which == "sigma" else rho).copy()
+    near[0, 1] += HERMITIAN_TOL / 2
+    near_states = (near, rho) if which == "sigma" else (sigma, near)
+    assert run_trial(n, *near_states, []).rho_residual < 1e-12
+
+
+def test_run_trial_rejects_nan_states():
+    rho = random_density(4, 31)
+    rho[1, 1] = np.nan
+    with pytest.raises(NotHermitian):
+        run_trial(3, random_density(2, 32), rho, PauliChannel(3, (1, 0, 0, 0)))
+
+
+@pytest.mark.parametrize("kind", ["pauli", "span"])
+def test_packed_trial_at_n10_holds_under_three_packed_states(kind):
+    # 1.5 complex states: the encoded state, the next stage's output and
+    # the step scratch (2.22 packed states measured)
+    n = 10
+    rho = random_density(256, 33)
+    channels = _channels(n, kind)
+    tracemalloc.start()
+    try:
+        out = run_trial(n, classical_state(1, 0), rho, channels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.hybrid_exact is True
+    assert peak < 3 * 8 * 4**n
+
+
+def test_trial_peak_states_bounds_the_packed_trial():
+    # TRIAL_PEAK_STATES counts packed states, 8 bytes an entry
+    for n in (8, 9, 11):
+        spec = build_pn(n)
+        sigma = classical_state(1, 0) if n % 2 == 0 else random_density(2, 34)
+        rho = random_density((1 << n) // spec.ancilla_dim, 35)
+        channels = _channels(n, "span")
+        tracemalloc.start()
+        try:
+            run_trial(n, sigma, rho, channels, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < TRIAL_PEAK_STATES * 8 * 4**n, n
+
+
+def test_decode_keeps_a_float64_state_float64():
+    spec = build_pn(4)
+    m = np.random.default_rng(36).normal(size=(16, 16))
+    got = decode(spec, m)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, decode(spec, m.astype(complex)).real)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,15 @@ from corrqec import (
     partial_trace_trailing,
     random_density,
 )
+from corrqec.tensor import (
+    RANDOM_DENSITY_PEAK_STATES,
+    check_memory,
+    hermitian_deviation,
+    pack,
+    pack_kron,
+    packed_kron_distance,
+    unpack,
+)
 
 from oracles import (
     SX,
@@ -25,6 +35,7 @@ from oracles import (
     ptrace_leading_direct,
     ptrace_trailing_direct,
     random_complex_matrix,
+    random_density_complex,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -135,3 +146,90 @@ def test_random_density_rejects_dim_past_physical_memory(monkeypatch):
     with pytest.raises(CorrQecError, match="physical memory"):
         random_density(256, 0)
     assert is_density_matrix(random_density(16, 0))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 7, 16, 33, 100, 256, 1024])
+def test_random_density_is_exactly_hermitian_and_matches_the_complex_gemm(dim):
+    r = random_density(dim, dim + 50)
+    assert r.dtype == np.complex128 and r.shape == (dim, dim)
+    assert np.array_equal(r, r.conj().T)
+    assert abs(np.trace(r) - 1) < 1e-13
+    assert np.linalg.eigvalsh(r).min() >= -1e-15
+    assert np.allclose(r, random_density_complex(dim, dim + 50), rtol=0.0, atol=1e-15)
+
+
+def test_random_density_holds_three_states():
+    for dim in (64, 256):
+        random_density(dim, 0)  # first call: numpy's own lazy allocations
+        tracemalloc.start()
+        try:
+            random_density(dim, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < RANDOM_DENSITY_PEAK_STATES * 16 * dim * dim
+
+
+def test_pack_and_unpack_round_trip_hermitian_matrices():
+    for dim in (1, 2, 8, 64):
+        h = random_complex_matrix(dim, dim + 60)
+        h = h + h.conj().T
+        m = pack(h)
+        assert m.dtype == np.float64
+        assert np.array_equal(m, h.real + h.imag)
+        back = unpack(m)
+        assert np.array_equal(back, back.conj().T)
+        assert np.allclose(back, h, rtol=0.0, atol=1e-15)
+        # norms and partial traces act on the packed matrix as on h
+        assert np.linalg.norm(m) == pytest.approx(np.linalg.norm(h), rel=1e-14)
+    # any float64 matrix unpacks to a Hermitian one
+    back = unpack(np.arange(16.0).reshape(4, 4))
+    assert np.array_equal(back, back.conj().T)
+    with pytest.raises(DimensionMismatch):
+        unpack(np.ones((2, 3)))
+
+
+def test_pack_kron_is_the_packed_product():
+    for na, nr in ((2, 4), (4, 8), (4, 1)):
+        a = random_complex_matrix(na, na + nr)
+        a = a + a.conj().T
+        r = random_complex_matrix(nr, na * nr)
+        r = r + r.conj().T
+        got = pack_kron(a, pack(r))
+        assert np.allclose(got, pack(np.kron(a, r)), rtol=0.0, atol=1e-14)
+        # a real a is np.kron of it with the packed factor, bit for bit
+        assert np.array_equal(pack_kron(a.real, pack(r)), np.kron(a.real, pack(r)))
+
+
+def test_packed_kron_distance_is_the_hermitian_distance():
+    a = random_complex_matrix(4, 70)
+    a = a + a.conj().T
+    r = random_complex_matrix(8, 71)
+    r = r + r.conj().T
+    d = random_complex_matrix(32, 72)
+    d = d + d.conj().T
+    want = frobenius_distance(d, np.kron(a, r))
+    got = packed_kron_distance(pack(d), a, pack(r))
+    assert got == pytest.approx(want, rel=1e-13)
+    assert packed_kron_distance(pack_kron(a, pack(r)), a, pack(r)) == 0.0
+    with pytest.raises(DimensionMismatch):
+        packed_kron_distance(pack(d), a, pack(r)[:4, :4])
+
+
+def test_hermitian_deviation():
+    h = random_complex_matrix(130, 73)
+    h = h + h.conj().T
+    assert hermitian_deviation(h) == 0.0
+    h[129, 3] += 1e-9j
+    assert hermitian_deviation(h) == pytest.approx(1e-9)
+    h[3, 129] = np.nan
+    assert np.isnan(hermitian_deviation(h))
+
+
+def test_check_memory_counts_entry_bytes(monkeypatch):
+    # 2 MiB of physical memory: 2 states of 4**8 entries fit at 8 bytes, not at 16
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 512}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+    check_memory(8, 4, 8)
+    with pytest.raises(CorrQecError, match="physical memory"):
+        check_memory(8, 4)
