@@ -189,7 +189,7 @@ def cmd_trial(
 ) -> dict:
     """One full pipeline run, rendered as a JSON-ready dict."""
     repeats = check_repeats(repeats)
-    check_memory(n, TRIAL_PEAK_STATES, 8)
+    check_memory(n, TRIAL_PEAK_STATES)
     spec = build_pn(n)
     if channels_path is not None:
         channels = load_channels(channels_path, n)
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument(
         "--n", type=int, required=True,
         help="qubit count, >= 2 and small enough that "
-        f"{TRIAL_PEAK_STATES} packed states of 8*4**n bytes fit in physical memory",
+        f"{TRIAL_PEAK_STATES} density matrices of 16*4**n bytes fit in physical memory",
     )
     t.add_argument("--probs", type=str, default=None, help="p0,p1,p2,p3")
     t.add_argument(

@@ -12,10 +12,12 @@ of _TILE_BYTES (4 MiB), and no more than the matrix has.  So a call holds
 its output plus one step's scratch, and a small matrix is one step.
 
 - Each output element gets the same floating-point operations, in the same
-  order, as the whole-array expression, so gather_hadamard_conjugate,
-  pauli_channel_apply and pauli_channel_packed are bit-identical at every
-  tile size.  frob_dist and kron_dist sum per-step squares in a different
-  order (equal to within rounding) and are exactly 0.0 on equal inputs.
+  order, as the whole-array expression, so gather_hadamard_conjugate and
+  pauli_channel_apply are bit-identical at every tile size.  frob_dist and
+  kron_dist sum per-step squares in a different order (equal to within
+  rounding) and are exactly 0.0 on equal inputs.
+  pauli_channel_basis_packed's sums are BLAS dot products, equal to
+  within rounding at every tile size.
 - gather_hadamard_conjugate conjugates by a permutation, a Hadamard and a
   permutation in one pass: the permutations only change which rows of the
   input a step reads and which rows and columns of the output it writes,
@@ -40,8 +42,8 @@ its output plus one step's scratch, and a small matrix is one step.
   kron_dist's scratch is complex128 if any input is complex.  ptrace_*
   sum a float64 matrix in float64 and return the kept block as
   complex128, as for any input.  frob_dist and pauli_channel_apply take
-  their input as complex128; pauli_channel_packed is the channel pass on
-  a packed state.
+  their input as complex128; pauli_channel_basis_packed is the channel
+  pass on a packed state.
 
 pauli_channel_apply applies any channel whose Kraus operators lie in
 span{I, X_n, Y_n, Z_n}, given as its 4x4 process matrix chi (a Pauli
@@ -49,9 +51,16 @@ channel by its probabilities, the diagonal of chi), in one fused pass that
 reads the state once: each entry of the output is a weighted sum of the
 same entry of rho and of its reversed views.  A view whose weights are all
 zero is skipped, so a Pauli channel reads only rho and its flip.
-pauli_channel_packed makes the same pass in float64 with the real parts
-of the weights; a chi whose weights have imaginary parts (a span channel)
-adds a second pass whose rows are subtracted transposed.
+
+pauli_channel_basis_packed applies the same channel to a packed state in
+channel_basis, a CNOT permutation under which X_n and Z_n act on the
+leading one (odd n) or two (even n) qubits only.  There each block of the
+output is a weighted sum of the blocks of the state and of its transpose
+(the transpose carries the imaginary parts of a span channel's weights):
+one real matrix product per step of rows, whose weight matrix is 4 x 8
+for odd n and 16 x 32 for even n, half that for a Pauli channel.
+The trial composes channel_basis into its encoder's last gather, so the
+basis costs no pass of its own.
 """
 
 from __future__ import annotations
@@ -63,8 +72,8 @@ import numpy as np
 
 # Every row a step of a dense kernel touches fits in half of this many bytes.
 _TILE_BYTES = 1 << 22
-# Rows of the output per transposed subtraction in pauli_channel_packed.
-_TRANSPOSE_ROWS = 128
+# Columns of m per transposed copy in pauli_channel_basis_packed.
+_TRANSPOSE_COLS = 64
 
 
 @lru_cache(maxsize=None)
@@ -233,44 +242,6 @@ def _as_chi(probs) -> np.ndarray:
     return np.diag(chi) if chi.ndim == 1 else chi
 
 
-def _weighted_rows(o, s, views, weights, blocks, classes) -> None:
-    """o = sum over blocks b of weights[b][classes] * views[b], rows of one
-    step, with s the scratch: block blocks[0] first, then each other one
-    added in turn."""
-    np.take(weights[blocks[0]], classes, axis=0, out=o, mode="clip")
-    o *= views[blocks[0]]
-    for b in blocks[1:]:
-        np.take(weights[b], classes, axis=0, out=s, mode="clip")
-        s *= views[b]
-        o += s
-
-
-def _views(m):
-    """The four reversed views of m that _chi_weights' blocks read, and the
-    parity class (0 or 1) of each row."""
-    n = m.shape[0].bit_length() - 1
-    return (m, m[:, ::-1], m[::-1], m[::-1, ::-1]), (parity_signs(n) < 0).astype(np.intp)
-
-
-def _views_pass(out, m, weights, blocks) -> None:
-    """out = sum over blocks b of W_b * view_b(m) (see pauli_channel_apply),
-    in steps of whole rows: a step touches the output, one scratch row and
-    each view read, per output row."""
-    dim = m.shape[0]
-    views, rows_class = _views(m)
-    step = _step_rows(dim, m.itemsize * (2 + len(blocks)) * dim)
-    scratch = np.empty((step, dim), dtype=m.dtype)
-    for r0 in range(0, dim, step):
-        r = slice(r0, r0 + step)
-        o = out[r]
-        _weighted_rows(o, scratch[: len(o)], [v[r] for v in views], weights, blocks,
-                       rows_class[r])
-
-
-def _nonzero_blocks(weights, always=()) -> list[int]:
-    return [b for b in range(4) if b in always or weights[b].any()]
-
-
 def pauli_channel_apply(rho: np.ndarray, probs) -> np.ndarray:
     """sum_ab chi_ab E_a rho E_b_dag over E = (I, X_n, Y_n, Z_n), in one pass.
 
@@ -281,57 +252,125 @@ def pauli_channel_apply(rho: np.ndarray, probs) -> np.ndarray:
     where its weights are not all zero, so a step reads only the views of
     rho it needs: a diagonal chi (any Pauli channel) has zero cross blocks
     and reads rho and its flip rho[::-1, ::-1], a full chi all four views.
+    A step touches the output, one scratch row and each view read, per
+    output row.
 
     The class indices are 0 or 1, so mode="clip" never clips; it lets take
     write into out directly, where the default mode buffers it.
     """
     rho = _as_cmatrix(rho)
-    weights = _chi_weights(_as_chi(probs), rho.shape[0].bit_length() - 1)
+    dim = rho.shape[0]
+    n = dim.bit_length() - 1
+    weights = _chi_weights(_as_chi(probs), n)
+    views = (rho, rho[:, ::-1], rho[::-1], rho[::-1, ::-1])
+    blocks = [0] + [b for b in (1, 2, 3) if weights[b].any()]
+    rows_class = (parity_signs(n) < 0).astype(np.intp)
     out = np.empty_like(rho)
-    _views_pass(out, rho, weights, _nonzero_blocks(weights, always=(0,)))
+    step = _step_rows(dim, 16 * (2 + len(blocks)) * dim)
+    scratch = np.empty((step, dim), dtype=np.complex128)
+    for r0 in range(0, dim, step):
+        r = slice(r0, r0 + step)
+        o = out[r]
+        s = scratch[: len(o)]
+        np.take(weights[0], rows_class[r], axis=0, out=o, mode="clip")
+        o *= rho[r]
+        for b in blocks[1:]:
+            np.take(weights[b], rows_class[r], axis=0, out=s, mode="clip")
+            s *= views[b][r]
+            o += s
     return out
 
 
-def pauli_channel_packed(m: np.ndarray, probs) -> np.ndarray:
-    """pauli_channel_apply on a packed Hermitian state, float64 in and out.
+@lru_cache(maxsize=None)
+def channel_basis(n: int) -> np.ndarray:
+    """The basis permutation B, |i> -> |B[i]> (a circuit_factors table), that
+    carries X_n and Z_n onto the leading qubits; read-only.
 
-    m = Re rho + Im rho packs a Hermitian rho (tensor.pack).  Each E_a is
-    u_a R_a with R_a real and u_a a phase, so with c_ab = chi_ab u_a
-    conj(u_b) = x_ab + i y_ab the packed output is
-    sum_ab x_ab R_a m R_b^T + y_ab R_a m^T R_b^T, and as chi is Hermitian
-    y is antisymmetric, so the second sum is -K^T for
-    K = sum_ab y_ab R_a m R_b^T.  The weights of the two sums are the real
-    and imaginary parts of _chi_weights: the first is pauli_channel_apply's
-    pass in float64, with the same skipped views; K, when any of its
-    weights is nonzero (never for a Pauli channel, whose c is real), is
-    summed a step of rows at a time into scratch and subtracted, transposed,
-    in tiles of _TRANSPOSE_ROWS rows of the output, which keep a transposed
-    read within the cache.  A step of K holds its rows of K and of scratch,
-    and a third row for the weights, within half a tile (the output's
-    column strip and the views it reads are not counted: wider strips
-    measured faster).
+    t = popcount(i) mod 2 is the parity of i, so Z_n = diag((-1)**t), and
+    X_n complements every bit of i.  Odd n: B[i] = (t, l'), l' the low n - 1
+    bits of i complemented where t = 1.  Complementing i flips t and keeps
+    l', so X_n is X and Z_n is Z on qubit n - 1.  Even n: B[i] = (t, b, l'),
+    b the top bit of i and l' its low n - 2 bits complemented where b = 1.
+    Complementing i keeps t, flips b and keeps l', so X_n is X on qubit
+    n - 2 and Z_n is Z on qubit n - 1.  Each bit of B[i] is a parity of bits
+    of i, so B is the permutation of a CNOT circuit.
+    """
+    i = np.arange(1 << n, dtype=np.int64)
+    t = np.bitwise_count(i).astype(np.int64) & 1
+    if n % 2:
+        low = (1 << (n - 1)) - 1
+        out = (t << (n - 1)) | (i & low) ^ (t * low)
+    else:
+        low = (1 << (n - 2)) - 1
+        b = i >> (n - 1)
+        out = (t << (n - 1)) | (b << (n - 2)) | (i & low) ^ (b * low)
+    out.setflags(write=False)
+    return out
+
+
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_Z = np.diag([1.0, -1.0])
+
+
+def _basis_transfer(chi: np.ndarray, n: int) -> np.ndarray:
+    """T with T[(s, t), (u, v)] = sum_ab chi_ab e_a[s, u] conj(e_b[t, v]), for
+    e_a the image of E_a on the leading qubits of channel_basis: one qubit
+    for odd n, two for even n (see channel_basis), with Y_n = omega Z_n X_n.
+    The channel sends block (u, v) of a state in channel_basis to block
+    (s, t) with the weight T[(s, t), (u, v)]."""
+    x, z = (_X, _Z) if n % 2 else (np.kron(np.eye(2), _X), np.kron(_Z, np.eye(2)))
+    e = np.stack((np.eye(len(x)), x, y_phase(n) * (z @ x), z))
+    return np.einsum("ab,asu,btv->stuv", chi, e, e.conj()).reshape(len(x) ** 2, -1)
+
+
+def pauli_channel_basis_packed(m: np.ndarray, probs) -> np.ndarray:
+    """pauli_channel_apply on a packed Hermitian state given in channel_basis,
+    float64 in and out.
+
+    In channel_basis each E_a is e_a ox I, e_a on the leading qubits, so a
+    state split into q x q blocks (q = 2 for odd n, 4 for even n) of
+    h = 2**n / q rows goes to sum_uv T[(s, t), (u, v)] times block (u, v) in
+    block (s, t) (_basis_transfer).  For m = Re rho + Im rho (tensor.pack)
+    block (u, v) of Re rho is (m_uv + (m^T)_uv)/2 and of Im rho
+    (m_uv - (m^T)_uv)/2, so the packed output block (s, t) is
+    sum_uv Re T m_uv + Im T (m^T)_uv: one real matrix product of
+    [Re T, Im T] with the stack of the blocks of m and of m^T.  Im T is
+    zero for a Pauli channel, and m^T is then not read.
+
+    The product runs a step of block rows at a time: the step's rows of
+    every block of m are copied into a stack, and of m^T too,
+    _TRANSPOSE_COLS columns at a time, so the transposed reads stay in the
+    cache.  A step holds the stack, the product and its input rows within
+    half a tile, in a power of two of rows, so that steps tile h.  Each
+    output entry is one dot product of a row of weights with the stack, in
+    BLAS, whose rounding may differ with the product's width: outputs at
+    different steps agree to within rounding, not bit for bit.
     """
     m = np.ascontiguousarray(m, dtype=np.float64)
     dim = m.shape[0]
-    weights = _chi_weights(_as_chi(probs), dim.bit_length() - 1)
-    real = np.ascontiguousarray(weights.real)
-    imag = np.ascontiguousarray(weights.imag)
+    n = dim.bit_length() - 1
+    transfer = _basis_transfer(_as_chi(probs), n)
+    transposed = transfer.imag.any()
+    weights = np.hstack((transfer.real, transfer.imag)) if transposed else transfer.real
+    q = 2 if n % 2 else 4
+    h = dim // q
+    k = weights.shape[1]
+    step = _step_rows(h, 8 * (k + 2 * q * q) * h)
+    step = 1 << (step.bit_length() - 1)
+    blocks = m.reshape(q, h, q, h)  # [u, i, v, j] = m_uv[i, j]
     out = np.empty_like(m)
-    _views_pass(out, m, real, _nonzero_blocks(real, always=(0,)))
-    blocks = _nonzero_blocks(imag)
-    if not blocks:
-        return out
-    views, rows_class = _views(m)
-    step = _step_rows(dim, 24 * dim)
-    k, scratch = np.empty((2, step, dim))
-    for r0 in range(0, dim, step):
-        r = slice(r0, r0 + step)
-        kr = k[: min(step, dim - r0)]
-        _weighted_rows(kr, scratch[: len(kr)], [v[r] for v in views], imag, blocks,
-                       rows_class[r])
-        for c0 in range(0, dim, _TRANSPOSE_ROWS):
-            c = slice(c0, c0 + _TRANSPOSE_ROWS)
-            out[c, r] -= kr[:, c].T
+    stack = np.empty((1 + transposed, q, q, step, h))
+    prod = np.empty((q, q, step, h))
+    for i0 in range(0, h, step):
+        rows = slice(i0, i0 + step)
+        np.copyto(stack[0], blocks[:, rows].transpose(0, 2, 1, 3))
+        if transposed:
+            for j0 in range(0, h, _TRANSPOSE_COLS):
+                cols = slice(j0, j0 + _TRANSPOSE_COLS)
+                # (m^T)_uv[i, j] = m_vu[j, i]
+                np.copyto(stack[1, ..., cols], blocks[:, cols, :, rows].transpose(2, 0, 3, 1))
+        np.matmul(weights, stack.reshape(k, -1), out=prod.reshape(q * q, -1))
+        out.reshape(q, h, q, h)[:, rows] = prod.transpose(0, 2, 1, 3)
     return out
 
 

@@ -9,9 +9,11 @@ run_trial carries every 2**n-dimensional state packed (tensor.pack): one
 float64 matrix Re + Im, half the bytes of a complex one.  The encoder's
 gates are real and every state is Hermitian, so encode, the channel pass,
 decode, the partial traces and the product checks all act on the packed
-matrix; only the ancilla and the recovered rho are unpacked.  encode and
-decode keep their complex contract; decode also keeps a float64 state
-float64.
+matrix; only the ancilla and the recovered rho are unpacked.  The trial
+encodes into kernels.channel_basis, where the correlated errors act on the
+leading qubits alone, so the channel pass is one small real matrix
+product per step of rows; the decode leaves that basis in the same gather.
+encode and decode keep their complex contract.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ from .tensor import pack_kron, packed_kron_distance, unpack
 from .tensor import partial_trace_leading, partial_trace_trailing
 from .tolerances import CLASSICAL_TOL, HERMITIAN_TOL, HYBRID_TOL
 
-# Peak number of live 2**n x 2**n packed states (float64, 8*4**n bytes)
-# during a trial, from tracemalloc at n = 8..11 with Pauli and
-# span-Pauli-span lists (repeats 1 and 2, random and classical ancillas):
-# 4.47 at n = 8, 2.72 at n = 9, 2.22 at n = 10 and 2.28 at n = 11, rounded
-# up (up to n = 9 the kernels' half tile of step scratch, 2 MiB, outweighs
-# the states).
-TRIAL_PEAK_STATES = 5
+# Peak memory of a trial, in 2**n x 2**n complex128 matrices (16*4**n
+# bytes; a packed state is half of one), from tracemalloc at n = 8..11 with
+# Pauli and span-Pauli-span lists (repeats 1 and 2, random and classical
+# ancillas): 2.24 at n = 8, 1.38 at n = 9, 1.11 at n = 10 and 1.14 at
+# n = 11, rounded up (up to n = 9 the kernels' half tile of step scratch,
+# 2 MiB, outweighs the states).
+TRIAL_PEAK_STATES = 3
 
 
 @dataclass(eq=False)
@@ -88,9 +90,8 @@ def encode(spec: EncoderSpec, sigma: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def decode(spec: EncoderSpec, tau: np.ndarray) -> np.ndarray:
-    """P_n_dag tau P_n; a float64 tau (a real or a packed state) stays
-    float64, as the gates are real."""
-    tau = np.asarray(tau)
+    """P_n_dag tau P_n."""
+    tau = np.asarray(tau, dtype=np.complex128)
     if tau.ndim != 2 or tau.shape != (1 << spec.n, 1 << spec.n):
         raise DimensionMismatch(f"expected a {1 << spec.n}-dim state, got {tau.shape}")
     return circuit_conjugate(encoder_factors(spec.n), tau, adjoint=True)
@@ -171,17 +172,18 @@ def run_trial(
     the product factorization itself.  sigma and rho must be Hermitian
     (NotHermitian otherwise), as the trial carries its states packed:
     M = pack(sigma ox rho) = Re sigma ox P + Im sigma ox P^T, P = pack(rho),
-    is encoded, passed through the channels and decoded as one float64
-    matrix.  The partial traces of the decoded M are the packed ancilla and
-    data states, which are unpacked; the product checks measure M against
-    the packed products blockwise.  Every check runs before any 4**n
+    is encoded (into kernels.channel_basis, as a last permutation of the
+    encoder's gather), passed through the channels and decoded as one
+    float64 matrix.  The partial traces of the decoded M are the packed
+    ancilla and data states, which are unpacked; the product checks
+    measure M against the packed products blockwise.  Every check runs before any 4**n
     allocation.
     """
     repeats = check_repeats(repeats)
     if isinstance(channels, (PauliChannel, SpanChannel)):
         channels = [channels]
     channels = list(channels)
-    check_memory(n, TRIAL_PEAK_STATES, 8)
+    check_memory(n, TRIAL_PEAK_STATES)
     spec = build_pn(n)
     sigma, rho = _check_states(spec, sigma, rho)
     _check_hermitian(sigma, rho)
@@ -189,12 +191,15 @@ def run_trial(
 
     # each stage's input is dropped once the next stage has consumed it, so
     # the checks below hold only the decoded state: the product checks
-    # measure it against a kron product blockwise, without forming it
+    # measure it against a kron product blockwise, without forming it.  The
+    # factors are the encoder's, then channel_basis: one more table in the
+    # same gather, undone by the decode's
+    factors = encoder_factors(n) + (("perm", kernels.channel_basis(n)),)
     p = pack(rho)
-    state = circuit_conjugate(encoder_factors(n), pack_kron(sigma, p))
+    state = circuit_conjugate(factors, pack_kron(sigma, p))
     if chi is not None:
-        state = kernels.pauli_channel_packed(state, chi)
-    state = decode(spec, state)
+        state = kernels.pauli_channel_basis_packed(state, chi)
+    state = circuit_conjugate(factors, state, adjoint=True)
 
     # the packed traces, as float64 (the kernels return complex128)
     recovered = partial_trace_leading(state, sigma.shape[0]).real.copy()

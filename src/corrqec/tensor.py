@@ -69,15 +69,9 @@ def frobenius_distance(a, b) -> float:
 
 
 def hermitian_deviation(m) -> float:
-    """Largest |m - m_dag| entry of a square m (nan if m holds one), over
-    pairs of 64 x 64 tiles, so that the transposed reads stay in cache."""
+    """Largest |m - m_dag| entry of a square m; nan if m holds one."""
     m = as_square(m)
-    dim = m.shape[0]
-    return float(np.max([
-        np.abs(m[i : i + 64, k : k + 64] - m[k : k + 64, i : i + 64].conj().T).max()
-        for i in range(0, dim, 64)
-        for k in range(i, dim, 64)
-    ]))
+    return float(np.abs(m - m.conj().T).max())
 
 
 def pack(rho) -> np.ndarray:
@@ -150,16 +144,15 @@ def kron_distance(d, a, r=None) -> float:
     return kernels.kron_dist(d, a, r)
 
 
-def check_memory(n: int, states: int, entry_bytes: int = 16) -> None:
-    """Raise BadQubitCount unless `states` 2**n x 2**n matrices of
-    entry_bytes-byte entries (16 for complex128, 8 for a packed float64
-    state) fit in physical memory."""
+def check_memory(n: int, states: int) -> None:
+    """Raise BadQubitCount unless `states` 2**n x 2**n complex128 matrices,
+    16*4**n bytes each, fit in physical memory."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    # largest n with states * entry_bytes * 4**n <= memory
-    max_n = ((memory // (states * entry_bytes)).bit_length() - 1) // 2
+    # largest n with states * 16 * 4**n <= memory
+    max_n = ((memory // (states * 16)).bit_length() - 1) // 2
     if n > max_n:
         raise BadQubitCount(
-            f"n={n} needs {states} matrices of {entry_bytes}*4**n bytes, more than the "
+            f"n={n} needs {states} density matrices of 16*4**n bytes, more than the "
             f"{memory / 2**30:.1f} GiB of physical memory (largest n: {max_n})"
         )
 

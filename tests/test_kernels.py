@@ -468,48 +468,68 @@ def _hermitian(n, seed):
     return m + m.conj().T
 
 
-def test_pauli_channel_packed_is_the_packed_complex_pass():
-    # n = 1..8 covers every phase of Y_n; a Pauli chi has real weights only
+def _to_basis(m, n):
+    """m in kernels.channel_basis: entry (i, k) moves to (B[i], B[k])."""
+    inv = np.argsort(kernels.channel_basis(n))
+    return m[np.ix_(inv, inv)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_channel_basis_carries_x_n_and_z_n_to_the_leading_qubits(n):
+    b = kernels.channel_basis(n)
+    i = np.arange(1 << n)
+    assert np.array_equal(np.sort(b), i)
+    # a CNOT circuit's permutation is linear over GF(2)
+    assert all(np.array_equal(b[i ^ k], b ^ b[k]) for k in range(1 << n))
+    # Z_n = diag((-1)**popcount(i)) is Z on qubit n - 1 ...
+    assert np.array_equal(b >> (n - 1), np.bitwise_count(i) & 1)
+    # ... and X_n, which complements i, is X on qubit n - 1 (odd n) or n - 2
+    x_qubit = n - 1 if n % 2 else n - 2
+    assert np.array_equal(b[i ^ ((1 << n) - 1)], b ^ (1 << x_qubit))
+
+
+def test_pauli_channel_basis_packed_is_the_packed_complex_pass():
+    # n = 1..8 covers every phase of Y_n and both parities
     rng = np.random.default_rng(41)
     for n in range(1, 9):
         rho = _hermitian(n, n + 120)
-        m = _pack(rho)
+        m = _to_basis(_pack(rho), n)
         chis = [_random_chi(rng), np.diag(rng.dirichlet(np.ones(4)))] + _PARTLY_ZERO_CHI
         for chi in chis:
-            got = _checked(kernels.pauli_channel_packed, m, chi)
+            got = _checked(kernels.pauli_channel_basis_packed, m, chi)
             assert got.dtype == np.float64
-            want = _pack(kernels.pauli_channel_apply(rho, chi))
+            want = _to_basis(_pack(kernels.pauli_channel_apply(rho, chi)), n)
             assert np.allclose(got, want, rtol=0.0, atol=1e-12), n
         probs = rng.dirichlet(np.ones(4))
-        got = kernels.pauli_channel_packed(m, probs)
-        assert np.array_equal(got, kernels.pauli_channel_packed(m, np.diag(probs)))
-        # a real chi pass is the complex one's real part, bit for bit
-        assert np.array_equal(got, kernels.pauli_channel_apply(m, probs).real)
+        got = kernels.pauli_channel_basis_packed(m, probs)
+        assert np.array_equal(got, kernels.pauli_channel_basis_packed(m, np.diag(probs)))
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
 @pytest.mark.parametrize("k", [1, 5, 30])
-def test_pauli_channel_packed_is_tile_size_independent(monkeypatch, n, k):
-    # k rows of a float64 matrix per half tile, at most; transposed tiles of
-    # 1, 3 and the default 128 rows
+def test_pauli_channel_basis_packed_is_tile_size_independent(monkeypatch, n, k):
+    # k rows of a float64 matrix per half tile, at most; transposed copies of
+    # 1, 3 and the default 64 columns.  The weighted sums are BLAS dot
+    # products, whose rounding may follow the product's width
     rng = np.random.default_rng(n * 7 + k)
-    m = _pack(_hermitian(n, n + 130))
+    m = _to_basis(_pack(_hermitian(n, n + 130)), n)
     chis = [_random_chi(rng), np.diag(rng.dirichlet(np.ones(4)))]
-    whole = [kernels.pauli_channel_packed(m, chi) for chi in chis]
+    whole = [kernels.pauli_channel_basis_packed(m, chi) for chi in chis]
     dim = 1 << n
     monkeypatch.setattr(kernels, "_TILE_BYTES", 16 * dim * k)
-    for rows in (1, 3, 128):
-        monkeypatch.setattr(kernels, "_TRANSPOSE_ROWS", rows)
+    for cols in (1, 3, 64):
+        monkeypatch.setattr(kernels, "_TRANSPOSE_COLS", cols)
         for chi, want in zip(chis, whole):
-            assert np.array_equal(_checked(kernels.pauli_channel_packed, m, chi), want)
+            got = _checked(kernels.pauli_channel_basis_packed, m, chi)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-15 * np.abs(want).max())
 
 
-def test_pauli_channel_packed_holds_one_output_plus_tile_scratch():
+def test_pauli_channel_basis_packed_holds_one_output_plus_tile_scratch():
     scratch = kernels._TILE_BYTES // 2
-    for n in (8, 10):
+    for n in (8, 9, 10):
         m = _pack(_hermitian(n, n + 140))
         for chi in (_random_chi(np.random.default_rng(n)), (0.4, 0.3, 0.2, 0.1)):
-            assert _peak_bytes(kernels.pauli_channel_packed, m, chi) < m.nbytes + scratch
+            assert _peak_bytes(kernels.pauli_channel_basis_packed, m, chi) < m.nbytes + scratch
 
 
 def test_kron_dist_two_terms_against_kron_oracle(monkeypatch):

@@ -17,7 +17,6 @@ from corrqec import (
 )
 from corrqec.tensor import (
     RANDOM_DENSITY_PEAK_STATES,
-    check_memory,
     hermitian_deviation,
     pack,
     pack_kron,
@@ -224,12 +223,3 @@ def test_hermitian_deviation():
     assert hermitian_deviation(h) == pytest.approx(1e-9)
     h[3, 129] = np.nan
     assert np.isnan(hermitian_deviation(h))
-
-
-def test_check_memory_counts_entry_bytes(monkeypatch):
-    # 2 MiB of physical memory: 2 states of 4**8 entries fit at 8 bytes, not at 16
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 512}
-    monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
-    check_memory(8, 4, 8)
-    with pytest.raises(CorrQecError, match="physical memory"):
-        check_memory(8, 4)
