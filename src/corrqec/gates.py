@@ -8,7 +8,9 @@ runs compose into exact basis permutations and a Hadamard becomes a
 butterfly.  circuit_conjugate exploits this factored form so conjugating a
 matrix by a circuit never needs its dense matrix: each Hadamard is one
 kernel pass that also applies the permutations on either side of it, and
-an H-free circuit is one gather.
+an H-free circuit is one gather.  Given an out buffer, the last kernel
+writes into it, so a caller can run successive conjugations in buffers it
+reuses.
 """
 
 from __future__ import annotations
@@ -143,7 +145,9 @@ def invert(circuit: Circuit) -> Circuit:
     return Circuit(circuit.n_qubits, tuple(reversed(circuit.ops)))
 
 
-def circuit_conjugate(factors_or_circuit, m: np.ndarray, adjoint: bool = False) -> np.ndarray:
+def circuit_conjugate(
+    factors_or_circuit, m: np.ndarray, adjoint: bool = False, out: np.ndarray | None = None
+) -> np.ndarray:
     """Conjugate m by the realized circuit P without forming P.
 
     adjoint=False returns P m P_dag (encode direction); adjoint=True returns
@@ -156,6 +160,10 @@ def circuit_conjugate(factors_or_circuit, m: np.ndarray, adjoint: bool = False) 
     H-free circuit is one gather_conjugate, so CNOT-only circuits stay
     exact.  A float64 m keeps its dtype (the gates are real); any other m
     is conjugated as complex128.
+
+    With out (kernels.check_out), the last kernel writes into out, which is
+    returned, and earlier Hadamards still allocate their outputs; a circuit
+    with no gates copies m into it.
     """
     if isinstance(factors_or_circuit, Circuit):
         factors = circuit_factors(factors_or_circuit)
@@ -171,10 +179,21 @@ def circuit_conjugate(factors_or_circuit, m: np.ndarray, adjoint: bool = False) 
         else:
             qubits.append(arg)
             tables.append(None)
-    out = kernels.real_or_complex(m)
-    if not qubits:
-        return out if tables[0] is None else kernels.gather_conjugate(out, tables[0])
-    for i, q in enumerate(qubits):
-        after = tables[-1] if i == len(qubits) - 1 else None
-        out = kernels.gather_hadamard_conjugate(out, tables[i], q, after)
+    state = kernels.real_or_complex(m)
+    if out is not None:
+        kernels.check_out(state, out)
+    for i, q in enumerate(qubits[:-1]):
+        state = kernels.gather_hadamard_conjugate(state, tables[i], q, None)
+    if qubits:
+        last = (tables[-2], qubits[-1], tables[-1])
+        if out is None:
+            return kernels.gather_hadamard_conjugate(state, *last)
+        return kernels._gather_hadamard_conjugate_into(state, *last, out)
+    if tables[0] is not None:
+        if out is None:
+            return kernels.gather_conjugate(state, tables[0])
+        return kernels._gather_conjugate_into(state, tables[0], out)
+    if out is None:
+        return state
+    np.copyto(out, state)
     return out

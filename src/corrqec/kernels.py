@@ -5,11 +5,17 @@ and all error operators are diagonal or anti-diagonal up to signs.  Every hot
 operation therefore reduces to index gathers, butterflies, and sign masks,
 which cost O(dim^2) memory passes instead of O(dim^3) matrix products.
 
-The dense kernels allocate one output matrix and walk their input in steps
+The dense kernels write one output matrix and walk their input in steps
 of whole rows (or row pairs) sized by one rule, _step_rows: as many rows as
 keep all a step touches (inputs and views, scratch and output) within half
 of _TILE_BYTES (4 MiB), and no more than the matrix has.  So a call holds
-its output plus one step's scratch, and a small matrix is one step.
+its output plus one step's scratch, and a small matrix is one step.  The
+output is allocated, except where the caller hands one in (check_out):
+the trial runs its stages in two reused buffers, so that each stage
+writes into pages an earlier stage has already touched.  The gathers'
+into-out bodies (_gather_conjugate_into, _gather_hadamard_conjugate_into)
+are their only implementations; the pinned public names allocate and call
+them.
 
 - Each output element gets the same floating-point operations, in the same
   order, as the whole-array expression, so gather_hadamard_conjugate and
@@ -30,9 +36,10 @@ its output plus one step's scratch, and a small matrix is one step.
   or against the two-term a1 ox r + a2 ox r^T of a packed product, with no
   output at all: each step builds its own slice of the product in
   scratch, so the product checks hold one state, not two.
-- gather_conjugate is one fancy-index gather, for CNOT-only (odd-n)
-  circuits: a tiled gather measured no faster on the encoders' CNOT
-  permutations.
+- gather_conjugate, for CNOT-only (odd-n) circuits, takes a step of
+  rows of m into scratch and then their columns into the step's rows of
+  the output, with np.take: entries only move, so it is bit-identical to
+  m[np.ix_(perm, perm)] at every tile size.
 - The trial carries its states packed, as one float64 matrix
   Re rho + Im rho (tensor.pack), so the float64 paths are the ones it
   runs.  gather_conjugate, gather_hadamard_conjugate and kron_dist keep a
@@ -70,6 +77,8 @@ from math import sqrt
 
 import numpy as np
 
+from .errors import DimensionMismatch
+
 # Every row a step of a dense kernel touches fits in half of this many bytes.
 _TILE_BYTES = 1 << 22
 # Columns of m per transposed copy in pauli_channel_basis_packed.
@@ -98,17 +107,62 @@ def real_or_complex(m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(m, dtype=np.float64 if m.dtype == np.float64 else np.complex128)
 
 
-def gather_conjugate(m: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """P_dag M P for the permutation matrix P whose column s is e_perm[s]."""
-    m = real_or_complex(m)
-    perm = np.ascontiguousarray(perm, dtype=np.int64)
-    return m[np.ix_(perm, perm)]
+def check_out(m: np.ndarray, out: np.ndarray) -> None:
+    """Reject an output buffer a kernel on m cannot write into: not a
+    C-contiguous array of m's shape and dtype (DimensionMismatch), or one
+    that shares memory with m (ValueError: the kernel would overwrite the
+    input it still reads)."""
+    if not (
+        isinstance(out, np.ndarray)
+        and out.shape == m.shape
+        and out.dtype == m.dtype
+        and out.flags.c_contiguous
+    ):
+        raise DimensionMismatch(
+            f"out must be a C-contiguous {m.dtype} array of shape {m.shape}, got "
+            f"{getattr(out, 'dtype', type(out).__name__)} {getattr(out, 'shape', '')}"
+        )
+    if np.shares_memory(out, m):
+        raise ValueError("out shares memory with the kernel's input")
 
 
 def _step_rows(rows: int, bytes_per_row: int) -> int:
     """Rows (or row pairs) per step: as many as keep bytes_per_row bytes each
     within half a tile, at least 1 and at most `rows`."""
     return min(rows, max(1, _TILE_BYTES // 2 // bytes_per_row))
+
+
+def gather_conjugate(m: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """P_dag M P for the permutation matrix P whose column s is e_perm[s]."""
+    m = real_or_complex(m)
+    return _gather_conjugate_into(m, perm, np.empty_like(m))
+
+
+def _gather_conjugate_into(m: np.ndarray, perm: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """gather_conjugate written into out (check_out), which it returns:
+    out[i, j] = m[perm[i], perm[j]].
+
+    A step gathers its rows perm[i] of m into scratch, then their columns
+    perm[j] into its rows i of out; a step touches a row of m, of scratch
+    and of out per row.  Entries only move, so the output is bit-identical
+    to m[np.ix_(perm, perm)] at every tile size.  mode="clip" never clips a
+    permutation and lets take write into its buffer directly, so a table
+    of the wrong length or with an index out of range is rejected
+    (DimensionMismatch) rather than clipped.
+    """
+    m = real_or_complex(m)
+    check_out(m, out)
+    perm = np.ascontiguousarray(perm, dtype=np.intp)
+    dim = m.shape[0]
+    if perm.shape != (dim,) or not 0 <= perm.min() <= perm.max() < dim:
+        raise DimensionMismatch(f"perm must hold {dim} indices in [0, {dim}), got {perm.shape}")
+    step = _step_rows(dim, 3 * m.itemsize * dim)
+    scratch = np.empty((step, dim), dtype=m.dtype)
+    for r0 in range(0, dim, step):
+        rows = perm[r0 : r0 + step]
+        s = np.take(m, rows, axis=0, out=scratch[: len(rows)], mode="clip")
+        np.take(s, perm, axis=1, out=out[r0 : r0 + len(rows)], mode="clip")
+    return out
 
 
 def _hadamard_block(a, b, block) -> None:
@@ -136,7 +190,20 @@ def _pair_blocks(hi: int, lo: int, pairs: int):
 def gather_hadamard_conjugate(
     m: np.ndarray, before: np.ndarray | None, q: int, after: np.ndarray | None
 ) -> np.ndarray:
-    """G_after(H_q G_before(m) H_q), with G_t(x) = x[t][:, t] for a
+    """G_after(H_q G_before(m) H_q); see _gather_hadamard_conjugate_into."""
+    m = real_or_complex(m)
+    return _gather_hadamard_conjugate_into(m, before, q, after, np.empty_like(m))
+
+
+def _gather_hadamard_conjugate_into(
+    m: np.ndarray,
+    before: np.ndarray | None,
+    q: int,
+    after: np.ndarray | None,
+    out: np.ndarray,
+) -> np.ndarray:
+    """G_after(H_q G_before(m) H_q) written into out (check_out), which it
+    returns, with G_t(x) = x[t][:, t] for a
     permutation table t and None the identity, in one pass over m.
 
     Split rows and columns as (hi, 2, lo), lo = 2**q.  Output row pair
@@ -159,10 +226,10 @@ def gather_hadamard_conjugate(
     lets take write into its buffer directly.
     """
     m = real_or_complex(m)
+    check_out(m, out)
     dim = m.shape[0]
     lo = 1 << q
     hi = dim >> (q + 1)
-    out = np.empty_like(m)
     src = m.reshape(hi, 2, lo, dim)
     dst = out.reshape(hi, 2, lo, dim)
     if before is not None:
@@ -323,9 +390,10 @@ def _basis_transfer(chi: np.ndarray, n: int) -> np.ndarray:
     return np.einsum("ab,asu,btv->stuv", chi, e, e.conj()).reshape(len(x) ** 2, -1)
 
 
-def pauli_channel_basis_packed(m: np.ndarray, probs) -> np.ndarray:
+def pauli_channel_basis_packed(m: np.ndarray, probs, out: np.ndarray | None = None) -> np.ndarray:
     """pauli_channel_apply on a packed Hermitian state given in channel_basis,
-    float64 in and out.
+    float64 in and out; written into out (check_out) if given, which it
+    then returns.
 
     In channel_basis each E_a is e_a ox I, e_a on the leading qubits, so a
     state split into q x q blocks (q = 2 for odd n, 4 for even n) of
@@ -358,7 +426,9 @@ def pauli_channel_basis_packed(m: np.ndarray, probs) -> np.ndarray:
     step = _step_rows(h, 8 * (k + 2 * q * q) * h)
     step = 1 << (step.bit_length() - 1)
     blocks = m.reshape(q, h, q, h)  # [u, i, v, j] = m_uv[i, j]
-    out = np.empty_like(m)
+    if out is None:
+        out = np.empty_like(m)
+    check_out(m, out)
     stack = np.empty((1 + transposed, q, q, step, h))
     prod = np.empty((q, q, step, h))
     for i0 in range(0, h, step):

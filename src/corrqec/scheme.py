@@ -13,7 +13,9 @@ matrix; only the ancilla and the recovered rho are unpacked.  The trial
 encodes into kernels.channel_basis, where the correlated errors act on the
 leading qubits alone, so the channel pass is one small real matrix
 product per step of rows; the decode leaves that basis in the same gather.
-encode and decode keep their complex contract.
+The four dense stages (the input product, encode, the channel pass and
+decode) write into two state buffers in turn, so a trial maps two states,
+not one per stage.  encode and decode keep their complex contract.
 """
 
 from __future__ import annotations
@@ -36,10 +38,11 @@ from .tolerances import CLASSICAL_TOL, HERMITIAN_TOL, HYBRID_TOL
 
 # Peak memory of a trial, in 2**n x 2**n complex128 matrices (16*4**n
 # bytes; a packed state is half of one), from tracemalloc at n = 8..11 with
-# Pauli and span-Pauli-span lists (repeats 1 and 2, random and classical
-# ancillas): 2.24 at n = 8, 1.38 at n = 9, 1.11 at n = 10 and 1.14 at
-# n = 11, rounded up (up to n = 9 the kernels' half tile of step scratch,
-# 2 MiB, outweighs the states).
+# Pauli, span-Pauli-span and empty lists (repeats 1 and 2, random and
+# classical ancillas): at most 2.54 at n = 8, 1.50 at n = 9, 1.13 at n = 10
+# and 1.15 at n = 11, all with the span list, rounded up.  The two stage
+# buffers are two packed states, one complex state; up to n = 9 the
+# kernels' half tile of step scratch, 2 MiB, outweighs them.
 TRIAL_PEAK_STATES = 3
 
 
@@ -189,17 +192,23 @@ def run_trial(
     _check_hermitian(sigma, rho)
     chi = checked_sequence_chi(channels, (1 << n, 1 << n), repeats)
 
-    # each stage's input is dropped once the next stage has consumed it, so
-    # the checks below hold only the decoded state: the product checks
-    # measure it against a kron product blockwise, without forming it.  The
-    # factors are the encoder's, then channel_basis: one more table in the
-    # same gather, undone by the decode's
+    # the stages run in two buffers: the input a, encoded into a new b, the
+    # channel pass back into a and the decode into b (into a when there is
+    # no channel), so a trial maps two states, not one per stage.  The
+    # buffer the decode did not write is then dropped, and the checks below
+    # hold only the decoded state: the product checks measure it against a
+    # kron product blockwise, without forming it.  The factors are the
+    # encoder's, then channel_basis: one more table in the same gather,
+    # undone by the decode's
     factors = encoder_factors(n) + (("perm", kernels.channel_basis(n)),)
     p = pack(rho)
-    state = circuit_conjugate(factors, pack_kron(sigma, p))
+    a = pack_kron(sigma, p)
+    b = circuit_conjugate(factors, a)
     if chi is not None:
-        state = kernels.pauli_channel_basis_packed(state, chi)
-    state = circuit_conjugate(factors, state, adjoint=True)
+        kernels.pauli_channel_basis_packed(b, chi, out=a)
+        a, b = b, a
+    state = circuit_conjugate(factors, b, adjoint=True, out=a)
+    del a, b
 
     # the packed traces, as float64 (the kernels return complex128)
     recovered = partial_trace_leading(state, sigma.shape[0]).real.copy()

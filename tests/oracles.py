@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from corrqec.channels import apply_sequence
-from corrqec.encoder import ancilla_images, build_pn
+from corrqec import kernels
+from corrqec.channels import apply_sequence, checked_sequence_chi
+from corrqec.encoder import ancilla_images, build_pn, encoder_factors
 from corrqec.errors import DimensionMismatch
-from corrqec.gates import circuit_factors, cnot_perm
+from corrqec.gates import circuit_conjugate, circuit_factors, cnot_perm
 from corrqec.scheme import classical_state, decode, encode, predicted_ancilla
-from corrqec.tensor import as_square, frobenius_distance, kron_distance
+from corrqec.tensor import as_square, frobenius_distance, kron_distance, pack
+from corrqec.tensor import pack_kron, packed_kron_distance, unpack
 from corrqec.tensor import partial_trace_leading, partial_trace_trailing
 from corrqec.tolerances import CLASSICAL_TOL, HYBRID_TOL
 
@@ -251,6 +253,45 @@ def random_density_complex(dim: int, seed: int) -> np.ndarray:
     return m / np.trace(m).real
 
 
+def _is_classical(sigma) -> bool:
+    return sigma.shape == (4, 4) and any(
+        frobenius_distance(sigma, classical_state(i, j)) <= CLASSICAL_TOL
+        for i in (0, 1)
+        for j in (0, 1)
+    )
+
+
+def fresh_trial(n: int, sigma, rho, channels, repeats: int = 1) -> dict:
+    """run_trial's packed stages with a fresh array per stage: pack_kron,
+    the encode gather, pauli_channel_basis_packed and the decode gather
+    each allocate their output; then run_trial's traces and checks."""
+    spec = build_pn(n)
+    sigma = np.asarray(sigma, dtype=complex)
+    rho = np.asarray(rho, dtype=complex)
+    chi = checked_sequence_chi(channels, (1 << n, 1 << n), repeats)
+    factors = encoder_factors(n) + (("perm", kernels.channel_basis(n)),)
+    p = pack(rho)
+    state = circuit_conjugate(factors, pack_kron(sigma, p))
+    if chi is not None:
+        state = kernels.pauli_channel_basis_packed(state, chi)
+    state = circuit_conjugate(factors, state, adjoint=True)
+    recovered = partial_trace_leading(state, sigma.shape[0]).real.copy()
+    ancilla_out = unpack(partial_trace_trailing(state, rho.shape[0]).real)
+    recovered_rho = unpack(recovered)
+    predicted = predicted_ancilla(sigma, channels, repeats, spec.parity, spec.sign)
+    hybrid = None
+    if spec.parity == "even" and _is_classical(sigma):
+        hybrid = packed_kron_distance(state, sigma, p) <= HYBRID_TOL
+    return {
+        "recovered_rho": recovered_rho,
+        "ancilla_out": ancilla_out,
+        "rho_residual": frobenius_distance(recovered_rho, rho),
+        "ancilla_residual": frobenius_distance(ancilla_out, predicted),
+        "product_residual": packed_kron_distance(state, ancilla_out, recovered),
+        "hybrid_exact": hybrid,
+    }
+
+
 def complex_trial(n: int, sigma, rho, channels, repeats: int = 1) -> dict:
     """run_trial's residuals and hybrid flag with every state complex128:
     np.kron, encode, apply_sequence and decode, then the partial traces and
@@ -262,13 +303,8 @@ def complex_trial(n: int, sigma, rho, channels, repeats: int = 1) -> dict:
     recovered = partial_trace_leading(decoded, sigma.shape[0])
     ancilla = partial_trace_trailing(decoded, rho.shape[0])
     predicted = predicted_ancilla(sigma, channels, repeats, spec.parity, spec.sign)
-    classical = sigma.shape == (4, 4) and any(
-        frobenius_distance(sigma, classical_state(i, j)) <= CLASSICAL_TOL
-        for i in (0, 1)
-        for j in (0, 1)
-    )
     hybrid = None
-    if spec.parity == "even" and classical:
+    if spec.parity == "even" and _is_classical(sigma):
         hybrid = kron_distance(decoded, sigma, rho) <= HYBRID_TOL
     return {
         "recovered_rho": recovered,

@@ -11,6 +11,7 @@ from corrqec import (
     kernels,
     BadQubitIndex,
     Circuit,
+    DimensionMismatch,
     circuit_conjugate,
     cnot_op,
     cnot_perm,
@@ -294,3 +295,32 @@ def test_single_qubit_embedding_convention():
             np.eye(1 << (n - 1 - q)), np.kron(HAD, np.eye(1 << q))
         )
         assert np.allclose(got, want, atol=1e-15)
+
+
+@pytest.mark.parametrize("index", range(len(CONJUGATE_CIRCUITS)))
+def test_circuit_conjugate_into_out_matches_the_allocating_call(index):
+    # the circuits hold 0 to 3 Hadamards; only the last kernel writes into out
+    c = CONJUGATE_CIRCUITS[index]
+    dim = 1 << c.n_qubits
+    rng = np.random.default_rng(index + 40)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    for x in (m, m.real.copy()):
+        kept = x.copy()
+        for adjoint in (False, True):
+            out = np.full_like(x, np.nan)
+            got = circuit_conjugate(c, x, adjoint=adjoint, out=out)
+            assert got is out
+            assert np.array_equal(got, circuit_conjugate(c, x, adjoint=adjoint))
+        assert np.array_equal(x, kept)
+
+
+def test_circuit_conjugate_rejects_a_bad_out():
+    c = build_pn(4).circuit
+    m = np.random.default_rng(41).normal(size=(16, 16))
+    for bad in (np.empty((16, 8)), np.empty((16, 16), dtype=complex), np.empty((16, 16), order="F")):
+        with pytest.raises(DimensionMismatch):
+            circuit_conjugate(c, m, out=bad)
+    # with no gates too, where out would only be a copy
+    for circuit in (c, Circuit(4)):
+        with pytest.raises(ValueError, match="shares memory"):
+            circuit_conjugate(circuit, m, out=m)

@@ -8,6 +8,7 @@ import pytest
 
 from corrqec import kernels
 from corrqec.encoder import encoder_factors
+from corrqec.errors import DimensionMismatch
 from corrqec.kernels import parity_signs
 
 from oracles import (
@@ -566,3 +567,84 @@ def test_ptrace_kernels_sum_float64_in_float64():
         assert np.allclose(got, fn(m.astype(complex), 4), rtol=0.0, atol=1e-15)
     # no complex copy of the input: the peak is the 4x4 output
     assert _peak_bytes(kernels.ptrace_leading, m, 4) < m.nbytes
+
+
+# _TILE_BYTES = 16*dim*k as in test_kernels_are_tile_size_independent: k = 1
+# and 3 leave one row (or pair) and an uneven last step in every kernel.
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("k", [None, 1, 3])
+def test_into_out_kernels_return_out_and_match_the_allocating_forms(monkeypatch, n, k):
+    dim = 1 << n
+    rng = np.random.default_rng(n * 11 + (k or 0))
+    perm = rng.permutation(dim)
+    perm2 = rng.permutation(dim)
+    m = random_complex_matrix(dim, n + 150)
+    basis = _to_basis(_pack(_hermitian(n, n + 151)), n)
+    chis = [_random_chi(rng), np.diag(rng.dirichlet(np.ones(4)))]
+    if k is not None:
+        monkeypatch.setattr(kernels, "_TILE_BYTES", 16 * dim * k)
+    for x in (m, m.real.copy()):
+        out = np.full_like(x, np.nan)
+        got = _checked(lambda *args: kernels._gather_conjugate_into(*args, out), x, perm)
+        assert got is out
+        assert np.array_equal(got, x[np.ix_(perm, perm)])
+        assert np.array_equal(kernels.gather_conjugate(x, perm), got)
+        for q in sorted({0, n - 2, n - 1}):
+            for before, after in ((None, None), (perm, perm2)):
+                out = np.full_like(x, np.nan)
+                fn = kernels._gather_hadamard_conjugate_into
+                got = _checked(lambda *args: fn(*args, out), x, before, q, after)
+                assert got is out
+                want = kernels.gather_hadamard_conjugate(x, before, q, after)
+                assert want.dtype == x.dtype and np.array_equal(got, want)
+    for chi in chis:
+        out = np.full_like(basis, np.nan)
+        got = _checked(lambda *args: kernels.pauli_channel_basis_packed(*args, out), basis, chi)
+        assert got is out
+        assert np.array_equal(got, kernels.pauli_channel_basis_packed(basis, chi))
+
+
+def _into_out_calls():
+    """(name, call(m, out)) for each kernel that writes into an out."""
+    n = 4
+    perm = np.random.default_rng(170).permutation(1 << n)
+    chi = (0.4, 0.3, 0.2, 0.1)
+    return [
+        ("gather", lambda m, out: kernels._gather_conjugate_into(m, perm, out)),
+        ("fused", lambda m, out: kernels._gather_hadamard_conjugate_into(m, perm, 1, perm, out)),
+        ("channel", lambda m, out: kernels.pauli_channel_basis_packed(m, chi, out)),
+    ]
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_into_out_kernels_reject_a_bad_out(index):
+    name, call = _into_out_calls()[index]
+    m = _pack(_hermitian(4, 171))
+    wide = np.empty((16, 32))
+    for bad in (
+        np.empty((16, 15)),
+        np.empty((8, 8)),
+        np.empty((16, 16), dtype=np.float32),
+        np.empty((16, 16), dtype=np.complex128),
+        np.empty((16, 32))[:, ::2],
+        np.empty((16, 16), order="F"),
+        m.tolist(),
+    ):
+        with pytest.raises(DimensionMismatch):
+            call(m, bad)
+    with pytest.raises(ValueError, match="shares memory"):
+        call(m, m)
+    # an out that overlaps the input by part of a row: rejected before
+    # anything is written
+    buf = np.concatenate((m.ravel(), m[0]))
+    kept = buf.copy()
+    with pytest.raises(ValueError, match="shares memory"):
+        call(buf[:256].reshape(16, 16), buf[16:].reshape(16, 16))
+    assert np.array_equal(buf, kept), name
+
+
+def test_gather_conjugate_rejects_a_table_it_would_clip():
+    m = np.arange(16.0).reshape(4, 4)
+    for perm in ([0, 1, 2, 9], [0, 1, -1, 2], [0, 1, 2], [0, 1, 2, 3, 0]):
+        with pytest.raises(DimensionMismatch):
+            kernels.gather_conjugate(m, perm)

@@ -25,11 +25,12 @@ from corrqec import (
     random_density,
     run_trial,
 )
+from corrqec import kernels, scheme
 from corrqec.kernels import _TILE_BYTES
 from corrqec.scheme import TRIAL_PEAK_STATES, induced_kraus
 from corrqec.tolerances import HERMITIAN_TOL, TRIAL_TOL
 
-from oracles import circuit_matrix, complex_trial, plain_ops, span_kraus_dense
+from oracles import circuit_matrix, complex_trial, fresh_trial, plain_ops, span_kraus_dense
 from oracles import random_span_coeffs
 
 
@@ -434,3 +435,64 @@ def test_trial_peak_states_bounds_the_packed_trial():
         finally:
             tracemalloc.stop()
         assert peak < TRIAL_PEAK_STATES * 16 * 4**n, n
+
+
+@pytest.mark.parametrize(
+    "n, kind, ancilla, repeats",
+    [
+        (n, kind, ancilla, repeats)
+        for n in range(2, 11)
+        for kind in ("pauli", "span", "none")
+        for ancilla in ("random", "classical")[: 2 - n % 2]
+        for repeats in (1, 2)
+    ],
+)
+def test_buffered_trial_is_bit_identical_to_fresh_allocation(n, kind, ancilla, repeats):
+    # "none", an empty channel list, decodes into the input buffer
+    spec = build_pn(n)
+    if ancilla == "classical":
+        sigma = classical_state(0, 1)
+    else:
+        sigma = random_density(spec.ancilla_dim, n + 110)
+    rho = random_density((1 << n) // spec.ancilla_dim, n + 111)
+    channels = [] if kind == "none" else _channels(n, kind)
+    got = run_trial(n, sigma, rho, channels, repeats)
+    want = fresh_trial(n, sigma, rho, channels, repeats)
+    for key in ("recovered_rho", "ancilla_out"):
+        assert np.array_equal(getattr(got, key), want[key]), key
+    for key in ("rho_residual", "ancilla_residual", "product_residual", "hybrid_exact"):
+        assert getattr(got, key) == want[key], key
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("kind", ["pauli", "none"])
+def test_trial_stages_run_in_two_buffers(monkeypatch, n, kind):
+    # the input, encode, channel and decode outputs, in order: the channel
+    # pass writes back into the input's buffer and the decode into the
+    # encode's, or with no channel into the input's
+    outputs = []
+
+    def recording(fn):
+        def call(*args, **kwargs):
+            outputs.append(fn(*args, **kwargs))
+            return outputs[-1]
+
+        return call
+
+    monkeypatch.setattr(scheme, "pack_kron", recording(scheme.pack_kron))
+    monkeypatch.setattr(scheme, "circuit_conjugate", recording(scheme.circuit_conjugate))
+    monkeypatch.setattr(
+        kernels, "pauli_channel_basis_packed", recording(kernels.pauli_channel_basis_packed)
+    )
+    spec = build_pn(n)
+    sigma = random_density(spec.ancilla_dim, n + 120)
+    rho = random_density((1 << n) // spec.ancilla_dim, n + 121)
+    channels = [] if kind == "none" else _channels(n, kind)
+    out = run_trial(n, sigma, rho, channels)
+    assert out.rho_residual < TRIAL_TOL
+    first, second = outputs[:2]
+    assert first is not second
+    if kind == "none":
+        assert len(outputs) == 3 and outputs[2] is first
+    else:
+        assert len(outputs) == 4 and outputs[2] is first and outputs[3] is second
