@@ -4,7 +4,6 @@ n-qubit Pauli channels, with machine checks of every structural claim."""
 from .channels import (
     PauliChannel,
     SpanChannel,
-    apply_sequence,
     completeness_deviation,
 )
 from .encoder import (
@@ -48,15 +47,12 @@ from .qasm import export_qasm
 from .scheme import (
     SchemeOutcome,
     classical_state,
-    decode,
-    encode,
     hybrid_sweep,
     predicted_ancilla,
     run_trial,
 )
 from .tensor import (
     frobenius_distance,
-    kron_distance,
     partial_trace_leading,
     partial_trace_trailing,
     random_density,

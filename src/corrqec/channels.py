@@ -7,12 +7,12 @@ banded (diagonal plus anti-diagonal), which the kernels exploit.
 
 The span E = (I, X_n, Y_n, Z_n) is closed under products, so every channel
 here, and any list of them repeated any number of times, is one 4x4 PSD
-process matrix chi: rho -> sum_ab chi_ab E_a rho E_b_dag.  apply_sequence
-composes a channel list into one chi with 4x4 algebra, raises it to the
-repeat count by squaring (O(log r) compositions), and applies it to the
-state in one fused pass of kernels.pauli_channel_apply that reads the
-state once, whatever chi is.  apply_sequence([ch], rho) applies a single
-channel.
+process matrix chi: rho -> sum_ab chi_ab E_a rho E_b_dag.  sequence_chi
+composes a channel list into one chi with 4x4 algebra and raises it to the
+repeat count by squaring (O(log r) compositions); checked_sequence_chi also
+checks the list against the state.  The trial (scheme.run_trial) hands that
+chi to kernels.pauli_channel_basis_packed, one pass of the state whatever
+the list length and repeat count.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from math import sqrt
 
 import numpy as np
 
-from . import kernels
 from .errors import DimensionMismatch, NotTracePreserving
 from .tolerances import COMPLETENESS_TOL, PROB_SUM_TOL
 
@@ -214,13 +213,3 @@ def checked_sequence_chi(channels, shape, repeats: int) -> np.ndarray | None:
     if len(shape) != 2 or shape[0] != shape[1] or shape[0] != (1 << n):
         raise DimensionMismatch(f"state shape {shape} does not match n={n} qubits")
     return sequence_chi(channels, repeats)
-
-
-def apply_sequence(channels, rho: np.ndarray, repeats: int = 1) -> np.ndarray:
-    """Apply the channel list in order, the whole list `repeats` times: it is
-    composed into one chi and applied in one fused pass of the state,
-    whatever the list length and repeat count.
-    """
-    rho = np.asarray(rho, dtype=np.complex128)
-    chi = checked_sequence_chi(channels, rho.shape, repeats)
-    return rho if chi is None else kernels.pauli_channel_apply(rho, chi)

@@ -2,8 +2,9 @@
 
 All encoders in this package are CNOT permutations plus at most one Hadamard,
 and all error operators are diagonal or anti-diagonal up to signs.  Every hot
-operation therefore reduces to index gathers, butterflies, and sign masks,
-which cost O(dim^2) memory passes instead of O(dim^3) matrix products.
+operation therefore reduces to index gathers, butterflies, and blockwise
+products with small weight matrices, which cost O(dim^2) memory passes
+instead of O(dim^3) matrix products.
 
 The dense kernels write one output matrix and walk their input in steps
 of whole rows (or row pairs) sized by one rule, _step_rows: as many rows as
@@ -18,12 +19,11 @@ are their only implementations; the pinned public names allocate and call
 them.
 
 - Each output element gets the same floating-point operations, in the same
-  order, as the whole-array expression, so gather_hadamard_conjugate and
-  pauli_channel_apply are bit-identical at every tile size.  frob_dist and
-  kron_dist sum per-step squares in a different order (equal to within
-  rounding) and are exactly 0.0 on equal inputs.
-  pauli_channel_basis_packed's sums are BLAS dot products, equal to
-  within rounding at every tile size.
+  order, as the whole-array expression, so gather_hadamard_conjugate is
+  bit-identical at every tile size.  frob_dist and kron_dist sum per-step
+  squares in a different order (equal to within rounding) and are exactly
+  0.0 on equal inputs.  pauli_channel_basis_packed's sums are BLAS dot
+  products, equal to within rounding at every tile size.
 - gather_hadamard_conjugate conjugates by a permutation, a Hadamard and a
   permutation in one pass: the permutations only change which rows of the
   input a step reads and which rows and columns of the output it writes,
@@ -32,10 +32,10 @@ them.
   unscaled and the column butterfly's output is scaled once by 0.5, exact
   in binary, so conjugating a matrix of Gaussian integers (as the
   correlated errors are) is exact.
-- kron_dist measures d against a kron product a ox r (r = I when None),
-  or against the two-term a1 ox r + a2 ox r^T of a packed product, with no
-  output at all: each step builds its own slice of the product in
-  scratch, so the product checks hold one state, not two.
+- kron_dist measures d against a kron product a ox r, or against the
+  two-term a1 ox r + a2 ox r^T of a packed product, with no output at all:
+  each step builds its own slice of the product in scratch, so the
+  product checks hold one state, not two.
 - gather_conjugate, for CNOT-only (odd-n) circuits, takes a step of
   rows of m into scratch and then their columns into the step's rows of
   the output, with np.take: entries only move, so it is bit-identical to
@@ -48,18 +48,11 @@ them.
   entry gets the operations the real part of a complex one would.
   kron_dist's scratch is complex128 if any input is complex.  ptrace_*
   sum a float64 matrix in float64 and return the kept block as
-  complex128, as for any input.  frob_dist and pauli_channel_apply take
-  their input as complex128; pauli_channel_basis_packed is the channel
-  pass on a packed state.
+  complex128, as for any input.  frob_dist takes its input as complex128.
 
-pauli_channel_apply applies any channel whose Kraus operators lie in
+pauli_channel_basis_packed applies any channel whose Kraus operators lie in
 span{I, X_n, Y_n, Z_n}, given as its 4x4 process matrix chi (a Pauli
-channel by its probabilities, the diagonal of chi), in one fused pass that
-reads the state once: each entry of the output is a weighted sum of the
-same entry of rho and of its reversed views.  A view whose weights are all
-zero is skipped, so a Pauli channel reads only rho and its flip.
-
-pauli_channel_basis_packed applies the same channel to a packed state in
+channel by its probabilities, the diagonal of chi), to a packed state in
 channel_basis, a CNOT permutation under which X_n and Z_n act on the
 leading one (odd n) or two (even n) qubits only.  There each block of the
 output is a weighted sum of the blocks of the state and of its transpose
@@ -77,28 +70,12 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import BadQubitIndex, DimensionMismatch
 
 # Every row a step of a dense kernel touches fits in half of this many bytes.
 _TILE_BYTES = 1 << 22
 # Columns of m per transposed copy in pauli_channel_basis_packed.
 _TRANSPOSE_COLS = 64
-
-
-@lru_cache(maxsize=None)
-def parity_signs(n: int) -> np.ndarray:
-    """Vector z with z[i] = (-1)**popcount(i) for i < 2**n, read-only."""
-    idx = np.arange(1 << n, dtype=np.uint64)
-    z = 1.0 - 2.0 * (np.bitwise_count(idx).astype(np.float64) % 2.0)
-    z.setflags(write=False)
-    return z
-
-
-def _as_cmatrix(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=np.complex128)
-    if not m.flags.c_contiguous:
-        m = np.ascontiguousarray(m)
-    return m
 
 
 def real_or_complex(m: np.ndarray) -> np.ndarray:
@@ -138,6 +115,15 @@ def gather_conjugate(m: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return _gather_conjugate_into(m, perm, np.empty_like(m))
 
 
+def _check_table(table, dim: int, name: str) -> np.ndarray:
+    """table as an intp array of dim indices in [0, dim), which mode="clip"
+    never clips; DimensionMismatch for any other, which it would."""
+    table = np.ascontiguousarray(table, dtype=np.intp)
+    if table.shape != (dim,) or not 0 <= table.min() <= table.max() < dim:
+        raise DimensionMismatch(f"{name} must hold {dim} indices in [0, {dim}), got {table.shape}")
+    return table
+
+
 def _gather_conjugate_into(m: np.ndarray, perm: np.ndarray, out: np.ndarray) -> np.ndarray:
     """gather_conjugate written into out (check_out), which it returns:
     out[i, j] = m[perm[i], perm[j]].
@@ -148,14 +134,12 @@ def _gather_conjugate_into(m: np.ndarray, perm: np.ndarray, out: np.ndarray) -> 
     to m[np.ix_(perm, perm)] at every tile size.  mode="clip" never clips a
     permutation and lets take write into its buffer directly, so a table
     of the wrong length or with an index out of range is rejected
-    (DimensionMismatch) rather than clipped.
+    (_check_table) rather than clipped.
     """
     m = real_or_complex(m)
     check_out(m, out)
-    perm = np.ascontiguousarray(perm, dtype=np.intp)
     dim = m.shape[0]
-    if perm.shape != (dim,) or not 0 <= perm.min() <= perm.max() < dim:
-        raise DimensionMismatch(f"perm must hold {dim} indices in [0, {dim}), got {perm.shape}")
+    perm = _check_table(perm, dim, "perm")
     step = _step_rows(dim, 3 * m.itemsize * dim)
     scratch = np.empty((step, dim), dtype=m.dtype)
     for r0 in range(0, dim, step):
@@ -210,7 +194,7 @@ def _gather_hadamard_conjugate_into(
     x0 = (h, 0, l), x1 = (h, 1, l) of H_q G_before(m) H_q is the row
     butterfly of rows before[x0] and before[x1] of m, gathered by before
     along columns, followed by the column butterfly over the same split;
-    G_after then sends row x to row argsort(after)[x], gathered by after
+    G_after then sends row x to row after^-1[x], gathered by after
     along columns.  Both butterflies are unscaled sums and differences, and
     the column butterfly's output is scaled once by 0.5 = (1/sqrt2)**2,
     which is exact: on Gaussian-integer entries (the correlated errors have
@@ -222,22 +206,30 @@ def _gather_hadamard_conjugate_into(
     A step walks a block of row pairs through two scratch buffers; it
     touches eight rows per pair (two of m, two in each buffer, two of the
     output), so steps are sized to keep them within half a tile.  Tables
-    are gathered with mode="clip", which never clips a permutation and
-    lets take write into its buffer directly.
+    are gathered with mode="clip", which lets take write into its buffer
+    directly, so each is checked first (_check_table), and after must be
+    a permutation too, as its inverse places the rows (DimensionMismatch);
+    q must be a qubit of m (BadQubitIndex).
     """
     m = real_or_complex(m)
     check_out(m, out)
     dim = m.shape[0]
+    if not 0 <= q < dim.bit_length() - 1:
+        raise BadQubitIndex(f"q={q} is not a qubit of a {dim}-dim matrix")
     lo = 1 << q
     hi = dim >> (q + 1)
     src = m.reshape(hi, 2, lo, dim)
     dst = out.reshape(hi, 2, lo, dim)
     if before is not None:
-        before = np.asarray(before, dtype=np.intp)
+        before = _check_table(before, dim, "before")
         rows = before.reshape(hi, 2, lo)
     if after is not None:
-        after = np.asarray(after, dtype=np.intp)
-        dest = np.argsort(after).reshape(hi, 2, lo)
+        after = _check_table(after, dim, "after")
+        dest = np.full(dim, -1, dtype=np.intp)
+        dest[after] = np.arange(dim)
+        if dest.min() < 0:
+            raise DimensionMismatch("after must be a permutation, but repeats an index")
+        dest = dest.reshape(hi, 2, lo)
     (kh, kl), blocks = _pair_blocks(hi, lo, _step_rows(hi * lo, 8 * m.itemsize * dim))
     buffers = np.empty((2, kh, 2, kl, dim), dtype=m.dtype)
     for h, l in blocks:
@@ -266,86 +258,10 @@ def y_phase(n: int) -> complex:
     return (-1j) ** (n % 4)
 
 
-# E = (I, X_n, Y_n, Z_n) reordered as (I, Z_n, X_n, Y_n): the elements that
-# keep the rows in place, then the ones that reverse them.
-_BY_FLIP = (0, 3, 1, 2)
-_BY_FLIP_IX = np.ix_(_BY_FLIP, _BY_FLIP)
-# row s is (1, z) for the row class s (z = +1, -1), as _chi_weights sums it
-_SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]])
-
-
-@lru_cache(maxsize=None)
-def _phase_outer(n4: int) -> np.ndarray:
-    """outer(phase, conj(phase)) for phase = (1, 1, 1, omega) in _BY_FLIP
-    order at n = n4 mod 4, read-only."""
-    phase = np.array([1.0, 1.0, 1.0, y_phase(n4)])
-    out = np.outer(phase, phase.conj())
-    out.setflags(write=False)
-    return out
-
-
-def _chi_weights(chi: np.ndarray, n: int) -> np.ndarray:
-    """w with w[2r + c, s] the weight row of block (r, c) for rows of parity
-    class s (0: z = +1, 1: z = -1), shape (4, 2, 2**n).
-
-    E_a = diag(u_a) P**r_a, with P the reversal, r_a = 1 for X_n and Y_n,
-    u = 1 for I and X_n, z for Z_n and omega z for Y_n.  So
-    E_a rho E_b_dag [i, k] = u_a[i] conj(u_b[k]) rho[P**r_a(i), P**r_b(k)],
-    and block (r, c) of the sum collects the four (a, b) with r_a = r and
-    r_b = c: with m = diag(1, lambda_r) chi_rc diag(1, conj(lambda_c)),
-    lambda = (1, omega), its weight is
-    (1, z_i) m (1, z_k)^T = alpha(z_i) + beta(z_i) z_k.
-    """
-    m = chi[_BY_FLIP_IX] * _phase_outer(n % 4)
-    # alpha, beta of each block and row class, indexed [r, c, s, (alpha, beta)]
-    ab = np.einsum("si,ricj->rcsj", _SUM_DIFF, m.reshape(2, 2, 2, 2))
-    w = ab[..., :1] + ab[..., 1:] * parity_signs(n)
-    return w.reshape(4, 2, -1)
-
-
 def _as_chi(probs) -> np.ndarray:
     """probs as a 4x4 complex chi: a 1-d probs is its diagonal."""
     chi = np.asarray(probs, dtype=np.complex128)
     return np.diag(chi) if chi.ndim == 1 else chi
-
-
-def pauli_channel_apply(rho: np.ndarray, probs) -> np.ndarray:
-    """sum_ab chi_ab E_a rho E_b_dag over E = (I, X_n, Y_n, Z_n), in one pass.
-
-    probs is a 4x4 chi or the probabilities (p0, p1, p2, p3), which are the
-    diagonal of chi: p0 rho + p1 X rho X + p2 Y rho Y + p3 Z rho Z.  The
-    output is the sum over blocks (r, c) of W_rc * rho[P**r, P**c] (see
-    _chi_weights).  Block (0, 0) is always summed, every other block only
-    where its weights are not all zero, so a step reads only the views of
-    rho it needs: a diagonal chi (any Pauli channel) has zero cross blocks
-    and reads rho and its flip rho[::-1, ::-1], a full chi all four views.
-    A step touches the output, one scratch row and each view read, per
-    output row.
-
-    The class indices are 0 or 1, so mode="clip" never clips; it lets take
-    write into out directly, where the default mode buffers it.
-    """
-    rho = _as_cmatrix(rho)
-    dim = rho.shape[0]
-    n = dim.bit_length() - 1
-    weights = _chi_weights(_as_chi(probs), n)
-    views = (rho, rho[:, ::-1], rho[::-1], rho[::-1, ::-1])
-    blocks = [0] + [b for b in (1, 2, 3) if weights[b].any()]
-    rows_class = (parity_signs(n) < 0).astype(np.intp)
-    out = np.empty_like(rho)
-    step = _step_rows(dim, 16 * (2 + len(blocks)) * dim)
-    scratch = np.empty((step, dim), dtype=np.complex128)
-    for r0 in range(0, dim, step):
-        r = slice(r0, r0 + step)
-        o = out[r]
-        s = scratch[: len(o)]
-        np.take(weights[0], rows_class[r], axis=0, out=o, mode="clip")
-        o *= rho[r]
-        for b in blocks[1:]:
-            np.take(weights[b], rows_class[r], axis=0, out=s, mode="clip")
-            s *= views[b][r]
-            o += s
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -391,9 +307,10 @@ def _basis_transfer(chi: np.ndarray, n: int) -> np.ndarray:
 
 
 def pauli_channel_basis_packed(m: np.ndarray, probs, out: np.ndarray | None = None) -> np.ndarray:
-    """pauli_channel_apply on a packed Hermitian state given in channel_basis,
-    float64 in and out; written into out (check_out) if given, which it
-    then returns.
+    """sum_ab chi_ab E_a rho E_b_dag over E = (I, X_n, Y_n, Z_n), on the
+    packed Hermitian state m of rho given in channel_basis, float64 in and
+    out; written into out (check_out) if given, which it then returns.
+    probs is a 4x4 chi or the probabilities (p0, p1, p2, p3), its diagonal.
 
     In channel_basis each E_a is e_a ox I, e_a on the leading qubits, so a
     state split into q x q blocks (q = 2 for odd n, 4 for even n) of
@@ -465,9 +382,10 @@ def ptrace_trailing(m: np.ndarray, keep: int) -> np.ndarray:
 
 
 def frob_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of a - b, summed step by step; 0.0 when a == b."""
-    a = _as_cmatrix(a)
-    b = _as_cmatrix(b)
+    """Frobenius norm of a - b, summed step by step, in complex128; 0.0
+    when a == b."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    b = np.ascontiguousarray(b, dtype=np.complex128)
     rows = a.shape[0]
     step = _step_rows(rows, 48 * a.shape[1])
     scratch = np.empty((step,) + a.shape[1:], dtype=np.complex128)
@@ -479,55 +397,45 @@ def frob_dist(a: np.ndarray, b: np.ndarray) -> float:
     return sqrt(total)
 
 
-def kron_dist(d: np.ndarray, a: np.ndarray, r: np.ndarray | None) -> float:
-    """Frobenius norm of d - a ox r, r None for the identity, without forming
-    a ox r; 0.0 when d equals it.
+def kron_dist(d: np.ndarray, a: np.ndarray, r: np.ndarray) -> float:
+    """Frobenius norm of d - a ox r, without forming a ox r; 0.0 when d
+    equals it.
 
-    a may also be a stack (a1, a2) of two matrices, with an r: d is then
-    measured against a1 ox r + a2 ox r^T, which for a Hermitian
-    a1 + i a2 and r = Re rho + Im rho is the packed (a1 + i a2) ox rho
-    (tensor.pack_kron).  The a2 term is skipped where a2 is all zero.
+    a may also be a stack (a1, a2) of two matrices: d is then measured
+    against a1 ox r + a2 ox r^T, which for a Hermitian a1 + i a2 and
+    r = Re rho + Im rho is the packed (a1 + i a2) ox rho (tensor.pack_kron).
+    The a2 term is skipped where a2 is all zero.
 
     d is walked as (A, R, A, R), d[i, j, k, l] = d[i R + j, k R + l], in
     blocks of rows (i, j) from _pair_blocks, in frob_dist's steps (a row of
     d, of scratch and at most one of r per row of d, two more for an a2
     term).  A step builds its slice of a ox r in scratch, the one rounding
-    np.kron makes, and subtracts it from d; for r None the slice is d less
-    a[i, k] where l = j, the entries a[i, k] * 1 of a ox I.  An a2 term is
-    built in a second scratch, from a contiguous copy of r^T, and added to
-    the first before the subtraction.  The scratch is float64 when d, a and
-    r are each float64, complex128 otherwise.
+    np.kron makes, and subtracts it from d.  An a2 term is built in a
+    second scratch, from a contiguous copy of r^T, and added to the first
+    before the subtraction.  The scratch is float64 when d, a and r are
+    each float64, complex128 otherwise.
     """
     d = real_or_complex(d)
     a = real_or_complex(a)
-    dtype = np.result_type(d, a)
-    terms = []
-    if r is not None:
-        r = real_or_complex(r)
-        dtype = np.result_type(dtype, r)
-        first, *rest = a if a.ndim == 3 else [a]
-        terms = [(first, r)]
-        terms += [(t, np.ascontiguousarray(r.T)) for t in rest if t.any()]
+    r = real_or_complex(r)
+    dtype = np.result_type(d, a, r)
+    first, *rest = a if a.ndim == 3 else [a]
+    terms = [(first, r)] + [(t, np.ascontiguousarray(r.T)) for t in rest if t.any()]
     dim = d.shape[0]
     na = a.shape[-1]
     nr = dim // na
     d4 = d.reshape(na, nr, na, nr)
-    rows = 1 + 2 * max(len(terms), 1)
+    rows = 1 + 2 * len(terms)
     (ki, kj), blocks = _pair_blocks(na, nr, _step_rows(dim, rows * dtype.itemsize * dim))
-    scratch = np.empty((max(len(terms), 1), ki, kj, na, nr), dtype=dtype)
+    scratch = np.empty((len(terms), ki, kj, na, nr), dtype=dtype)
+    (a1, r1), *more = terms
     total = 0.0
     for i, j in blocks:
         part = d4[i, j]
         s, *extra = scratch[:, : part.shape[0], : part.shape[1]]
-        if r is None:
-            np.copyto(s, part)
-            t = np.arange(s.shape[1])
-            s[:, t, :, j.start + t] -= a[i]
-        else:
-            (a1, r1), *rest = terms
-            np.multiply(a1[i, None, :, None], r1[None, j, None, :], out=s)
-            for (at, rt), e in zip(rest, extra):
-                s += np.multiply(at[i, None, :, None], rt[None, j, None, :], out=e)
-            np.subtract(part, s, out=s)
+        np.multiply(a1[i, None, :, None], r1[None, j, None, :], out=s)
+        for (at, rt), e in zip(more, extra):
+            s += np.multiply(at[i, None, :, None], rt[None, j, None, :], out=e)
+        np.subtract(part, s, out=s)
         total += np.vdot(s, s).real
     return sqrt(total)

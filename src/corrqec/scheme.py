@@ -15,7 +15,7 @@ leading qubits alone, so the channel pass is one small real matrix
 product per step of rows; the decode leaves that basis in the same gather.
 The four dense stages (the input product, encode, the channel pass and
 decode) write into two state buffers in turn, so a trial maps two states,
-not one per stage.  encode and decode keep their complex contract.
+not one per stage.
 """
 
 from __future__ import annotations
@@ -84,20 +84,6 @@ def _check_states(spec: EncoderSpec, sigma: np.ndarray, rho: np.ndarray):
             f"must be 2**{spec.n}"
         )
     return sigma, rho
-
-
-def encode(spec: EncoderSpec, sigma: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """P_n (sigma ox rho) P_n_dag."""
-    sigma, rho = _check_states(spec, sigma, rho)
-    return circuit_conjugate(encoder_factors(spec.n), np.kron(sigma, rho))
-
-
-def decode(spec: EncoderSpec, tau: np.ndarray) -> np.ndarray:
-    """P_n_dag tau P_n."""
-    tau = np.asarray(tau, dtype=np.complex128)
-    if tau.ndim != 2 or tau.shape != (1 << spec.n, 1 << spec.n):
-        raise DimensionMismatch(f"expected a {1 << spec.n}-dim state, got {tau.shape}")
-    return circuit_conjugate(encoder_factors(spec.n), tau, adjoint=True)
 
 
 def induced_kraus(ch: Channel, parity: str, sign: int) -> list[np.ndarray]:

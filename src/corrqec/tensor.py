@@ -10,8 +10,10 @@ one float64 matrix M = A + B = Re rho + Im rho, half the bytes of rho, and
 unpacked as A = (M + M^T)/2, B = (M - M^T)/2.  Real maps keep the parts
 apart: a real congruence, a partial trace or a Frobenius norm acts on M as
 it does on rho.  pack_kron packs a product from a packed factor, and
-packed_kron_distance measures a packed state against a product.  The
-trial (scheme.run_trial) runs on packed states.
+packed_kron_distance measures a packed state against a product, blockwise
+(kernels.kron_dist), without forming it.  The trial (scheme.run_trial)
+runs on packed states; a complex128 state reaches only the partial traces
+and frobenius_distance here.
 """
 
 from __future__ import annotations
@@ -124,24 +126,6 @@ def packed_kron_distance(m, a, p) -> float:
             f"a of dim {a.shape[0]} ox p of dim {p.shape[0]} is not dim={m.shape[0]}"
         )
     return kernels.kron_dist(m, np.stack((a.real, a.imag)), p)
-
-
-def kron_distance(d, a, r=None) -> float:
-    """Frobenius distance of d from a ox r (r None: the identity), without
-    forming a ox r; DimensionMismatch unless the shapes factor.  float64
-    inputs keep their dtype, any other is taken as complex128."""
-    d = _square(kernels.real_or_complex(d))
-    a = _square(kernels.real_or_complex(a))
-    dim = d.shape[0]
-    if dim % a.shape[0] != 0:
-        raise DimensionMismatch(f"a of dim {a.shape[0]} does not divide dim={dim}")
-    if r is not None:
-        r = _square(kernels.real_or_complex(r))
-        if a.shape[0] * r.shape[0] != dim:
-            raise DimensionMismatch(
-                f"a of dim {a.shape[0]} ox r of dim {r.shape[0]} is not dim={dim}"
-            )
-    return kernels.kron_dist(d, a, r)
 
 
 def check_memory(n: int, states: int) -> None:

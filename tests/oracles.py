@@ -3,6 +3,10 @@
 Everything here is deliberately naive: dense Kronecker assembly, explicit
 matrix products, and direct index summation.  Tests compare the package's
 structured fast paths against these so they never certify themselves.
+The package runs its trial on packed float64 states only; complex_trial
+here is the same pipeline on complex128 states, built from np.kron, the
+encoder's circuit_conjugate, the whole-array channel sum chi_channel and
+the dense distance kron_distance.
 """
 
 from __future__ import annotations
@@ -10,12 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from corrqec import kernels
-from corrqec.channels import apply_sequence, checked_sequence_chi
+from corrqec.channels import checked_sequence_chi
 from corrqec.encoder import ancilla_images, build_pn, encoder_factors
 from corrqec.errors import DimensionMismatch
 from corrqec.gates import circuit_conjugate, circuit_factors, cnot_perm
-from corrqec.scheme import classical_state, decode, encode, predicted_ancilla
-from corrqec.tensor import as_square, frobenius_distance, kron_distance, pack
+from corrqec.scheme import classical_state, predicted_ancilla
+from corrqec.tensor import as_square, frobenius_distance, pack
 from corrqec.tensor import pack_kron, packed_kron_distance, unpack
 from corrqec.tensor import partial_trace_leading, partial_trace_trailing
 from corrqec.tolerances import CLASSICAL_TOL, HYBRID_TOL
@@ -161,6 +165,64 @@ def span_kraus_dense(n: int, kraus_coeffs) -> list[np.ndarray]:
     ]
 
 
+def chi_channel(rho, chi) -> np.ndarray:
+    """sum_ab chi_ab E_a rho E_b_dag over E = (I, X_n, Y_n, Z_n), one
+    whole-array term per nonzero entry of chi (a 1-d chi is its diagonal).
+
+    E_a = diag(u_a) P**f_a, with P the row reversal (X_n complements every
+    bit of an index, and the complement of i is 2**n - 1 - i), f = (0, 1,
+    1, 0) and u = (1, 1, omega z, z) for z the parity signs (-1)**popcount(i)
+    and omega = (-i)**n, as Y_n = omega Z_n X_n.  So E_a rho E_b_dag is
+    rho with its rows reversed if f_a, its columns if f_b, times
+    u_a[i] conj(u_b[k]).
+    """
+    rho = np.asarray(rho, dtype=complex)
+    chi = np.asarray(chi, dtype=complex)
+    if chi.ndim == 1:
+        chi = np.diag(chi)
+    dim = rho.shape[0]
+    n = dim.bit_length() - 1
+    z = 1.0 - 2.0 * (np.bitwise_count(np.arange(dim)) % 2)
+    ones = np.ones(dim)
+    u = (ones, ones, (-1j) ** n * z, z)
+    flip = (False, True, True, False)
+    out = np.zeros_like(rho)
+    for a in range(4):
+        if not chi[a].any():
+            continue
+        rows = u[a][:, None] * (rho[::-1] if flip[a] else rho)
+        for b in range(4):
+            if chi[a, b] != 0:
+                cols = chi[a, b] * u[b].conj()
+                out += (rows[:, ::-1] if flip[b] else rows) * cols[None, :]
+    return out
+
+
+def apply_channels(channels, rho, repeats: int = 1) -> np.ndarray:
+    """The channel list applied in order, the whole list `repeats` times, on
+    a complex128 rho: the list's composed chi (channels.checked_sequence_chi,
+    as run_trial composes it) through chi_channel; rho for an empty list."""
+    rho = np.asarray(rho, dtype=complex)
+    chi = checked_sequence_chi(channels, rho.shape, repeats)
+    return rho if chi is None else chi_channel(rho, chi)
+
+
+def encode(n: int, sigma, rho) -> np.ndarray:
+    """P_n (sigma ox rho) P_n_dag on complex128 states: np.kron, then the
+    encoder's conjugation."""
+    return circuit_conjugate(encoder_factors(n), np.kron(sigma, rho))
+
+
+def decode(n: int, tau) -> np.ndarray:
+    """P_n_dag tau P_n on a complex128 state."""
+    return circuit_conjugate(encoder_factors(n), np.asarray(tau, dtype=complex), adjoint=True)
+
+
+def kron_distance(d, a, r) -> float:
+    """Frobenius distance of d from the dense np.kron(a, r)."""
+    return float(np.linalg.norm(d - np.kron(a, r)))
+
+
 def compose_pauli_probs(p, q):
     """Probabilities of applying mix p then mix q: the error labels
     {I,X,Y,Z} compose like 2-bit XOR (phases cancel in conjugation)."""
@@ -294,12 +356,12 @@ def fresh_trial(n: int, sigma, rho, channels, repeats: int = 1) -> dict:
 
 def complex_trial(n: int, sigma, rho, channels, repeats: int = 1) -> dict:
     """run_trial's residuals and hybrid flag with every state complex128:
-    np.kron, encode, apply_sequence and decode, then the partial traces and
-    the distances on the complex decoded state."""
+    encode, apply_channels and decode, then the partial traces and the
+    distances on the complex decoded state."""
     spec = build_pn(n)
     sigma = np.asarray(sigma, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
-    decoded = decode(spec, apply_sequence(channels, encode(spec, sigma, rho), repeats))
+    decoded = decode(n, apply_channels(channels, encode(n, sigma, rho), repeats))
     recovered = partial_trace_leading(decoded, sigma.shape[0])
     ancilla = partial_trace_trailing(decoded, rho.shape[0])
     predicted = predicted_ancilla(sigma, channels, repeats, spec.parity, spec.sign)

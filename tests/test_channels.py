@@ -10,14 +10,16 @@ from corrqec import (
     NotTracePreserving,
     PauliChannel,
     SpanChannel,
-    apply_sequence,
+    classical_state,
     completeness_deviation,
     kernels,
     random_density,
+    run_trial,
 )
-from corrqec.channels import chi_matrix, pauli_products, sequence_chi
+from corrqec.channels import checked_sequence_chi, chi_matrix, pauli_products, sequence_chi
 
 from oracles import (
+    apply_channels,
     compose_pauli_probs,
     is_density_matrix,
     kraus_apply,
@@ -48,14 +50,14 @@ def test_prob_validation():
 def test_identity_channel():
     rho = random_density(4, 0)
     ch = PauliChannel(2, (1.0, 0.0, 0.0, 0.0))
-    assert np.array_equal(apply_sequence([ch], rho), rho)
+    assert np.array_equal(apply_channels([ch], rho), rho)
 
 
 def test_phase_flip_on_plus_state():
     plus = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
     minus = 0.5 * np.array([[1, -1], [-1, 1]], dtype=complex)
     ch = PauliChannel(1, (0.0, 0.0, 0.0, 1.0))
-    assert np.allclose(apply_sequence([ch], plus), minus, atol=1e-15)
+    assert np.allclose(apply_channels([ch], plus), minus, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -63,7 +65,7 @@ def test_pauli_channel_matches_dense_kraus_oracle(n):
     rng = np.random.default_rng(n)
     probs = tuple(rng.dirichlet(np.ones(4)))
     rho = random_density(1 << n, n + 50)
-    got = apply_sequence([PauliChannel(n, probs)], rho)
+    got = apply_channels([PauliChannel(n, probs)], rho)
     want = pauli_channel_dense(n, probs, rho)
     assert np.allclose(got, want, atol=1e-13)
     assert is_density_matrix(got)
@@ -72,13 +74,13 @@ def test_pauli_channel_matches_dense_kraus_oracle(n):
 def test_dimension_mismatch():
     ch = PauliChannel(3, (0.7, 0.1, 0.1, 0.1))
     with pytest.raises(DimensionMismatch):
-        apply_sequence([ch], random_density(4, 1))
+        apply_channels([ch], random_density(4, 1))
 
 
 def test_span_identity_channel():
     rho = random_density(8, 2)
     ch = SpanChannel(3, ((1.0, 0.0, 0.0, 0.0),))
-    assert np.allclose(apply_sequence([ch], rho), rho, atol=1e-15)
+    assert np.allclose(apply_channels([ch], rho), rho, atol=1e-15)
 
 
 def test_span_reduces_to_pauli_for_sqrt_coeffs():
@@ -88,8 +90,8 @@ def test_span_reduces_to_pauli_for_sqrt_coeffs():
         for k, p in enumerate(probs)
     )
     rho = random_density(8, 3)
-    a = apply_sequence([SpanChannel(3, rows)], rho)
-    b = apply_sequence([PauliChannel(3, probs)], rho)
+    a = apply_channels([SpanChannel(3, rows)], rho)
+    b = apply_channels([PauliChannel(3, probs)], rho)
     assert np.allclose(a, b, atol=1e-13)
 
 
@@ -123,7 +125,7 @@ def test_completeness_deviation_matches_dense(n):
 def test_span_channel_matches_dense_kraus_oracle(n):
     coeffs = random_span_coeffs(n, seed=n + 30, terms=3)
     rho = random_density(1 << n, n + 60)
-    got = apply_sequence([SpanChannel(n, coeffs)], rho)
+    got = apply_channels([SpanChannel(n, coeffs)], rho)
     want = np.zeros_like(rho)
     for f in span_kraus_dense(n, coeffs):
         want += f @ rho @ f.conj().T
@@ -136,8 +138,8 @@ def test_sequence_of_two_pauli_channels_convolves():
     p = (0.5, 0.2, 0.2, 0.1)
     q = (0.6, 0.1, 0.1, 0.2)
     rho = random_density(1 << n, 4)
-    seq = apply_sequence([PauliChannel(n, p), PauliChannel(n, q)], rho)
-    single = apply_sequence([PauliChannel(n, compose_pauli_probs(p, q))], rho)
+    seq = apply_channels([PauliChannel(n, p), PauliChannel(n, q)], rho)
+    single = apply_channels([PauliChannel(n, compose_pauli_probs(p, q))], rho)
     assert np.allclose(seq, single, atol=1e-13)
 
 
@@ -145,17 +147,17 @@ def test_sequence_repeats():
     n = 2
     ch = PauliChannel(n, (0.7, 0.1, 0.1, 0.1))
     rho = random_density(4, 5)
-    twice = apply_sequence([ch], rho, repeats=2)
-    manual = apply_sequence([ch], apply_sequence([ch], rho))
+    twice = apply_channels([ch], rho, repeats=2)
+    manual = apply_channels([ch], apply_channels([ch], rho))
     assert np.allclose(twice, manual, atol=1e-14)
     assert np.array_equal(
-        apply_sequence([PauliChannel(n, (1, 0, 0, 0))], rho), rho
+        apply_channels([PauliChannel(n, (1, 0, 0, 0))], rho), rho
     )
 
 
 def test_sequence_rejects_mixed_sizes():
     with pytest.raises(DimensionMismatch):
-        apply_sequence(
+        apply_channels(
             [PauliChannel(2, (1, 0, 0, 0)), PauliChannel(3, (1, 0, 0, 0))],
             random_density(4, 6),
         )
@@ -169,8 +171,8 @@ def test_pauli_channels_commute(seed):
     p = tuple(rng.dirichlet(np.ones(4)))
     q = tuple(rng.dirichlet(np.ones(4)))
     rho = random_density(1 << n, seed)
-    a = apply_sequence([PauliChannel(n, p), PauliChannel(n, q)], rho)
-    b = apply_sequence([PauliChannel(n, q), PauliChannel(n, p)], rho)
+    a = apply_channels([PauliChannel(n, p), PauliChannel(n, q)], rho)
+    b = apply_channels([PauliChannel(n, q), PauliChannel(n, p)], rho)
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -180,8 +182,8 @@ def test_pauli_channel_is_affine():
     r1 = random_density(4, 8)
     r2 = random_density(4, 9)
     lam = 0.3
-    mixed = apply_sequence([ch], lam * r1 + (1 - lam) * r2)
-    parts = lam * apply_sequence([ch], r1) + (1 - lam) * apply_sequence([ch], r2)
+    mixed = apply_channels([ch], lam * r1 + (1 - lam) * r2)
+    parts = lam * apply_channels([ch], r1) + (1 - lam) * apply_channels([ch], r2)
     assert np.allclose(mixed, parts, atol=1e-12)
 
 
@@ -222,45 +224,48 @@ def test_composed_sequence_matches_sequential_dense_oracle(seed):
     channels = [_random_channel(rng, n) for _ in range(int(rng.integers(1, 5)))]
     repeats = int(rng.integers(1, 5))
     rho = random_density(1 << n, seed)
-    got = apply_sequence(channels, rho, repeats)
+    got = apply_channels(channels, rho, repeats)
     want = _sequential_dense(channels, rho, repeats)
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
-def _count_kernel_calls(monkeypatch) -> dict:
-    """Count every call of the dense channel kernel, the only one
-    apply_sequence reaches."""
-    calls = {"pauli_channel_apply": 0}
-    real = kernels.pauli_channel_apply
+def _count_channel_passes(monkeypatch) -> list:
+    """Record each call of the packed channel pass, the only one run_trial
+    makes, as its (state, chi, output)."""
+    calls = []
+    real = kernels.pauli_channel_basis_packed
 
-    def counted(*args):
-        calls["pauli_channel_apply"] += 1
-        return real(*args)
+    def counted(m, probs, out=None):
+        calls.append((m.copy(), probs, real(m, probs, out)))
+        return calls[-1][2]
 
-    monkeypatch.setattr(kernels, "pauli_channel_apply", counted)
+    monkeypatch.setattr(kernels, "pauli_channel_basis_packed", counted)
     return calls
 
 
-@pytest.mark.parametrize("length,repeats", [(1, 1), (1, 7), (3, 1), (4, 1000)])
+@pytest.mark.parametrize("length,repeats", [(0, 1), (1, 1), (1, 7), (3, 1), (4, 1000)])
 def test_pauli_only_list_is_one_pauli_pass(monkeypatch, length, repeats):
+    """A trial makes one channel pass for a nonempty list of Pauli channels,
+    at any repeat count, and none for an empty list."""
     n = 4
     rng = np.random.default_rng(length + repeats)
     channels = [PauliChannel(n, tuple(rng.dirichlet(np.ones(4)))) for _ in range(length)]
-    rho = random_density(1 << n, 1)
-    # the same output as the probabilities form, the 4-vector of chi's diagonal
-    want = kernels.pauli_channel_apply(
-        rho, np.diagonal(sequence_chi(channels, repeats)).real
-    )
-    calls = _count_kernel_calls(monkeypatch)
-    got = apply_sequence(channels, rho, repeats)
-    assert calls == {"pauli_channel_apply": 1}
-    assert np.array_equal(got, want)
+    real = kernels.pauli_channel_basis_packed
+    calls = _count_channel_passes(monkeypatch)
+    out = run_trial(n, classical_state(0, 1), random_density(4, 1), channels, repeats)
+    assert out.hybrid_exact is True
+    assert len(calls) == min(length, 1)
+    for m, chi, got in calls:
+        # the same output as the probabilities form, the 4-vector of chi's diagonal
+        assert np.array_equal(chi, sequence_chi(channels, repeats))
+        want = real(m, np.diagonal(chi).real)
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_list_with_a_span_channel_makes_at_most_four_conjugations(monkeypatch, seed):
-    """Any list holding a span channel, at any repeat count, is one fused
-    pass of the state: exactly one kernel call, where an eigen-split of chi
+    """Any list holding a span channel, at any repeat count, is one pass of
+    the trial's state: exactly one kernel call, where an eigen-split of chi
     would make up to four banded conjugations."""
     n = 3
     rng = np.random.default_rng(seed)
@@ -270,19 +275,24 @@ def test_list_with_a_span_channel_makes_at_most_four_conjugations(monkeypatch, s
         SpanChannel(n, random_span_coeffs(n, seed, terms=int(rng.integers(1, 7)))),
     )
     repeats = int(rng.choice([1, 2, 3, 10**6]))
-    calls = _count_kernel_calls(monkeypatch)
-    apply_sequence(channels, random_density(1 << n, seed), repeats)
-    assert calls == {"pauli_channel_apply": 1}
+    calls = _count_channel_passes(monkeypatch)
+    run_trial(n, random_density(2, seed), random_density(4, seed + 1), channels, repeats)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_one_channel_applied_once_is_the_direct_applier(n):
-    rho = random_density(1 << n, n)
+    """A one-channel list, once, is the channel's own chi, and a Pauli
+    channel's pass by that chi is its pass by the probabilities."""
     pauli = PauliChannel(n, (0.4, 0.3, 0.2, 0.1))
     span = SpanChannel(n, random_span_coeffs(n, n, terms=4))
     for ch in (pauli, span):
-        want = kernels.pauli_channel_apply(rho, chi_matrix(ch))
-        assert np.array_equal(apply_sequence([ch], rho), want)
+        want = chi_matrix(ch)
+        assert np.array_equal(sequence_chi([ch], 1), want)
+        assert np.array_equal(checked_sequence_chi([ch], (1 << n, 1 << n), 1), want)
+    m = random_density(1 << n, n)
+    m = m.real + m.imag
     assert np.array_equal(
-        apply_sequence([pauli], rho), kernels.pauli_channel_apply(rho, pauli.probs)
+        kernels.pauli_channel_basis_packed(m, chi_matrix(pauli)),
+        kernels.pauli_channel_basis_packed(m, pauli.probs),
     )

@@ -8,11 +8,11 @@ import pytest
 
 from corrqec import kernels
 from corrqec.encoder import encoder_factors
-from corrqec.errors import DimensionMismatch
-from corrqec.kernels import parity_signs
+from corrqec.errors import BadQubitIndex, DimensionMismatch
 
 from oracles import (
     HAD,
+    chi_channel,
     embed_single,
     pauli_channel_dense,
     pauli_power,
@@ -21,13 +21,6 @@ from oracles import (
     ptrace_trailing_direct,
     random_complex_matrix,
 )
-
-
-def test_parity_signs():
-    z = parity_signs(3)
-    want = [(-1.0) ** bin(i).count("1") for i in range(8)]
-    assert np.array_equal(z, np.array(want))
-    assert not z.flags.writeable
 
 
 def test_gather_conjugate_against_gemm():
@@ -126,20 +119,6 @@ def test_gather_hadamard_conjugate_is_exact_on_gaussian_integers():
                 assert np.array_equal(got, (want_re + 1j * want_im) / 2), (n, q)
 
 
-def test_pauli_channel_apply_against_kraus_sum():
-    rng = np.random.default_rng(3)
-    n = 3
-    rho = random_complex_matrix(1 << n, 4)
-    rho = rho + rho.conj().T
-    probs = rng.dirichlet(np.ones(4))
-    got = kernels.pauli_channel_apply(rho, probs)
-    assert np.allclose(got, pauli_channel_dense(n, probs, rho), atol=1e-13)
-    # a diagonal chi, real or complex, is the same pass as its diagonal
-    assert np.array_equal(kernels.pauli_channel_apply(rho, np.diag(probs)), got)
-    chi = np.diag(probs).astype(complex)
-    assert np.array_equal(kernels.pauli_channel_apply(rho, chi), got)
-
-
 def _random_chi(rng) -> np.ndarray:
     """A random Hermitian 4x4 chi with nonzero off-diagonal entries; not PSD
     in general, as the kernel is linear in chi."""
@@ -163,12 +142,11 @@ def _span_row_chi(f) -> np.ndarray:
     return np.outer(f, f.conj())
 
 
-# chi matrices some of whose blocks (see kernels._chi_weights) are all zero:
-# X-only and Y-only probabilities keep only the flip block (1, 1), an I/Z
-# row only block (0, 0), an X/Y row only block (1, 1); block (0, 0) of the
-# last is zero too, though the kernel always sums it.  The row with
-# f_Z = -f_I has a block (0, 1) that is zero on the rows of even parity
-# only, so it must still be summed.
+# chi matrices most of whose entries are zero, so chi_channel skips most of
+# its terms: X-only and Y-only probabilities keep one term, which reverses
+# both rows and columns; an I/Z row keeps only terms that reverse neither,
+# an X/Y row only terms that reverse both.  The row with f_Z = -f_I has
+# terms that cancel on the rows of even parity only.
 _PARTLY_ZERO_CHI = [
     np.diag([0.0, 1.0, 0.0, 0.0]),
     np.diag([0.0, 0.0, 1.0, 0.0]),
@@ -178,17 +156,19 @@ _PARTLY_ZERO_CHI = [
 ]
 
 
-def test_pauli_channel_apply_chi_against_dense_oracle():
-    # n = 1..8 covers every residue of n mod 4, so every phase of Y_n
+def test_chi_channel_oracle_against_dense_kraus_sums():
+    # n = 1..6 covers every residue of n mod 4, so every phase of Y_n
     rng = np.random.default_rng(5)
-    for n in range(1, 9):
+    for n in range(1, 7):
         m = random_complex_matrix(1 << n, n + 6)
         for chi in [_random_chi(rng)] + _PARTLY_ZERO_CHI:
-            got = _checked(kernels.pauli_channel_apply, m, chi)
+            got = _checked(chi_channel, m, chi)
             assert np.allclose(got, _chi_dense(chi, m), rtol=0.0, atol=1e-11), n
-        for chi in _PARTLY_ZERO_CHI[:2]:
-            got = kernels.pauli_channel_apply(m, np.diagonal(chi))
-            assert np.array_equal(got, kernels.pauli_channel_apply(m, chi)), n
+        # probabilities are the diagonal of chi: the Pauli channel's Kraus sum
+        probs = rng.dirichlet(np.ones(4))
+        got = chi_channel(m, probs)
+        assert np.allclose(got, pauli_channel_dense(n, probs, m), rtol=0.0, atol=1e-13), n
+        assert np.array_equal(got, chi_channel(m, np.diag(probs))), n
 
 
 @pytest.mark.parametrize("keep", [1, 2, 4, 8])
@@ -210,17 +190,13 @@ def test_frob_dist_matches_numpy_norm():
 
 def _kron_cases(n, seed):
     """(a, r) pairs for kron_dist at n: a 2x2 and (n >= 2) a 4x4 a, each with
-    a random r and with r None."""
+    a random r."""
     cases = []
     for na in (2, 4)[: min(n, 2)]:
         a = random_complex_matrix(na, seed + na)
         r = random_complex_matrix((1 << n) // na, seed + na + 1)
-        cases += [(a, r), (a, None)]
+        cases.append((a, r))
     return cases
-
-
-def _kron(a, r, dim):
-    return np.kron(a, np.eye(dim // a.shape[0]) if r is None else r)
 
 
 def test_kron_dist_against_kron_oracle(monkeypatch):
@@ -228,19 +204,19 @@ def test_kron_dist_against_kron_oracle(monkeypatch):
         dim = 1 << n
         d = random_complex_matrix(dim, n + 90)
         for a, r in _kron_cases(n, n + 91):
-            want = kernels.frob_dist(d, _kron(a, r, dim))
+            want = kernels.frob_dist(d, np.kron(a, r))
             got = _checked(kernels.kron_dist, d, a, r)
             assert got == pytest.approx(want, rel=1e-12), n
-            assert kernels.kron_dist(_kron(a, r, dim), a, r) == 0.0, n
+            assert kernels.kron_dist(np.kron(a, r), a, r) == 0.0, n
     # steps of several whole row blocks i, the last one shorter: 3 of the
     # four blocks of 4 rows of d at n = 4, then 1
     n, dim = 4, 16
     monkeypatch.setattr(kernels, "_TILE_BYTES", 2 * 48 * dim * 12)
     d = random_complex_matrix(dim, 99)
-    for a, r in _kron_cases(n, 100)[2:]:
+    for a, r in _kron_cases(n, 100)[1:]:
         got = _checked(kernels.kron_dist, d, a, r)
-        assert got == pytest.approx(kernels.frob_dist(d, _kron(a, r, dim)), rel=1e-12)
-        assert kernels.kron_dist(_kron(a, r, dim), a, r) == 0.0
+        assert got == pytest.approx(kernels.frob_dist(d, np.kron(a, r)), rel=1e-12)
+        assert kernels.kron_dist(np.kron(a, r), a, r) == 0.0
 
 
 def test_kron_dist_on_float64_matches_the_complex_call():
@@ -251,15 +227,14 @@ def test_kron_dist_on_float64_matches_the_complex_call():
         for na in (2, 4)[: min(n, 2)]:
             a = rng.normal(size=(na, na))
             r = rng.normal(size=(dim // na, dim // na))
-            for rr in (r, None):
-                got = _checked(kernels.kron_dist, d, a, rr)
-                want = kernels.kron_dist(d.astype(complex), a.astype(complex), rr)
-                assert got == pytest.approx(want, rel=1e-12), n
-                assert kernels.kron_dist(_kron(a, rr, dim), a, rr) == 0.0, n
+            got = _checked(kernels.kron_dist, d, a, r)
+            want = kernels.kron_dist(d.astype(complex), a.astype(complex), r)
+            assert got == pytest.approx(want, rel=1e-12), n
+            assert kernels.kron_dist(np.kron(a, r), a, r) == 0.0, n
             # a complex a against a real d: the difference is measured in full
             ia = a + 1j * rng.normal(size=(na, na))
-            want = kernels.frob_dist(d, _kron(ia, None, dim))
-            assert kernels.kron_dist(d, ia, None) == pytest.approx(want, rel=1e-12), n
+            want = kernels.frob_dist(d, np.kron(ia, r))
+            assert kernels.kron_dist(d, ia, r) == pytest.approx(want, rel=1e-12), n
 
 
 def test_real_kernels_keep_float64_and_the_rest_take_complex():
@@ -275,8 +250,7 @@ def test_real_kernels_keep_float64_and_the_rest_take_complex():
     ):
         assert got.dtype == np.float64
         assert np.array_equal(got, want)
-    # the other kernels take float64 as complex128, as before
-    assert kernels.pauli_channel_apply(m, (0.4, 0.3, 0.2, 0.1)).dtype == np.complex128
+    # the partial traces return complex128, as before
     assert kernels.ptrace_leading(m, 4).dtype == np.complex128
     assert kernels.ptrace_trailing(m, 4).dtype == np.complex128
     # integer (int16 included) and float32 input still become complex128
@@ -308,16 +282,15 @@ def _checked(fn, *args):
 
 
 # _TILE_BYTES = 16*dim*k, k rows of the matrix, so a step takes k // 16 row
-# pairs of the fused gather-Hadamard pass, and k // 8, k // 12 and k // 6
-# rows of pauli_channel_apply with a diagonal chi (two views read), with a
-# full chi (four views) and of frob_dist and kron_dist (at least 1).
-# kron_dist keeps a step within one block of dim / A rows of d (A = 2 or 4,
-# the size of its a) while the step is shorter than the block.  k = None:
-# the default tile, one step per matrix; k = 1 and 6: one row (or pair of
-# rows) per step for every kernel; k = 15: the same but 2 rows of frob_dist
-# and kron_dist; k = 30: 3 rows of the diagonal chi and 5 of frob_dist and
-# kron_dist; k = 36: 3 rows of the full chi; k = 48: 3 pairs of the fused
-# pass, 6 rows of the diagonal chi, and 8 of frob_dist and kron_dist.  The
+# pairs of the fused gather-Hadamard pass and k // 6 rows of frob_dist and
+# kron_dist (at least 1).  kron_dist keeps a step within one block of
+# dim / A rows of d (A = 2 or 4, the size of its a) while the step is
+# shorter than the block.  k = None: the default tile, one step per matrix;
+# k = 1 and 6: one row (or pair of rows) per step for every kernel; k = 15:
+# the same but 2 rows of frob_dist and kron_dist; k = 30: 5 rows of
+# frob_dist and kron_dist; k = 36: 2 pairs of the fused pass and 6 rows of
+# frob_dist and kron_dist; k = 48: 3 pairs of the fused pass and 8 rows of
+# frob_dist and kron_dist.  The
 # steps of 3, 5 and 6 leave an uneven last step at every dim they run at,
 # and kron_dist's 5 rows one in each of its blocks (8 to 32 rows at n = 5
 # and 6).  The fused pass takes twice the pairs on a float64 matrix.
@@ -336,13 +309,8 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     m = random_complex_matrix(dim, n + 40)
     # the real kernels on a float64 matrix, which take twice the rows a step
     real = m.real.copy()
-    real_kron = [
-        (a.real.copy(), None if r is None else r.real.copy())
-        for a, r in _kron_cases(n, n + 55)
-    ]
+    real_kron = [(a.real.copy(), r.real.copy()) for a, r in _kron_cases(n, n + 55)]
     rho = m + m.conj().T
-    probs = rng.dirichlet(np.ones(4))
-    chi = _random_chi(rng)
     perm = rng.permutation(dim).astype(np.int64)
     perm2 = rng.permutation(dim)
     qs = sorted({0, n - 2, n - 1})
@@ -350,8 +318,6 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     whole = {
         "had": [kernels.gather_hadamard_conjugate(m, None, q, None) for q in qs],
         "fused": [kernels.gather_hadamard_conjugate(m, perm, q, perm2) for q in qs],
-        "pauli": kernels.pauli_channel_apply(rho, probs),
-        "chi": kernels.pauli_channel_apply(m, chi),
         "dist": kernels.frob_dist(m, rho),
         "kron": [kernels.kron_dist(m, a, r) for a, r in kron_cases],
         "real_fused": [kernels.gather_hadamard_conjugate(real, perm, q, perm2) for q in qs],
@@ -369,12 +335,6 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
         assert np.array_equal(got, fused)
         want = _gather_hadamard_dense(m, perm, q, perm2)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
-    got = _checked(kernels.pauli_channel_apply, rho, probs)
-    assert np.array_equal(got, whole["pauli"])
-    assert np.allclose(got, pauli_channel_dense(n, probs, rho), atol=1e-12)
-    got = _checked(kernels.pauli_channel_apply, m, chi)
-    assert np.array_equal(got, whole["chi"])
-    assert np.allclose(got, _chi_dense(chi, m), rtol=0.0, atol=1e-11)
     p = permutation_matrix(perm)
     got = _checked(kernels.gather_conjugate, m, perm)
     assert np.allclose(got, p.conj().T @ m @ p, atol=1e-13)
@@ -382,7 +342,7 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     assert _checked(kernels.frob_dist, m, m.copy()) == 0.0
     for (a, r), dist in zip(kron_cases, whole["kron"]):
         assert _checked(kernels.kron_dist, m, a, r) == pytest.approx(dist, rel=1e-12)
-        assert kernels.kron_dist(_kron(a, r, dim), a, r) == 0.0
+        assert kernels.kron_dist(np.kron(a, r), a, r) == 0.0
     for q, fused in zip(qs, whole["real_fused"]):
         got = _checked(kernels.gather_hadamard_conjugate, real, perm, q, perm2)
         assert got.dtype == np.float64
@@ -391,7 +351,7 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
     for (a, r), dist in zip(real_kron, whole["real_kron"]):
         assert _checked(kernels.kron_dist, real, a, r) == pytest.approx(dist, rel=1e-12)
-        assert kernels.kron_dist(_kron(a, r, dim), a, r) == 0.0
+        assert kernels.kron_dist(np.kron(a, r), a, r) == 0.0
 
 
 def _peak_bytes(fn, *args):
@@ -411,15 +371,12 @@ def test_dense_kernels_hold_one_output_plus_tile_scratch():
         state = 16 * dim * dim
         m = random_complex_matrix(dim, 60 + n)
         rng = np.random.default_rng(61 + n)
-        chi = _random_chi(rng)
         perm = rng.permutation(dim)
         for fn, args in (
             (kernels.gather_hadamard_conjugate, (m, None, n - 1, None)),
             (kernels.gather_hadamard_conjugate, (m, None, 0, None)),
             (kernels.gather_hadamard_conjugate, (m, perm, n - 1, perm[::-1])),
             (kernels.gather_hadamard_conjugate, (m, perm, 0, perm[::-1])),
-            (kernels.pauli_channel_apply, (m, (0.4, 0.3, 0.2, 0.1))),
-            (kernels.pauli_channel_apply, (m, chi)),
         ):
             assert _peak_bytes(fn, *args) < state + scratch, (fn.__name__, n)
         # no output matrix: scratch only
@@ -431,7 +388,8 @@ def test_dense_kernels_hold_one_output_plus_tile_scratch():
         for q in (n - 1, 0):
             peak = _peak_bytes(kernels.gather_hadamard_conjugate, real, perm, q, perm[::-1])
             assert peak < state // 2 + scratch, n
-        assert _peak_bytes(kernels.kron_dist, real, real[:4, :4], None) < scratch, n
+        r = real[: dim // 4, : dim // 4].copy()
+        assert _peak_bytes(kernels.kron_dist, real, real[:4, :4], r) < scratch, n
 
 
 # Each kernel's positional parameters, as callers (and the benchmark's
@@ -439,7 +397,6 @@ def test_dense_kernels_hold_one_output_plus_tile_scratch():
 KERNEL_SIGNATURES = {
     "gather_conjugate": ("m", "perm"),
     "gather_hadamard_conjugate": ("m", "before", "q", "after"),
-    "pauli_channel_apply": ("rho", "probs"),
     "ptrace_leading": ("m", "keep"),
     "ptrace_trailing": ("m", "keep"),
     "frob_dist": ("a", "b"),
@@ -499,7 +456,7 @@ def test_pauli_channel_basis_packed_is_the_packed_complex_pass():
         for chi in chis:
             got = _checked(kernels.pauli_channel_basis_packed, m, chi)
             assert got.dtype == np.float64
-            want = _to_basis(_pack(kernels.pauli_channel_apply(rho, chi)), n)
+            want = _to_basis(_pack(chi_channel(rho, chi)), n)
             assert np.allclose(got, want, rtol=0.0, atol=1e-12), n
         probs = rng.dirichlet(np.ones(4))
         got = kernels.pauli_channel_basis_packed(m, probs)
@@ -648,3 +605,20 @@ def test_gather_conjugate_rejects_a_table_it_would_clip():
     for perm in ([0, 1, 2, 9], [0, 1, -1, 2], [0, 1, 2], [0, 1, 2, 3, 0]):
         with pytest.raises(DimensionMismatch):
             kernels.gather_conjugate(m, perm)
+        # the fused gather checks both of its tables the same way
+        for before, after in ((perm, None), (None, perm), (perm, perm)):
+            with pytest.raises(DimensionMismatch):
+                kernels.gather_hadamard_conjugate(m, before, 0, after)
+    # after is inverted to place the rows, so it must be a permutation
+    with pytest.raises(DimensionMismatch, match="permutation"):
+        kernels.gather_hadamard_conjugate(m, None, 0, [0, 1, 2, 2])
+    for q in (-1, 2, 5):
+        with pytest.raises(BadQubitIndex):
+            kernels.gather_hadamard_conjugate(m, None, q, None)
+    # the into-out bodies check before they write
+    out = np.full_like(m, 7.0)
+    with pytest.raises(DimensionMismatch):
+        kernels._gather_hadamard_conjugate_into(m, [0, 1, 2, 9], 1, None, out)
+    with pytest.raises(DimensionMismatch):
+        kernels._gather_conjugate_into(m, [0, 1, 2, 9], out)
+    assert (out == 7.0).all()

@@ -15,11 +15,8 @@ from corrqec import (
     NotHermitian,
     PauliChannel,
     SpanChannel,
-    apply_sequence,
     build_pn,
     classical_state,
-    decode,
-    encode,
     hybrid_sweep,
     predicted_ancilla,
     random_density,
@@ -30,8 +27,8 @@ from corrqec.kernels import _TILE_BYTES
 from corrqec.scheme import TRIAL_PEAK_STATES, induced_kraus
 from corrqec.tolerances import HERMITIAN_TOL, TRIAL_TOL
 
-from oracles import circuit_matrix, complex_trial, fresh_trial, plain_ops, span_kraus_dense
-from oracles import random_span_coeffs
+from oracles import apply_channels, circuit_matrix, complex_trial, decode, encode, fresh_trial
+from oracles import plain_ops, random_span_coeffs, span_kraus_dense
 
 
 def test_encode_decode_roundtrip():
@@ -40,19 +37,20 @@ def test_encode_decode_roundtrip():
         sigma = random_density(spec.ancilla_dim, n)
         rho = random_density((1 << n) // spec.ancilla_dim, n + 20)
         joint = np.kron(sigma, rho)
-        encoded = encode(spec, sigma, rho)
+        encoded = encode(n, sigma, rho)
         assert abs(np.trace(encoded) - 1) < 1e-12
-        assert np.allclose(decode(spec, encoded), joint, atol=1e-13)
+        assert np.allclose(decode(n, encoded), joint, atol=1e-13)
 
 
 def test_encode_validation():
-    spec = build_pn(3)
-    with pytest.raises(AncillaSizeError):
-        encode(spec, random_density(4, 0), random_density(2, 1))
-    with pytest.raises(DimensionMismatch):
-        encode(spec, random_density(2, 0), random_density(8, 1))
-    with pytest.raises(DimensionMismatch):
-        decode(spec, random_density(4, 2))
+    # the trial checks the states it encodes against the encoder's sizes
+    for sigma, rho, error in (
+        (random_density(4, 0), random_density(2, 1), AncillaSizeError),
+        (random_density(2, 0), random_density(8, 1), DimensionMismatch),
+        (random_density(2, 0), random_density(4, 1)[:, :2], DimensionMismatch),
+    ):
+        with pytest.raises(error):
+            run_trial(3, sigma, rho, [])
 
 
 def test_predicted_ancilla_identity_channel():
@@ -148,7 +146,7 @@ def test_run_trial_channel_corners_give_predicted_product():
     rho = random_density(16, 11)
     for corner in [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]:
         ch = PauliChannel(n, corner)
-        decoded = decode(spec, apply_sequence([ch], encode(spec, sigma, rho)))
+        decoded = decode(n, apply_channels([ch], encode(n, sigma, rho)))
         predicted = predicted_ancilla(sigma, [ch], 1, spec.parity, spec.sign)
         assert np.allclose(decoded, np.kron(predicted, rho), atol=1e-11)
 

@@ -10,7 +10,6 @@ from corrqec import (
     CorrQecError,
     DimensionMismatch,
     frobenius_distance,
-    kron_distance,
     partial_trace_leading,
     partial_trace_trailing,
     random_density,
@@ -102,27 +101,6 @@ def test_frobenius_distance():
         frobenius_distance(np.eye(2), np.eye(3))
 
 
-def test_kron_distance():
-    a = random_complex_matrix(2, 18)
-    r = random_complex_matrix(4, 19)
-    d = random_complex_matrix(8, 20)
-    assert kron_distance(np.kron(a, r), a, r) == 0.0
-    assert kron_distance(np.kron(a, np.eye(4)), a) == 0.0
-    assert kron_distance(d, a, r) == pytest.approx(frobenius_distance(d, np.kron(a, r)))
-    assert kron_distance(d, a) == pytest.approx(frobenius_distance(d, np.kron(a, np.eye(4))))
-    for args in (
-        (d, np.eye(3)),  # a does not divide d
-        (d, np.eye(3), np.eye(3)),
-        (d, a, np.eye(2)),  # r of the wrong size
-        (d, a, np.eye(8)),
-        (d, np.ones((2, 3))),  # not square
-        (d, a, np.ones((4, 2))),
-        (d[:, :4], a),
-    ):
-        with pytest.raises(DimensionMismatch):
-            kron_distance(*args)
-
-
 @pytest.mark.parametrize("dim", [1, 2, 4, 8])
 def test_random_density_invariants(dim):
     rho = random_density(dim, 42)
@@ -211,8 +189,15 @@ def test_packed_kron_distance_is_the_hermitian_distance():
     got = packed_kron_distance(pack(d), a, pack(r))
     assert got == pytest.approx(want, rel=1e-13)
     assert packed_kron_distance(pack_kron(a, pack(r)), a, pack(r)) == 0.0
-    with pytest.raises(DimensionMismatch):
-        packed_kron_distance(pack(d), a, pack(r)[:4, :4])
+    for args in (
+        (pack(d), a, pack(r)[:4, :4]),  # r of the wrong size
+        (pack(d), np.eye(3), pack(r)),  # a of the wrong size
+        (pack(d), np.ones((4, 2)), pack(r)),  # not square
+        (pack(d), a, np.ones((8, 4))),
+        (pack(d)[:, :16], a, pack(r)),
+    ):
+        with pytest.raises(DimensionMismatch):
+            packed_kron_distance(*args)
 
 
 def test_hermitian_deviation():
