@@ -163,6 +163,17 @@ def _conjugation_peak(n):
         tracemalloc.stop()
 
 
+def test_conjugation_report_holds_two_states_plus_half_a_tile():
+    # far below it: no state is built at all (see the large-n test)
+    n = 10
+    assert _conjugation_peak(n) < 2 * 16 * 4**n + kernels._TILE_BYTES // 2
+
+
+def test_conjugation_report_holds_one_state_plus_half_a_tile():
+    n = 10
+    assert _conjugation_peak(n) < 16 * 4**n + kernels._TILE_BYTES // 2
+
+
 @pytest.mark.parametrize("n", [10, 11, 1001, 1002])
 def test_conjugation_report_at_large_n_holds_under_a_mebibyte(n):
     # two n-bit masks per error and a few 4x4 matrices: no state is built,

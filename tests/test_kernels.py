@@ -156,6 +156,45 @@ _PARTLY_ZERO_CHI = [
 ]
 
 
+def _pauli_channel_apply(rho, chi):
+    """The channel as the trial applies it, pauli_channel_basis_packed on
+    the packed Hermitian rho in channel_basis, with the input checked
+    unmodified; returns the packed output in channel_basis."""
+    n = rho.shape[0].bit_length() - 1
+    m = _to_basis(_pack(rho), n)
+    return _checked(kernels.pauli_channel_basis_packed, m, chi)
+
+
+def test_pauli_channel_apply_against_kraus_sum():
+    rng = np.random.default_rng(3)
+    n = 3
+    rho = random_complex_matrix(1 << n, 4)
+    rho = rho + rho.conj().T
+    probs = rng.dirichlet(np.ones(4))
+    got = _pauli_channel_apply(rho, probs)
+    want = _to_basis(_pack(pauli_channel_dense(n, probs, rho)), n)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+    # a diagonal chi, real or complex, is the same pass as its diagonal
+    assert np.array_equal(_pauli_channel_apply(rho, np.diag(probs)), got)
+    chi = np.diag(probs).astype(complex)
+    assert np.array_equal(_pauli_channel_apply(rho, chi), got)
+
+
+def test_pauli_channel_apply_chi_against_dense_oracle():
+    # n = 1..8 covers every residue of n mod 4, so every phase of Y_n, and
+    # both parities of n, so both sizes of the leading block in channel_basis
+    rng = np.random.default_rng(5)
+    for n in range(1, 9):
+        rho = _hermitian(n, n + 6)
+        for chi in [_random_chi(rng)] + _PARTLY_ZERO_CHI:
+            got = _pauli_channel_apply(rho, chi)
+            want = _to_basis(_pack(_chi_dense(chi, rho)), n)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-11), n
+        for chi in _PARTLY_ZERO_CHI[:2]:
+            got = _pauli_channel_apply(rho, np.diagonal(chi))
+            assert np.array_equal(got, _pauli_channel_apply(rho, chi)), n
+
+
 def test_chi_channel_oracle_against_dense_kraus_sums():
     # n = 1..6 covers every residue of n mod 4, so every phase of Y_n
     rng = np.random.default_rng(5)
