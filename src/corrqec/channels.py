@@ -12,7 +12,8 @@ composes a channel list into one chi with 4x4 algebra and raises it to the
 repeat count by squaring (O(log r) compositions); checked_sequence_chi also
 checks the list against the state.  The trial (scheme.run_trial) hands that
 chi to kernels.pauli_channel_basis_packed, one pass of the state whatever
-the list length and repeat count.
+the list length and repeat count, and scheme.predicted_ancilla takes the
+same chi through the ancilla images to predict the decoded ancilla.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ class CorrQecError(Exception):
 
 
 class DimensionMismatch(CorrQecError):
-    """Operands have incompatible shapes or a non power-of-two dimension."""
+    """Operands have incompatible shapes or a non power-of-two dimension, or
+    a packed (real) state is given as a complex matrix."""
 
 
 class BadQubitIndex(CorrQecError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import BadQubitCount, BadQubitIndex
+from .errors import BadQubitCount, BadQubitIndex, DimensionMismatch
 
 _PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -159,13 +159,18 @@ def circuit_conjugate(
     permutation, one Hadamard, a permutation) is one pass over m.  An
     H-free circuit is one gather_conjugate, so CNOT-only circuits stay
     exact.  A float64 m keeps its dtype (the gates are real); any other m
-    is conjugated as complex128.
+    is conjugated as complex128.  m must be square, of dim 2**n_qubits for
+    a Circuit and of a power-of-two dim for factors (DimensionMismatch).
 
     With out (kernels.check_out), the last kernel writes into out, which is
     returned, and earlier Hadamards still allocate their outputs; a circuit
     with no gates copies m into it.
     """
+    state = kernels.real_or_complex(m)
+    dim = kernels.square_dim(state)
     if isinstance(factors_or_circuit, Circuit):
+        if dim != 1 << factors_or_circuit.n_qubits:
+            raise DimensionMismatch(f"{factors_or_circuit.n_qubits}-qubit circuit on dim {dim}")
         factors = circuit_factors(factors_or_circuit)
     else:
         factors = factors_or_circuit
@@ -179,7 +184,6 @@ def circuit_conjugate(
         else:
             qubits.append(arg)
             tables.append(None)
-    state = kernels.real_or_complex(m)
     if out is not None:
         kernels.check_out(state, out)
     for i, q in enumerate(qubits[:-1]):

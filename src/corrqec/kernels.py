@@ -42,13 +42,14 @@ them.
   m[np.ix_(perm, perm)] at every tile size.
 - The trial carries its states packed, as one float64 matrix
   Re rho + Im rho (tensor.pack), so the float64 paths are the ones it
-  runs.  gather_conjugate, gather_hadamard_conjugate and kron_dist keep a
-  float64 matrix in its dtype (real_or_complex), with buffers and scratch
-  of the same dtype, since the encoders' gates are real: each float64
-  entry gets the operations the real part of a complex one would.
-  kron_dist's scratch is complex128 if any input is complex.  ptrace_*
-  sum a float64 matrix in float64 and return the kept block as
-  complex128, as for any input.  frob_dist takes its input as complex128.
+  runs.  The gathers, kron_dist and ptrace_* keep a float64 matrix in its
+  dtype (real_or_complex), with buffers and scratch of the same dtype,
+  since the encoders' gates are real: each float64 entry gets the
+  operations the real part of a complex one would.  kron_dist's scratch
+  is complex128 if any input is complex; frob_dist takes complex128.  The
+  packed entry points (pauli_channel_basis_packed, and tensor's unpack,
+  pack_kron and packed_kron_distance) reject a complex state (as_packed)
+  rather than drop its imaginary part.
 
 pauli_channel_basis_packed applies any channel whose Kraus operators lie in
 span{I, X_n, Y_n, Z_n}, given as its 4x4 process matrix chi (a Pauli
@@ -84,6 +85,15 @@ def real_or_complex(m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(m, dtype=np.float64 if m.dtype == np.float64 else np.complex128)
 
 
+def as_packed(m) -> np.ndarray:
+    """m as a C-contiguous float64 square matrix, a packed state (tensor.pack);
+    DimensionMismatch for a complex or non-square m."""
+    m = np.asarray(m)
+    if np.iscomplexobj(m) or m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise DimensionMismatch(f"a packed state is a real square matrix, got {m.dtype} {m.shape}")
+    return np.ascontiguousarray(m, dtype=np.float64)
+
+
 def check_out(m: np.ndarray, out: np.ndarray) -> None:
     """Reject an output buffer a kernel on m cannot write into: not a
     C-contiguous array of m's shape and dtype (DimensionMismatch), or one
@@ -101,6 +111,13 @@ def check_out(m: np.ndarray, out: np.ndarray) -> None:
         )
     if np.shares_memory(out, m):
         raise ValueError("out shares memory with the kernel's input")
+
+
+def square_dim(m: np.ndarray) -> int:
+    """The dim of a square m of power-of-two dim; DimensionMismatch else."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] & (m.shape[0] - 1) or not m.size:
+        raise DimensionMismatch(f"expected a square matrix of power-of-two dim, got shape {m.shape}")
+    return m.shape[0]
 
 
 def _step_rows(rows: int, bytes_per_row: int) -> int:
@@ -209,11 +226,12 @@ def _gather_hadamard_conjugate_into(
     are gathered with mode="clip", which lets take write into its buffer
     directly, so each is checked first (_check_table), and after must be
     a permutation too, as its inverse places the rows (DimensionMismatch);
-    q must be a qubit of m (BadQubitIndex).
+    m must be square of power-of-two dim (square_dim) and q one of its
+    qubits (BadQubitIndex).
     """
     m = real_or_complex(m)
     check_out(m, out)
-    dim = m.shape[0]
+    dim = square_dim(m)
     if not 0 <= q < dim.bit_length() - 1:
         raise BadQubitIndex(f"q={q} is not a qubit of a {dim}-dim matrix")
     lo = 1 << q
@@ -258,12 +276,6 @@ def y_phase(n: int) -> complex:
     return (-1j) ** (n % 4)
 
 
-def _as_chi(probs) -> np.ndarray:
-    """probs as a 4x4 complex chi: a 1-d probs is its diagonal."""
-    chi = np.asarray(probs, dtype=np.complex128)
-    return np.diag(chi) if chi.ndim == 1 else chi
-
-
 @lru_cache(maxsize=None)
 def channel_basis(n: int) -> np.ndarray:
     """The basis permutation B, |i> -> |B[i]> (a circuit_factors table), that
@@ -295,21 +307,29 @@ _X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _Z = np.diag([1.0, -1.0])
 
 
-def _basis_transfer(chi: np.ndarray, n: int) -> np.ndarray:
-    """T with T[(s, t), (u, v)] = sum_ab chi_ab e_a[s, u] conj(e_b[t, v]), for
-    e_a the image of E_a on the leading qubits of channel_basis: one qubit
-    for odd n, two for even n (see channel_basis), with Y_n = omega Z_n X_n.
-    The channel sends block (u, v) of a state in channel_basis to block
-    (s, t) with the weight T[(s, t), (u, v)]."""
+def chi_transfer(chi: np.ndarray, images) -> np.ndarray:
+    """T with T[(s, t), (u, v)] = sum_ab chi_ab e_a[s, u] conj(e_b[t, v]) for
+    the images e of E = (I, X_n, Y_n, Z_n): x -> sum_ab chi_ab e_a x e_b_dag
+    on the row-major vec(x), entry (or block) (u, v) to (s, t)."""
+    e = np.asarray(images)
+    return np.einsum("ab,asu,btv->stuv", chi, e, e.conj()).reshape(e.shape[-1] ** 2, -1)
+
+
+def _basis_transfer(probs, n: int) -> np.ndarray:
+    """chi_transfer of probs (a 4x4 chi, or its diagonal) on the images of E
+    on the leading qubits of channel_basis: one qubit for odd n, two for
+    even n (see channel_basis), with Y_n = omega Z_n X_n."""
+    chi = np.asarray(probs, dtype=np.complex128)
     x, z = (_X, _Z) if n % 2 else (np.kron(np.eye(2), _X), np.kron(_Z, np.eye(2)))
     e = np.stack((np.eye(len(x)), x, y_phase(n) * (z @ x), z))
-    return np.einsum("ab,asu,btv->stuv", chi, e, e.conj()).reshape(len(x) ** 2, -1)
+    return chi_transfer(np.diag(chi) if chi.ndim == 1 else chi, e)
 
 
 def pauli_channel_basis_packed(m: np.ndarray, probs, out: np.ndarray | None = None) -> np.ndarray:
     """sum_ab chi_ab E_a rho E_b_dag over E = (I, X_n, Y_n, Z_n), on the
-    packed Hermitian state m of rho given in channel_basis, float64 in and
-    out; written into out (check_out) if given, which it then returns.
+    packed Hermitian state m of rho given in channel_basis, float64 in
+    (as_packed, square_dim) and out; written into out (check_out) if given,
+    which it then returns.
     probs is a 4x4 chi or the probabilities (p0, p1, p2, p3), its diagonal.
 
     In channel_basis each E_a is e_a ox I, e_a on the leading qubits, so a
@@ -331,10 +351,10 @@ def pauli_channel_basis_packed(m: np.ndarray, probs, out: np.ndarray | None = No
     BLAS, whose rounding may differ with the product's width: outputs at
     different steps agree to within rounding, not bit for bit.
     """
-    m = np.ascontiguousarray(m, dtype=np.float64)
-    dim = m.shape[0]
+    m = as_packed(m)
+    dim = square_dim(m)
     n = dim.bit_length() - 1
-    transfer = _basis_transfer(_as_chi(probs), n)
+    transfer = _basis_transfer(probs, n)
     transposed = transfer.imag.any()
     weights = np.hstack((transfer.real, transfer.imag)) if transposed else transfer.real
     q = 2 if n % 2 else 4
@@ -362,23 +382,20 @@ def pauli_channel_basis_packed(m: np.ndarray, probs, out: np.ndarray | None = No
 
 
 def ptrace_leading(m: np.ndarray, keep: int) -> np.ndarray:
-    """Trace out the leading factor, keeping the trailing keep x keep block.
-
-    A float64 m is summed in float64, with no complex copy of it; the block
-    is complex128 either way."""
+    """Trace out the leading factor, keeping the trailing keep x keep block
+    as a new array, in m's dtype (real_or_complex): a float64 m is summed
+    in float64, with no complex copy of it."""
     m = real_or_complex(m)
     d = m.shape[0] // keep
-    out = np.einsum("ikil->kl", m.reshape(d, keep, d, keep))
-    return out.astype(np.complex128, copy=False)
+    return np.einsum("ikil->kl", m.reshape(d, keep, d, keep))
 
 
 def ptrace_trailing(m: np.ndarray, keep: int) -> np.ndarray:
     """Trace out the trailing factor, keeping the leading keep x keep block,
-    in float64 for a float64 m as ptrace_leading."""
+    as ptrace_leading."""
     m = real_or_complex(m)
     d = m.shape[0] // keep
-    out = np.einsum("ikjk->ij", m.reshape(keep, d, keep, d))
-    return out.astype(np.complex128, copy=False)
+    return np.einsum("ikjk->ij", m.reshape(keep, d, keep, d))
 
 
 def frob_dist(a: np.ndarray, b: np.ndarray) -> float:

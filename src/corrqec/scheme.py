@@ -4,6 +4,8 @@ Encoding maps sigma ox rho to P_n (sigma ox rho) P_n_dag, where sigma is a
 one-qubit ancilla for odd n and a two-qubit ancilla for even n.  Correlated
 errors commute through P_n onto the ancilla alone, so decoding with P_n_dag
 leaves an exact product: the predicted ancilla times the untouched data rho.
+The prediction is the trial's own chi (channels.sequence_chi) through the
+ancilla images, one channel algebra for both.
 
 run_trial carries every 2**n-dimensional state packed (tensor.pack): one
 float64 matrix Re + Im, half the bytes of a complex one.  The encoder's
@@ -21,13 +23,12 @@ not one per stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
 from . import kernels
-from .channels import Channel, PauliChannel, SpanChannel, check_repeats
-from .channels import checked_sequence_chi
+from .channels import PauliChannel, SpanChannel, check_repeats
+from .channels import checked_sequence_chi, sequence_chi
 from .encoder import EncoderSpec, ancilla_images, build_pn, encoder_factors
 from .errors import AncillaSizeError, BadQubitCount, DimensionMismatch, NotHermitian
 from .gates import circuit_conjugate
@@ -86,51 +87,23 @@ def _check_states(spec: EncoderSpec, sigma: np.ndarray, rho: np.ndarray):
     return sigma, rho
 
 
-def induced_kraus(ch: Channel, parity: str, sign: int) -> list[np.ndarray]:
-    """The ancilla-side Kraus operators a channel induces through the encoder.
-
-    The sign on the Y image cancels for a PauliChannel (it conjugates each
-    term separately) but matters inside a span operator's cross terms.
-    """
-    basis = ancilla_images(parity, sign)
-    if isinstance(ch, PauliChannel):
-        return [sqrt(p) * op for p, op in zip(ch.probs, basis) if p > 0.0]
-    return [
-        sum(coef * op for coef, op in zip(coeffs, basis))
-        for coeffs in ch.kraus_coeffs
-    ]
-
-
 def predicted_ancilla(
     sigma: np.ndarray, channels, repeats: int, parity: str, sign: int
 ) -> np.ndarray:
-    """Ancilla output of the channel list, applied `repeats` times through the
-    Kraus operators each channel induces on the ancilla; sign is (-1)**k.
-
-    Each channel acts on the row-major vec(sigma) as sum_g g ox conj(g); the
-    list's product is raised to `repeats` by matrix_power, so the cost grows
-    with log(repeats).  The power is scaled so that it maps I to a matrix of
-    trace tr(I), as a trace-preserving map does: the squarings would
-    otherwise compound the rounding of that unit gain, in modulus and in
-    phase, by the repeat count.
-    """
+    """Ancilla output of the channel list, applied `repeats` times: the
+    trial's chi (channels.sequence_chi) through the ancilla images A of
+    I, X_n, Y_n, Z_n (encoder.ancilla_images; sign is (-1)**k), as
+    sum_ab chi_ab A_a sigma A_b_dag.  An empty list leaves sigma."""
     out = np.asarray(sigma, dtype=np.complex128)
     expected = 2 if parity == "odd" else 4
     if out.shape != (expected, expected):
-        raise DimensionMismatch(
-            f"{parity} ancilla must be {expected}x{expected}, got {out.shape}"
-        )
+        raise DimensionMismatch(f"{parity} ancilla must be {expected}x{expected}, got {out.shape}")
     repeats = check_repeats(repeats)
-    step = np.eye(expected * expected, dtype=np.complex128)
-    for ch in channels:
-        g = np.array(induced_kraus(ch, parity, sign))
-        # sum_g g ox conj(g), indexed [(i, j), (a, b)]
-        superop = np.einsum("gia,gjb->ijab", g, g.conj())
-        step = superop.reshape(step.shape) @ step
-    total = np.linalg.matrix_power(step, repeats)
-    vec_eye = np.eye(expected).reshape(-1)
-    total /= (vec_eye @ total @ vec_eye) / expected
-    return (total @ out.reshape(-1)).reshape(expected, expected)
+    channels = list(channels)
+    if not channels:
+        return out.copy()
+    transfer = kernels.chi_transfer(sequence_chi(channels, repeats), ancilla_images(parity, sign))
+    return (transfer @ out.reshape(-1)).reshape(expected, expected)
 
 
 def _is_classical(sigma: np.ndarray) -> bool:
@@ -156,7 +129,7 @@ def run_trial(
 ) -> SchemeOutcome:
     """Full pipeline: encode, apply the channel sequence, decode, compare.
 
-    The decoded state is predicted to be (induced channel on sigma) ox rho;
+    The decoded state is predicted to be predicted_ancilla(sigma) ox rho;
     the outcome reports the Frobenius residuals of that prediction and of
     the product factorization itself.  sigma and rho must be Hermitian
     (NotHermitian otherwise), as the trial carries its states packed:
@@ -196,11 +169,10 @@ def run_trial(
     state = circuit_conjugate(factors, b, adjoint=True, out=a)
     del a, b
 
-    # the packed traces, as float64 (the kernels return complex128)
-    recovered = partial_trace_leading(state, sigma.shape[0]).real.copy()
-    ancilla = partial_trace_trailing(state, rho.shape[0]).real
+    # the packed traces, float64 as the state, each a new array
+    recovered = partial_trace_leading(state, sigma.shape[0])
     recovered_rho = unpack(recovered)
-    ancilla_out = unpack(ancilla)
+    ancilla_out = unpack(partial_trace_trailing(state, rho.shape[0]))
     predicted = predicted_ancilla(sigma, channels, repeats, spec.parity, spec.sign)
 
     rho_residual = frobenius_distance(recovered_rho, rho)

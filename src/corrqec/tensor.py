@@ -11,9 +11,11 @@ unpacked as A = (M + M^T)/2, B = (M - M^T)/2.  Real maps keep the parts
 apart: a real congruence, a partial trace or a Frobenius norm acts on M as
 it does on rho.  pack_kron packs a product from a packed factor, and
 packed_kron_distance measures a packed state against a product, blockwise
-(kernels.kron_dist), without forming it.  The trial (scheme.run_trial)
-runs on packed states; a complex128 state reaches only the partial traces
-and frobenius_distance here.
+(kernels.kron_dist), without forming it.  A packed state is float64
+throughout: these reject a complex one (kernels.as_packed), and its
+partial traces stay float64.  The trial (scheme.run_trial) runs on packed
+states; a complex128 matrix there is the ancilla or the data state, never
+the joint 2**n-dimensional state.
 """
 
 from __future__ import annotations
@@ -41,25 +43,25 @@ def _square(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _traced(t, d: int) -> tuple[np.ndarray, int]:
+    """(t, dim / d) for a square t whose dim d divides; DimensionMismatch else."""
+    t = _square(kernels.real_or_complex(t))
+    if d < 1 or t.shape[0] % d != 0:
+        raise DimensionMismatch(f"traced dim {d} does not divide dim={t.shape[0]}")
+    return t, t.shape[0] // d
+
+
 def partial_trace_leading(t, d_lead: int) -> np.ndarray:
     """Trace out the leading d_lead-dimensional factor of t; a float64 t is
-    summed in float64 (kernels.ptrace_leading), so a packed state gives
-    its trace packed, in the real part."""
-    t = _square(kernels.real_or_complex(t))
-    dim = t.shape[0]
-    if d_lead < 1 or dim % d_lead != 0:
-        raise DimensionMismatch(f"d_lead={d_lead} does not divide dim={dim}")
-    return kernels.ptrace_leading(t, dim // d_lead)
+    summed and returned in float64 (kernels.ptrace_leading), so a packed
+    state gives its trace packed."""
+    return kernels.ptrace_leading(*_traced(t, d_lead))
 
 
 def partial_trace_trailing(t, d_trail: int) -> np.ndarray:
-    """Trace out the trailing d_trail-dimensional factor of t, in float64
-    for a float64 t as partial_trace_leading."""
-    t = _square(kernels.real_or_complex(t))
-    dim = t.shape[0]
-    if d_trail < 1 or dim % d_trail != 0:
-        raise DimensionMismatch(f"d_trail={d_trail} does not divide dim={dim}")
-    return kernels.ptrace_trailing(t, dim // d_trail)
+    """Trace out the trailing d_trail-dimensional factor of t, as
+    partial_trace_leading."""
+    return kernels.ptrace_trailing(*_traced(t, d_trail))
 
 
 def frobenius_distance(a, b) -> float:
@@ -83,9 +85,9 @@ def pack(rho) -> np.ndarray:
 
 
 def unpack(m) -> np.ndarray:
-    """The Hermitian matrix packed in m, (m + m^T)/2 + i (m - m^T)/2, as
-    complex128; exactly Hermitian, whatever m is."""
-    m = _square(np.asarray(m, dtype=np.float64))
+    """The Hermitian matrix packed in a real m, (m + m^T)/2 + i (m - m^T)/2,
+    as complex128; exactly Hermitian, whatever m is."""
+    m = kernels.as_packed(m)
     mt = np.ascontiguousarray(m.T)
     out = np.empty(m.shape, dtype=np.complex128)
     np.add(m, mt, out=out.real)
@@ -98,7 +100,7 @@ def pack_kron(a, p) -> np.ndarray:
     """pack(a ox rho) for a Hermitian a and p = pack(rho): block (i, k) is
     Re a[i, k] p + Im a[i, k] p^T, the second term only where it is nonzero."""
     a = as_square(a)
-    p = _square(np.asarray(p, dtype=np.float64))
+    p = kernels.as_packed(p)
     na, nr = a.shape[0], p.shape[0]
     out = np.empty((na * nr, na * nr))
     blocks = out.reshape(na, nr, na, nr)
@@ -118,9 +120,9 @@ def packed_kron_distance(m, a, p) -> float:
     for a Hermitian a and p = pack(rho), without forming the product:
     kernels.kron_dist of m against Re a ox p + Im a ox p^T.  Equal to the
     distance of the unpacked states, as the packing keeps norms."""
-    m = _square(np.asarray(m, dtype=np.float64))
+    m = kernels.as_packed(m)
     a = as_square(a)
-    p = _square(np.asarray(p, dtype=np.float64))
+    p = kernels.as_packed(p)
     if a.shape[0] * p.shape[0] != m.shape[0]:
         raise DimensionMismatch(
             f"a of dim {a.shape[0]} ox p of dim {p.shape[0]} is not dim={m.shape[0]}"

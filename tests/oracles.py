@@ -11,10 +11,12 @@ the dense distance kron_distance.
 
 from __future__ import annotations
 
+from math import sqrt
+
 import numpy as np
 
 from corrqec import kernels
-from corrqec.channels import checked_sequence_chi
+from corrqec.channels import Channel, PauliChannel, checked_sequence_chi
 from corrqec.encoder import ancilla_images, build_pn, encoder_factors
 from corrqec.errors import DimensionMismatch
 from corrqec.gates import circuit_conjugate, circuit_factors, cnot_perm
@@ -165,6 +167,21 @@ def span_kraus_dense(n: int, kraus_coeffs) -> list[np.ndarray]:
     ]
 
 
+def induced_kraus(ch: Channel, parity: str, sign: int) -> list[np.ndarray]:
+    """The ancilla-side Kraus operators a channel induces through the encoder.
+
+    The sign on the Y image cancels for a PauliChannel (it conjugates each
+    term separately) but matters inside a span operator's cross terms.
+    """
+    basis = ancilla_images(parity, sign)
+    if isinstance(ch, PauliChannel):
+        return [sqrt(p) * op for p, op in zip(ch.probs, basis) if p > 0.0]
+    return [
+        sum(coef * op for coef, op in zip(coeffs, basis))
+        for coeffs in ch.kraus_coeffs
+    ]
+
+
 def chi_channel(rho, chi) -> np.ndarray:
     """sum_ab chi_ab E_a rho E_b_dag over E = (I, X_n, Y_n, Z_n), one
     whole-array term per nonzero entry of chi (a 1-d chi is its diagonal).
@@ -306,6 +323,21 @@ def cnot_matrix(n: int, control: int, target: int) -> np.ndarray:
     return permutation_matrix(cnot_perm(n, control, target))
 
 
+def dyadic_density(dim: int, seed: int, k: int = 6) -> np.ndarray:
+    """(G G_dag + c e0 e0^T) / 2**k', a density matrix of dyadic rationals:
+    G is seeded with entries in {-1, 0, 1} + i{-1, 0, 1}, k' >= k is the
+    least with 2**k' >= tr(G G_dag), and c = 2**k' - tr(G G_dag) >= 0 makes
+    the trace exactly 1.  Every entry is an integer over 2**k', so sums and
+    products of a few of them are exact in float64."""
+    rng = np.random.default_rng(seed)
+    g = rng.integers(-1, 2, size=(dim, dim)) + 1j * rng.integers(-1, 2, size=(dim, dim))
+    m = g @ g.conj().T
+    trace = int(np.trace(m).real)
+    k = max(k, (trace - 1).bit_length())
+    m[0, 0] += (1 << k) - trace
+    return m / (1 << k)
+
+
 def random_density_complex(dim: int, seed: int) -> np.ndarray:
     """random_density's draws, G G_dag / tr(G G_dag) with G = A + iB, as one
     complex GEMM."""
@@ -337,8 +369,8 @@ def fresh_trial(n: int, sigma, rho, channels, repeats: int = 1) -> dict:
     if chi is not None:
         state = kernels.pauli_channel_basis_packed(state, chi)
     state = circuit_conjugate(factors, state, adjoint=True)
-    recovered = partial_trace_leading(state, sigma.shape[0]).real.copy()
-    ancilla_out = unpack(partial_trace_trailing(state, rho.shape[0]).real)
+    recovered = partial_trace_leading(state, sigma.shape[0])
+    ancilla_out = unpack(partial_trace_trailing(state, rho.shape[0]))
     recovered_rho = unpack(recovered)
     predicted = predicted_ancilla(sigma, channels, repeats, spec.parity, spec.sign)
     hybrid = None

@@ -314,6 +314,28 @@ def test_circuit_conjugate_into_out_matches_the_allocating_call(index):
         assert np.array_equal(x, kept)
 
 
+def test_circuit_conjugate_rejects_a_matrix_of_the_wrong_size():
+    # a Circuit conjugates a 2**n_qubits-dim square matrix, factors a square
+    # matrix of power-of-two dim; anything else is refused before any pass
+    p2 = Circuit(2, (h_op(0),))
+    for circuit, m in (
+        (p2, np.arange(256.0).reshape(16, 16)),
+        (p2, np.ones((4, 2))),
+        (Circuit(4), np.eye(3)),
+        (Circuit(4), np.arange(5.0)),
+        (Circuit(2, (cnot_op(0, 1),)), np.eye(8)),
+        ((), np.eye(6)),
+        ((("h", 0),), np.eye(6)),
+        ((("h", 0),), np.ones((16, 8))),
+    ):
+        for adjoint in (False, True):
+            with pytest.raises(DimensionMismatch):
+                circuit_conjugate(circuit, m, adjoint=adjoint)
+    # the right sizes still pass
+    assert circuit_conjugate(Circuit(4), np.eye(16)).shape == (16, 16)
+    assert np.array_equal(circuit_conjugate((), np.eye(8)), np.eye(8))
+
+
 def test_circuit_conjugate_rejects_a_bad_out():
     c = build_pn(4).circuit
     m = np.random.default_rng(41).normal(size=(16, 16))

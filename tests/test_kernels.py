@@ -289,9 +289,9 @@ def test_real_kernels_keep_float64_and_the_rest_take_complex():
     ):
         assert got.dtype == np.float64
         assert np.array_equal(got, want)
-    # the partial traces return complex128, as before
-    assert kernels.ptrace_leading(m, 4).dtype == np.complex128
-    assert kernels.ptrace_trailing(m, 4).dtype == np.complex128
+    # the partial traces of a float64 matrix are float64 too
+    assert kernels.ptrace_leading(m, 4).dtype == np.float64
+    assert kernels.ptrace_trailing(m, 4).dtype == np.float64
     # integer (int16 included) and float32 input still become complex128
     ints = np.arange(256).reshape(16, 16)
     for other in (m.astype(np.float32), ints, ints.astype(np.int16)):
@@ -500,6 +500,14 @@ def test_pauli_channel_basis_packed_is_the_packed_complex_pass():
         probs = rng.dirichlet(np.ones(4))
         got = kernels.pauli_channel_basis_packed(m, probs)
         assert np.array_equal(got, kernels.pauli_channel_basis_packed(m, np.diag(probs)))
+        # a packed state is real: a complex one is rejected, not cast
+        with pytest.raises(DimensionMismatch):
+            kernels.pauli_channel_basis_packed(m + 0.25j, probs)
+    # and a register of qubits: a dim that is not a power of two has no
+    # leading qubits to act on
+    for dim in (6, 12):
+        with pytest.raises(DimensionMismatch):
+            kernels.pauli_channel_basis_packed(np.eye(dim), probs)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
@@ -559,7 +567,7 @@ def test_ptrace_kernels_sum_float64_in_float64():
     m = np.random.default_rng(44).normal(size=(16, 16))
     for fn in (kernels.ptrace_leading, kernels.ptrace_trailing):
         got = fn(m, 4)
-        assert got.dtype == np.complex128 and not got.imag.any()
+        assert got.dtype == np.float64
         assert np.allclose(got, fn(m.astype(complex), 4), rtol=0.0, atol=1e-15)
     # no complex copy of the input: the peak is the 4x4 output
     assert _peak_bytes(kernels.ptrace_leading, m, 4) < m.nbytes
@@ -654,6 +662,11 @@ def test_gather_conjugate_rejects_a_table_it_would_clip():
     for q in (-1, 2, 5):
         with pytest.raises(BadQubitIndex):
             kernels.gather_hadamard_conjugate(m, None, q, None)
+    # the butterfly splits the dim in halves: a dim that is not a power of
+    # two, or a matrix that is not square, is not a register of qubits
+    for bad in (np.eye(6), np.ones((16, 8)), np.arange(4.0)):
+        with pytest.raises(DimensionMismatch):
+            kernels.gather_hadamard_conjugate(bad, None, 0, None)
     # the into-out bodies check before they write
     out = np.full_like(m, 7.0)
     with pytest.raises(DimensionMismatch):

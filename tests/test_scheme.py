@@ -24,11 +24,12 @@ from corrqec import (
 )
 from corrqec import kernels, scheme
 from corrqec.kernels import _TILE_BYTES
-from corrqec.scheme import TRIAL_PEAK_STATES, induced_kraus
+from corrqec.scheme import TRIAL_PEAK_STATES
 from corrqec.tolerances import HERMITIAN_TOL, TRIAL_TOL
 
 from oracles import apply_channels, circuit_matrix, complex_trial, decode, encode, fresh_trial
-from oracles import plain_ops, random_span_coeffs, span_kraus_dense
+from oracles import dyadic_density, induced_kraus, plain_ops, random_span_coeffs
+from oracles import span_kraus_dense
 
 
 def test_encode_decode_roundtrip():
@@ -57,6 +58,8 @@ def test_predicted_ancilla_identity_channel():
     sigma = random_density(2, 3)
     ch = PauliChannel(3, (1, 0, 0, 0))
     assert np.allclose(predicted_ancilla(sigma, [ch], 1, "odd", 1), sigma, atol=1e-15)
+    # an empty list leaves sigma as it is
+    assert np.array_equal(predicted_ancilla(sigma, [], 3, "odd", 1), sigma)
 
 
 def test_predicted_ancilla_classical_even_is_fixed():
@@ -299,6 +302,26 @@ def test_predicted_ancilla_matches_per_repeat_loop(parity, n):
             want = sum(g @ want @ g.conj().T for g in induced_kraus(ch, parity, spec.sign))
         got = predicted_ancilla(sigma, channels, repeats, parity, spec.sign)
         assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_dyadic_trials_are_exact(n):
+    # dyadic states through dyadic channel lists: every stage of the packed
+    # trial and of the chi prediction adds and scales dyadic rationals of
+    # few bits, so each residual is exactly 0.0, as the conjugation
+    # residuals are
+    spec = build_pn(n)
+    sigma = dyadic_density(spec.ancilla_dim, n + 300)
+    rho = dyadic_density((1 << n) // spec.ancilla_dim, n + 310)
+    pauli = PauliChannel(n, (1 / 2, 1 / 4, 1 / 8, 1 / 8))
+    span_x = SpanChannel(n, ((0.5, 0.5j, 0, 0), (0.5, -0.5j, 0, 0)))
+    span_z = SpanChannel(n, ((0.5, 0, 0, 0.5), (0.5, 0, 0, -0.5)))
+    lists = ([pauli], [PauliChannel(n, (1 / 4,) * 4)], [span_x, pauli, span_z])
+    for channels in lists:
+        for repeats in (1, 2):
+            out = run_trial(n, sigma, rho, channels, repeats)
+            residuals = (out.rho_residual, out.ancilla_residual, out.product_residual)
+            assert residuals == (0.0, 0.0, 0.0), (channels, repeats)
 
 
 def test_run_trial_repeats_cost_grows_with_log_repeats():

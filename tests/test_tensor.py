@@ -164,6 +164,9 @@ def test_pack_and_unpack_round_trip_hermitian_matrices():
     assert np.array_equal(back, back.conj().T)
     with pytest.raises(DimensionMismatch):
         unpack(np.ones((2, 3)))
+    # a complex matrix is not a packed state: rejected, not cast to its real part
+    with pytest.raises(DimensionMismatch):
+        unpack(np.array([[0.5, 0.25j], [-0.25j, 0.5]]))
 
 
 def test_pack_kron_is_the_packed_product():
@@ -176,6 +179,9 @@ def test_pack_kron_is_the_packed_product():
         assert np.allclose(got, pack(np.kron(a, r)), rtol=0.0, atol=1e-14)
         # a real a is np.kron of it with the packed factor, bit for bit
         assert np.array_equal(pack_kron(a.real, pack(r)), np.kron(a.real, pack(r)))
+        # the packed factor is real: an unpacked complex r is rejected
+        with pytest.raises(DimensionMismatch):
+            pack_kron(a, r)
 
 
 def test_packed_kron_distance_is_the_hermitian_distance():
@@ -195,6 +201,8 @@ def test_packed_kron_distance_is_the_hermitian_distance():
         (pack(d), np.ones((4, 2)), pack(r)),  # not square
         (pack(d), a, np.ones((8, 4))),
         (pack(d)[:, :16], a, pack(r)),
+        (d, a, pack(r)),  # complex states where packed ones go
+        (pack(d), a, r),
     ):
         with pytest.raises(DimensionMismatch):
             packed_kron_distance(*args)
