@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadQubitCount
-from .gates import Circuit, circuit_factors, cnot_op, conjugate_pauli, h_op, pauli
+from .gates import Circuit, circuit_factors, cnot_op, cnot_perm, conjugate_pauli, h_op, pauli
 
 _D_DIAG = {
     "X": np.array([1, -1, 1, -1], dtype=np.complex128),
@@ -97,6 +97,43 @@ def build_pn(n: int) -> EncoderSpec:
 def encoder_factors(n: int) -> tuple:
     """Cached gather/butterfly factorization of build_pn(n).circuit."""
     return circuit_factors(build_pn(n).circuit)
+
+
+_H_UNSCALED = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+@lru_cache(maxsize=None)
+def ancilla_head(spec: EncoderSpec) -> tuple[np.ndarray | None, int, tuple]:
+    """(U', h, factors): spec's circuit split at the longest prefix of gates
+    that act on the ancilla qubits alone, the top log2(ancilla_dim).
+
+    The prefix is U = 2**(-h/2) U' on the ancilla, U' its real matrix with
+    each of its h Hadamards unscaled, so U' has integer entries and
+    U sigma U^T = 2**-h U' sigma U'^T exactly where the products are; U' is
+    None for an empty prefix.  factors are the circuit_factors of the rest,
+    so P = R (U ox I), R the rest.  For build_pn the prefix is the P_2 head
+    CNOT(n-2, n-1) H(n-2) CNOT(n-2, n-1) at even n, the encoder's one
+    Hadamard, and empty at odd n, whose first gate reaches qubit n-2.
+    Cached by the spec itself, so a substituted spec gets its own split.
+    """
+    a = spec.ancilla_dim.bit_length() - 1
+    low = spec.n - a
+    u, h, peeled = np.eye(1 << a), 0, 0
+    for op in spec.circuit.ops:
+        qubits = [q - low for q in op.qubits]
+        if min(qubits) < 0:
+            break
+        if op.kind == "cnot":
+            u = u[np.argsort(cnot_perm(a, *qubits))]
+        else:
+            (q,) = qubits
+            u = np.kron(np.kron(np.eye(1 << (a - 1 - q)), _H_UNSCALED), np.eye(1 << q)) @ u
+            h += 1
+        peeled += 1
+    rest = Circuit(spec.n, spec.circuit.ops[peeled:])
+    if peeled:
+        u.setflags(write=False)
+    return (u if peeled else None), h, circuit_factors(rest)
 
 
 def ancilla_images(parity: str, sign: int) -> tuple[np.ndarray, ...]:

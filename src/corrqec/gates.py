@@ -10,7 +10,9 @@ matrix by a circuit never needs its dense matrix: each Hadamard is one
 kernel pass that also applies the permutations on either side of it, and
 an H-free circuit is one gather.  Given an out buffer, the last kernel
 writes into it, so a caller can run successive conjugations in buffers it
-reuses.
+reuses.  The trial (scheme.run_trial) passes only the CNOTs after the
+encoder's ancilla-only head (encoder.ancilla_head), so its conjugations
+are single gathers at every n.
 """
 
 from __future__ import annotations

@@ -27,19 +27,24 @@ them.
 - gather_hadamard_conjugate conjugates by a permutation, a Hadamard and a
   permutation in one pass: the permutations only change which rows of the
   input a step reads and which rows and columns of the output it writes,
-  so an even-n encoder costs one read and one write of the state.  Its row
-  and column butterflies are the one butterfly, _hadamard_block.  Both run
-  unscaled and the column butterfly's output is scaled once by 0.5, exact
-  in binary, so conjugating a matrix of Gaussian integers (as the
-  correlated errors are) is exact.
+  so a whole even-n encoder (gates.circuit_conjugate) costs one read and
+  one write of the state.  Its row and column butterflies are the one
+  butterfly, _hadamard_block.  Both run unscaled and the column
+  butterfly's output is scaled once by 0.5, exact in binary, so
+  conjugating a matrix of Gaussian integers (as the correlated errors are)
+  is exact.  The trial does not call it: the encoder's Hadamard is in its
+  ancilla-only P_2 head, which scheme.run_trial applies to the 4x4
+  ancilla (encoder.ancilla_head), so it serves circuit_conjugate on
+  circuits whose Hadamard is elsewhere.
 - kron_dist measures d against a kron product a ox r, or against the
   two-term a1 ox r + a2 ox r^T of a packed product, with no output at all:
   each step builds its own slice of the product in scratch, so the
   product checks hold one state, not two.
-- gather_conjugate, for CNOT-only (odd-n) circuits, takes a step of
-  rows of m into scratch and then their columns into the step's rows of
-  the output, with np.take: entries only move, so it is bit-identical to
-  m[np.ix_(perm, perm)] at every tile size.
+- gather_conjugate, for CNOT-only circuits (the trial's encode and
+  decode at every n), takes a step of rows of m into scratch and then
+  their columns into the step's rows of the output, with np.take: entries
+  only move, so it is bit-identical to m[np.ix_(perm, perm)] at every
+  tile size.
 - The trial carries its states packed, as one float64 matrix
   Re rho + Im rho (tensor.pack), so the float64 paths are the ones it
   runs.  The gathers, kron_dist and ptrace_* keep a float64 matrix in its
@@ -151,11 +156,12 @@ def _gather_conjugate_into(m: np.ndarray, perm: np.ndarray, out: np.ndarray) -> 
     to m[np.ix_(perm, perm)] at every tile size.  mode="clip" never clips a
     permutation and lets take write into its buffer directly, so a table
     of the wrong length or with an index out of range is rejected
-    (_check_table) rather than clipped.
+    (_check_table) rather than clipped, as is an m that is not square of
+    power-of-two dim (square_dim).
     """
     m = real_or_complex(m)
     check_out(m, out)
-    dim = m.shape[0]
+    dim = square_dim(m)
     perm = _check_table(perm, dim, "perm")
     step = _step_rows(dim, 3 * m.itemsize * dim)
     scratch = np.empty((step, dim), dtype=m.dtype)
@@ -381,20 +387,28 @@ def pauli_channel_basis_packed(m: np.ndarray, probs, out: np.ndarray | None = No
     return out
 
 
+def _ptrace_dims(m: np.ndarray, keep: int) -> tuple[np.ndarray, int]:
+    """(m, dim / keep) for a square m whose dim keep divides (real_or_complex);
+    DimensionMismatch else."""
+    m = real_or_complex(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or keep < 1 or m.shape[0] % keep:
+        raise DimensionMismatch(f"cannot keep {keep} of a matrix of shape {m.shape}")
+    return m, m.shape[0] // keep
+
+
 def ptrace_leading(m: np.ndarray, keep: int) -> np.ndarray:
     """Trace out the leading factor, keeping the trailing keep x keep block
     as a new array, in m's dtype (real_or_complex): a float64 m is summed
-    in float64, with no complex copy of it."""
-    m = real_or_complex(m)
-    d = m.shape[0] // keep
+    in float64, with no complex copy of it.  m must be square, of a dim
+    keep divides (DimensionMismatch)."""
+    m, d = _ptrace_dims(m, keep)
     return np.einsum("ikil->kl", m.reshape(d, keep, d, keep))
 
 
 def ptrace_trailing(m: np.ndarray, keep: int) -> np.ndarray:
     """Trace out the trailing factor, keeping the leading keep x keep block,
     as ptrace_leading."""
-    m = real_or_complex(m)
-    d = m.shape[0] // keep
+    m, d = _ptrace_dims(m, keep)
     return np.einsum("ikjk->ij", m.reshape(keep, d, keep, d))
 
 

@@ -5,19 +5,25 @@ one-qubit ancilla for odd n and a two-qubit ancilla for even n.  Correlated
 errors commute through P_n onto the ancilla alone, so decoding with P_n_dag
 leaves an exact product: the predicted ancilla times the untouched data rho.
 The prediction is the trial's own chi (channels.sequence_chi) through the
-ancilla images, one channel algebra for both.
+ancilla images, one channel algebra for both: run_trial composes the list
+once and hands the one chi to both.
 
 run_trial carries every 2**n-dimensional state packed (tensor.pack): one
 float64 matrix Re + Im, half the bytes of a complex one.  The encoder's
 gates are real and every state is Hermitian, so encode, the channel pass,
 decode, the partial traces and the product checks all act on the packed
-matrix; only the ancilla and the recovered rho are unpacked.  The trial
-encodes into kernels.channel_basis, where the correlated errors act on the
-leading qubits alone, so the channel pass is one small real matrix
-product per step of rows; the decode leaves that basis in the same gather.
-The four dense stages (the input product, encode, the channel pass and
-decode) write into two state buffers in turn, so a trial maps two states,
-not one per stage.
+matrix; only the ancilla and the recovered rho are unpacked.  At even n
+the encoder opens with the P_2 head, whose gates, the encoder's one
+Hadamard among them, act on the two ancilla qubits alone
+(encoder.ancilla_head): the trial applies it to the 4x4 sigma and takes
+it back off the 4x4 decoded ancilla, so the state passes CNOTs only, as at
+odd n.  The trial encodes into kernels.channel_basis, where the correlated
+errors act on the leading qubits alone, so the channel pass is one small
+real matrix product per step of rows; encode and decode are then one
+gather each, the decode leaving that basis in the same gather.  The four
+dense stages (the input product, encode, the channel pass and decode)
+write into two state buffers in turn, so a trial maps two states, not one
+per stage.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 from . import kernels
 from .channels import PauliChannel, SpanChannel, check_repeats
 from .channels import checked_sequence_chi, sequence_chi
-from .encoder import EncoderSpec, ancilla_images, build_pn, encoder_factors
+from .encoder import EncoderSpec, ancilla_head, ancilla_images, build_pn
 from .errors import AncillaSizeError, BadQubitCount, DimensionMismatch, NotHermitian
 from .gates import circuit_conjugate
 from .tensor import check_memory, frobenius_distance, hermitian_deviation, pack
@@ -41,9 +47,13 @@ from .tolerances import CLASSICAL_TOL, HERMITIAN_TOL, HYBRID_TOL
 # bytes; a packed state is half of one), from tracemalloc at n = 8..11 with
 # Pauli, span-Pauli-span and empty lists (repeats 1 and 2, random and
 # classical ancillas): at most 2.54 at n = 8, 1.50 at n = 9, 1.13 at n = 10
-# and 1.15 at n = 11, all with the span list, rounded up.  The two stage
-# buffers are two packed states, one complex state; up to n = 9 the
-# kernels' half tile of step scratch, 2 MiB, outweighs them.
+# and 1.15 at n = 11, all with the span list, whose channel pass holds the
+# most scratch, rounded up.  With the even-n encode a pure gather (one
+# scratch buffer, not the Hadamard kernel's two), the Pauli and empty lists
+# peak lower at n = 8 (2.05 and 1.54, from 2.24 and 2.23) and n = 10 (1.10
+# and 1.07, from 1.11).  The two stage buffers are two packed states, one
+# complex state; up to n = 9 the kernels' half tile of step scratch, 2 MiB,
+# outweighs them.
 TRIAL_PEAK_STATES = 3
 
 
@@ -100,10 +110,17 @@ def predicted_ancilla(
         raise DimensionMismatch(f"{parity} ancilla must be {expected}x{expected}, got {out.shape}")
     repeats = check_repeats(repeats)
     channels = list(channels)
-    if not channels:
-        return out.copy()
-    transfer = kernels.chi_transfer(sequence_chi(channels, repeats), ancilla_images(parity, sign))
-    return (transfer @ out.reshape(-1)).reshape(expected, expected)
+    chi = sequence_chi(channels, repeats) if channels else None
+    return _predicted_from_chi(out, chi, parity, sign)
+
+
+def _predicted_from_chi(sigma: np.ndarray, chi, parity: str, sign: int) -> np.ndarray:
+    """predicted_ancilla of a complex128 sigma of the parity's size, given
+    the list's composed chi (None for an empty list: a copy of sigma)."""
+    if chi is None:
+        return sigma.copy()
+    transfer = kernels.chi_transfer(chi, ancilla_images(parity, sign))
+    return (transfer @ sigma.reshape(-1)).reshape(sigma.shape)
 
 
 def _is_classical(sigma: np.ndarray) -> bool:
@@ -133,13 +150,15 @@ def run_trial(
     the outcome reports the Frobenius residuals of that prediction and of
     the product factorization itself.  sigma and rho must be Hermitian
     (NotHermitian otherwise), as the trial carries its states packed:
-    M = pack(sigma ox rho) = Re sigma ox P + Im sigma ox P^T, P = pack(rho),
-    is encoded (into kernels.channel_basis, as a last permutation of the
-    encoder's gather), passed through the channels and decoded as one
-    float64 matrix.  The partial traces of the decoded M are the packed
-    ancilla and data states, which are unpacked; the product checks
-    measure M against the packed products blockwise.  Every check runs before any 4**n
-    allocation.
+    M = pack(sigma' ox rho) = Re sigma' ox P + Im sigma' ox P^T,
+    P = pack(rho), with sigma' the ancilla through the encoder's
+    ancilla-only head, is encoded by the rest of the circuit (into
+    kernels.channel_basis, as a last permutation of its gather), passed
+    through the channels and decoded as one float64 matrix.  The partial
+    traces of the decoded M are the packed ancilla and data states, which
+    are unpacked, the ancilla after the head is taken back off it; the
+    product checks measure M against the packed products blockwise.  Every
+    check runs before any 4**n allocation.
     """
     repeats = check_repeats(repeats)
     if isinstance(channels, (PauliChannel, SpanChannel)):
@@ -151,17 +170,28 @@ def run_trial(
     _check_hermitian(sigma, rho)
     chi = checked_sequence_chi(channels, (1 << n, 1 << n), repeats)
 
+    # the ancilla-only head of the encoder (encoder.ancilla_head: the P_2
+    # head and its Hadamard at even n, nothing at odd n) acts on sigma as
+    # the 4x4 U = 2**(-h/2) U', so the state passes only the rest R of the
+    # circuit: the decoded M = (U ox I) D (U ox I)^T for D the full decode.
+    # The checks are invariant under U: the data trace of M is that of D,
+    # D's ancilla is U^T A U for A that of M, and the product and hybrid
+    # residuals are those of M against A ox R and (U sigma U^T) ox rho
+    head, h, rest = ancilla_head(spec)
+    scale = 0.5**h
+    encoded = sigma if head is None else scale * (head @ sigma @ head.T)
+
     # the stages run in two buffers: the input a, encoded into a new b, the
     # channel pass back into a and the decode into b (into a when there is
     # no channel), so a trial maps two states, not one per stage.  The
     # buffer the decode did not write is then dropped, and the checks below
     # hold only the decoded state: the product checks measure it against a
     # kron product blockwise, without forming it.  The factors are the
-    # encoder's, then channel_basis: one more table in the same gather,
-    # undone by the decode's
-    factors = encoder_factors(n) + (("perm", kernels.channel_basis(n)),)
+    # rest's, then channel_basis: one more table in the same gather, undone
+    # by the decode's
+    factors = rest + (("perm", kernels.channel_basis(n)),)
     p = pack(rho)
-    a = pack_kron(sigma, p)
+    a = pack_kron(encoded, p)
     b = circuit_conjugate(factors, a)
     if chi is not None:
         kernels.pauli_channel_basis_packed(b, chi, out=a)
@@ -169,18 +199,22 @@ def run_trial(
     state = circuit_conjugate(factors, b, adjoint=True, out=a)
     del a, b
 
-    # the packed traces, float64 as the state, each a new array
+    # the packed traces, float64 as the state, each a new array; the
+    # ancilla's is taken back through the head while packed, a real
+    # congruence, so that unpack leaves it exactly Hermitian
     recovered = partial_trace_leading(state, sigma.shape[0])
     recovered_rho = unpack(recovered)
-    ancilla_out = unpack(partial_trace_trailing(state, rho.shape[0]))
-    predicted = predicted_ancilla(sigma, channels, repeats, spec.parity, spec.sign)
+    trailing = partial_trace_trailing(state, rho.shape[0])
+    ancilla = unpack(trailing)
+    ancilla_out = ancilla if head is None else unpack(scale * (head.T @ trailing @ head))
+    predicted = _predicted_from_chi(sigma, chi, spec.parity, spec.sign)
 
     rho_residual = frobenius_distance(recovered_rho, rho)
     ancilla_residual = frobenius_distance(ancilla_out, predicted)
-    product_residual = packed_kron_distance(state, ancilla_out, recovered)
+    product_residual = packed_kron_distance(state, ancilla, recovered)
     hybrid_exact = None
     if spec.parity == "even" and _is_classical(sigma):
-        hybrid_exact = packed_kron_distance(state, sigma, p) <= HYBRID_TOL
+        hybrid_exact = packed_kron_distance(state, encoded, p) <= HYBRID_TOL
     return SchemeOutcome(
         recovered_rho=recovered_rho,
         ancilla_out=ancilla_out,

@@ -3,10 +3,12 @@
 Everything here is deliberately naive: dense Kronecker assembly, explicit
 matrix products, and direct index summation.  Tests compare the package's
 structured fast paths against these so they never certify themselves.
-The package runs its trial on packed float64 states only; complex_trial
-here is the same pipeline on complex128 states, built from np.kron, the
-encoder's circuit_conjugate, the whole-array channel sum chi_channel and
-the dense distance kron_distance.
+The package runs its trial on packed float64 states only, with the
+encoder's ancilla-only head applied to the ancilla alone; complex_trial
+here is the same pipeline on complex128 states through the whole circuit,
+Hadamard included, built from np.kron, the encoder's circuit_conjugate,
+the whole-array channel sum chi_channel and the dense distance
+kron_distance.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from corrqec import kernels
 from corrqec.channels import Channel, PauliChannel, checked_sequence_chi
-from corrqec.encoder import ancilla_images, build_pn, encoder_factors
+from corrqec.encoder import ancilla_head, ancilla_images, build_pn, encoder_factors
 from corrqec.errors import DimensionMismatch
 from corrqec.gates import circuit_conjugate, circuit_factors, cnot_perm
 from corrqec.scheme import classical_state, predicted_ancilla
@@ -356,32 +358,39 @@ def _is_classical(sigma) -> bool:
 
 
 def fresh_trial(n: int, sigma, rho, channels, repeats: int = 1) -> dict:
-    """run_trial's packed stages with a fresh array per stage: pack_kron,
-    the encode gather, pauli_channel_basis_packed and the decode gather
-    each allocate their output; then run_trial's traces and checks."""
+    """run_trial's packed stages with a fresh array per stage: the ancilla
+    head (encoder.ancilla_head) on sigma, pack_kron, the encode gather of
+    the rest, pauli_channel_basis_packed and the decode gather each
+    allocate their output; then run_trial's traces, the head taken back
+    off the ancilla, and its checks."""
     spec = build_pn(n)
     sigma = np.asarray(sigma, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
     chi = checked_sequence_chi(channels, (1 << n, 1 << n), repeats)
-    factors = encoder_factors(n) + (("perm", kernels.channel_basis(n)),)
+    head, h, rest = ancilla_head(spec)
+    scale = 0.5**h
+    encoded = sigma if head is None else scale * (head @ sigma @ head.T)
+    factors = rest + (("perm", kernels.channel_basis(n)),)
     p = pack(rho)
-    state = circuit_conjugate(factors, pack_kron(sigma, p))
+    state = circuit_conjugate(factors, pack_kron(encoded, p))
     if chi is not None:
         state = kernels.pauli_channel_basis_packed(state, chi)
     state = circuit_conjugate(factors, state, adjoint=True)
     recovered = partial_trace_leading(state, sigma.shape[0])
-    ancilla_out = unpack(partial_trace_trailing(state, rho.shape[0]))
+    trailing = partial_trace_trailing(state, rho.shape[0])
+    ancilla = unpack(trailing)
+    ancilla_out = ancilla if head is None else unpack(scale * (head.T @ trailing @ head))
     recovered_rho = unpack(recovered)
     predicted = predicted_ancilla(sigma, channels, repeats, spec.parity, spec.sign)
     hybrid = None
     if spec.parity == "even" and _is_classical(sigma):
-        hybrid = packed_kron_distance(state, sigma, p) <= HYBRID_TOL
+        hybrid = packed_kron_distance(state, encoded, p) <= HYBRID_TOL
     return {
         "recovered_rho": recovered_rho,
         "ancilla_out": ancilla_out,
         "rho_residual": frobenius_distance(recovered_rho, rho),
         "ancilla_residual": frobenius_distance(ancilla_out, predicted),
-        "product_residual": packed_kron_distance(state, ancilla_out, recovered),
+        "product_residual": packed_kron_distance(state, ancilla, recovered),
         "hybrid_exact": hybrid,
     }
 

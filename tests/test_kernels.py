@@ -674,3 +674,20 @@ def test_gather_conjugate_rejects_a_table_it_would_clip():
     with pytest.raises(DimensionMismatch):
         kernels._gather_conjugate_into(m, [0, 1, 2, 9], out)
     assert (out == 7.0).all()
+
+
+def test_gather_and_ptrace_kernels_reject_wrong_shapes():
+    # a non-square or 1-d m is not a state, and a keep that does not divide
+    # the dim is not a factor of it: each is DimensionMismatch, not numpy's
+    # ValueError from take's output or from a reshape
+    for bad in (np.ones((16, 8)), np.arange(16.0)):
+        with pytest.raises(DimensionMismatch):
+            kernels.gather_conjugate(bad, np.arange(16))
+    m = np.arange(64.0).reshape(8, 8)
+    for keep in (3, 5, 16, 0):
+        for fn in (kernels.ptrace_leading, kernels.ptrace_trailing):
+            with pytest.raises(DimensionMismatch):
+                fn(m, keep)
+    for fn in (kernels.ptrace_leading, kernels.ptrace_trailing):
+        with pytest.raises(DimensionMismatch):
+            fn(np.ones((8, 4)), 2)

@@ -4,7 +4,9 @@ broken one.
 Every single-gate mutant of build_pn(n) (a gate dropped, a CNOT's control
 and target swapped, the Hadamard moved by one qubit) must leave a nonzero
 conjugation residual, equal to the dense distance, and fail cmd_verify (at
-large n the residual alone), an ancilla image with the wrong sign on Y must leave a nonzero Y residual,
+large n the residual alone), and run_trial, which applies an ancilla-only
+prefix of the circuit to the ancilla alone, must give each mutant the
+residuals of the whole circuit; an ancilla image with the wrong sign on Y must leave a nonzero Y residual,
 and an image with an imaginary part must be measured in full.  A check that
 passes these broken inputs would pass anything.
 """
@@ -17,10 +19,11 @@ import math
 import numpy as np
 import pytest
 
-from corrqec import Circuit, GateOp, build_pn, cli, conjugation_report, encoder, scheme
+from corrqec import Circuit, GateOp, PauliChannel, SpanChannel, build_pn, cli
+from corrqec import classical_state, conjugation_report, encoder, random_density, scheme
 from corrqec.cli import cmd_verify
 
-from oracles import expected_conjugation, pauli_power, realize
+from oracles import complex_trial, expected_conjugation, pauli_power, realize
 
 
 def _mutants(circuit: Circuit):
@@ -148,3 +151,23 @@ def test_an_imaginary_part_of_an_image_is_measured(n, monkeypatch):
         lambda parity, sign: tuple(m + 1j * np.eye(len(m)) for m in real(parity, sign)),
     )
     assert conjugation_report(build_pn(n)) == (math.sqrt(2**n),) * 3
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_every_single_gate_mutant_trial_matches_the_full_circuit(n, use_spec):
+    # run_trial peels the mutant's ancilla-only prefix (encoder.ancilla_head),
+    # which a moved Hadamard may leave in the rest; complex_trial runs the
+    # whole mutant circuit, Hadamard included, on complex128 states
+    sigmas = (random_density(4, n + 400), classical_state(1, 0))
+    rho = random_density(1 << (n - 2), n + 401)
+    span = SpanChannel(n, ((0.8, 0, 0, 0), (0, 0.6j, 0, 0)))
+    channels = [span, PauliChannel(n, (0.4, 0.3, 0.2, 0.1))]
+    for label, spec in _mutant_specs(n):
+        use_spec(spec)
+        for sigma in sigmas:
+            got = scheme.run_trial(n, sigma, rho, channels)
+            want = complex_trial(n, sigma, rho, channels)
+            for key in ("rho_residual", "ancilla_residual", "product_residual"):
+                diff = abs(getattr(got, key) - want[key])
+                assert diff <= 1e-15 * max(1.0, want[key]), (label, key, diff)
+            assert got.hybrid_exact is want["hybrid_exact"], label

@@ -22,6 +22,7 @@ from corrqec import (
     random_density,
     run_trial,
 )
+from corrqec import channels as channels_module
 from corrqec import kernels, scheme
 from corrqec.kernels import _TILE_BYTES
 from corrqec.scheme import TRIAL_PEAK_STATES
@@ -517,3 +518,50 @@ def test_trial_stages_run_in_two_buffers(monkeypatch, n, kind):
         assert len(outputs) == 3 and outputs[2] is first
     else:
         assert len(outputs) == 4 and outputs[2] is first and outputs[3] is second
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+def test_even_trial_makes_no_hadamard_kernel_call(monkeypatch, n):
+    # the encoder's one Hadamard is in its ancilla-only P_2 head, which the
+    # trial applies to the 4x4 ancilla: the state passes gathers only
+    calls = []
+
+    def counting(name):
+        real = getattr(kernels, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("gather_hadamard_conjugate", "_gather_hadamard_conjugate_into"):
+        monkeypatch.setattr(kernels, name, counting(name))
+    sigma = random_density(4, n + 130)
+    rho = random_density(1 << (n - 2), n + 131)
+    for channels in ([PauliChannel(n, (0.4, 0.3, 0.2, 0.1))], []):
+        out = run_trial(n, sigma, rho, channels)
+        assert out.product_residual < TRIAL_TOL
+    assert calls == []
+    # the count is live: the whole circuit still runs its Hadamard
+    encode(n, sigma, rho)
+    assert calls[:1] == ["gather_hadamard_conjugate"]
+
+
+@pytest.mark.parametrize("kind", ["pauli", "span", "none"])
+def test_run_trial_composes_the_channel_list_once(monkeypatch, kind):
+    # the state pass and the predicted ancilla share one sequence_chi
+    calls = []
+    real = channels_module.sequence_chi
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(channels_module, "sequence_chi", counting)
+    monkeypatch.setattr(scheme, "sequence_chi", counting)
+    n = 5
+    channels = [] if kind == "none" else _channels(n, kind)
+    out = run_trial(n, random_density(2, 140), random_density(16, 141), channels, 2)
+    assert out.ancilla_residual < TRIAL_TOL
+    assert len(calls) == (0 if kind == "none" else 1)
