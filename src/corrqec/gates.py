@@ -10,9 +10,10 @@ matrix by a circuit never needs its dense matrix: each Hadamard is one
 kernel pass that also applies the permutations on either side of it, and
 an H-free circuit is one gather.  Given an out buffer, the last kernel
 writes into it, so a caller can run successive conjugations in buffers it
-reuses.  The trial (scheme.run_trial) passes only the CNOTs after the
-encoder's ancilla-only head (encoder.ancilla_head), so its conjugations
-are single gathers at every n.
+reuses.  The trial (scheme.run_trial) takes the one gather table
+(gather_tables) of the CNOTs after the encoder's ancilla-only head
+(encoder.ancilla_head) into kernels.trial_pass, which gathers by it as it
+builds the state, at every n.
 """
 
 from __future__ import annotations
@@ -147,15 +148,35 @@ def invert(circuit: Circuit) -> Circuit:
     return Circuit(circuit.n_qubits, tuple(reversed(circuit.ops)))
 
 
+def gather_tables(factors, adjoint: bool = False) -> tuple[list, list]:
+    """(tables, qubits): circuit factors as the gathers and Hadamards that
+    conjugate by them, in the order they run.  qubits are the Hadamards'
+    qubits; tables[i] is the composed gather table before Hadamard i
+    (None for none) and tables[-1] the one after the last, so an H-free
+    circuit is the one table tables[0]: G_t(x) = x[t][:, t] is P x P_dag
+    (adjoint=False) or P_dag x P (adjoint=True).  Each permutation factor
+    conjugates as the gather by its table's inverse (by the table itself
+    for the adjoint), and consecutive gathers compose exactly into one
+    table (G_u after G_t is G_t[u])."""
+    tables, qubits = [None], []
+    for kind, arg in reversed(factors) if adjoint else factors:
+        if kind == "perm":
+            table = arg if adjoint else np.argsort(arg)
+            tables[-1] = table if tables[-1] is None else tables[-1][table]
+        else:
+            qubits.append(arg)
+            tables.append(None)
+    return tables, qubits
+
+
 def circuit_conjugate(
     factors_or_circuit, m: np.ndarray, adjoint: bool = False, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Conjugate m by the realized circuit P without forming P.
 
     adjoint=False returns P m P_dag (encode direction); adjoint=True returns
-    P_dag m P (decode direction).  Each permutation factor conjugates as an
-    index gather G_t(x) = x[t][:, t], and consecutive gathers compose
-    exactly into one table (G_u after G_t is G_t[u]).  Each Hadamard is one
+    P_dag m P (decode direction).  The factors run as gathers and
+    Hadamards (gather_tables).  Each Hadamard is one
     kernels.gather_hadamard_conjugate call that takes the table before it,
     and the last one also the table after it, so an even-n encoder (a
     permutation, one Hadamard, a permutation) is one pass over m.  An
@@ -176,16 +197,7 @@ def circuit_conjugate(
         factors = circuit_factors(factors_or_circuit)
     else:
         factors = factors_or_circuit
-    # tables[i] is the composed gather before Hadamard i; tables[-1] follows
-    # the last one
-    tables, qubits = [None], []
-    for kind, arg in reversed(factors) if adjoint else factors:
-        if kind == "perm":
-            table = arg if adjoint else np.argsort(arg)
-            tables[-1] = table if tables[-1] is None else tables[-1][table]
-        else:
-            qubits.append(arg)
-            tables.append(None)
+    tables, qubits = gather_tables(factors, adjoint)
     if out is not None:
         kernels.check_out(state, out)
     for i, q in enumerate(qubits[:-1]):

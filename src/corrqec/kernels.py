@@ -11,19 +11,23 @@ of whole rows (or row pairs) sized by one rule, _step_rows: as many rows as
 keep all a step touches (inputs and views, scratch and output) within half
 of _TILE_BYTES (4 MiB), and no more than the matrix has.  So a call holds
 its output plus one step's scratch, and a small matrix is one step.  The
-output is allocated, except where the caller hands one in (check_out):
-the trial runs its stages in two reused buffers, so that each stage
-writes into pages an earlier stage has already touched.  The gathers'
-into-out bodies (_gather_conjugate_into, _gather_hadamard_conjugate_into)
-are their only implementations; the pinned public names allocate and call
-them.
+gathers also write into an output the caller hands in (check_out), for
+gates.circuit_conjugate's out; their into-out bodies
+(_gather_conjugate_into, _gather_hadamard_conjugate_into) are their only
+implementations, and the pinned public names allocate and call them.
 
 - Each output element gets the same floating-point operations, in the same
   order, as the whole-array expression, so gather_hadamard_conjugate is
   bit-identical at every tile size.  frob_dist and kron_dist sum per-step
   squares in a different order (equal to within rounding) and are exactly
-  0.0 on equal inputs.  pauli_channel_basis_packed's sums are BLAS dot
-  products, equal to within rounding at every tile size.
+  0.0 on equal inputs.  trial_pass's channel sums are BLAS dot products,
+  equal to within rounding at every tile size.
+- trial_pass is the trial's whole dense pipeline in one walk over steps of
+  output rows: it builds the rows of the packed product pack(a ox rho) a
+  step needs from the small ancilla a and the packed data state, gathers
+  them by the encoder's table, applies the channel and gathers the result
+  back, writing each output row once.  So a trial makes one state, not
+  the four a pass per stage would write.
 - gather_hadamard_conjugate conjugates by a permutation, a Hadamard and a
   permutation in one pass: the permutations only change which rows of the
   input a step reads and which rows and columns of the output it writes,
@@ -40,11 +44,10 @@ them.
   two-term a1 ox r + a2 ox r^T of a packed product, with no output at all:
   each step builds its own slice of the product in scratch, so the
   product checks hold one state, not two.
-- gather_conjugate, for CNOT-only circuits (the trial's encode and
-  decode at every n), takes a step of rows of m into scratch and then
-  their columns into the step's rows of the output, with np.take: entries
-  only move, so it is bit-identical to m[np.ix_(perm, perm)] at every
-  tile size.
+- gather_conjugate, for CNOT-only circuits, takes a step of rows of m into
+  scratch and then their columns into the step's rows of the output, with
+  np.take: entries only move, so it is bit-identical to
+  m[np.ix_(perm, perm)] at every tile size.
 - The trial carries its states packed, as one float64 matrix
   Re rho + Im rho (tensor.pack), so the float64 paths are the ones it
   runs.  The gathers, kron_dist and ptrace_* keep a float64 matrix in its
@@ -52,21 +55,20 @@ them.
   since the encoders' gates are real: each float64 entry gets the
   operations the real part of a complex one would.  kron_dist's scratch
   is complex128 if any input is complex; frob_dist takes complex128.  The
-  packed entry points (pauli_channel_basis_packed, and tensor's unpack,
-  pack_kron and packed_kron_distance) reject a complex state (as_packed)
-  rather than drop its imaginary part.
+  packed entry points (trial_pass, and tensor's unpack and
+  packed_kron_distance) reject a complex state (as_packed) rather than
+  drop its imaginary part.
 
-pauli_channel_basis_packed applies any channel whose Kraus operators lie in
-span{I, X_n, Y_n, Z_n}, given as its 4x4 process matrix chi (a Pauli
-channel by its probabilities, the diagonal of chi), to a packed state in
-channel_basis, a CNOT permutation under which X_n and Z_n act on the
-leading one (odd n) or two (even n) qubits only.  There each block of the
-output is a weighted sum of the blocks of the state and of its transpose
-(the transpose carries the imaginary parts of a span channel's weights):
-one real matrix product per step of rows, whose weight matrix is 4 x 8
-for odd n and 16 x 32 for even n, half that for a Pauli channel.
-The trial composes channel_basis into its encoder's last gather, so the
-basis costs no pass of its own.
+trial_pass applies any channel whose Kraus operators lie in span{I, X_n,
+Y_n, Z_n}, given as its 4x4 process matrix chi (a Pauli channel by its
+probabilities, the diagonal of chi), in channel_basis, a CNOT permutation
+under which X_n and Z_n act on the leading one (odd n) or two (even n)
+qubits only.  There each block of the output is a weighted sum of the
+blocks of the state and of its transpose (the transpose carries the
+imaginary parts of a span channel's weights): one real matrix product per
+step of rows, whose weight matrix is 4 x 8 for odd n and 16 x 32 for even
+n, half that for a Pauli channel.  The trial composes channel_basis into
+its encoder's gather table, so the basis costs no pass of its own.
 """
 
 from __future__ import annotations
@@ -80,8 +82,6 @@ from .errors import BadQubitIndex, DimensionMismatch
 
 # Every row a step of a dense kernel touches fits in half of this many bytes.
 _TILE_BYTES = 1 << 22
-# Columns of m per transposed copy in pauli_channel_basis_packed.
-_TRANSPOSE_COLS = 64
 
 
 def real_or_complex(m: np.ndarray) -> np.ndarray:
@@ -144,6 +144,16 @@ def _check_table(table, dim: int, name: str) -> np.ndarray:
     if table.shape != (dim,) or not 0 <= table.min() <= table.max() < dim:
         raise DimensionMismatch(f"{name} must hold {dim} indices in [0, {dim}), got {table.shape}")
     return table
+
+
+def _inverse(table: np.ndarray, name: str) -> np.ndarray:
+    """The inverse of a checked table (_check_table), which must be a
+    permutation; DimensionMismatch if it repeats an index."""
+    inverse = np.full(len(table), -1, dtype=np.intp)
+    inverse[table] = np.arange(len(table))
+    if inverse.min() < 0:
+        raise DimensionMismatch(f"{name} must be a permutation, but repeats an index")
+    return inverse
 
 
 def _gather_conjugate_into(m: np.ndarray, perm: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -249,11 +259,7 @@ def _gather_hadamard_conjugate_into(
         rows = before.reshape(hi, 2, lo)
     if after is not None:
         after = _check_table(after, dim, "after")
-        dest = np.full(dim, -1, dtype=np.intp)
-        dest[after] = np.arange(dim)
-        if dest.min() < 0:
-            raise DimensionMismatch("after must be a permutation, but repeats an index")
-        dest = dest.reshape(hi, 2, lo)
+        dest = _inverse(after, "after").reshape(hi, 2, lo)
     (kh, kl), blocks = _pair_blocks(hi, lo, _step_rows(hi * lo, 8 * m.itemsize * dim))
     buffers = np.empty((2, kh, 2, kl, dim), dtype=m.dtype)
     for h, l in blocks:
@@ -331,12 +337,46 @@ def _basis_transfer(probs, n: int) -> np.ndarray:
     return chi_transfer(np.diag(chi) if chi.ndim == 1 else chi, e)
 
 
-def pauli_channel_basis_packed(m: np.ndarray, probs, out: np.ndarray | None = None) -> np.ndarray:
-    """sum_ab chi_ab E_a rho E_b_dag over E = (I, X_n, Y_n, Z_n), on the
-    packed Hermitian state m of rho given in channel_basis, float64 in
-    (as_packed, square_dim) and out; written into out (check_out) if given,
-    which it then returns.
-    probs is a 4x4 chi or the probabilities (p0, p1, p2, p3), its diagonal.
+def _kron_rows(a: np.ndarray, p: np.ndarray, pt, src, rows: np.ndarray, scratch) -> None:
+    """Rows src of pack(a ox rho), for p = pack(rho), written into rows.
+
+    Row i*nr + r (nr = p's dim) is Re a[i, k] p[r] + Im a[i, k] (p^T)[r] in
+    its block k, the second term added only where Im a[i, k] is nonzero
+    (elsewhere the term is set to -0.0, which adds to any float exactly),
+    so each entry is the blockwise product's, the sign of a zero included.
+    pt is a C-contiguous p^T, read only when a has an imaginary part.
+    scratch is a (len(src), nr) buffer, for rows of p or p^T, and one of
+    the size of rows, for the Im terms.  The rows of pack(a ox rho)^T are
+    those of pack(a^T ox rho^T): the call with (a.T, pt, p).
+    """
+    nr = p.shape[0]
+    i, r = np.divmod(src, nr)
+    blocks = rows.reshape(len(src), -1, nr)
+    from_p = np.take(p, r, axis=0, out=scratch[0], mode="clip")
+    np.multiply(a.real[i][:, :, None], from_p[:, None], out=blocks)
+    im = a.imag[i]
+    if not im.any():
+        return
+    from_pt = np.take(pt, r, axis=0, out=scratch[0], mode="clip")
+    terms = np.multiply(im[:, :, None], from_pt[:, None], out=scratch[1].reshape(blocks.shape))
+    terms[np.nonzero(im == 0)] = -0.0
+    blocks += terms
+
+
+def trial_pass(a, p, chi, perm) -> np.ndarray:
+    """G_perm^-1(chi(G_perm(pack(a ox rho)))) for p = pack(rho), in one walk
+    over steps of output rows, with G_t(x) = x[t][:, t]; a new float64
+    matrix.
+
+    The trial's whole dense pipeline: a is the Hermitian ancilla (complex
+    or real, square), p the packed data state (as_packed), perm the encode
+    gather table, a permutation of a's dim times p's (DimensionMismatch
+    else, and for a product dim that is not a power of two), and chi the
+    channel on the encoded state, given in channel_basis: a 4x4 process
+    matrix or its diagonal, the probabilities, for sum_ab chi_ab E_a rho
+    E_b_dag over E = (I, X_n, Y_n, Z_n); None for no channel.  The gathers
+    only move entries, so with chi None the output is pack(a ox rho)
+    itself, built row step by row step.
 
     In channel_basis each E_a is e_a ox I, e_a on the leading qubits, so a
     state split into q x q blocks (q = 2 for odd n, 4 for even n) of
@@ -346,44 +386,70 @@ def pauli_channel_basis_packed(m: np.ndarray, probs, out: np.ndarray | None = No
     (m_uv - (m^T)_uv)/2, so the packed output block (s, t) is
     sum_uv Re T m_uv + Im T (m^T)_uv: one real matrix product of
     [Re T, Im T] with the stack of the blocks of m and of m^T.  Im T is
-    zero for a Pauli channel, and m^T is then not read.
+    zero for a Pauli channel, and m^T is then not built.
 
-    The product runs a step of block rows at a time: the step's rows of
-    every block of m are copied into a stack, and of m^T too,
-    _TRANSPOSE_COLS columns at a time, so the transposed reads stay in the
-    cache.  A step holds the stack, the product and its input rows within
-    half a tile, in a power of two of rows, so that steps tile h.  Each
-    output entry is one dot product of a row of weights with the stack, in
-    BLAS, whose rounding may differ with the product's width: outputs at
-    different steps agree to within rounding, not bit for bit.
+    A step takes rows i0 .. i0 + step of every block: the encoded state's
+    rows x = u h + i are rows perm[x] of pack(a ox rho), built from a and
+    p (_kron_rows) and gathered by perm along columns; the rows of its
+    transpose are those of pack(a^T ox rho^T), built from a^T and p^T.
+    Their blocks go into the stack, the weights multiply it, and the
+    product's rows x, gathered by perm's inverse, are the output's rows
+    perm[x].  A step holds two buffers of its rows and the stack (the rows
+    of p it reads go into their free space) within half a tile, in a power
+    of two of rows, so that steps tile h; it writes each output row once,
+    and no other matrix of the output's size is made.  Each output entry
+    is one dot product of a row of weights with the stack, in BLAS, whose
+    rounding may differ with the product's width: outputs at different
+    steps agree to within rounding, not bit for bit.
     """
-    m = as_packed(m)
-    dim = square_dim(m)
+    a = np.asarray(a, dtype=np.complex128)
+    p = as_packed(p)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise DimensionMismatch(f"the ancilla must be a square matrix, got shape {a.shape}")
+    nr = p.shape[0]
+    dim = a.shape[0] * nr
+    if dim & (dim - 1):
+        raise DimensionMismatch(
+            f"ancilla dim {a.shape[0]} times data dim {nr} is not a power of two"
+        )
+    perm = _check_table(perm, dim, "perm")
+    dest = _inverse(perm, "perm")
     n = dim.bit_length() - 1
-    transfer = _basis_transfer(probs, n)
-    transposed = transfer.imag.any()
+    if chi is not None and n < 1:
+        raise DimensionMismatch("a channel acts on at least one qubit, got a 1-dim state")
+    transfer = None if chi is None else _basis_transfer(chi, n)
+    transposed = transfer is not None and transfer.imag.any()
+    pt = np.ascontiguousarray(p.T) if transposed or a.imag.any() else None
+    out = np.empty((dim, dim))
+    if transfer is None:
+        step = _step_rows(dim, 8 * (nr + dim))
+        scratch = np.empty((step, nr)), np.empty((step, dim))
+        for r0 in range(0, dim, step):
+            src = np.arange(r0, min(r0 + step, dim))
+            _kron_rows(a, p, pt, src, out[r0 : r0 + len(src)], [b[: len(src)] for b in scratch])
+        return out
     weights = np.hstack((transfer.real, transfer.imag)) if transposed else transfer.real
     q = 2 if n % 2 else 4
     h = dim // q
     k = weights.shape[1]
     step = _step_rows(h, 8 * (k + 2 * q * q) * h)
     step = 1 << (step.bit_length() - 1)
-    blocks = m.reshape(q, h, q, h)  # [u, i, v, j] = m_uv[i, j]
-    if out is None:
-        out = np.empty_like(m)
-    check_out(m, out)
+    x, y = np.empty((2, q * step, dim))
     stack = np.empty((1 + transposed, q, q, step, h))
-    prod = np.empty((q, q, step, h))
+    # rows of p (or p^T) in a block of the stack, and Im terms in y, each
+    # free while rows are built
+    scratch = stack[-1].reshape(-1)[: q * step * nr].reshape(q * step, nr), y
+    offsets = (np.arange(q)[:, None] * h + np.arange(step)).reshape(-1)
     for i0 in range(0, h, step):
-        rows = slice(i0, i0 + step)
-        np.copyto(stack[0], blocks[:, rows].transpose(0, 2, 1, 3))
-        if transposed:
-            for j0 in range(0, h, _TRANSPOSE_COLS):
-                cols = slice(j0, j0 + _TRANSPOSE_COLS)
-                # (m^T)_uv[i, j] = m_vu[j, i]
-                np.copyto(stack[1, ..., cols], blocks[:, cols, :, rows].transpose(2, 0, 3, 1))
+        src = perm[offsets + i0]
+        for b, (ab, pb, ptb) in enumerate([(a, p, pt), (a.T, pt, p)][: 1 + transposed]):
+            _kron_rows(ab, pb, ptb, src, x, scratch)
+            np.take(x, perm, axis=1, out=y, mode="clip")
+            np.copyto(stack[b], y.reshape(q, step, q, h).transpose(0, 2, 1, 3))
+        prod = x.reshape(q, q, step, h)
         np.matmul(weights, stack.reshape(k, -1), out=prod.reshape(q * q, -1))
-        out.reshape(q, h, q, h)[:, rows] = prod.transpose(0, 2, 1, 3)
+        np.copyto(y.reshape(q, step, q, h), prod.transpose(0, 2, 1, 3))
+        out[src] = np.take(y, dest, axis=1, out=x, mode="clip")
     return out
 
 
@@ -434,7 +500,8 @@ def kron_dist(d: np.ndarray, a: np.ndarray, r: np.ndarray) -> float:
 
     a may also be a stack (a1, a2) of two matrices: d is then measured
     against a1 ox r + a2 ox r^T, which for a Hermitian a1 + i a2 and
-    r = Re rho + Im rho is the packed (a1 + i a2) ox rho (tensor.pack_kron).
+    r = Re rho + Im rho is the packed (a1 + i a2) ox rho (as trial_pass
+    builds it).
     The a2 term is skipped where a2 is all zero.
 
     d is walked as (A, R, A, R), d[i, j, k, l] = d[i R + j, k R + l], in

@@ -20,10 +20,12 @@ it back off the 4x4 decoded ancilla, so the state passes CNOTs only, as at
 odd n.  The trial encodes into kernels.channel_basis, where the correlated
 errors act on the leading qubits alone, so the channel pass is one small
 real matrix product per step of rows; encode and decode are then one
-gather each, the decode leaving that basis in the same gather.  The four
-dense stages (the input product, encode, the channel pass and decode)
-write into two state buffers in turn, so a trial maps two states, not one
-per stage.
+gather table, the decode leaving that basis in the same gather.  The four
+dense stages (the input product, encode, the channel pass and decode) run
+as one kernel, kernels.trial_pass, which builds each step's rows of the
+input product from sigma and the packed rho and writes each decoded row
+once: a trial holds one packed state, and drops it before it unpacks the
+recovered rho.
 """
 
 from __future__ import annotations
@@ -37,23 +39,23 @@ from .channels import PauliChannel, SpanChannel, check_repeats
 from .channels import checked_sequence_chi, sequence_chi
 from .encoder import EncoderSpec, ancilla_head, ancilla_images, build_pn
 from .errors import AncillaSizeError, BadQubitCount, DimensionMismatch, NotHermitian
-from .gates import circuit_conjugate
+from .gates import circuit_conjugate, gather_tables
 from .tensor import check_memory, frobenius_distance, hermitian_deviation, pack
-from .tensor import pack_kron, packed_kron_distance, unpack
+from .tensor import packed_kron_distance, unpack
 from .tensor import partial_trace_leading, partial_trace_trailing
 from .tolerances import CLASSICAL_TOL, HERMITIAN_TOL, HYBRID_TOL
 
 # Peak memory of a trial, in 2**n x 2**n complex128 matrices (16*4**n
-# bytes; a packed state is half of one), from tracemalloc at n = 8..11 with
-# Pauli, span-Pauli-span and empty lists (repeats 1 and 2, random and
-# classical ancillas): at most 2.54 at n = 8, 1.50 at n = 9, 1.13 at n = 10
-# and 1.15 at n = 11, all with the span list, whose channel pass holds the
-# most scratch, rounded up.  With the even-n encode a pure gather (one
-# scratch buffer, not the Hadamard kernel's two), the Pauli and empty lists
-# peak lower at n = 8 (2.05 and 1.54, from 2.24 and 2.23) and n = 10 (1.10
-# and 1.07, from 1.11).  The two stage buffers are two packed states, one
-# complex state; up to n = 9 the kernels' half tile of step scratch, 2 MiB,
-# outweighs them.
+# bytes; a packed state is half of one), from tracemalloc at n = 8..12 with
+# Pauli, span-Pauli-span and empty lists (repeats 1 and 2, n = 12 at 1;
+# random and classical ancillas): at most 2.73 at n = 8, 1.29 at n = 9,
+# 0.70 at n = 10, 0.89 at n = 11 and 0.60 at n = 12, all with the span
+# list, rounded up.  The one packed state trial_pass writes is half a
+# complex state; up to n = 9 its step scratch, half a tile (2 MiB) for the
+# span list's transposed rows, outweighs it.  At n = 11 the product check
+# sets it, holding the state, pack(rho), the recovered trace and its
+# transposed copy (an eighth of a state each); the recovered rho is
+# unpacked after the state is dropped.
 TRIAL_PEAK_STATES = 3
 
 
@@ -154,11 +156,12 @@ def run_trial(
     P = pack(rho), with sigma' the ancilla through the encoder's
     ancilla-only head, is encoded by the rest of the circuit (into
     kernels.channel_basis, as a last permutation of its gather), passed
-    through the channels and decoded as one float64 matrix.  The partial
-    traces of the decoded M are the packed ancilla and data states, which
-    are unpacked, the ancilla after the head is taken back off it; the
-    product checks measure M against the packed products blockwise.  Every
-    check runs before any 4**n allocation.
+    through the channels and decoded as one float64 matrix, in one
+    kernels.trial_pass that never forms the input M.  The partial traces
+    of the decoded M are the packed ancilla and data states, which are
+    unpacked, the ancilla after the head is taken back off it; the product
+    checks measure M against the packed products blockwise.  Every check
+    runs before any 4**n allocation.
     """
     repeats = check_repeats(repeats)
     if isinstance(channels, (PauliChannel, SpanChannel)):
@@ -181,40 +184,40 @@ def run_trial(
     scale = 0.5**h
     encoded = sigma if head is None else scale * (head @ sigma @ head.T)
 
-    # the stages run in two buffers: the input a, encoded into a new b, the
-    # channel pass back into a and the decode into b (into a when there is
-    # no channel), so a trial maps two states, not one per stage.  The
-    # buffer the decode did not write is then dropped, and the checks below
-    # hold only the decoded state: the product checks measure it against a
-    # kron product blockwise, without forming it.  The factors are the
-    # rest's, then channel_basis: one more table in the same gather, undone
-    # by the decode's
-    factors = rest + (("perm", kernels.channel_basis(n)),)
+    # the rest and then channel_basis, as one gather table: trial_pass
+    # builds, encodes, passes the channel and decodes in one walk, with no
+    # other state.  A rest that holds a Hadamard (a substituted circuit;
+    # build_pn's rest is CNOT-only) is conjugated on either side of a pass
+    # in the basis alone
+    basis = (("perm", kernels.channel_basis(n)),)
+    tables, qubits = gather_tables(rest + basis)
     p = pack(rho)
-    a = pack_kron(encoded, p)
-    b = circuit_conjugate(factors, a)
-    if chi is not None:
-        kernels.pauli_channel_basis_packed(b, chi, out=a)
-        a, b = b, a
-    state = circuit_conjugate(factors, b, adjoint=True, out=a)
-    del a, b
+    if not qubits:
+        state = kernels.trial_pass(encoded, p, chi, tables[0])
+    else:
+        state = kernels.trial_pass(encoded, p, None, np.arange(1 << n))
+        (basis_table,), _ = gather_tables(basis)
+        state = kernels.trial_pass([[1.0]], circuit_conjugate(rest, state), chi, basis_table)
+        state = circuit_conjugate(rest, state, adjoint=True)
 
     # the packed traces, float64 as the state, each a new array; the
     # ancilla's is taken back through the head while packed, a real
-    # congruence, so that unpack leaves it exactly Hermitian
+    # congruence, so that unpack leaves it exactly Hermitian.  The checks
+    # that read the state run first, so that it is dropped before the data
+    # trace is unpacked
     recovered = partial_trace_leading(state, sigma.shape[0])
-    recovered_rho = unpack(recovered)
     trailing = partial_trace_trailing(state, rho.shape[0])
     ancilla = unpack(trailing)
-    ancilla_out = ancilla if head is None else unpack(scale * (head.T @ trailing @ head))
-    predicted = _predicted_from_chi(sigma, chi, spec.parity, spec.sign)
-
-    rho_residual = frobenius_distance(recovered_rho, rho)
-    ancilla_residual = frobenius_distance(ancilla_out, predicted)
     product_residual = packed_kron_distance(state, ancilla, recovered)
     hybrid_exact = None
     if spec.parity == "even" and _is_classical(sigma):
         hybrid_exact = packed_kron_distance(state, encoded, p) <= HYBRID_TOL
+    del state, p
+    recovered_rho = unpack(recovered)
+    ancilla_out = ancilla if head is None else unpack(scale * (head.T @ trailing @ head))
+    predicted = _predicted_from_chi(sigma, chi, spec.parity, spec.sign)
+    rho_residual = frobenius_distance(recovered_rho, rho)
+    ancilla_residual = frobenius_distance(ancilla_out, predicted)
     return SchemeOutcome(
         recovered_rho=recovered_rho,
         ancilla_out=ancilla_out,

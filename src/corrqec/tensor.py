@@ -9,9 +9,10 @@ A Hermitian rho = A + iB (A symmetric, B antisymmetric) is packed into the
 one float64 matrix M = A + B = Re rho + Im rho, half the bytes of rho, and
 unpacked as A = (M + M^T)/2, B = (M - M^T)/2.  Real maps keep the parts
 apart: a real congruence, a partial trace or a Frobenius norm acts on M as
-it does on rho.  pack_kron packs a product from a packed factor, and
-packed_kron_distance measures a packed state against a product, blockwise
-(kernels.kron_dist), without forming it.  A packed state is float64
+it does on rho.  packed_kron_distance measures a packed state against a
+product, blockwise (kernels.kron_dist), without forming it, and
+kernels.trial_pass builds a packed product row by row from the packed
+factor, Re a ox P + Im a ox P^T.  A packed state is float64
 throughout: these reject a complex one (kernels.as_packed), and its
 partial traces stay float64.  The trial (scheme.run_trial) runs on packed
 states; a complex128 matrix there is the ancilla or the data state, never
@@ -30,6 +31,8 @@ from .errors import BadQubitCount, DimensionMismatch
 # Peak number of live dim x dim complex128 matrices inside random_density,
 # from tracemalloc at dim = 64..512 (2.0-2.5), rounded up.
 RANDOM_DENSITY_PEAK_STATES = 3
+# Rows per band of hermitian_deviation.
+_HERMITIAN_BAND = 64
 
 
 def as_square(m) -> np.ndarray:
@@ -73,9 +76,21 @@ def frobenius_distance(a, b) -> float:
 
 
 def hermitian_deviation(m) -> float:
-    """Largest |m - m_dag| entry of a square m; nan if m holds one."""
+    """Largest |m - m_dag| entry of a square m; nan if m holds one.
+
+    Entry (j, i) of m - m_dag is the negated conjugate of entry (i, j), of
+    the same abs, so the upper triangle with the diagonal holds every
+    value: each band of rows m[i0:i0+t, i0:] is compared with its mirror
+    m[i0:, i0:i0+t]_dag, with the whole-array form's complex subtract and
+    abs, and the band maxima are reduced with np.max, which keeps a nan
+    from any band."""
     m = as_square(m)
-    return float(np.abs(m - m.conj().T).max())
+    dim = m.shape[0]
+    maxima = [
+        np.abs(m[i0 : i0 + _HERMITIAN_BAND, i0:] - m[i0:, i0 : i0 + _HERMITIAN_BAND].conj().T).max()
+        for i0 in range(0, dim, _HERMITIAN_BAND)
+    ]
+    return float(np.max(maxima))
 
 
 def pack(rho) -> np.ndarray:
@@ -93,25 +108,6 @@ def unpack(m) -> np.ndarray:
     np.add(m, mt, out=out.real)
     np.subtract(m, mt, out=out.imag)
     out *= 0.5
-    return out
-
-
-def pack_kron(a, p) -> np.ndarray:
-    """pack(a ox rho) for a Hermitian a and p = pack(rho): block (i, k) is
-    Re a[i, k] p + Im a[i, k] p^T, the second term only where it is nonzero."""
-    a = as_square(a)
-    p = kernels.as_packed(p)
-    na, nr = a.shape[0], p.shape[0]
-    out = np.empty((na * nr, na * nr))
-    blocks = out.reshape(na, nr, na, nr)
-    pt = scratch = None
-    for i in range(na):
-        for k in range(na):
-            np.multiply(p, a.real[i, k], out=blocks[i, :, k])
-            if a.imag[i, k]:
-                if pt is None:
-                    pt, scratch = np.ascontiguousarray(p.T), np.empty_like(p)
-                blocks[i, :, k] += np.multiply(pt, a.imag[i, k], out=scratch)
     return out
 
 

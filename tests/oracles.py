@@ -4,11 +4,14 @@ Everything here is deliberately naive: dense Kronecker assembly, explicit
 matrix products, and direct index summation.  Tests compare the package's
 structured fast paths against these so they never certify themselves.
 The package runs its trial on packed float64 states only, with the
-encoder's ancilla-only head applied to the ancilla alone; complex_trial
-here is the same pipeline on complex128 states through the whole circuit,
-Hadamard included, built from np.kron, the encoder's circuit_conjugate,
-the whole-array channel sum chi_channel and the dense distance
-kron_distance.
+encoder's ancilla-only head applied to the ancilla alone, and builds,
+encodes, passes the channel and decodes in one kernel (trial_pass).
+fresh_trial here runs that kernel's four stages apart, one whole array
+each (pack_kron, gathers, pauli_channel_basis_packed), as its bit-for-bit
+reference; complex_trial is the same pipeline on complex128 states through
+the whole circuit, Hadamard included, built from np.kron, the encoder's
+circuit_conjugate, the whole-array channel sum chi_channel and the dense
+distance kron_distance.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ from corrqec.channels import Channel, PauliChannel, checked_sequence_chi
 from corrqec.encoder import ancilla_head, ancilla_images, build_pn, encoder_factors
 from corrqec.errors import DimensionMismatch
 from corrqec.gates import circuit_conjugate, circuit_factors, cnot_perm
+from corrqec.kernels import _basis_transfer, _step_rows, as_packed, check_out, square_dim
 from corrqec.scheme import classical_state, predicted_ancilla
 from corrqec.tensor import as_square, frobenius_distance, pack
-from corrqec.tensor import pack_kron, packed_kron_distance, unpack
+from corrqec.tensor import packed_kron_distance, unpack
 from corrqec.tensor import partial_trace_leading, partial_trace_trailing
 from corrqec.tolerances import CLASSICAL_TOL, HYBRID_TOL
 
@@ -357,12 +361,96 @@ def _is_classical(sigma) -> bool:
     )
 
 
+# ---------------------------------------------------------------------------
+# the trial's four dense stages, one array each: kernels.trial_pass fuses
+# them, and fresh_trial runs them apart as its bit-for-bit reference
+
+# Columns of m per transposed copy in pauli_channel_basis_packed.
+_TRANSPOSE_COLS = 64
+
+
+def pack_kron(a, p) -> np.ndarray:
+    """pack(a ox rho) for a Hermitian a and p = pack(rho): block (i, k) is
+    Re a[i, k] p + Im a[i, k] p^T, the second term only where it is nonzero."""
+    a = as_square(a)
+    p = kernels.as_packed(p)
+    na, nr = a.shape[0], p.shape[0]
+    out = np.empty((na * nr, na * nr))
+    blocks = out.reshape(na, nr, na, nr)
+    pt = scratch = None
+    for i in range(na):
+        for k in range(na):
+            np.multiply(p, a.real[i, k], out=blocks[i, :, k])
+            if a.imag[i, k]:
+                if pt is None:
+                    pt, scratch = np.ascontiguousarray(p.T), np.empty_like(p)
+                blocks[i, :, k] += np.multiply(pt, a.imag[i, k], out=scratch)
+    return out
+
+
+def pauli_channel_basis_packed(m: np.ndarray, probs, out: np.ndarray | None = None) -> np.ndarray:
+    """sum_ab chi_ab E_a rho E_b_dag over E = (I, X_n, Y_n, Z_n), on the
+    packed Hermitian state m of rho given in channel_basis, float64 in
+    (as_packed, square_dim) and out; written into out (check_out) if given,
+    which it then returns.
+    probs is a 4x4 chi or the probabilities (p0, p1, p2, p3), its diagonal.
+
+    In channel_basis each E_a is e_a ox I, e_a on the leading qubits, so a
+    state split into q x q blocks (q = 2 for odd n, 4 for even n) of
+    h = 2**n / q rows goes to sum_uv T[(s, t), (u, v)] times block (u, v) in
+    block (s, t) (_basis_transfer).  For m = Re rho + Im rho (tensor.pack)
+    block (u, v) of Re rho is (m_uv + (m^T)_uv)/2 and of Im rho
+    (m_uv - (m^T)_uv)/2, so the packed output block (s, t) is
+    sum_uv Re T m_uv + Im T (m^T)_uv: one real matrix product of
+    [Re T, Im T] with the stack of the blocks of m and of m^T.  Im T is
+    zero for a Pauli channel, and m^T is then not read.
+
+    The product runs a step of block rows at a time: the step's rows of
+    every block of m are copied into a stack, and of m^T too,
+    _TRANSPOSE_COLS columns at a time, so the transposed reads stay in the
+    cache.  A step holds the stack, the product and its input rows within
+    half a tile, in a power of two of rows, so that steps tile h.  Each
+    output entry is one dot product of a row of weights with the stack, in
+    BLAS, whose rounding may differ with the product's width: outputs at
+    different steps agree to within rounding, not bit for bit.
+    """
+    m = as_packed(m)
+    dim = square_dim(m)
+    n = dim.bit_length() - 1
+    transfer = _basis_transfer(probs, n)
+    transposed = transfer.imag.any()
+    weights = np.hstack((transfer.real, transfer.imag)) if transposed else transfer.real
+    q = 2 if n % 2 else 4
+    h = dim // q
+    k = weights.shape[1]
+    step = _step_rows(h, 8 * (k + 2 * q * q) * h)
+    step = 1 << (step.bit_length() - 1)
+    blocks = m.reshape(q, h, q, h)  # [u, i, v, j] = m_uv[i, j]
+    if out is None:
+        out = np.empty_like(m)
+    check_out(m, out)
+    stack = np.empty((1 + transposed, q, q, step, h))
+    prod = np.empty((q, q, step, h))
+    for i0 in range(0, h, step):
+        rows = slice(i0, i0 + step)
+        np.copyto(stack[0], blocks[:, rows].transpose(0, 2, 1, 3))
+        if transposed:
+            for j0 in range(0, h, _TRANSPOSE_COLS):
+                cols = slice(j0, j0 + _TRANSPOSE_COLS)
+                # (m^T)_uv[i, j] = m_vu[j, i]
+                np.copyto(stack[1, ..., cols], blocks[:, cols, :, rows].transpose(2, 0, 3, 1))
+        np.matmul(weights, stack.reshape(k, -1), out=prod.reshape(q * q, -1))
+        out.reshape(q, h, q, h)[:, rows] = prod.transpose(0, 2, 1, 3)
+    return out
+
+
 def fresh_trial(n: int, sigma, rho, channels, repeats: int = 1) -> dict:
-    """run_trial's packed stages with a fresh array per stage: the ancilla
-    head (encoder.ancilla_head) on sigma, pack_kron, the encode gather of
-    the rest, pauli_channel_basis_packed and the decode gather each
-    allocate their output; then run_trial's traces, the head taken back
-    off the ancilla, and its checks."""
+    """run_trial with its one fused kernel.trial_pass split into the four
+    stages it fuses, a fresh array each: after the ancilla head
+    (encoder.ancilla_head) on sigma, pack_kron, the encode gather of the
+    rest, pauli_channel_basis_packed and the decode gather each allocate
+    their output; then run_trial's traces, the head taken back off the
+    ancilla, and its checks."""
     spec = build_pn(n)
     sigma = np.asarray(sigma, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
@@ -374,7 +462,7 @@ def fresh_trial(n: int, sigma, rho, channels, repeats: int = 1) -> dict:
     p = pack(rho)
     state = circuit_conjugate(factors, pack_kron(encoded, p))
     if chi is not None:
-        state = kernels.pauli_channel_basis_packed(state, chi)
+        state = pauli_channel_basis_packed(state, chi)
     state = circuit_conjugate(factors, state, adjoint=True)
     recovered = partial_trace_leading(state, sigma.shape[0])
     trailing = partial_trace_trailing(state, rho.shape[0])

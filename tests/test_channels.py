@@ -230,35 +230,39 @@ def test_composed_sequence_matches_sequential_dense_oracle(seed):
 
 
 def _count_channel_passes(monkeypatch) -> list:
-    """Record each call of the packed channel pass, the only one run_trial
-    makes, as its (state, chi, output)."""
+    """Record each call of the trial's one dense pass, kernels.trial_pass,
+    as its (a, p, chi, perm, output)."""
     calls = []
-    real = kernels.pauli_channel_basis_packed
+    real = kernels.trial_pass
 
-    def counted(m, probs, out=None):
-        calls.append((m.copy(), probs, real(m, probs, out)))
-        return calls[-1][2]
+    def counted(a, p, chi, perm):
+        calls.append((a, p.copy(), chi, perm, real(a, p, chi, perm)))
+        return calls[-1][-1]
 
-    monkeypatch.setattr(kernels, "pauli_channel_basis_packed", counted)
+    monkeypatch.setattr(kernels, "trial_pass", counted)
     return calls
 
 
 @pytest.mark.parametrize("length,repeats", [(0, 1), (1, 1), (1, 7), (3, 1), (4, 1000)])
 def test_pauli_only_list_is_one_pauli_pass(monkeypatch, length, repeats):
-    """A trial makes one channel pass for a nonempty list of Pauli channels,
-    at any repeat count, and none for an empty list."""
+    """A trial makes one pass of its state for a list of Pauli channels, at
+    any repeat count, by the list's composed chi, and by None for an empty
+    list."""
     n = 4
     rng = np.random.default_rng(length + repeats)
     channels = [PauliChannel(n, tuple(rng.dirichlet(np.ones(4)))) for _ in range(length)]
-    real = kernels.pauli_channel_basis_packed
+    real = kernels.trial_pass
     calls = _count_channel_passes(monkeypatch)
     out = run_trial(n, classical_state(0, 1), random_density(4, 1), channels, repeats)
     assert out.hybrid_exact is True
-    assert len(calls) == min(length, 1)
-    for m, chi, got in calls:
-        # the same output as the probabilities form, the 4-vector of chi's diagonal
+    assert len(calls) == 1
+    for a, p, chi, perm, got in calls:
+        if not channels:
+            assert chi is None
+            continue
         assert np.array_equal(chi, sequence_chi(channels, repeats))
-        want = real(m, np.diagonal(chi).real)
+        # the same output as the probabilities form, the 4-vector of chi's diagonal
+        want = real(a, p, np.diagonal(chi).real, perm)
         assert np.array_equal(got, want)
 
 
@@ -278,6 +282,7 @@ def test_list_with_a_span_channel_makes_at_most_four_conjugations(monkeypatch, s
     calls = _count_channel_passes(monkeypatch)
     run_trial(n, random_density(2, seed), random_density(4, seed + 1), channels, repeats)
     assert len(calls) == 1
+    assert np.array_equal(calls[0][2], sequence_chi(channels, repeats))
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
@@ -292,7 +297,8 @@ def test_one_channel_applied_once_is_the_direct_applier(n):
         assert np.array_equal(checked_sequence_chi([ch], (1 << n, 1 << n), 1), want)
     m = random_density(1 << n, n)
     m = m.real + m.imag
+    identity = np.arange(1 << n)
     assert np.array_equal(
-        kernels.pauli_channel_basis_packed(m, chi_matrix(pauli)),
-        kernels.pauli_channel_basis_packed(m, pauli.probs),
+        kernels.trial_pass([[1.0]], m, chi_matrix(pauli), identity),
+        kernels.trial_pass([[1.0]], m, pauli.probs, identity),
     )

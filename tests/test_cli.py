@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrqec import cli, scheme
+from corrqec import cli, kernels, scheme
 from corrqec.channels import PauliChannel
 from corrqec.cli import (
     cmd_optimality,
@@ -200,7 +200,7 @@ def test_bad_repeats_rejected_before_any_state_is_built(monkeypatch, repeats):
     def fail(*args):
         raise AssertionError("a state was built before repeats was checked")
 
-    monkeypatch.setattr(scheme, "pack_kron", fail)
+    monkeypatch.setattr(kernels, "trial_pass", fail)
     monkeypatch.setattr(cli, "random_density", fail)
     probs = (0.7, 0.1, 0.1, 0.1)
     error = TypeError if isinstance(repeats, float) else ValueError

@@ -10,10 +10,13 @@ from corrqec import kernels
 from corrqec.encoder import encoder_factors
 from corrqec.errors import BadQubitIndex, DimensionMismatch
 
+import oracles
 from oracles import (
     HAD,
     chi_channel,
     embed_single,
+    pack_kron,
+    pauli_channel_basis_packed,
     pauli_channel_dense,
     pauli_power,
     permutation_matrix,
@@ -157,12 +160,13 @@ _PARTLY_ZERO_CHI = [
 
 
 def _pauli_channel_apply(rho, chi):
-    """The channel as the trial applies it, pauli_channel_basis_packed on
-    the packed Hermitian rho in channel_basis, with the input checked
-    unmodified; returns the packed output in channel_basis."""
+    """The channel as the trial applies it, kernels.trial_pass with the 1x1
+    ancilla and the identity table on the packed Hermitian rho in
+    channel_basis, with the input checked unmodified; returns the packed
+    output in channel_basis."""
     n = rho.shape[0].bit_length() - 1
     m = _to_basis(_pack(rho), n)
-    return _checked(kernels.pauli_channel_basis_packed, m, chi)
+    return _checked(kernels.trial_pass, np.ones((1, 1)), m, chi, np.arange(1 << n))
 
 
 def test_pauli_channel_apply_against_kraus_sum():
@@ -361,6 +365,7 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
         "kron": [kernels.kron_dist(m, a, r) for a, r in kron_cases],
         "real_fused": [kernels.gather_hadamard_conjugate(real, perm, q, perm2) for q in qs],
         "real_kron": [kernels.kron_dist(real, a, r) for a, r in real_kron],
+        "trial": [kernels.trial_pass(*args) for args in _trial_pass_cases(n)],
     }
     if k is not None:
         monkeypatch.setattr(kernels, "_TILE_BYTES", 16 * dim * k)
@@ -391,6 +396,31 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     for (a, r), dist in zip(real_kron, whole["real_kron"]):
         assert _checked(kernels.kron_dist, real, a, r) == pytest.approx(dist, rel=1e-12)
         assert kernels.kron_dist(np.kron(a, r), a, r) == 0.0
+    # the trial pass's channel sums are BLAS dot products, whose rounding
+    # may follow the product's width: equal to within rounding; with no
+    # channel it only builds and moves entries, bit for bit
+    for args, want in zip(_trial_pass_cases(n), whole["trial"]):
+        got = _checked(kernels.trial_pass, *args)
+        if args[2] is None:
+            assert np.array_equal(got, want)
+        else:
+            assert np.allclose(got, want, rtol=0.0, atol=1e-15 * np.abs(want).max())
+
+
+def _trial_pass_cases(n):
+    """(a, p, chi, perm) for kernels.trial_pass at n: a complex and a real
+    ancilla of the trial's size (2 for odd n, 4 for even), a random chi,
+    probabilities and no channel; seeded by n, so every call gives the
+    same cases."""
+    draw = np.random.default_rng(n + 500)
+    na = 2 if n % 2 else 4
+    nr = (1 << n) // na
+    a = random_complex_matrix(na, n + 501)
+    a = a + a.conj().T
+    p = _pack(_hermitian(n, n + 502)[:nr, :nr])
+    perm = draw.permutation(1 << n)
+    chis = (_random_chi(draw), draw.dirichlet(np.ones(4)), None)
+    return [(x, p, chi, perm) for x in (a, a.real) for chi in chis]
 
 
 def _peak_bytes(fn, *args):
@@ -435,6 +465,7 @@ def test_dense_kernels_hold_one_output_plus_tile_scratch():
 # per-kernel byte counts, which bind these names) use them.
 KERNEL_SIGNATURES = {
     "gather_conjugate": ("m", "perm"),
+    "trial_pass": ("a", "p", "chi", "perm"),
     "gather_hadamard_conjugate": ("m", "before", "q", "after"),
     "ptrace_leading": ("m", "keep"),
     "ptrace_trailing": ("m", "keep"),
@@ -493,21 +524,21 @@ def test_pauli_channel_basis_packed_is_the_packed_complex_pass():
         m = _to_basis(_pack(rho), n)
         chis = [_random_chi(rng), np.diag(rng.dirichlet(np.ones(4)))] + _PARTLY_ZERO_CHI
         for chi in chis:
-            got = _checked(kernels.pauli_channel_basis_packed, m, chi)
+            got = _checked(pauli_channel_basis_packed, m, chi)
             assert got.dtype == np.float64
             want = _to_basis(_pack(chi_channel(rho, chi)), n)
             assert np.allclose(got, want, rtol=0.0, atol=1e-12), n
         probs = rng.dirichlet(np.ones(4))
-        got = kernels.pauli_channel_basis_packed(m, probs)
-        assert np.array_equal(got, kernels.pauli_channel_basis_packed(m, np.diag(probs)))
+        got = pauli_channel_basis_packed(m, probs)
+        assert np.array_equal(got, pauli_channel_basis_packed(m, np.diag(probs)))
         # a packed state is real: a complex one is rejected, not cast
         with pytest.raises(DimensionMismatch):
-            kernels.pauli_channel_basis_packed(m + 0.25j, probs)
+            pauli_channel_basis_packed(m + 0.25j, probs)
     # and a register of qubits: a dim that is not a power of two has no
     # leading qubits to act on
     for dim in (6, 12):
         with pytest.raises(DimensionMismatch):
-            kernels.pauli_channel_basis_packed(np.eye(dim), probs)
+            pauli_channel_basis_packed(np.eye(dim), probs)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
@@ -519,13 +550,13 @@ def test_pauli_channel_basis_packed_is_tile_size_independent(monkeypatch, n, k):
     rng = np.random.default_rng(n * 7 + k)
     m = _to_basis(_pack(_hermitian(n, n + 130)), n)
     chis = [_random_chi(rng), np.diag(rng.dirichlet(np.ones(4)))]
-    whole = [kernels.pauli_channel_basis_packed(m, chi) for chi in chis]
+    whole = [pauli_channel_basis_packed(m, chi) for chi in chis]
     dim = 1 << n
     monkeypatch.setattr(kernels, "_TILE_BYTES", 16 * dim * k)
     for cols in (1, 3, 64):
-        monkeypatch.setattr(kernels, "_TRANSPOSE_COLS", cols)
+        monkeypatch.setattr(oracles, "_TRANSPOSE_COLS", cols)
         for chi, want in zip(chis, whole):
-            got = _checked(kernels.pauli_channel_basis_packed, m, chi)
+            got = _checked(pauli_channel_basis_packed, m, chi)
             assert np.allclose(got, want, rtol=0.0, atol=1e-15 * np.abs(want).max())
 
 
@@ -534,7 +565,118 @@ def test_pauli_channel_basis_packed_holds_one_output_plus_tile_scratch():
     for n in (8, 9, 10):
         m = _pack(_hermitian(n, n + 140))
         for chi in (_random_chi(np.random.default_rng(n)), (0.4, 0.3, 0.2, 0.1)):
-            assert _peak_bytes(kernels.pauli_channel_basis_packed, m, chi) < m.nbytes + scratch
+            assert _peak_bytes(pauli_channel_basis_packed, m, chi) < m.nbytes + scratch
+
+
+def _four_stages(a, p, chi, perm):
+    """trial_pass's stages apart, a whole array each: pack_kron, the gather
+    by perm, pauli_channel_basis_packed (none for chi None) and the gather
+    by perm's inverse."""
+    state = kernels.gather_conjugate(pack_kron(a, p), perm)
+    if chi is not None:
+        state = pauli_channel_basis_packed(state, chi)
+    return kernels.gather_conjugate(state, np.argsort(perm))
+
+
+def _signed_zero_ancillas(na):
+    """Hermitian ancillas with exact zeros, negative entries and zero
+    imaginary parts off the diagonal, so that products of +-0.0 occur."""
+    a = np.zeros((na, na), dtype=complex)
+    a[0, 0] = -1.0
+    if na > 1:
+        a[0, 1], a[1, 0] = 0.5j, -0.5j
+        a[na - 1, na - 1] = 0.25
+    b = np.diag(-np.arange(na, dtype=float)).astype(complex)
+    b[0, na - 1] = b[na - 1, 0] = -0.5
+    return a, b
+
+
+# _TILE_BYTES = 16*dim*k: k = 1 and 5 give one row per step and an uneven
+# last step of the no-channel build; k = 30 a few rows per step.  n = 1..7
+# covers every phase of Y_n and both parities
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("k", [None, 1, 5, 30])
+def test_trial_pass_is_the_four_stage_pipeline_bit_for_bit(monkeypatch, n, k):
+    # the same step rule for the channel product, so the same BLAS shapes:
+    # the output equals the four stages apart to the last bit, the signs of
+    # zeros included, at every tile size, for every ancilla size that
+    # divides the dim
+    dim = 1 << n
+    rng = np.random.default_rng(n * 13 + (k or 0))
+    if k is not None:
+        monkeypatch.setattr(kernels, "_TILE_BYTES", 16 * dim * k)
+    chis = [_random_chi(rng), rng.dirichlet(np.ones(4)), None] + _PARTLY_ZERO_CHI[2:]
+    for na in (1, 2, 4)[: n + 1]:
+        nr = dim // na
+        h = random_complex_matrix(na, n + 510)
+        rho = _hermitian(n, n + 511)[:nr, :nr]
+        p = _pack(rho)
+        p[0, :] = 0.0  # zeros, so that the product holds signed zeros
+        ancillas = [h + h.conj().T, (h + h.conj().T).real, *_signed_zero_ancillas(na)]
+        perm = rng.permutation(dim)
+        for a in ancillas:
+            for chi in chis:
+                got = _checked(kernels.trial_pass, a, p, chi, perm)
+                want = _four_stages(a, p, chi, perm)
+                assert got.dtype == np.float64
+                assert np.array_equal(got, want), (na, chi)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (na, chi)
+
+
+def test_trial_pass_in_the_standard_basis_is_the_dense_kraus_sum():
+    # with the table that enters channel_basis, the pass is the channel on
+    # the state in the standard basis, and with an ancilla the channel on
+    # a ox rho
+    rng = np.random.default_rng(47)
+    for n in range(1, 8):
+        into_basis = np.argsort(kernels.channel_basis(n))
+        for na in (1, 2, 4)[: n + 1]:
+            a = random_complex_matrix(na, n + 520)
+            a = a + a.conj().T
+            rho = _hermitian(n, n + 521)[: (1 << n) // na, : (1 << n) // na]
+            for chi in [_random_chi(rng)] + _PARTLY_ZERO_CHI:
+                got = kernels.trial_pass(a, _pack(rho), chi, into_basis)
+                want = _pack(_chi_dense(chi, np.kron(a, rho)))
+                assert np.allclose(got, want, rtol=0.0, atol=1e-11), (n, na)
+
+
+def test_trial_pass_rejects_what_it_cannot_pass():
+    p = _pack(_hermitian(3, 530))
+    a = np.eye(2)
+    perm = np.arange(16)
+    assert kernels.trial_pass(a, p, (0.4, 0.3, 0.2, 0.1), perm).shape == (16, 16)
+    for bad in (
+        # a table that is not a permutation: it repeats an index, is out of
+        # range or of the wrong length
+        (a, p, None, np.r_[0, 0, perm[2:]]),
+        (a, p, (0.4, 0.3, 0.2, 0.1), np.r_[perm[:-1], 16]),
+        (a, p, None, perm[:-1]),
+        # a packed state is real: a complex one is rejected, not cast
+        (a, p + 0.25j, None, perm),
+        (a, p + 0.25j, (0.4, 0.3, 0.2, 0.1), perm),
+        # dims whose product is not a power of two, or not square
+        (np.eye(3), p, None, np.arange(24)),
+        (np.eye(1), np.eye(6), (0.4, 0.3, 0.2, 0.1), np.arange(6)),
+        (np.ones((2, 1)), p, None, perm),
+        (a, np.ones((8, 4)), None, perm),
+        # a channel needs a qubit to act on
+        (np.ones((1, 1)), np.ones((1, 1)), (0.4, 0.3, 0.2, 0.1), [0]),
+    ):
+        with pytest.raises(DimensionMismatch):
+            kernels.trial_pass(*bad)
+
+
+def test_trial_pass_holds_one_output_plus_tile_scratch():
+    # one output, its step buffers within half a tile, p^T where a term
+    # reads it and numpy's iterator buffers for a broadcast product (8192
+    # entries an operand; 132 KiB measured); no other array of the
+    # output's size
+    scratch = kernels._TILE_BYTES // 2
+    for n in (8, 9, 10):
+        for a, p, chi, perm in _trial_pass_cases(n):
+            out = 8 * 4**n
+            bound = out + scratch + p.nbytes + 256 * 1024
+            assert _peak_bytes(kernels.trial_pass, a, p, chi, perm) < bound, (n, chi)
 
 
 def test_kron_dist_two_terms_against_kron_oracle(monkeypatch):
@@ -603,9 +745,9 @@ def test_into_out_kernels_return_out_and_match_the_allocating_forms(monkeypatch,
                 assert want.dtype == x.dtype and np.array_equal(got, want)
     for chi in chis:
         out = np.full_like(basis, np.nan)
-        got = _checked(lambda *args: kernels.pauli_channel_basis_packed(*args, out), basis, chi)
+        got = _checked(lambda *args: pauli_channel_basis_packed(*args, out), basis, chi)
         assert got is out
-        assert np.array_equal(got, kernels.pauli_channel_basis_packed(basis, chi))
+        assert np.array_equal(got, pauli_channel_basis_packed(basis, chi))
 
 
 def _into_out_calls():
@@ -616,7 +758,7 @@ def _into_out_calls():
     return [
         ("gather", lambda m, out: kernels._gather_conjugate_into(m, perm, out)),
         ("fused", lambda m, out: kernels._gather_hadamard_conjugate_into(m, perm, 1, perm, out)),
-        ("channel", lambda m, out: kernels.pauli_channel_basis_packed(m, chi, out)),
+        ("channel", lambda m, out: pauli_channel_basis_packed(m, chi, out)),
     ]
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from corrqec import (
     CorrQecError,
+    kernels,
     DimensionMismatch,
     frobenius_distance,
     partial_trace_leading,
@@ -18,7 +19,6 @@ from corrqec.tensor import (
     RANDOM_DENSITY_PEAK_STATES,
     hermitian_deviation,
     pack,
-    pack_kron,
     packed_kron_distance,
     unpack,
 )
@@ -30,6 +30,7 @@ from oracles import (
     dagger,
     is_density_matrix,
     matmul,
+    pack_kron,
     ptrace_leading_direct,
     ptrace_trailing_direct,
     random_complex_matrix,
@@ -182,6 +183,14 @@ def test_pack_kron_is_the_packed_product():
         # the packed factor is real: an unpacked complex r is rejected
         with pytest.raises(DimensionMismatch):
             pack_kron(a, r)
+        # the fused trial pass with no channel is this product, bit for bit,
+        # whatever its gather table: the gathers only move entries
+        perm = np.random.default_rng(na * nr).permutation(na * nr)
+        for x in (a, a.real):
+            want = pack_kron(x, pack(r))
+            got = kernels.trial_pass(x, pack(r), None, perm)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_packed_kron_distance_is_the_hermitian_distance():
@@ -216,3 +225,37 @@ def test_hermitian_deviation():
     assert hermitian_deviation(h) == pytest.approx(1e-9)
     h[3, 129] = np.nan
     assert np.isnan(hermitian_deviation(h))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 63, 64, 65, 130, 300])
+def test_hermitian_deviation_is_the_whole_matrix_maximum(dim):
+    # the check walks bands of rows against their mirrored columns, so it
+    # reads each pair once; its value is that of the whole-array form, and a
+    # nan or inf anywhere, below, on or above the diagonal, makes it fail
+    def whole(m):
+        with np.errstate(invalid="ignore"):
+            return float(np.abs(m - m.conj().T).max())
+
+    rng = np.random.default_rng(dim)
+    h = random_complex_matrix(dim, dim + 74)
+    h = h + h.conj().T
+    assert hermitian_deviation(h) == 0.0
+    cells = [(0, 0), (dim - 1, dim - 1)]
+    if dim > 1:
+        cells += [(dim - 1, 0), (0, dim - 1)]
+        cells += [tuple(rng.choice(dim, 2, replace=False)) for _ in range(4)]
+    for i, j in cells:
+        bumped = h.copy()
+        bumped[i, j] += complex(*rng.normal(size=2)) * 1e-7
+        assert hermitian_deviation(bumped) == whole(bumped) > 0.0, (i, j)
+        for bad in (np.nan, complex(0.0, np.nan), np.inf, complex(0.0, -np.inf)):
+            broken = h.copy()
+            broken[i, j] = bad
+            with np.errstate(invalid="ignore"):
+                dev = hermitian_deviation(broken)
+            want = whole(broken)
+            assert dev == want or (np.isnan(dev) and np.isnan(want)), (i, j, bad)
+            assert not dev <= 1.0, (i, j, bad)
+    # a perturbed matrix: the same float as the whole-array form
+    noisy = h + 1e-9 * random_complex_matrix(dim, dim + 75)
+    assert hermitian_deviation(noisy) == whole(noisy)
