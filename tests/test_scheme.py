@@ -26,6 +26,7 @@ from corrqec import channels as channels_module
 from corrqec import kernels, scheme
 from corrqec.kernels import _TILE_BYTES
 from corrqec.scheme import TRIAL_PEAK_STATES
+from corrqec.tensor import pack
 from corrqec.tolerances import HERMITIAN_TOL, TRIAL_TOL
 
 from oracles import apply_channels, circuit_matrix, complex_trial, decode, encode, fresh_trial
@@ -513,6 +514,42 @@ def test_trial_holds_one_state(monkeypatch, kind):
     assert out.rho_residual < TRIAL_TOL and out.product_residual < TRIAL_TOL
     assert len(calls) == 1
     assert peak < 16 * 4**n
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("kind", ["pauli", "none"])
+def test_trial_stages_run_in_two_buffers(monkeypatch, n, kind):
+    # the two buffers are the packed data state the stages read and the one
+    # state they write: build, encode, channel and decode are one
+    # trial_pass, with or without a channel, and its output is the state
+    # that both traces and the product check read
+    inputs, passes, reads = [], [], []
+    real = kernels.trial_pass
+
+    def passing(*args):
+        inputs.append(args[1])
+        passes.append(real(*args))
+        return passes[-1]
+
+    def reading(fn):
+        def call(state, *args):
+            reads.append(state)
+            return fn(state, *args)
+
+        return call
+
+    monkeypatch.setattr(kernels, "trial_pass", passing)
+    for name in ("partial_trace_leading", "partial_trace_trailing", "packed_kron_distance"):
+        monkeypatch.setattr(scheme, name, reading(getattr(scheme, name)))
+    spec = build_pn(n)
+    sigma = random_density(spec.ancilla_dim, n + 120)
+    rho = random_density((1 << n) // spec.ancilla_dim, n + 121)
+    channels = [] if kind == "none" else _channels(n, kind)
+    out = run_trial(n, sigma, rho, channels)
+    assert out.rho_residual < TRIAL_TOL
+    assert len(passes) == 1 and passes[0].shape == (1 << n, 1 << n)
+    assert np.array_equal(inputs[0], pack(rho)) and inputs[0] is not passes[0]
+    assert len(reads) == 3 and all(state is passes[0] for state in reads)
 
 
 def test_trial_drops_the_state_before_unpacking_the_data():
