@@ -22,11 +22,11 @@ import operator
 from cmath import isfinite
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotTracePreserving
+from .kernels import scaled_root
 from .tolerances import COMPLETENESS_TOL, PROB_SUM_TOL
 
 Coeffs = tuple[complex, complex, complex, complex]
@@ -99,10 +99,11 @@ def completeness_deviation(n: int, kraus_coeffs) -> float:
 
     Expanding the sum in the orthogonal basis {I, X_n, Y_n, Z_n} (each of
     squared Frobenius norm 2**n) with pauli_products gives the deviation
-    without any dense algebra.
+    without any dense algebra; scaled_root keeps it finite where 2**n
+    alone is past the float range.
     """
     dev = _kraus_gram(_rows_chi(kraus_coeffs), n) - _I_COEFFS
-    return sqrt((1 << n) * np.vdot(dev, dev).real)
+    return scaled_root(np.vdot(dev, dev).real, n)
 
 
 @dataclass(frozen=True)
@@ -173,7 +174,11 @@ def _then(first: np.ndarray, second: np.ndarray, n: int) -> np.ndarray:
 
 def sequence_chi(channels, repeats: int) -> np.ndarray:
     """chi of the channel list applied in order, the whole list `repeats`
-    times; the repeats by squaring, so O(log repeats) compositions."""
+    times; the repeats by squaring, so O(log repeats) compositions.
+    DimensionMismatch unless every channel acts on the same n."""
+    ns = {ch.n for ch in channels}
+    if len(ns) > 1:
+        raise DimensionMismatch(f"channels act on different qubit counts: {ns}")
     n = channels[0].n
     chi = chi_matrix(channels[0])
     for ch in channels[1:]:
@@ -202,12 +207,9 @@ def check_repeats(repeats) -> int:
 def checked_sequence_chi(channels, shape, repeats: int) -> np.ndarray | None:
     """sequence_chi of the channel list for a state of the given shape, None
     for an empty list; DimensionMismatch unless every channel acts on the
-    same n and the state is 2**n x 2**n."""
+    same n (sequence_chi) and the state is 2**n x 2**n."""
     channels = list(channels)
     repeats = check_repeats(repeats)
-    ns = {ch.n for ch in channels}
-    if len(ns) > 1:
-        raise DimensionMismatch(f"channels act on different qubit counts: {ns}")
     if not channels:
         return None
     n = channels[0].n

@@ -16,7 +16,6 @@ strings, so conjugation_report checks these identities on bit masks
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,6 +23,7 @@ import numpy as np
 
 from .errors import BadQubitCount
 from .gates import Circuit, circuit_factors, cnot_op, cnot_perm, conjugate_pauli, h_op, pauli
+from .kernels import scaled_root
 
 _D_DIAG = {
     "X": np.array([1, -1, 1, -1], dtype=np.complex128),
@@ -93,12 +93,6 @@ def build_pn(n: int) -> EncoderSpec:
     return EncoderSpec(n, parity, k, (-1) ** k, Circuit(n, tuple(ops)))
 
 
-@lru_cache(maxsize=None)
-def encoder_factors(n: int) -> tuple:
-    """Cached gather/butterfly factorization of build_pn(n).circuit."""
-    return circuit_factors(build_pn(n).circuit)
-
-
 _H_UNSCALED = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
@@ -158,16 +152,6 @@ def _ancilla_string(x: int, z: int, a: int) -> np.ndarray:
     return out
 
 
-def _scaled_root(q: float, s: int) -> float:
-    """sqrt(q * 2**s) rounded once, for an integer q >= 0; inf past the
-    float range.  Scaling by a power of two is exact, so this is the float
-    a square root gives on the exact product wherever that is a float."""
-    try:
-        return math.ldexp(math.sqrt(q * (1 + s % 2)), s // 2)
-    except OverflowError:
-        return math.inf
-
-
 def conjugation_report(spec: EncoderSpec) -> tuple[float, float, float]:
     """Frobenius residuals of the three conjugation identities for spec.
 
@@ -200,5 +184,5 @@ def conjugation_report(spec: EncoderSpec) -> tuple[float, float, float]:
         else:
             diff = (1, 1j, -1, -1j)[e] * _ancilla_string(x >> data, z >> data, a) - image
             squared = np.vdot(diff, diff).real
-        residuals.append(_scaled_root(squared, data))
+        residuals.append(scaled_root(squared, data))
     return tuple(residuals)

@@ -8,12 +8,10 @@ runs compose into exact basis permutations and a Hadamard becomes a
 butterfly.  circuit_conjugate exploits this factored form so conjugating a
 matrix by a circuit never needs its dense matrix: each Hadamard is one
 kernel pass that also applies the permutations on either side of it, and
-an H-free circuit is one gather.  Given an out buffer, the last kernel
-writes into it, so a caller can run successive conjugations in buffers it
-reuses.  The trial (scheme.run_trial) takes the one gather table
-(gather_tables) of the CNOTs after the encoder's ancilla-only head
-(encoder.ancilla_head) into kernels.trial_pass, which gathers by it as it
-builds the state, at every n.
+an H-free circuit is one gather; each pass allocates its output.  The
+trial (scheme.run_trial) takes the one gather table (gather_tables) of the
+CNOTs after the encoder's ancilla-only head (encoder.ancilla_head) into
+kernels.trial_pass, which gathers by it as it builds the state, at every n.
 """
 
 from __future__ import annotations
@@ -169,9 +167,7 @@ def gather_tables(factors, adjoint: bool = False) -> tuple[list, list]:
     return tables, qubits
 
 
-def circuit_conjugate(
-    factors_or_circuit, m: np.ndarray, adjoint: bool = False, out: np.ndarray | None = None
-) -> np.ndarray:
+def circuit_conjugate(factors_or_circuit, m: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """Conjugate m by the realized circuit P without forming P.
 
     adjoint=False returns P m P_dag (encode direction); adjoint=True returns
@@ -184,10 +180,6 @@ def circuit_conjugate(
     exact.  A float64 m keeps its dtype (the gates are real); any other m
     is conjugated as complex128.  m must be square, of dim 2**n_qubits for
     a Circuit and of a power-of-two dim for factors (DimensionMismatch).
-
-    With out (kernels.check_out), the last kernel writes into out, which is
-    returned, and earlier Hadamards still allocate their outputs; a circuit
-    with no gates copies m into it.
     """
     state = kernels.real_or_complex(m)
     dim = kernels.square_dim(state)
@@ -198,20 +190,10 @@ def circuit_conjugate(
     else:
         factors = factors_or_circuit
     tables, qubits = gather_tables(factors, adjoint)
-    if out is not None:
-        kernels.check_out(state, out)
     for i, q in enumerate(qubits[:-1]):
         state = kernels.gather_hadamard_conjugate(state, tables[i], q, None)
     if qubits:
-        last = (tables[-2], qubits[-1], tables[-1])
-        if out is None:
-            return kernels.gather_hadamard_conjugate(state, *last)
-        return kernels._gather_hadamard_conjugate_into(state, *last, out)
+        return kernels.gather_hadamard_conjugate(state, tables[-2], qubits[-1], tables[-1])
     if tables[0] is not None:
-        if out is None:
-            return kernels.gather_conjugate(state, tables[0])
-        return kernels._gather_conjugate_into(state, tables[0], out)
-    if out is None:
-        return state
-    np.copyto(out, state)
-    return out
+        return kernels.gather_conjugate(state, tables[0])
+    return state

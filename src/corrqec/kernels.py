@@ -10,11 +10,7 @@ The dense kernels write one output matrix and walk their input in steps
 of whole rows (or row pairs) sized by one rule, _step_rows: as many rows as
 keep all a step touches (inputs and views, scratch and output) within half
 of _TILE_BYTES (4 MiB), and no more than the matrix has.  So a call holds
-its output plus one step's scratch, and a small matrix is one step.  The
-gathers also write into an output the caller hands in (check_out), for
-gates.circuit_conjugate's out; their into-out bodies
-(_gather_conjugate_into, _gather_hadamard_conjugate_into) are their only
-implementations, and the pinned public names allocate and call them.
+its output plus one step's scratch, and a small matrix is one step.
 
 - Each output element gets the same floating-point operations, in the same
   order, as the whole-array expression, so gather_hadamard_conjugate is
@@ -74,7 +70,7 @@ its encoder's gather table, so the basis costs no pass of its own.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import sqrt
+from math import inf, ldexp, sqrt
 
 import numpy as np
 
@@ -99,23 +95,15 @@ def as_packed(m) -> np.ndarray:
     return np.ascontiguousarray(m, dtype=np.float64)
 
 
-def check_out(m: np.ndarray, out: np.ndarray) -> None:
-    """Reject an output buffer a kernel on m cannot write into: not a
-    C-contiguous array of m's shape and dtype (DimensionMismatch), or one
-    that shares memory with m (ValueError: the kernel would overwrite the
-    input it still reads)."""
-    if not (
-        isinstance(out, np.ndarray)
-        and out.shape == m.shape
-        and out.dtype == m.dtype
-        and out.flags.c_contiguous
-    ):
-        raise DimensionMismatch(
-            f"out must be a C-contiguous {m.dtype} array of shape {m.shape}, got "
-            f"{getattr(out, 'dtype', type(out).__name__)} {getattr(out, 'shape', '')}"
-        )
-    if np.shares_memory(out, m):
-        raise ValueError("out shares memory with the kernel's input")
+def scaled_root(q: float, s: int) -> float:
+    """sqrt(q * 2**s) rounded once, for q >= 0 and an integer s >= 0; inf
+    past the float range.  Scaling by a power of two is exact, so this is
+    the float a square root gives on the exact product wherever that is a
+    float, and finite wherever the root is, even where the product is not."""
+    try:
+        return ldexp(sqrt(q * (1 + s % 2)), s // 2)
+    except OverflowError:
+        return inf
 
 
 def square_dim(m: np.ndarray) -> int:
@@ -129,12 +117,6 @@ def _step_rows(rows: int, bytes_per_row: int) -> int:
     """Rows (or row pairs) per step: as many as keep bytes_per_row bytes each
     within half a tile, at least 1 and at most `rows`."""
     return min(rows, max(1, _TILE_BYTES // 2 // bytes_per_row))
-
-
-def gather_conjugate(m: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """P_dag M P for the permutation matrix P whose column s is e_perm[s]."""
-    m = real_or_complex(m)
-    return _gather_conjugate_into(m, perm, np.empty_like(m))
 
 
 def _check_table(table, dim: int, name: str) -> np.ndarray:
@@ -156,8 +138,8 @@ def _inverse(table: np.ndarray, name: str) -> np.ndarray:
     return inverse
 
 
-def _gather_conjugate_into(m: np.ndarray, perm: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """gather_conjugate written into out (check_out), which it returns:
+def gather_conjugate(m: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """P_dag M P for the permutation matrix P whose column s is e_perm[s]:
     out[i, j] = m[perm[i], perm[j]].
 
     A step gathers its rows perm[i] of m into scratch, then their columns
@@ -170,9 +152,9 @@ def _gather_conjugate_into(m: np.ndarray, perm: np.ndarray, out: np.ndarray) -> 
     power-of-two dim (square_dim).
     """
     m = real_or_complex(m)
-    check_out(m, out)
     dim = square_dim(m)
     perm = _check_table(perm, dim, "perm")
+    out = np.empty_like(m)
     step = _step_rows(dim, 3 * m.itemsize * dim)
     scratch = np.empty((step, dim), dtype=m.dtype)
     for r0 in range(0, dim, step):
@@ -207,20 +189,7 @@ def _pair_blocks(hi: int, lo: int, pairs: int):
 def gather_hadamard_conjugate(
     m: np.ndarray, before: np.ndarray | None, q: int, after: np.ndarray | None
 ) -> np.ndarray:
-    """G_after(H_q G_before(m) H_q); see _gather_hadamard_conjugate_into."""
-    m = real_or_complex(m)
-    return _gather_hadamard_conjugate_into(m, before, q, after, np.empty_like(m))
-
-
-def _gather_hadamard_conjugate_into(
-    m: np.ndarray,
-    before: np.ndarray | None,
-    q: int,
-    after: np.ndarray | None,
-    out: np.ndarray,
-) -> np.ndarray:
-    """G_after(H_q G_before(m) H_q) written into out (check_out), which it
-    returns, with G_t(x) = x[t][:, t] for a
+    """G_after(H_q G_before(m) H_q), with G_t(x) = x[t][:, t] for a
     permutation table t and None the identity, in one pass over m.
 
     Split rows and columns as (hi, 2, lo), lo = 2**q.  Output row pair
@@ -246,10 +215,10 @@ def _gather_hadamard_conjugate_into(
     qubits (BadQubitIndex).
     """
     m = real_or_complex(m)
-    check_out(m, out)
     dim = square_dim(m)
     if not 0 <= q < dim.bit_length() - 1:
         raise BadQubitIndex(f"q={q} is not a qubit of a {dim}-dim matrix")
+    out = np.empty_like(m)
     lo = 1 << q
     hi = dim >> (q + 1)
     src = m.reshape(hi, 2, lo, dim)

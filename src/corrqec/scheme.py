@@ -105,13 +105,22 @@ def predicted_ancilla(
     """Ancilla output of the channel list, applied `repeats` times: the
     trial's chi (channels.sequence_chi) through the ancilla images A of
     I, X_n, Y_n, Z_n (encoder.ancilla_images; sign is (-1)**k), as
-    sum_ab chi_ab A_a sigma A_b_dag.  An empty list leaves sigma."""
+    sum_ab chi_ab A_a sigma A_b_dag.  An empty list leaves sigma.  As in
+    run_trial, the channels must act on one n of the given parity
+    (DimensionMismatch); parity must be "odd" or "even" and sign +-1
+    (ValueError)."""
+    if parity not in ("odd", "even"):
+        raise ValueError(f'parity must be "odd" or "even", got {parity!r}')
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
     out = np.asarray(sigma, dtype=np.complex128)
     expected = 2 if parity == "odd" else 4
     if out.shape != (expected, expected):
         raise DimensionMismatch(f"{parity} ancilla must be {expected}x{expected}, got {out.shape}")
     repeats = check_repeats(repeats)
     channels = list(channels)
+    if channels and (channels[0].n % 2 == 1) != (parity == "odd"):
+        raise DimensionMismatch(f"{parity} ancilla for channels on n={channels[0].n}")
     chi = sequence_chi(channels, repeats) if channels else None
     return _predicted_from_chi(out, chi, parity, sign)
 

@@ -20,12 +20,12 @@ from math import sqrt
 
 import numpy as np
 
-from corrqec import kernels
+from corrqec import encoder, kernels
 from corrqec.channels import Channel, PauliChannel, checked_sequence_chi
-from corrqec.encoder import ancilla_head, ancilla_images, build_pn, encoder_factors
+from corrqec.encoder import ancilla_head, ancilla_images, build_pn
 from corrqec.errors import DimensionMismatch
 from corrqec.gates import circuit_conjugate, circuit_factors, cnot_perm
-from corrqec.kernels import _basis_transfer, _step_rows, as_packed, check_out, square_dim
+from corrqec.kernels import _basis_transfer, _step_rows, as_packed, square_dim
 from corrqec.scheme import classical_state, predicted_ancilla
 from corrqec.tensor import as_square, frobenius_distance, pack
 from corrqec.tensor import packed_kron_distance, unpack
@@ -232,13 +232,15 @@ def apply_channels(channels, rho, repeats: int = 1) -> np.ndarray:
 
 def encode(n: int, sigma, rho) -> np.ndarray:
     """P_n (sigma ox rho) P_n_dag on complex128 states: np.kron, then the
-    encoder's conjugation."""
-    return circuit_conjugate(encoder_factors(n), np.kron(sigma, rho))
+    encoder's conjugation.  build_pn is looked up in its module, so an
+    encoder substituted there is the one encoded by."""
+    return circuit_conjugate(encoder.build_pn(n).circuit, np.kron(sigma, rho))
 
 
 def decode(n: int, tau) -> np.ndarray:
-    """P_n_dag tau P_n on a complex128 state."""
-    return circuit_conjugate(encoder_factors(n), np.asarray(tau, dtype=complex), adjoint=True)
+    """P_n_dag tau P_n on a complex128 state, by encoder.build_pn as encode."""
+    tau = np.asarray(tau, dtype=complex)
+    return circuit_conjugate(encoder.build_pn(n).circuit, tau, adjoint=True)
 
 
 def kron_distance(d, a, r) -> float:
@@ -388,11 +390,10 @@ def pack_kron(a, p) -> np.ndarray:
     return out
 
 
-def pauli_channel_basis_packed(m: np.ndarray, probs, out: np.ndarray | None = None) -> np.ndarray:
+def pauli_channel_basis_packed(m: np.ndarray, probs) -> np.ndarray:
     """sum_ab chi_ab E_a rho E_b_dag over E = (I, X_n, Y_n, Z_n), on the
     packed Hermitian state m of rho given in channel_basis, float64 in
-    (as_packed, square_dim) and out; written into out (check_out) if given,
-    which it then returns.
+    (as_packed, square_dim) and out.
     probs is a 4x4 chi or the probabilities (p0, p1, p2, p3), its diagonal.
 
     In channel_basis each E_a is e_a ox I, e_a on the leading qubits, so a
@@ -426,9 +427,7 @@ def pauli_channel_basis_packed(m: np.ndarray, probs, out: np.ndarray | None = No
     step = _step_rows(h, 8 * (k + 2 * q * q) * h)
     step = 1 << (step.bit_length() - 1)
     blocks = m.reshape(q, h, q, h)  # [u, i, v, j] = m_uv[i, j]
-    if out is None:
-        out = np.empty_like(m)
-    check_out(m, out)
+    out = np.empty_like(m)
     stack = np.empty((1 + transposed, q, q, step, h))
     prod = np.empty((q, q, step, h))
     for i0 in range(0, h, step):

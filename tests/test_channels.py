@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,6 +121,22 @@ def test_completeness_deviation_matches_dense(n):
     want = float(np.linalg.norm(acc - np.eye(1 << n)))
     got = completeness_deviation(n, coeffs)
     assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_completeness_deviation_is_finite_where_2_to_the_n_is_not():
+    # 2**1100 is past the float range, but the deviation sqrt(2**n x) is
+    # 2**(n/2) sqrt(x): the n = 4 value (n mod 4 fixes the products' phases)
+    # scaled by 2**548, exactly
+    n = 1100
+    for exact in (((1, 0, 0, 0),), ((0.5, 0.5, 0, 0), (0.5, -0.5, 0, 0))):
+        assert completeness_deviation(n, exact) == 0.0
+        SpanChannel(n, exact)
+    inexact = ((1, 1e-3, 0, 0),)
+    got = completeness_deviation(n, inexact)
+    assert got == math.ldexp(completeness_deviation(4, inexact), 548)
+    assert math.isfinite(got) and got > 0
+    with pytest.raises(NotTracePreserving):
+        SpanChannel(n, inexact)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -20,7 +20,7 @@ from corrqec import (
     h_op,
     kernels,
 )
-from corrqec.encoder import encoder_factors
+from corrqec.gates import circuit_factors
 
 from oracles import (
     circuit_matrix,
@@ -124,7 +124,7 @@ def test_real_conjugation_is_the_complex_one(n):
     # each error is u R with R real and u = 1 or (-i)**n, and the gates are
     # real, so P_dag (u R) P = u (P_dag R P) entry for entry: the float64
     # kernel path, scaled by its exact 0.5, against the complex128 one
-    factors = encoder_factors(n)
+    factors = circuit_factors(build_pn(n).circuit)
     for axis in "XYZ":
         w = pauli_power(axis, n)
         u = (-1j) ** n if axis == "Y" else 1

@@ -20,6 +20,7 @@ from corrqec import (
     invert,
     pauli,
 )
+from corrqec.gates import circuit_factors
 
 from oracles import (
     HAD,
@@ -297,9 +298,25 @@ def test_single_qubit_embedding_convention():
         assert np.allclose(got, want, atol=1e-15)
 
 
+def _factor_by_factor(circuit, m, adjoint):
+    """circuit_conjugate with one kernel call, and one new array, per factor
+    of circuit_factors: a gather by the table's inverse (by the table for
+    the adjoint) or a table-free Hadamard pass."""
+    factors = circuit_factors(circuit)
+    for kind, arg in reversed(factors) if adjoint else factors:
+        if kind == "perm":
+            m = kernels.gather_conjugate(m, arg if adjoint else np.argsort(arg))
+        else:
+            m = kernels.gather_hadamard_conjugate(m, None, arg, None)
+    return m
+
+
 @pytest.mark.parametrize("index", range(len(CONJUGATE_CIRCUITS)))
 def test_circuit_conjugate_into_out_matches_the_allocating_call(index):
-    # the circuits hold 0 to 3 Hadamards; only the last kernel writes into out
+    # circuit_conjugate folds the CNOT tables into the Hadamard passes beside
+    # them, each pass allocating its output; gathers only move entries, so
+    # it is the factor-by-factor calls bit for bit, in either dtype and
+    # direction, and leaves its input as it was
     c = CONJUGATE_CIRCUITS[index]
     dim = 1 << c.n_qubits
     rng = np.random.default_rng(index + 40)
@@ -307,10 +324,9 @@ def test_circuit_conjugate_into_out_matches_the_allocating_call(index):
     for x in (m, m.real.copy()):
         kept = x.copy()
         for adjoint in (False, True):
-            out = np.full_like(x, np.nan)
-            got = circuit_conjugate(c, x, adjoint=adjoint, out=out)
-            assert got is out
-            assert np.array_equal(got, circuit_conjugate(c, x, adjoint=adjoint))
+            got = circuit_conjugate(c, x, adjoint=adjoint)
+            assert got.dtype == x.dtype
+            assert np.array_equal(got, _factor_by_factor(c, x, adjoint))
         assert np.array_equal(x, kept)
 
 
@@ -337,12 +353,12 @@ def test_circuit_conjugate_rejects_a_matrix_of_the_wrong_size():
 
 
 def test_circuit_conjugate_rejects_a_bad_out():
+    # circuit_conjugate takes no output buffer, so any out is refused, and
+    # a circuit with gates returns a new array, never its input
     c = build_pn(4).circuit
     m = np.random.default_rng(41).normal(size=(16, 16))
-    for bad in (np.empty((16, 8)), np.empty((16, 16), dtype=complex), np.empty((16, 16), order="F")):
-        with pytest.raises(DimensionMismatch):
-            circuit_conjugate(c, m, out=bad)
-    # with no gates too, where out would only be a copy
-    for circuit in (c, Circuit(4)):
-        with pytest.raises(ValueError, match="shares memory"):
-            circuit_conjugate(circuit, m, out=m)
+    with pytest.raises(TypeError):
+        circuit_conjugate(c, m, out=np.empty_like(m))
+    for circuit in (c, Circuit(4, (cnot_op(0, 1),)), Circuit(4, (h_op(2),))):
+        for adjoint in (False, True):
+            assert not np.shares_memory(circuit_conjugate(circuit, m, adjoint=adjoint), m)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from corrqec import kernels
-from corrqec.encoder import encoder_factors
+from corrqec.encoder import build_pn
 from corrqec.errors import BadQubitIndex, DimensionMismatch
+from corrqec.gates import circuit_factors
 
 import oracles
 from oracles import (
@@ -80,7 +81,7 @@ def _encoder_tables(n):
     """(before, q, after) of the encoder's conjugation in each direction:
     for even n its own (perm, H_q, perm) factors, for odd n (CNOTs only) its
     one table around a Hadamard on the top qubit."""
-    factors = encoder_factors(n)
+    factors = circuit_factors(build_pn(n).circuit)
     if n % 2 == 1:
         ((_, perm),) = factors
         return [(np.argsort(perm), n - 1, perm), (perm, n - 1, np.argsort(perm))]
@@ -382,6 +383,11 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     p = permutation_matrix(perm)
     got = _checked(kernels.gather_conjugate, m, perm)
     assert np.allclose(got, p.conj().T @ m @ p, atol=1e-13)
+    # entries only move: the gather is the whole-array fancy index, bit for
+    # bit, in either dtype
+    for x in (m, real):
+        got = _checked(kernels.gather_conjugate, x, perm)
+        assert got.dtype == x.dtype and np.array_equal(got, x[np.ix_(perm, perm)])
     assert _checked(kernels.frob_dist, m, rho) == pytest.approx(whole["dist"], rel=1e-12)
     assert _checked(kernels.frob_dist, m, m.copy()) == 0.0
     for (a, r), dist in zip(kron_cases, whole["kron"]):
@@ -715,78 +721,63 @@ def test_ptrace_kernels_sum_float64_in_float64():
     assert _peak_bytes(kernels.ptrace_leading, m, 4) < m.nbytes
 
 
-# _TILE_BYTES = 16*dim*k as in test_kernels_are_tile_size_independent: k = 1
-# and 3 leave one row (or pair) and an uneven last step in every kernel.
+# out is the array a kernel returns: each allocates its own.  _TILE_BYTES =
+# 16*dim*k as in test_kernels_are_tile_size_independent: k = 1 and 3 leave
+# one row (or pair) and an uneven last step in every kernel.
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 @pytest.mark.parametrize("k", [None, 1, 3])
 def test_into_out_kernels_return_out_and_match_the_allocating_forms(monkeypatch, n, k):
+    # each returns a new array of its input's dtype: the gather is the
+    # whole-array fancy index and the fused pass the three kernels in turn,
+    # bit for bit
     dim = 1 << n
     rng = np.random.default_rng(n * 11 + (k or 0))
     perm = rng.permutation(dim)
     perm2 = rng.permutation(dim)
     m = random_complex_matrix(dim, n + 150)
-    basis = _to_basis(_pack(_hermitian(n, n + 151)), n)
-    chis = [_random_chi(rng), np.diag(rng.dirichlet(np.ones(4)))]
     if k is not None:
         monkeypatch.setattr(kernels, "_TILE_BYTES", 16 * dim * k)
     for x in (m, m.real.copy()):
-        out = np.full_like(x, np.nan)
-        got = _checked(lambda *args: kernels._gather_conjugate_into(*args, out), x, perm)
-        assert got is out
+        got = _checked(kernels.gather_conjugate, x, perm)
+        assert got.dtype == x.dtype and not np.shares_memory(got, x)
         assert np.array_equal(got, x[np.ix_(perm, perm)])
-        assert np.array_equal(kernels.gather_conjugate(x, perm), got)
         for q in sorted({0, n - 2, n - 1}):
             for before, after in ((None, None), (perm, perm2)):
-                out = np.full_like(x, np.nan)
-                fn = kernels._gather_hadamard_conjugate_into
-                got = _checked(lambda *args: fn(*args, out), x, before, q, after)
-                assert got is out
-                want = kernels.gather_hadamard_conjugate(x, before, q, after)
-                assert want.dtype == x.dtype and np.array_equal(got, want)
-    for chi in chis:
-        out = np.full_like(basis, np.nan)
-        got = _checked(lambda *args: pauli_channel_basis_packed(*args, out), basis, chi)
-        assert got is out
-        assert np.array_equal(got, pauli_channel_basis_packed(basis, chi))
+                got = _checked(kernels.gather_hadamard_conjugate, x, before, q, after)
+                assert got.dtype == x.dtype and not np.shares_memory(got, x)
+                assert np.array_equal(got, _three_kernels(x, before, q, after))
 
 
-def _into_out_calls():
-    """(name, call(m, out)) for each kernel that writes into an out."""
-    n = 4
-    perm = np.random.default_rng(170).permutation(1 << n)
+def _kernel_calls():
+    """(name, call(m, table)) for the gathers and the oracle channel pass,
+    which takes no table."""
     chi = (0.4, 0.3, 0.2, 0.1)
     return [
-        ("gather", lambda m, out: kernels._gather_conjugate_into(m, perm, out)),
-        ("fused", lambda m, out: kernels._gather_hadamard_conjugate_into(m, perm, 1, perm, out)),
-        ("channel", lambda m, out: pauli_channel_basis_packed(m, chi, out)),
+        ("gather", kernels.gather_conjugate),
+        ("fused", lambda m, t: kernels.gather_hadamard_conjugate(m, t, 1, t)),
+        ("channel", lambda m, t: pauli_channel_basis_packed(m, chi)),
     ]
 
 
 @pytest.mark.parametrize("index", range(3))
 def test_into_out_kernels_reject_a_bad_out(index):
-    name, call = _into_out_calls()[index]
+    # a bad out is one that shares the input's memory: each kernel writes a
+    # new array, even for an input it reads as it is (C-contiguous
+    # float64), and leaves an input it rejects as it was
+    name, call = _kernel_calls()[index]
     m = _pack(_hermitian(4, 171))
-    wide = np.empty((16, 32))
-    for bad in (
-        np.empty((16, 15)),
-        np.empty((8, 8)),
-        np.empty((16, 16), dtype=np.float32),
-        np.empty((16, 16), dtype=np.complex128),
-        np.empty((16, 32))[:, ::2],
-        np.empty((16, 16), order="F"),
-        m.tolist(),
-    ):
+    kept = m.copy()
+    perm = np.random.default_rng(170).permutation(16)
+    got = call(m, perm)
+    assert got.shape == m.shape and not np.shares_memory(got, m), name
+    clipped = np.arange(16)
+    clipped[3] = 16
+    rejected = [(m[:, :8], perm)]
+    rejected.append((m + 0j, perm) if name == "channel" else (m, clipped))
+    for bad, table in rejected:
         with pytest.raises(DimensionMismatch):
-            call(m, bad)
-    with pytest.raises(ValueError, match="shares memory"):
-        call(m, m)
-    # an out that overlaps the input by part of a row: rejected before
-    # anything is written
-    buf = np.concatenate((m.ravel(), m[0]))
-    kept = buf.copy()
-    with pytest.raises(ValueError, match="shares memory"):
-        call(buf[:256].reshape(16, 16), buf[16:].reshape(16, 16))
-    assert np.array_equal(buf, kept), name
+            call(bad, table)
+    assert np.array_equal(m, kept), name
 
 
 def test_gather_conjugate_rejects_a_table_it_would_clip():
@@ -809,13 +800,13 @@ def test_gather_conjugate_rejects_a_table_it_would_clip():
     for bad in (np.eye(6), np.ones((16, 8)), np.arange(4.0)):
         with pytest.raises(DimensionMismatch):
             kernels.gather_hadamard_conjugate(bad, None, 0, None)
-    # the into-out bodies check before they write
-    out = np.full_like(m, 7.0)
+    # a rejected table leaves the input as it was
+    kept = m.copy()
     with pytest.raises(DimensionMismatch):
-        kernels._gather_hadamard_conjugate_into(m, [0, 1, 2, 9], 1, None, out)
+        kernels.gather_hadamard_conjugate(m, [0, 1, 2, 9], 1, None)
     with pytest.raises(DimensionMismatch):
-        kernels._gather_conjugate_into(m, [0, 1, 2, 9], out)
-    assert (out == 7.0).all()
+        kernels.gather_conjugate(m, [0, 1, 2, 9])
+    assert np.array_equal(m, kept)
 
 
 def test_gather_and_ptrace_kernels_reject_wrong_shapes():

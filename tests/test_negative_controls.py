@@ -48,17 +48,15 @@ def _mutant_specs(n):
 @pytest.fixture
 def use_spec(monkeypatch):
     """use_spec(spec): build_pn(spec.n) returns spec everywhere cmd_verify
-    and run_trial look it up, with the factor cache cleared around it."""
+    and run_trial look it up, and where oracles.encode and decode do."""
     real = build_pn
 
     def install(spec):
         patched = lambda n: spec if n == spec.n else real(n)  # noqa: E731
         for module in (encoder, cli, scheme):
             monkeypatch.setattr(module, "build_pn", patched)
-        encoder.encoder_factors.cache_clear()
 
-    yield install
-    encoder.encoder_factors.cache_clear()
+    return install
 
 
 @pytest.mark.parametrize("n", range(2, 8))

@@ -88,6 +88,29 @@ def test_predicted_ancilla_sign_is_irrelevant():
     assert np.array_equal(a, b)
 
 
+def test_predicted_ancilla_rejects_what_run_trial_rejects():
+    probs = (0.4, 0.1, 0.3, 0.2)
+    mixed = [PauliChannel(3, probs), PauliChannel(5, probs)]
+    sigma = random_density(2, 6)
+    with pytest.raises(DimensionMismatch):
+        predicted_ancilla(sigma, mixed, 1, "odd", 1)
+    with pytest.raises(DimensionMismatch):
+        run_trial(3, sigma, random_density(4, 7), mixed)
+    # run_trial takes the parity from n, so channels of the other parity
+    # cannot reach it
+    with pytest.raises(DimensionMismatch):
+        predicted_ancilla(sigma, [PauliChannel(4, probs)], 1, "odd", 1)
+    with pytest.raises(DimensionMismatch):
+        predicted_ancilla(random_density(4, 9), [PauliChannel(3, probs)], 1, "even", 1)
+    # a 4x4 sigma passes the shape check, so only the parity check refuses
+    for parity in ("bogus", "Odd", None):
+        with pytest.raises(ValueError, match="parity"):
+            predicted_ancilla(random_density(4, 8), [PauliChannel(4, probs)], 1, parity, 1)
+    for sign in (0, 2, -2, 0.5):
+        with pytest.raises(ValueError, match="sign"):
+            predicted_ancilla(sigma, [PauliChannel(3, probs)], 1, "odd", sign)
+
+
 @pytest.mark.parametrize("repeats", [0, -1, 2.0])
 def test_predicted_ancilla_rejects_bad_repeats_like_run_trial(repeats):
     sigma = random_density(2, 5)
@@ -584,8 +607,7 @@ def test_even_trial_makes_no_hadamard_kernel_call(monkeypatch, n):
 
         return call
 
-    for name in ("gather_hadamard_conjugate", "_gather_hadamard_conjugate_into"):
-        monkeypatch.setattr(kernels, name, counting(name))
+    monkeypatch.setattr(kernels, "gather_hadamard_conjugate", counting("gather_hadamard_conjugate"))
     sigma = random_density(4, n + 130)
     rho = random_density(1 << (n - 2), n + 131)
     for channels in ([PauliChannel(n, (0.4, 0.3, 0.2, 0.1))], []):
