@@ -6,12 +6,13 @@ map Pauli strings to Pauli strings, so conjugate_pauli conjugates one as a
 pair of bit masks and a phase, in O(n) per gate.  On a dense matrix, CNOT
 runs compose into exact basis permutations and a Hadamard becomes a
 butterfly.  circuit_conjugate exploits this factored form so conjugating a
-matrix by a circuit never needs its dense matrix: each Hadamard is one
-kernel pass that also applies the permutations on either side of it, and
-an H-free circuit is one gather; each pass allocates its output.  The
-trial (scheme.run_trial) takes the one gather table (gather_tables) of the
-CNOTs after the encoder's ancilla-only head (encoder.ancilla_head) into
-kernels.trial_pass, which gathers by it as it builds the state, at every n.
+matrix by a circuit never needs its dense matrix: each composed table is
+one gather (kernels.gather_conjugate), which allocates its output, and
+each Hadamard a butterfly in place on the gather before it, so an H-free
+circuit is one gather.  The trial (scheme.run_trial) takes the one gather
+table (gather_tables) of the CNOTs after the encoder's ancilla-only head
+(encoder.ancilla_head) into kernels.trial_pass, which gathers by it as it
+builds the state, at every n.
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ import numpy as np
 
 from . import kernels
 from .errors import BadQubitCount, BadQubitIndex, DimensionMismatch
+from .tensor import check_memory
+
+# Complex128 states circuit_conjugate holds at its peak: its input, the
+# gather it reads and the one it writes (tracemalloc: 2.04-2.09 states of
+# the input's dtype past the input, at n = 10).
+CONJUGATE_PEAK_STATES = 3
 
 _PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -167,33 +174,55 @@ def gather_tables(factors, adjoint: bool = False) -> tuple[list, list]:
     return tables, qubits
 
 
+def _hadamard_in_place(x: np.ndarray, q: int) -> None:
+    """x <- H_q x H_q for a C-contiguous square x: a row and then a column
+    butterfly, unscaled (a, b -> a + b, a - b), each with half of x as
+    scratch, then one exact scale by 0.5, so on Gaussian-integer entries
+    it is exact."""
+    lo = 1 << q
+    for pairs in (x.reshape(-1, 2, lo * x.shape[0]), x.reshape(-1, 2, lo)):
+        a, b = pairs[:, 0], pairs[:, 1]
+        diff = a - b
+        a += b
+        b[...] = diff
+    x *= 0.5
+
+
 def circuit_conjugate(factors_or_circuit, m: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """Conjugate m by the realized circuit P without forming P.
 
     adjoint=False returns P m P_dag (encode direction); adjoint=True returns
-    P_dag m P (decode direction).  The factors run as gathers and
-    Hadamards (gather_tables).  Each Hadamard is one
-    kernels.gather_hadamard_conjugate call that takes the table before it,
-    and the last one also the table after it, so an even-n encoder (a
-    permutation, one Hadamard, a permutation) is one pass over m.  An
-    H-free circuit is one gather_conjugate, so CNOT-only circuits stay
-    exact.  A float64 m keeps its dtype (the gates are real); any other m
-    is conjugated as complex128.  m must be square, of dim 2**n_qubits for
-    a Circuit and of a power-of-two dim for factors (DimensionMismatch).
+    P_dag m P (decode direction).  Each table of gather_tables is one
+    kernels.gather_conjugate (by the identity for None), which writes a new
+    array, and each Hadamard a butterfly in place on the gather before it:
+    an even-n encoder is two gathers and a butterfly, an H-free circuit one
+    exact gather.  A float64 m keeps its dtype (the gates are real); any
+    other m is conjugated as complex128.  The result is never m.
+
+    Checked before the first pass: m is square, of dim 2**n_qubits for a
+    Circuit and of power-of-two dim for factors, and each ("perm", table)
+    a permutation of range(dim) (DimensionMismatch); every other factor is
+    ("h", qubit) on a qubit of m (BadQubitIndex); and
+    CONJUGATE_PEAK_STATES states fit in memory (check_memory).
     """
-    state = kernels.real_or_complex(m)
-    dim = kernels.square_dim(state)
+    m = np.asarray(m)
+    dim = kernels.square_dim(m)
     if isinstance(factors_or_circuit, Circuit):
         if dim != 1 << factors_or_circuit.n_qubits:
             raise DimensionMismatch(f"{factors_or_circuit.n_qubits}-qubit circuit on dim {dim}")
-        factors = circuit_factors(factors_or_circuit)
-    else:
-        factors = factors_or_circuit
+        factors_or_circuit = circuit_factors(factors_or_circuit)
+    factors = []
+    for kind, arg in factors_or_circuit:
+        if kind == "perm":
+            arg = kernels._check_table(arg, dim, "perm")
+            kernels._inverse(arg, "perm")
+        elif kind != "h" or not 0 <= arg < dim.bit_length() - 1:
+            raise BadQubitIndex(f"factor ({kind!r}, {arg!r}) on a {dim}-dim matrix")
+        factors.append((kind, arg))
+    check_memory(dim.bit_length() - 1, CONJUGATE_PEAK_STATES)
     tables, qubits = gather_tables(factors, adjoint)
-    for i, q in enumerate(qubits[:-1]):
-        state = kernels.gather_hadamard_conjugate(state, tables[i], q, None)
-    if qubits:
-        return kernels.gather_hadamard_conjugate(state, tables[-2], qubits[-1], tables[-1])
-    if tables[0] is not None:
-        return kernels.gather_conjugate(state, tables[0])
-    return state
+    for table, q in zip(tables, qubits + [None]):
+        m = kernels.gather_conjugate(m, np.arange(dim) if table is None else table)
+        if q is not None:
+            _hadamard_in_place(m, q)
+    return m

@@ -2,20 +2,19 @@
 
 All encoders in this package are CNOT permutations plus at most one Hadamard,
 and all error operators are diagonal or anti-diagonal up to signs.  Every hot
-operation therefore reduces to index gathers, butterflies, and blockwise
-products with small weight matrices, which cost O(dim^2) memory passes
-instead of O(dim^3) matrix products.
+operation therefore reduces to index gathers and blockwise products with
+small weight matrices, which cost O(dim^2) memory passes instead of
+O(dim^3) matrix products; a Hadamard is a butterfly, which
+gates.circuit_conjugate runs in place on a gather's output.
 
 The dense kernels write one output matrix and walk their input in steps
-of whole rows (or row pairs) sized by one rule, _step_rows: as many rows as
-keep all a step touches (inputs and views, scratch and output) within half
-of _TILE_BYTES (4 MiB), and no more than the matrix has.  So a call holds
+of whole rows sized by one rule, _step_rows: as many rows as keep all a
+step touches (inputs and views, scratch and output) within half of
+_TILE_BYTES (4 MiB), and no more than the matrix has.  So a call holds
 its output plus one step's scratch, and a small matrix is one step.
 
-- Each output element gets the same floating-point operations, in the same
-  order, as the whole-array expression, so gather_hadamard_conjugate is
-  bit-identical at every tile size.  frob_dist and kron_dist sum per-step
-  squares in a different order (equal to within rounding) and are exactly
+- frob_dist and kron_dist sum per-step squares in a different order from
+  the whole-array expression (equal to within rounding) and are exactly
   0.0 on equal inputs.  trial_pass's channel sums are BLAS dot products,
   equal to within rounding at every tile size.
 - trial_pass is the trial's whole dense pipeline in one walk over steps of
@@ -24,31 +23,19 @@ its output plus one step's scratch, and a small matrix is one step.
   them by the encoder's table, applies the channel and gathers the result
   back, writing each output row once.  So a trial makes one state, not
   the four a pass per stage would write.
-- gather_hadamard_conjugate conjugates by a permutation, a Hadamard and a
-  permutation in one pass: the permutations only change which rows of the
-  input a step reads and which rows and columns of the output it writes,
-  so a whole even-n encoder (gates.circuit_conjugate) costs one read and
-  one write of the state.  Its row and column butterflies are the one
-  butterfly, _hadamard_block.  Both run unscaled and the column
-  butterfly's output is scaled once by 0.5, exact in binary, so
-  conjugating a matrix of Gaussian integers (as the correlated errors are)
-  is exact.  The trial does not call it: the encoder's Hadamard is in its
-  ancilla-only P_2 head, which scheme.run_trial applies to the 4x4
-  ancilla (encoder.ancilla_head), so it serves circuit_conjugate on
-  circuits whose Hadamard is elsewhere.
 - kron_dist measures d against a kron product a ox r, or against the
   two-term a1 ox r + a2 ox r^T of a packed product, with no output at all:
   each step builds its own slice of the product in scratch, so the
   product checks hold one state, not two.
-- gather_conjugate, for CNOT-only circuits, takes a step of rows of m into
-  scratch and then their columns into the step's rows of the output, with
-  np.take: entries only move, so it is bit-identical to
+- gather_conjugate, for the CNOT runs of a circuit, takes a step of rows
+  of m into scratch and then their columns into the step's rows of the
+  output, with np.take: entries only move, so it is bit-identical to
   m[np.ix_(perm, perm)] at every tile size.
 - The trial carries its states packed, as one float64 matrix
   Re rho + Im rho (tensor.pack), so the float64 paths are the ones it
-  runs.  The gathers, kron_dist and ptrace_* keep a float64 matrix in its
-  dtype (real_or_complex), with buffers and scratch of the same dtype,
-  since the encoders' gates are real: each float64 entry gets the
+  runs.  gather_conjugate, kron_dist and ptrace_* keep a float64 matrix
+  in its dtype (real_or_complex), with buffers and scratch of the same
+  dtype, since the encoders' gates are real: each float64 entry gets the
   operations the real part of a complex one would.  kron_dist's scratch
   is complex128 if any input is complex; frob_dist takes complex128.  The
   packed entry points (trial_pass, and tensor's unpack and
@@ -74,7 +61,7 @@ from math import inf, ldexp, sqrt
 
 import numpy as np
 
-from .errors import BadQubitIndex, DimensionMismatch
+from .errors import DimensionMismatch
 
 # Every row a step of a dense kernel touches fits in half of this many bytes.
 _TILE_BYTES = 1 << 22
@@ -114,7 +101,7 @@ def square_dim(m: np.ndarray) -> int:
 
 
 def _step_rows(rows: int, bytes_per_row: int) -> int:
-    """Rows (or row pairs) per step: as many as keep bytes_per_row bytes each
+    """Rows per step: as many as keep bytes_per_row bytes each
     within half a tile, at least 1 and at most `rows`."""
     return min(rows, max(1, _TILE_BYTES // 2 // bytes_per_row))
 
@@ -164,19 +151,11 @@ def gather_conjugate(m: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hadamard_block(a, b, block) -> None:
-    """Butterfly of the paired slices a and b into block[:, 0] = a + b and
-    block[:, 1] = a - b.  Rows pass block as is; columns pass a view with
-    the pair axis moved to position 1."""
-    np.add(a, b, out=block[:, 0])
-    np.subtract(a, b, out=block[:, 1])
-
-
 def _pair_blocks(hi: int, lo: int, pairs: int):
-    """((kh, kl), blocks): slices (h, l) that walk the hi*lo row pairs
-    (h, 0, l), (h, 1, l) of a matrix whose rows are split as (hi, 2, lo),
-    about `pairs` pairs per block: at most kh values of h by kl of l, with
-    the l range whole once pairs >= lo."""
+    """((kh, kl), blocks): slices (h, l) that walk the hi*lo index pairs
+    (h, l) of a matrix whose rows are split as (hi, lo), about `pairs` of
+    them per block: at most kh values of h by kl of l, with the l range
+    whole once pairs >= lo."""
     kh, kl = (pairs // lo, lo) if pairs >= lo else (1, pairs)
     blocks = [
         (slice(h0, h0 + kh), slice(l0, l0 + kl))
@@ -184,72 +163,6 @@ def _pair_blocks(hi: int, lo: int, pairs: int):
         for l0 in range(0, lo, kl)
     ]
     return (kh, kl), blocks
-
-
-def gather_hadamard_conjugate(
-    m: np.ndarray, before: np.ndarray | None, q: int, after: np.ndarray | None
-) -> np.ndarray:
-    """G_after(H_q G_before(m) H_q), with G_t(x) = x[t][:, t] for a
-    permutation table t and None the identity, in one pass over m.
-
-    Split rows and columns as (hi, 2, lo), lo = 2**q.  Output row pair
-    x0 = (h, 0, l), x1 = (h, 1, l) of H_q G_before(m) H_q is the row
-    butterfly of rows before[x0] and before[x1] of m, gathered by before
-    along columns, followed by the column butterfly over the same split;
-    G_after then sends row x to row after^-1[x], gathered by after
-    along columns.  Both butterflies are unscaled sums and differences, and
-    the column butterfly's output is scaled once by 0.5 = (1/sqrt2)**2,
-    which is exact: on Gaussian-integer entries (the correlated errors have
-    0, +-1, +-i) every operation is exact, so an even-n conjugation is as
-    exact as a gather.  The tables only move entries, so the output is
-    bit-identical to gather_conjugate, the table-free call and
-    gather_conjugate in turn.
-
-    A step walks a block of row pairs through two scratch buffers; it
-    touches eight rows per pair (two of m, two in each buffer, two of the
-    output), so steps are sized to keep them within half a tile.  Tables
-    are gathered with mode="clip", which lets take write into its buffer
-    directly, so each is checked first (_check_table), and after must be
-    a permutation too, as its inverse places the rows (DimensionMismatch);
-    m must be square of power-of-two dim (square_dim) and q one of its
-    qubits (BadQubitIndex).
-    """
-    m = real_or_complex(m)
-    dim = square_dim(m)
-    if not 0 <= q < dim.bit_length() - 1:
-        raise BadQubitIndex(f"q={q} is not a qubit of a {dim}-dim matrix")
-    out = np.empty_like(m)
-    lo = 1 << q
-    hi = dim >> (q + 1)
-    src = m.reshape(hi, 2, lo, dim)
-    dst = out.reshape(hi, 2, lo, dim)
-    if before is not None:
-        before = _check_table(before, dim, "before")
-        rows = before.reshape(hi, 2, lo)
-    if after is not None:
-        after = _check_table(after, dim, "after")
-        dest = _inverse(after, "after").reshape(hi, 2, lo)
-    (kh, kl), blocks = _pair_blocks(hi, lo, _step_rows(hi * lo, 8 * m.itemsize * dim))
-    buffers = np.empty((2, kh, 2, kl, dim), dtype=m.dtype)
-    for h, l in blocks:
-        part = dst[h, :, l]
-        x, y = buffers[:, : part.shape[0], :, : part.shape[2]]
-        if before is None:
-            rows_in = src[h, :, l]
-        else:
-            np.take(m, rows[h, :, l], axis=0, out=x, mode="clip")
-            rows_in = np.take(x, before, axis=-1, out=y, mode="clip")
-        _hadamard_block(rows_in[:, 0], rows_in[:, 1], x)
-        block = part if after is None else y
-        cols_in = x.reshape(x.shape[:-1] + (hi, 2, lo))
-        cols_out = block.reshape(block.shape[:-1] + (hi, 2, lo))
-        # the column pair axis moved to position 1, as _hadamard_block takes it
-        cols_out = cols_out.transpose(0, 4, 1, 2, 3, 5)
-        _hadamard_block(cols_in[..., 0, :], cols_in[..., 1, :], cols_out)
-        cols_out *= 0.5
-        if after is not None:
-            out[dest[h, :, l]] = np.take(y, after, axis=-1, out=x, mode="clip")
-    return out
 
 
 def y_phase(n: int) -> complex:

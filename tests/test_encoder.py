@@ -17,6 +17,7 @@ from corrqec import (
     conjugate_pauli,
     conjugation_report,
     d_matrix,
+    gates,
     h_op,
     kernels,
 )
@@ -144,8 +145,9 @@ def test_conjugation_report_calls_no_kernel_and_no_memory_bound(monkeypatch):
     def fail(*args):
         raise AssertionError("conjugation_report called a dense kernel")
 
-    for name in ("gather_conjugate", "gather_hadamard_conjugate", "kron_dist", "frob_dist"):
+    for name in ("gather_conjugate", "kron_dist", "frob_dist"):
         monkeypatch.setattr(kernels, name, fail)
+    monkeypatch.setattr(gates, "_hadamard_in_place", fail)
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 512}
     monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
     for n in (2, 3, 8, 12, 13, 40):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from corrqec import (
     BadQubitCount,
     build_pn,
+    gates,
     kernels,
     BadQubitIndex,
     Circuit,
@@ -20,7 +24,7 @@ from corrqec import (
     invert,
     pauli,
 )
-from corrqec.gates import circuit_factors
+from corrqec.gates import CONJUGATE_PEAK_STATES, circuit_factors
 
 from oracles import (
     HAD,
@@ -275,17 +279,22 @@ def test_circuit_conjugate_matches_realize(index):
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_encoder_conjugation_is_one_kernel_call(monkeypatch, n):
+    # odd n is one CNOT permutation: one gather; even n a permutation, one
+    # Hadamard and a permutation: a gather, a butterfly on it, a gather
     calls = []
-    for name in ("gather_conjugate", "gather_hadamard_conjugate"):
-        fn = getattr(kernels, name)
+    for module, name in ((kernels, "gather_conjugate"), (gates, "_hadamard_in_place")):
+        fn = getattr(module, name)
         monkeypatch.setattr(
-            kernels, name, lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args)
+            module, name, lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args)
         )
     m = np.eye(1 << n, dtype=complex)
+    want = ["gather_conjugate"]
+    if n % 2 == 0:
+        want = ["gather_conjugate", "_hadamard_in_place", "gather_conjugate"]
     for adjoint in (False, True):
         calls.clear()
         circuit_conjugate(build_pn(n).circuit, m, adjoint=adjoint)
-        assert calls == (["gather_hadamard_conjugate"] if n % 2 == 0 else ["gather_conjugate"])
+        assert calls == want
 
 
 def test_single_qubit_embedding_convention():
@@ -299,24 +308,20 @@ def test_single_qubit_embedding_convention():
 
 
 def _factor_by_factor(circuit, m, adjoint):
-    """circuit_conjugate with one kernel call, and one new array, per factor
-    of circuit_factors: a gather by the table's inverse (by the table for
-    the adjoint) or a table-free Hadamard pass."""
+    """circuit_conjugate with one single-factor call, and one new array,
+    per factor of circuit_factors."""
     factors = circuit_factors(circuit)
-    for kind, arg in reversed(factors) if adjoint else factors:
-        if kind == "perm":
-            m = kernels.gather_conjugate(m, arg if adjoint else np.argsort(arg))
-        else:
-            m = kernels.gather_hadamard_conjugate(m, None, arg, None)
+    for factor in reversed(factors) if adjoint else factors:
+        m = circuit_conjugate((factor,), m, adjoint=adjoint)
     return m
 
 
 @pytest.mark.parametrize("index", range(len(CONJUGATE_CIRCUITS)))
 def test_circuit_conjugate_into_out_matches_the_allocating_call(index):
-    # circuit_conjugate folds the CNOT tables into the Hadamard passes beside
-    # them, each pass allocating its output; gathers only move entries, so
-    # it is the factor-by-factor calls bit for bit, in either dtype and
-    # direction, and leaves its input as it was
+    # circuit_conjugate composes the CNOT tables on either side of each
+    # Hadamard into one gather, each allocating its output; gathers only
+    # move entries, so it is the factor-by-factor calls bit for bit, in
+    # either dtype and direction, and leaves its input as it was
     c = CONJUGATE_CIRCUITS[index]
     dim = 1 << c.n_qubits
     rng = np.random.default_rng(index + 40)
@@ -362,3 +367,106 @@ def test_circuit_conjugate_rejects_a_bad_out():
     for circuit in (c, Circuit(4, (cnot_op(0, 1),)), Circuit(4, (h_op(2),))):
         for adjoint in (False, True):
             assert not np.shares_memory(circuit_conjugate(circuit, m, adjoint=adjoint), m)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_circuit_conjugate_never_returns_its_input(dtype):
+    # a circuit with no gates is the identity gather: a new array, never m,
+    # even for an m in the dtype and layout the gather reads as it is
+    rng = np.random.default_rng(42)
+    m = rng.normal(size=(16, 16)).astype(dtype)
+    if dtype == np.complex128:
+        m += 1j * rng.normal(size=(16, 16))
+    for circuit in (Circuit(4), ()):
+        for adjoint in (False, True):
+            got = circuit_conjugate(circuit, m, adjoint=adjoint)
+            assert got.dtype == m.dtype and np.array_equal(got, m)
+            assert not np.shares_memory(got, m)
+
+
+def _rejected_before_any_pass(monkeypatch, error, factors, m):
+    """Assert circuit_conjugate(factors, m) raises error in both directions
+    before any gather or butterfly, allocating under a quarter of m, and
+    leaves m as it was."""
+    def fail(*args):
+        raise AssertionError("circuit_conjugate ran a pass")
+
+    monkeypatch.setattr(kernels, "gather_conjugate", fail)
+    monkeypatch.setattr(gates, "_hadamard_in_place", fail)
+    kept = m.copy()
+    for adjoint in (False, True):
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                circuit_conjugate(factors, m, adjoint=adjoint)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m.nbytes // 4, (factors, adjoint)
+    assert np.array_equal(m, kept)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [(("bogus", 0),), (("perm", np.arange(64)[::-1]), ("H", 1)), (("h", 0), ("cnot", (0, 1)))],
+)
+def test_circuit_conjugate_rejects_an_unknown_factor_kind(monkeypatch, factors):
+    # only "perm" and "h" are factors: any other kind is refused, not run
+    # as a Hadamard, wherever it stands in the list
+    m = np.random.default_rng(43).normal(size=(64, 64))
+    _rejected_before_any_pass(monkeypatch, BadQubitIndex, factors, m)
+
+
+def test_circuit_conjugate_rejects_a_perm_factor_that_is_not_a_permutation(monkeypatch):
+    # a table that repeats an index is no permutation: argsort would make
+    # it the identity in one direction and the gather duplicate rows in the
+    # other, so it is refused in both, as is one a gather would clip
+    m = np.random.default_rng(45).normal(size=(64, 64))
+    repeats = np.arange(64)
+    repeats[1] = 0
+    for table in ([0, 0, 1, 2] + list(range(4, 64)), repeats):
+        for factors in ((("perm", table),), (("h", 2), ("perm", table))):
+            _rejected_before_any_pass(monkeypatch, DimensionMismatch, factors, m)
+    for table in (list(range(63)) + [64], [-1] + list(range(1, 64)), range(63), range(65)):
+        for factors in ((("perm", table),), (("perm", np.arange(64)), ("h", 0), ("perm", table))):
+            _rejected_before_any_pass(monkeypatch, DimensionMismatch, factors, m)
+
+
+@pytest.mark.parametrize("q", [-1, 6, 9])
+def test_circuit_conjugate_rejects_a_hadamard_on_no_qubit(monkeypatch, q):
+    m = np.random.default_rng(46).normal(size=(64, 64))
+    for factors in ((("h", q),), (("h", 0), ("perm", np.arange(64)), ("h", q))):
+        _rejected_before_any_pass(monkeypatch, BadQubitIndex, factors, m)
+
+
+def test_circuit_conjugate_checks_memory_before_any_pass(monkeypatch):
+    # 2 MiB of physical memory holds CONJUGATE_PEAK_STATES states at n = 7,
+    # not at n = 8
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 512}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+    assert CONJUGATE_PEAK_STATES * 16 * 4**7 <= 2 << 20 < CONJUGATE_PEAK_STATES * 16 * 4**8
+    small = np.eye(1 << 7)
+    assert np.array_equal(circuit_conjugate(build_pn(7).circuit, small), small)
+    m = np.random.default_rng(47).normal(size=(1 << 8, 1 << 8))
+    for circuit in (build_pn(8).circuit, Circuit(8)):
+        _rejected_before_any_pass(monkeypatch, BadQubitCount, circuit, m)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_circuit_conjugate_holds_two_states_plus_half_a_tile(dtype):
+    # an even-n encoder: the gather it reads, the one it writes and their
+    # tile scratch, past the input (the butterflies' scratch, half a state
+    # each, comes while one gather is held); measured 2.04-2.09 states at
+    # n = 10
+    n = 10
+    m = np.random.default_rng(48).normal(size=(1 << n, 1 << n)).astype(dtype)
+    circuit = build_pn(n).circuit
+    assert CONJUGATE_PEAK_STATES * 16 * 4**n >= 16 * 4**n + 2 * m.nbytes
+    for adjoint in (False, True):
+        tracemalloc.start()
+        try:
+            circuit_conjugate(circuit, m, adjoint=adjoint)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * m.nbytes + kernels._TILE_BYTES // 2, (dtype, adjoint)

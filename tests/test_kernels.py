@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from corrqec import kernels
-from corrqec.encoder import build_pn
-from corrqec.errors import BadQubitIndex, DimensionMismatch
-from corrqec.gates import circuit_factors
+from corrqec.errors import DimensionMismatch
+from corrqec.gates import circuit_conjugate
 
 import oracles
 from oracles import (
@@ -40,11 +39,22 @@ def test_gather_conjugate_against_gemm():
 def test_hadamard_conjugate_against_gemm(q):
     m = random_complex_matrix(16, 2)
     h = embed_single(HAD, 4, q)
-    got = kernels.gather_hadamard_conjugate(m, None, q, None)
+    got = circuit_conjugate((("h", q),), m)
     assert np.allclose(got, h @ m @ h, atol=1e-13)
     eye = np.eye(16, dtype=complex)
-    got = kernels.gather_hadamard_conjugate(eye, None, q, None)
+    got = circuit_conjugate((("h", q),), eye)
     assert np.allclose(got, eye, atol=1e-15)
+
+
+def _hadamard_factors(before, q, after):
+    """Circuit factors whose conjugation (adjoint=False) is
+    G_after(H_q G_before(m) H_q), with G_t(x) = x[t][:, t] and None the
+    identity: a perm factor conjugates as the gather by its table's
+    inverse."""
+    def perm(t):
+        return () if t is None else (("perm", np.argsort(t)),)
+
+    return perm(before) + (("h", q),) + perm(after)
 
 
 def _gather_hadamard_dense(m, before, q, after):
@@ -57,7 +67,7 @@ def _gather_hadamard_dense(m, before, q, after):
     return pb.conj().T @ h @ pa.conj().T @ m @ pa @ h @ pb
 
 
-def test_gather_hadamard_conjugate_against_dense_oracle():
+def test_hadamard_factors_against_dense_oracle():
     rng = np.random.default_rng(11)
     for n in range(1, 9):
         dim = 1 << n
@@ -65,36 +75,10 @@ def test_gather_hadamard_conjugate_against_dense_oracle():
         for q in range(n):
             perms = [rng.permutation(dim) for _ in range(2)]
             for before, after in ((None, None), (perms[0], None), (None, perms[1]), perms):
-                got = _checked(kernels.gather_hadamard_conjugate, m, before, q, after)
+                factors = _hadamard_factors(before, q, after)
+                got = _checked(lambda x: circuit_conjugate(factors, x), m)
                 want = _gather_hadamard_dense(m, before, q, after)
                 assert np.allclose(got, want, rtol=0.0, atol=1e-12), (n, q)
-
-
-def _three_kernels(m, before, q, after):
-    if before is not None:
-        m = kernels.gather_conjugate(m, before)
-    m = kernels.gather_hadamard_conjugate(m, None, q, None)
-    return m if after is None else kernels.gather_conjugate(m, after)
-
-
-def _encoder_tables(n):
-    """(before, q, after) of the encoder's conjugation in each direction:
-    for even n its own (perm, H_q, perm) factors, for odd n (CNOTs only) its
-    one table around a Hadamard on the top qubit."""
-    factors = circuit_factors(build_pn(n).circuit)
-    if n % 2 == 1:
-        ((_, perm),) = factors
-        return [(np.argsort(perm), n - 1, perm), (perm, n - 1, np.argsort(perm))]
-    (_, first), (_, q), (_, last) = factors
-    return [(np.argsort(first), q, np.argsort(last)), (last, q, first)]
-
-
-@pytest.mark.parametrize("n", range(2, 11))
-def test_gather_hadamard_conjugate_equals_three_kernels(n):
-    m = random_complex_matrix(1 << n, n + 80)
-    for before, q, after in _encoder_tables(n):
-        got = kernels.gather_hadamard_conjugate(m, before, q, after)
-        assert np.array_equal(got, _three_kernels(m, before, q, after))
 
 
 def _integer_hadamard(n, q):
@@ -104,9 +88,10 @@ def _integer_hadamard(n, q):
     return np.kron(np.kron(high, np.array([[1, 1], [1, -1]])), low)
 
 
-def test_gather_hadamard_conjugate_is_exact_on_gaussian_integers():
+def test_hadamard_factors_are_exact_on_gaussian_integers():
     # both butterflies unscaled, then one scale by 0.5: on Gaussian-integer
-    # entries the kernel equals integer arithmetic divided by 2, bit for bit
+    # entries the conjugation equals integer arithmetic divided by 2, bit
+    # for bit
     rng = np.random.default_rng(17)
     for n in range(1, 9):
         dim = 1 << n
@@ -119,7 +104,8 @@ def test_gather_hadamard_conjugate_is_exact_on_gaussian_integers():
                 b = np.arange(dim) if before is None else before
                 c = np.arange(dim) if after is None else after
                 want_re, want_im = ((h @ x[b][:, b] @ h)[c][:, c] for x in (re, im))
-                got = _checked(kernels.gather_hadamard_conjugate, m, before, q, after)
+                factors = _hadamard_factors(before, q, after)
+                got = _checked(lambda x: circuit_conjugate(factors, x), m)
                 assert np.array_equal(got, (want_re + 1j * want_im) / 2), (n, q)
 
 
@@ -288,8 +274,8 @@ def test_real_kernels_keep_float64_and_the_rest_take_complex():
     for got, want in (
         (kernels.gather_conjugate(m, perm), kernels.gather_conjugate(m.astype(complex), perm)),
         (
-            kernels.gather_hadamard_conjugate(m, perm, 2, perm[::-1]),
-            kernels.gather_hadamard_conjugate(m.astype(complex), perm, 2, perm[::-1]),
+            circuit_conjugate(_hadamard_factors(perm, 2, perm[::-1]), m),
+            circuit_conjugate(_hadamard_factors(perm, 2, perm[::-1]), m.astype(complex)),
         ),
     ):
         assert got.dtype == np.float64
@@ -301,7 +287,7 @@ def test_real_kernels_keep_float64_and_the_rest_take_complex():
     ints = np.arange(256).reshape(16, 16)
     for other in (m.astype(np.float32), ints, ints.astype(np.int16)):
         assert kernels.gather_conjugate(other, perm).dtype == np.complex128
-        assert kernels.gather_hadamard_conjugate(other, perm, 2, None).dtype == np.complex128
+        assert circuit_conjugate(_hadamard_factors(perm, 2, None), other).dtype == np.complex128
 
 
 def test_wrappers_accept_noncontiguous_input():
@@ -325,19 +311,15 @@ def _checked(fn, *args):
     return out
 
 
-# _TILE_BYTES = 16*dim*k, k rows of the matrix, so a step takes k // 16 row
-# pairs of the fused gather-Hadamard pass and k // 6 rows of frob_dist and
-# kron_dist (at least 1).  kron_dist keeps a step within one block of
-# dim / A rows of d (A = 2 or 4, the size of its a) while the step is
-# shorter than the block.  k = None: the default tile, one step per matrix;
-# k = 1 and 6: one row (or pair of rows) per step for every kernel; k = 15:
-# the same but 2 rows of frob_dist and kron_dist; k = 30: 5 rows of
-# frob_dist and kron_dist; k = 36: 2 pairs of the fused pass and 6 rows of
-# frob_dist and kron_dist; k = 48: 3 pairs of the fused pass and 8 rows of
-# frob_dist and kron_dist.  The
-# steps of 3, 5 and 6 leave an uneven last step at every dim they run at,
-# and kron_dist's 5 rows one in each of its blocks (8 to 32 rows at n = 5
-# and 6).  The fused pass takes twice the pairs on a float64 matrix.
+# _TILE_BYTES = 16*dim*k, k rows of the matrix, so a step takes k // 6
+# rows of gather_conjugate, frob_dist and kron_dist (at least 1).
+# kron_dist keeps a step within one block of dim / A rows of d (A = 2 or 4,
+# the size of its a) while the step is shorter than the block.  k = None:
+# the default tile, one step per matrix; k = 1 and 6: one row per step;
+# k = 15: 2 rows; k = 30: 5 rows; k = 36: 6 rows; k = 48: 8 rows.  The
+# steps of 5 and 6 leave an uneven last step at every dim they run at, and
+# kron_dist's 5 rows one in each of its blocks (8 to 32 rows at n = 5 and
+# 6).  The gather takes twice the rows on a float64 matrix.
 @pytest.mark.parametrize(
     "n, k",
     [
@@ -356,30 +338,16 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     real_kron = [(a.real.copy(), r.real.copy()) for a, r in _kron_cases(n, n + 55)]
     rho = m + m.conj().T
     perm = rng.permutation(dim).astype(np.int64)
-    perm2 = rng.permutation(dim)
-    qs = sorted({0, n - 2, n - 1})
     kron_cases = _kron_cases(n, n + 50)
     whole = {
-        "had": [kernels.gather_hadamard_conjugate(m, None, q, None) for q in qs],
-        "fused": [kernels.gather_hadamard_conjugate(m, perm, q, perm2) for q in qs],
         "dist": kernels.frob_dist(m, rho),
         "kron": [kernels.kron_dist(m, a, r) for a, r in kron_cases],
-        "real_fused": [kernels.gather_hadamard_conjugate(real, perm, q, perm2) for q in qs],
         "real_kron": [kernels.kron_dist(real, a, r) for a, r in real_kron],
         "trial": [kernels.trial_pass(*args) for args in _trial_pass_cases(n)],
     }
     if k is not None:
         monkeypatch.setattr(kernels, "_TILE_BYTES", 16 * dim * k)
         assert m.nbytes > kernels._TILE_BYTES
-    for q, had, fused in zip(qs, whole["had"], whole["fused"]):
-        h = embed_single(HAD, n, q)
-        got = _checked(kernels.gather_hadamard_conjugate, m, None, q, None)
-        assert np.array_equal(got, had)
-        assert np.allclose(got, h @ m @ h, atol=1e-12)
-        got = _checked(kernels.gather_hadamard_conjugate, m, perm, q, perm2)
-        assert np.array_equal(got, fused)
-        want = _gather_hadamard_dense(m, perm, q, perm2)
-        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
     p = permutation_matrix(perm)
     got = _checked(kernels.gather_conjugate, m, perm)
     assert np.allclose(got, p.conj().T @ m @ p, atol=1e-13)
@@ -393,12 +361,6 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     for (a, r), dist in zip(kron_cases, whole["kron"]):
         assert _checked(kernels.kron_dist, m, a, r) == pytest.approx(dist, rel=1e-12)
         assert kernels.kron_dist(np.kron(a, r), a, r) == 0.0
-    for q, fused in zip(qs, whole["real_fused"]):
-        got = _checked(kernels.gather_hadamard_conjugate, real, perm, q, perm2)
-        assert got.dtype == np.float64
-        assert np.array_equal(got, fused)
-        want = _gather_hadamard_dense(real, perm, q, perm2)
-        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
     for (a, r), dist in zip(real_kron, whole["real_kron"]):
         assert _checked(kernels.kron_dist, real, a, r) == pytest.approx(dist, rel=1e-12)
         assert kernels.kron_dist(np.kron(a, r), a, r) == 0.0
@@ -447,22 +409,14 @@ def test_dense_kernels_hold_one_output_plus_tile_scratch():
         m = random_complex_matrix(dim, 60 + n)
         rng = np.random.default_rng(61 + n)
         perm = rng.permutation(dim)
-        for fn, args in (
-            (kernels.gather_hadamard_conjugate, (m, None, n - 1, None)),
-            (kernels.gather_hadamard_conjugate, (m, None, 0, None)),
-            (kernels.gather_hadamard_conjugate, (m, perm, n - 1, perm[::-1])),
-            (kernels.gather_hadamard_conjugate, (m, perm, 0, perm[::-1])),
-        ):
-            assert _peak_bytes(fn, *args) < state + scratch, (fn.__name__, n)
+        assert _peak_bytes(kernels.gather_conjugate, m, perm) < state + scratch, n
         # no output matrix: scratch only
         assert _peak_bytes(kernels.frob_dist, m, 2 * m) < scratch, n
         for a, r in _kron_cases(n, 62 + n):
             assert _peak_bytes(kernels.kron_dist, m, a, r) < scratch, n
         # a float64 matrix: a float64 output, half a state
         real = m.real.copy()
-        for q in (n - 1, 0):
-            peak = _peak_bytes(kernels.gather_hadamard_conjugate, real, perm, q, perm[::-1])
-            assert peak < state // 2 + scratch, n
+        assert _peak_bytes(kernels.gather_conjugate, real, perm) < state // 2 + scratch, n
         r = real[: dim // 4, : dim // 4].copy()
         assert _peak_bytes(kernels.kron_dist, real, real[:4, :4], r) < scratch, n
 
@@ -472,7 +426,6 @@ def test_dense_kernels_hold_one_output_plus_tile_scratch():
 KERNEL_SIGNATURES = {
     "gather_conjugate": ("m", "perm"),
     "trial_pass": ("a", "p", "chi", "perm"),
-    "gather_hadamard_conjugate": ("m", "before", "q", "after"),
     "ptrace_leading": ("m", "keep"),
     "ptrace_trailing": ("m", "keep"),
     "frob_dist": ("a", "b"),
@@ -723,17 +676,15 @@ def test_ptrace_kernels_sum_float64_in_float64():
 
 # out is the array a kernel returns: each allocates its own.  _TILE_BYTES =
 # 16*dim*k as in test_kernels_are_tile_size_independent: k = 1 and 3 leave
-# one row (or pair) and an uneven last step in every kernel.
+# one row and an uneven last step.
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 @pytest.mark.parametrize("k", [None, 1, 3])
 def test_into_out_kernels_return_out_and_match_the_allocating_forms(monkeypatch, n, k):
-    # each returns a new array of its input's dtype: the gather is the
-    # whole-array fancy index and the fused pass the three kernels in turn,
-    # bit for bit
+    # the gather returns a new array of its input's dtype, the whole-array
+    # fancy index bit for bit
     dim = 1 << n
     rng = np.random.default_rng(n * 11 + (k or 0))
     perm = rng.permutation(dim)
-    perm2 = rng.permutation(dim)
     m = random_complex_matrix(dim, n + 150)
     if k is not None:
         monkeypatch.setattr(kernels, "_TILE_BYTES", 16 * dim * k)
@@ -741,20 +692,16 @@ def test_into_out_kernels_return_out_and_match_the_allocating_forms(monkeypatch,
         got = _checked(kernels.gather_conjugate, x, perm)
         assert got.dtype == x.dtype and not np.shares_memory(got, x)
         assert np.array_equal(got, x[np.ix_(perm, perm)])
-        for q in sorted({0, n - 2, n - 1}):
-            for before, after in ((None, None), (perm, perm2)):
-                got = _checked(kernels.gather_hadamard_conjugate, x, before, q, after)
-                assert got.dtype == x.dtype and not np.shares_memory(got, x)
-                assert np.array_equal(got, _three_kernels(x, before, q, after))
 
 
 def _kernel_calls():
-    """(name, call(m, table)) for the gathers and the oracle channel pass,
+    """(name, call(m, table)) for the gather, a circuit_conjugate of a
+    Hadamard between two gathers by the table, and the oracle channel pass,
     which takes no table."""
     chi = (0.4, 0.3, 0.2, 0.1)
     return [
         ("gather", kernels.gather_conjugate),
-        ("fused", lambda m, t: kernels.gather_hadamard_conjugate(m, t, 1, t)),
+        ("factors", lambda m, t: circuit_conjugate((("perm", t), ("h", 1), ("perm", t)), m)),
         ("channel", lambda m, t: pauli_channel_basis_packed(m, chi)),
     ]
 
@@ -785,25 +732,13 @@ def test_gather_conjugate_rejects_a_table_it_would_clip():
     for perm in ([0, 1, 2, 9], [0, 1, -1, 2], [0, 1, 2], [0, 1, 2, 3, 0]):
         with pytest.raises(DimensionMismatch):
             kernels.gather_conjugate(m, perm)
-        # the fused gather checks both of its tables the same way
-        for before, after in ((perm, None), (None, perm), (perm, perm)):
-            with pytest.raises(DimensionMismatch):
-                kernels.gather_hadamard_conjugate(m, before, 0, after)
-    # after is inverted to place the rows, so it must be a permutation
-    with pytest.raises(DimensionMismatch, match="permutation"):
-        kernels.gather_hadamard_conjugate(m, None, 0, [0, 1, 2, 2])
-    for q in (-1, 2, 5):
-        with pytest.raises(BadQubitIndex):
-            kernels.gather_hadamard_conjugate(m, None, q, None)
-    # the butterfly splits the dim in halves: a dim that is not a power of
-    # two, or a matrix that is not square, is not a register of qubits
+    # a dim that is not a power of two, or a matrix that is not square, is
+    # not a register of qubits
     for bad in (np.eye(6), np.ones((16, 8)), np.arange(4.0)):
         with pytest.raises(DimensionMismatch):
-            kernels.gather_hadamard_conjugate(bad, None, 0, None)
+            kernels.gather_conjugate(bad, np.arange(len(bad)))
     # a rejected table leaves the input as it was
     kept = m.copy()
-    with pytest.raises(DimensionMismatch):
-        kernels.gather_hadamard_conjugate(m, [0, 1, 2, 9], 1, None)
     with pytest.raises(DimensionMismatch):
         kernels.gather_conjugate(m, [0, 1, 2, 9])
     assert np.array_equal(m, kept)

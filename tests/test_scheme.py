@@ -23,7 +23,7 @@ from corrqec import (
     run_trial,
 )
 from corrqec import channels as channels_module
-from corrqec import kernels, scheme
+from corrqec import gates, kernels, scheme
 from corrqec.kernels import _TILE_BYTES
 from corrqec.scheme import TRIAL_PEAK_STATES
 from corrqec.tensor import pack
@@ -595,19 +595,15 @@ def test_trial_drops_the_state_before_unpacking_the_data():
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
 def test_even_trial_makes_no_hadamard_kernel_call(monkeypatch, n):
     # the encoder's one Hadamard is in its ancilla-only P_2 head, which the
-    # trial applies to the 4x4 ancilla: the state passes gathers only
+    # trial applies to the 4x4 ancilla: the state passes no butterfly
     calls = []
+    real = gates._hadamard_in_place
 
-    def counting(name):
-        real = getattr(kernels, name)
+    def counting(*args, **kwargs):
+        calls.append("_hadamard_in_place")
+        return real(*args, **kwargs)
 
-        def call(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-
-        return call
-
-    monkeypatch.setattr(kernels, "gather_hadamard_conjugate", counting("gather_hadamard_conjugate"))
+    monkeypatch.setattr(gates, "_hadamard_in_place", counting)
     sigma = random_density(4, n + 130)
     rho = random_density(1 << (n - 2), n + 131)
     for channels in ([PauliChannel(n, (0.4, 0.3, 0.2, 0.1))], []):
@@ -616,7 +612,7 @@ def test_even_trial_makes_no_hadamard_kernel_call(monkeypatch, n):
     assert calls == []
     # the count is live: the whole circuit still runs its Hadamard
     encode(n, sigma, rho)
-    assert calls[:1] == ["gather_hadamard_conjugate"]
+    assert calls == ["_hadamard_in_place"]
 
 
 @pytest.mark.parametrize("kind", ["pauli", "span", "none"])
