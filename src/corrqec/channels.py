@@ -22,6 +22,7 @@ import operator
 from cmath import isfinite
 from dataclasses import dataclass
 from functools import lru_cache
+from math import sqrt
 
 import numpy as np
 
@@ -102,8 +103,14 @@ def completeness_deviation(n: int, kraus_coeffs) -> float:
     without any dense algebra; scaled_root keeps it finite where 2**n
     alone is past the float range.
     """
+    return scaled_root(_gram_deviation_sq(n, kraus_coeffs), n)
+
+
+def _gram_deviation_sq(n: int, kraus_coeffs) -> float:
+    """Squared norm of the coefficients in E of sum_j F_j_dag F_j - I: the
+    squared Frobenius norm of that sum less I, divided by ||I||**2 = 2**n."""
     dev = _kraus_gram(_rows_chi(kraus_coeffs), n) - _I_COEFFS
-    return scaled_root(np.vdot(dev, dev).real, n)
+    return np.vdot(dev, dev).real
 
 
 @dataclass(frozen=True)
@@ -128,10 +135,12 @@ class SpanChannel:
         if not all(isfinite(x) for row in coeffs for x in row):
             raise ValueError(f"kraus_coeffs must be finite: {coeffs}")
         object.__setattr__(self, "kraus_coeffs", coeffs)
-        dev = completeness_deviation(self.n, coeffs)
-        if dev > COMPLETENESS_TOL:
+        # relative to ||I||, so that the rounding of the coefficients, not
+        # 2**(n/2) times it, meets the tolerance at every n
+        dev = sqrt(_gram_deviation_sq(self.n, coeffs))
+        if not dev <= COMPLETENESS_TOL:
             raise NotTracePreserving(
-                f"sum of F_dag F deviates from identity by {dev:.3e}"
+                f"sum of F_dag F deviates from identity by {dev:.3e} of ||I||"
             )
 
 

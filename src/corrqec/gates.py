@@ -17,6 +17,7 @@ builds the state, at every n.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +44,23 @@ class GateOp:
     qubits: tuple[int, ...]  # (control, target) for cnot, (qubit,) for h
 
 
+def _qubit(q) -> int:
+    """q as an int (a numpy integer too); BadQubitIndex for a float or any
+    other non-integer, which a range check alone would let through."""
+    try:
+        return operator.index(q)
+    except TypeError:
+        raise BadQubitIndex(f"qubit {q!r} is not an integer") from None
+
+
 def cnot_op(control: int, target: int) -> GateOp:
-    if control == target:
+    if _qubit(control) == _qubit(target):
         raise BadQubitIndex(f"control and target coincide: {control}")
     return GateOp("cnot", (control, target))
 
 
 def h_op(qubit: int) -> GateOp:
+    _qubit(qubit)
     return GateOp("h", (qubit,))
 
 
@@ -66,7 +77,7 @@ class Circuit:
             if op.kind not in ("cnot", "h"):
                 raise BadQubitIndex(f"unknown gate kind {op.kind!r}")
             for q in op.qubits:
-                if not 0 <= q < self.n_qubits:
+                if not 0 <= _qubit(q) < self.n_qubits:
                     raise BadQubitIndex(
                         f"qubit {q} out of range for {self.n_qubits} qubits"
                     )
@@ -90,7 +101,7 @@ def pauli(axis: str) -> np.ndarray:
 
 def cnot_perm(n: int, control: int, target: int) -> np.ndarray:
     """Basis permutation of C_{control,target}: flip target bit when control is 1."""
-    if not (0 <= control < n and 0 <= target < n):
+    if not (0 <= _qubit(control) < n and 0 <= _qubit(target) < n):
         raise BadQubitIndex(f"control={control}, target={target} out of range for n={n}")
     if control == target:
         raise BadQubitIndex(f"control and target coincide: {control}")
@@ -216,7 +227,7 @@ def circuit_conjugate(factors_or_circuit, m: np.ndarray, adjoint: bool = False) 
         if kind == "perm":
             arg = kernels._check_table(arg, dim, "perm")
             kernels._inverse(arg, "perm")
-        elif kind != "h" or not 0 <= arg < dim.bit_length() - 1:
+        elif kind != "h" or not 0 <= _qubit(arg) < dim.bit_length() - 1:
             raise BadQubitIndex(f"factor ({kind!r}, {arg!r}) on a {dim}-dim matrix")
         factors.append((kind, arg))
     check_memory(dim.bit_length() - 1, CONJUGATE_PEAK_STATES)

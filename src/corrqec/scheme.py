@@ -24,8 +24,11 @@ gather table, the decode leaving that basis in the same gather.  The four
 dense stages (the input product, encode, the channel pass and decode) run
 as one kernel, kernels.trial_pass, which builds each step's rows of the
 input product from sigma and the packed rho and writes each decoded row
-once: a trial holds one packed state, and drops it before it unpacks the
-recovered rho.
+once: a trial holds one packed state.  pack(rho) is dropped at its last
+reader, the hybrid check (even n, classical ancilla), which runs first,
+or else the pass, so the traces allocate beside the state alone; the
+traces and the product check follow, and the state is dropped before
+the recovered rho is unpacked.
 """
 
 from __future__ import annotations
@@ -48,14 +51,17 @@ from .tolerances import CLASSICAL_TOL, HERMITIAN_TOL, HYBRID_TOL
 # Peak memory of a trial, in 2**n x 2**n complex128 matrices (16*4**n
 # bytes; a packed state is half of one), from tracemalloc at n = 8..12 with
 # Pauli, span-Pauli-span and empty lists (repeats 1 and 2, n = 12 at 1;
-# random and classical ancillas): at most 2.73 at n = 8, 1.29 at n = 9,
-# 0.70 at n = 10, 0.89 at n = 11 and 0.60 at n = 12, all with the span
-# list, rounded up.  The one packed state trial_pass writes is half a
-# complex state; up to n = 9 its step scratch, half a tile (2 MiB) for the
-# span list's transposed rows, outweighs it.  At n = 11 the product check
-# sets it, holding the state, pack(rho), the recovered trace and its
-# transposed copy (an eighth of a state each); the recovered rho is
-# unpacked after the state is dropped.
+# random and classical ancillas): at most 2.72 at n = 8, 1.29 at n = 9,
+# 0.70 at n = 10, 0.78 at n = 11 and 0.57 at n = 12, with the span list
+# (at n = 9 the empty one), rounded up.  The one packed state trial_pass
+# writes is half a complex state; up to n = 9 its step scratch, half a
+# tile (2 MiB) for the span list's transposed rows, outweighs it.  From
+# n = 10 the pass sets the peak: the state beside pack(rho) and its
+# transposed copy (an eighth of a state each at n = 11).  pack(rho) is
+# dropped after its last reader, the pass or the hybrid check, so the
+# traces and the product check (0.77 at n = 11, with its transposed copy
+# of the data trace) reuse its place; the recovered rho is unpacked after
+# the state is dropped.
 TRIAL_PEAK_STATES = 3
 
 
@@ -209,19 +215,21 @@ def run_trial(
         state = kernels.trial_pass([[1.0]], circuit_conjugate(rest, state), chi, basis_table)
         state = circuit_conjugate(rest, state, adjoint=True)
 
-    # the packed traces, float64 as the state, each a new array; the
-    # ancilla's is taken back through the head while packed, a real
-    # congruence, so that unpack leaves it exactly Hermitian.  The checks
-    # that read the state run first, so that it is dropped before the data
-    # trace is unpacked
+    # the hybrid check is the last reader of pack(rho), so it runs first
+    # and p is dropped before the traces allocate; the traces are float64
+    # as the state, each a new array, and the ancilla's is taken back
+    # through the head while packed, a real congruence, so that unpack
+    # leaves it exactly Hermitian.  The product check is the state's last
+    # reader, so it is dropped before the data trace is unpacked
+    hybrid_exact = None
+    if spec.parity == "even" and _is_classical(sigma):
+        hybrid_exact = packed_kron_distance(state, encoded, p) <= HYBRID_TOL
+    del p
     recovered = partial_trace_leading(state, sigma.shape[0])
     trailing = partial_trace_trailing(state, rho.shape[0])
     ancilla = unpack(trailing)
     product_residual = packed_kron_distance(state, ancilla, recovered)
-    hybrid_exact = None
-    if spec.parity == "even" and _is_classical(sigma):
-        hybrid_exact = packed_kron_distance(state, encoded, p) <= HYBRID_TOL
-    del state, p
+    del state
     recovered_rho = unpack(recovered)
     ancilla_out = ancilla if head is None else unpack(scale * (head.T @ trailing @ head))
     predicted = _predicted_from_chi(sigma, chi, spec.parity, spec.sign)

@@ -139,6 +139,34 @@ def test_completeness_deviation_is_finite_where_2_to_the_n_is_not():
         SpanChannel(n, inexact)
 
 
+def test_span_accepts_normalised_channels_at_large_n():
+    # the Frobenius norm of sum F_dag F - I is 2**(n/2) times the rounding
+    # of cos t and sin t, so the check reads it relative to ||I|| (a fixed
+    # bound on the norm itself refused 5 of these at n = 40, 15 at n = 100)
+    rng = np.random.default_rng(1)
+    for n in (10, 40, 100):
+        for t in rng.uniform(0, 2 * np.pi, size=50):
+            SpanChannel(n, ((np.cos(t), 0, 0, 0), (0, np.sin(t), 0, 0)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 100, 1100])
+def test_span_rejects_weights_summing_to_one_plus_1e_9_at_every_n(n):
+    # sum F_dag F = (a + b) I for a I and b X_n weights: 1e-9 off is ten
+    # times the tolerance at every n, the relative deviation being n-free
+    a = 0.3
+    with pytest.raises(NotTracePreserving):
+        SpanChannel(n, ((math.sqrt(a), 0, 0, 0), (0, math.sqrt(1 - a + 1e-9), 0, 0)))
+    SpanChannel(n, ((math.sqrt(a), 0, 0, 0), (0, math.sqrt(1 - a), 0, 0)))
+
+
+def test_span_rejects_coefficients_whose_gram_is_not_finite():
+    # 1e200 squared overflows, and inf times a zero product is NaN: a
+    # deviation that is no number is refused, not read as within tolerance
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NotTracePreserving):
+            SpanChannel(3, ((1e200, 0.0, 0.0, 0.0),))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_span_channel_matches_dense_kraus_oracle(n):
     coeffs = random_span_coeffs(n, seed=n + 30, terms=3)

@@ -16,6 +16,7 @@ from corrqec import (
     BadQubitIndex,
     Circuit,
     DimensionMismatch,
+    GateOp,
     circuit_conjugate,
     cnot_op,
     cnot_perm,
@@ -229,6 +230,32 @@ def test_circuit_validation():
         cnot_op(1, 1)
     with pytest.raises(BadQubitCount):
         Circuit(0)
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, "1", None])
+def test_a_qubit_that_is_not_an_integer_is_rejected(monkeypatch, q):
+    # a float passes 0 <= q < n; it is refused where a qubit enters, not
+    # left to fail as a TypeError in a shift
+    for build in (lambda: h_op(q), lambda: cnot_op(q, 0), lambda: cnot_op(0, q),
+                  lambda: Circuit(3, (GateOp("h", (q,)),)),
+                  lambda: Circuit(3, (GateOp("cnot", (0, q)),)),
+                  lambda: cnot_perm(3, q, 0)):
+        with pytest.raises(BadQubitIndex):
+            build()
+    m = np.random.default_rng(47).normal(size=(64, 64))
+    for factors in ((("h", q),), (("perm", np.arange(64)), ("h", 0), ("h", q))):
+        _rejected_before_any_pass(monkeypatch, BadQubitIndex, factors, m)
+
+
+def test_numpy_integer_qubits_are_accepted():
+    one, two = np.int64(1), np.int32(2)
+    c = Circuit(3, (cnot_op(two, one), h_op(one), cnot_op(0, two)))
+    want = Circuit(3, (cnot_op(2, 1), h_op(1), cnot_op(0, 2)))
+    assert conjugate_pauli(c, 0b101, 0b010, 0) == conjugate_pauli(want, 0b101, 0b010, 0)
+    assert np.array_equal(cnot_perm(3, two, one), cnot_perm(3, 2, 1))
+    m = np.random.default_rng(48).normal(size=(8, 8))
+    assert np.array_equal(circuit_conjugate(c, m), circuit_conjugate(want, m))
+    assert np.array_equal(circuit_conjugate((("h", one),), m), circuit_conjugate((("h", 1),), m))
 
 
 def test_circuit_conjugate_matches_dense():

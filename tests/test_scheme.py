@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from corrqec import (
     AncillaSizeError,
     BadQubitCount,
+    Circuit,
     CorrQecError,
     DimensionMismatch,
     NotHermitian,
@@ -17,6 +20,7 @@ from corrqec import (
     SpanChannel,
     build_pn,
     classical_state,
+    h_op,
     hybrid_sweep,
     predicted_ancilla,
     random_density,
@@ -578,7 +582,7 @@ def test_trial_stages_run_in_two_buffers(monkeypatch, n, kind):
 def test_trial_drops_the_state_before_unpacking_the_data():
     # at odd n the recovered rho is a quarter of a complex state, and its
     # unpacking holds another eighth: after the state (half of one) is
-    # dropped the trial stays below one state (0.89 measured at n = 11),
+    # dropped the trial stays below one state (0.78 measured at n = 11),
     # while unpacking beside the state would reach 1.13
     n = 11
     rho = random_density(1024, 152)
@@ -590,6 +594,57 @@ def test_trial_drops_the_state_before_unpacking_the_data():
         tracemalloc.stop()
     assert out.rho_residual < TRIAL_TOL
     assert peak < 16 * 4**n
+
+
+def _drop_cases():
+    """(n, kind, ancilla, substituted) at n = 10 and 11: every list, a
+    random and (even n) a classical ancilla, and a substituted spec."""
+    return [
+        (n, kind, ancilla, False)
+        for n in (10, 11)
+        for kind in ("pauli", "span", "none")
+        for ancilla in ("random", "classical")[: 2 - n % 2]
+    ] + [(10, "pauli", "random", True), (10, "pauli", "classical", True), (11, "span", "random", True)]
+
+
+@pytest.mark.parametrize("n, kind, ancilla, substituted", _drop_cases())
+def test_trial_drops_the_packed_data_before_the_traces(monkeypatch, n, kind, ancilla, substituted):
+    # pack(rho) is last read by the pass (by both passes of a substituted
+    # spec whose rest holds a Hadamard) or, at even n with a classical
+    # ancilla, by the hybrid check, which runs first: it is dropped before
+    # the data trace allocates beside the state
+    packed, alive = [], []
+    real_pack, real_trace = scheme.pack, scheme.partial_trace_leading
+
+    def packing(rho):
+        p = real_pack(rho)
+        packed.append(weakref.ref(p))
+        return p
+
+    def tracing(state, dim):
+        alive.append([ref() is not None for ref in packed])
+        return real_trace(state, dim)
+
+    monkeypatch.setattr(scheme, "pack", packing)
+    monkeypatch.setattr(scheme, "partial_trace_leading", tracing)
+    spec = build_pn(n)
+    if substituted:
+        # two Hadamards on a data qubit after the encoder: the trial still
+        # recovers, through the branch that conjugates either side of a pass
+        ops = spec.circuit.ops + (h_op(0), h_op(0))
+        spec = dataclasses.replace(spec, circuit=Circuit(n, ops))
+        monkeypatch.setattr(scheme, "build_pn", lambda m: spec)
+        assert scheme.gather_tables(scheme.ancilla_head(spec)[2])[1] == [0, 0]
+    if ancilla == "classical":
+        sigma = classical_state(0, 1)
+    else:
+        sigma = random_density(spec.ancilla_dim, n + 160)
+    rho = random_density((1 << n) // spec.ancilla_dim, n + 161)
+    channels = [] if kind == "none" else _channels(n, kind)
+    out = run_trial(n, sigma, rho, channels)
+    assert out.rho_residual < TRIAL_TOL and out.product_residual < TRIAL_TOL
+    assert out.hybrid_exact is (True if ancilla == "classical" else None)
+    assert alive == [[False]]
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
