@@ -38,6 +38,10 @@ _PAULI = {
 }
 
 
+# Distinct qubits each gate kind acts on.
+_ARITY = {"cnot": 2, "h": 1}
+
+
 @dataclass(frozen=True)
 class GateOp:
     kind: str  # "cnot" or "h"
@@ -74,13 +78,20 @@ class Circuit:
             raise BadQubitCount(f"n_qubits must be >= 1, got {self.n_qubits}")
         object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
-            if op.kind not in ("cnot", "h"):
+            if not isinstance(op.kind, str) or op.kind not in _ARITY:
                 raise BadQubitIndex(f"unknown gate kind {op.kind!r}")
-            for q in op.qubits:
+            qubits = op.qubits if isinstance(op.qubits, tuple) else ()
+            for q in qubits:
                 if not 0 <= _qubit(q) < self.n_qubits:
                     raise BadQubitIndex(
                         f"qubit {q} out of range for {self.n_qubits} qubits"
                     )
+            # the qubits are integers here, so they compare as such
+            if len(qubits) != _ARITY[op.kind] or (len(qubits) == 2 and qubits[0] == qubits[1]):
+                raise BadQubitIndex(
+                    f"{op.kind} needs {_ARITY[op.kind]} distinct qubits as a tuple, "
+                    f"got {op.qubits!r}"
+                )
 
     def embed(self, n_qubits: int, offset: int) -> "Circuit":
         """The same gates re-homed on a larger register, indices shifted."""

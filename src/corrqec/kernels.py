@@ -26,7 +26,8 @@ its output plus one step's scratch, and a small matrix is one step.
 - kron_dist measures d against a kron product a ox r, or against the
   two-term a1 ox r + a2 ox r^T of a packed product, with no output at all:
   each step builds its own slice of the product in scratch, so the
-  product checks hold one state, not two.
+  product checks hold one state, not two; rows of a that are zero in
+  every term are summed straight from d.
 - gather_conjugate, for the CNOT runs of a circuit, takes a step of rows
   of m into scratch and then their columns into the step's rows of the
   output, with np.take: entries only move, so it is bit-identical to
@@ -209,14 +210,22 @@ def chi_transfer(chi: np.ndarray, images) -> np.ndarray:
     return np.einsum("ab,asu,btv->stuv", chi, e, e.conj()).reshape(e.shape[-1] ** 2, -1)
 
 
-def _basis_transfer(probs, n: int) -> np.ndarray:
-    """chi_transfer of probs (a 4x4 chi, or its diagonal) on the images of E
-    on the leading qubits of channel_basis: one qubit for odd n, two for
-    even n (see channel_basis), with Y_n = omega Z_n X_n."""
-    chi = np.asarray(probs, dtype=np.complex128)
+@lru_cache(maxsize=None)
+def _basis_images(n: int) -> np.ndarray:
+    """The images of E on the leading qubits of channel_basis, for n in
+    0..3, the residue mod 4 that fixes them: one qubit for odd n, two for
+    even n (see channel_basis), with Y_n = omega Z_n X_n; read-only."""
     x, z = (_X, _Z) if n % 2 else (np.kron(np.eye(2), _X), np.kron(_Z, np.eye(2)))
     e = np.stack((np.eye(len(x)), x, y_phase(n) * (z @ x), z))
-    return chi_transfer(np.diag(chi) if chi.ndim == 1 else chi, e)
+    e.setflags(write=False)
+    return e
+
+
+def _basis_transfer(probs, n: int) -> np.ndarray:
+    """chi_transfer of probs (a 4x4 chi, or its diagonal) on the images of E
+    on the leading qubits of channel_basis (_basis_images)."""
+    chi = np.asarray(probs, dtype=np.complex128)
+    return chi_transfer(np.diag(chi) if chi.ndim == 1 else chi, _basis_images(n % 4))
 
 
 def _kron_rows(a: np.ndarray, p: np.ndarray, pt, src, rows: np.ndarray, scratch) -> None:
@@ -394,6 +403,13 @@ def kron_dist(d: np.ndarray, a: np.ndarray, r: np.ndarray) -> float:
     second scratch, from a contiguous copy of r^T, and added to the first
     before the subtraction.  The scratch is float64 when d, a and r are
     each float64, complex128 otherwise.
+
+    A step whose rows i of a are zero in every term (a classical
+    ancilla's, in the trial) sums the squares of its slice of d straight
+    from d, with no product and no scratch: for a finite r, d - 0 ox r is d
+    entry for entry up to the sign of a zero, and the slice is contiguous,
+    so where the scratch would have d's dtype the sum is the same squares
+    in the same order, bit for bit.
     """
     d = real_or_complex(d)
     a = real_or_complex(a)
@@ -409,9 +425,13 @@ def kron_dist(d: np.ndarray, a: np.ndarray, r: np.ndarray) -> float:
     (ki, kj), blocks = _pair_blocks(na, nr, _step_rows(dim, rows * dtype.itemsize * dim))
     scratch = np.empty((len(terms), ki, kj, na, nr), dtype=dtype)
     (a1, r1), *more = terms
+    zero_rows = ~np.any([t != 0 for t, _ in terms], axis=(0, 2))
     total = 0.0
     for i, j in blocks:
         part = d4[i, j]
+        if zero_rows[i].all():
+            total += np.vdot(part, part).real
+            continue
         s, *extra = scratch[:, : part.shape[0], : part.shape[1]]
         np.multiply(a1[i, None, :, None], r1[None, j, None, :], out=s)
         for (at, rt), e in zip(more, extra):

@@ -24,11 +24,22 @@ gather table, the decode leaving that basis in the same gather.  The four
 dense stages (the input product, encode, the channel pass and decode) run
 as one kernel, kernels.trial_pass, which builds each step's rows of the
 input product from sigma and the packed rho and writes each decoded row
-once: a trial holds one packed state.  pack(rho) is dropped at its last
-reader, the hybrid check (even n, classical ancilla), which runs first,
-or else the pass, so the traces allocate beside the state alone; the
-traces and the product check follow, and the state is dropped before
+once: a trial holds one packed state.  pack(rho) is read by the pass
+alone and dies with it, so the traces allocate beside the state alone;
+the traces and the product check follow, and the state is dropped before
 the recovered rho is unpacked.
+
+The hybrid check (even n, classical ancilla) asks that the decoded M be
+within HYBRID_TOL of e ox rho, e the encoded ancilla.  It is certified
+from what the trial measures anyway, with no pass of its own: for A and
+R the ancilla and data traces of M,
+M - e ox rho = (M - A ox R) + (A - e) ox R + e ox (R - rho), so the
+direct residual H is at most B = product_residual + |A - e| |R| +
+|e| rho_residual (_hybrid_bound), and the flag is B <= HYBRID_TOL.  It is
+never True where the direct check is False.  For trace-one sigma and rho,
+B <= (5 + 2 sqrt(dim rho)) H to first order in H, so the two can differ
+only where H lies in about (HYBRID_TOL / (5 + 2 sqrt(dim rho)),
+HYBRID_TOL]: a working encoder leaves H near 1e-16, a broken one O(1).
 """
 
 from __future__ import annotations
@@ -51,17 +62,17 @@ from .tolerances import CLASSICAL_TOL, HERMITIAN_TOL, HYBRID_TOL
 # Peak memory of a trial, in 2**n x 2**n complex128 matrices (16*4**n
 # bytes; a packed state is half of one), from tracemalloc at n = 8..12 with
 # Pauli, span-Pauli-span and empty lists (repeats 1 and 2, n = 12 at 1;
-# random and classical ancillas): at most 2.72 at n = 8, 1.29 at n = 9,
-# 0.70 at n = 10, 0.78 at n = 11 and 0.57 at n = 12, with the span list
-# (at n = 9 the empty one), rounded up.  The one packed state trial_pass
-# writes is half a complex state; up to n = 9 its step scratch, half a
-# tile (2 MiB) for the span list's transposed rows, outweighs it.  From
-# n = 10 the pass sets the peak: the state beside pack(rho) and its
-# transposed copy (an eighth of a state each at n = 11).  pack(rho) is
-# dropped after its last reader, the pass or the hybrid check, so the
-# traces and the product check (0.77 at n = 11, with its transposed copy
-# of the data trace) reuse its place; the recovered rho is unpacked after
-# the state is dropped.
+# random and classical ancillas): at most 2.73 at n = 8, 1.29 at n = 9,
+# 0.70 at n = 10, 0.78 at n = 11 and 0.57 at n = 12, with a random
+# ancilla and the span list (at n = 9 the empty list ties it), rounded
+# up.  The one packed state trial_pass writes is half a complex state; up
+# to n = 9 its step scratch, half a tile (2 MiB) for the span list's
+# transposed rows, outweighs it.  From n = 10 the pass sets the peak: the
+# state beside pack(rho) and its transposed copy (an eighth of a state
+# each at n = 11).  pack(rho) dies with the pass, so the traces and the
+# product check (0.77 at n = 11, with its transposed copy of the data
+# trace) reuse its place; the recovered rho is unpacked after the state is
+# dropped.
 TRIAL_PEAK_STATES = 3
 
 
@@ -148,6 +159,18 @@ def _is_classical(sigma: np.ndarray) -> bool:
     )
 
 
+def _hybrid_bound(encoded, ancilla, recovered, product_residual, rho_residual) -> float:
+    """B >= |M - e ox rho| for e the encoded ancilla, A (ancilla) and the
+    packed R (recovered) the traces of the decoded M, from the residuals
+    |M - A ox R| and |R - rho| (the module docstring): packing keeps norms,
+    so |R| is that of the packed trace."""
+    return (
+        product_residual
+        + frobenius_distance(ancilla, encoded) * float(np.linalg.norm(recovered))
+        + float(np.linalg.norm(encoded)) * rho_residual
+    )
+
+
 def _check_hermitian(sigma: np.ndarray, rho: np.ndarray) -> None:
     for name, m in (("ancilla", sigma), ("data state", rho)):
         dev = hermitian_deviation(m)
@@ -175,8 +198,10 @@ def run_trial(
     kernels.trial_pass that never forms the input M.  The partial traces
     of the decoded M are the packed ancilla and data states, which are
     unpacked, the ancilla after the head is taken back off it; the product
-    checks measure M against the packed products blockwise.  Every check
-    runs before any 4**n allocation.
+    check measures M against the packed A ox R blockwise, and a classical
+    ancilla's hybrid flag is certified from the residuals
+    (_hybrid_bound), with no pass of its own.  Every check runs before any
+    4**n allocation.
     """
     repeats = check_repeats(repeats)
     if isinstance(channels, (PauliChannel, SpanChannel)):
@@ -194,7 +219,8 @@ def run_trial(
     # circuit: the decoded M = (U ox I) D (U ox I)^T for D the full decode.
     # The checks are invariant under U: the data trace of M is that of D,
     # D's ancilla is U^T A U for A that of M, and the product and hybrid
-    # residuals are those of M against A ox R and (U sigma U^T) ox rho
+    # residuals are those of M against A ox R and (U sigma U^T) ox rho, so
+    # the hybrid bound is taken in the head frame too
     head, h, rest = ancilla_head(spec)
     scale = 0.5**h
     encoded = sigma if head is None else scale * (head @ sigma @ head.T)
@@ -203,28 +229,23 @@ def run_trial(
     # builds, encodes, passes the channel and decodes in one walk, with no
     # other state.  A rest that holds a Hadamard (a substituted circuit;
     # build_pn's rest is CNOT-only) is conjugated on either side of a pass
-    # in the basis alone
+    # in the basis alone.  pack(rho) is read by the pass alone, so it dies
+    # as the pass returns, before the traces allocate
     basis = (("perm", kernels.channel_basis(n)),)
     tables, qubits = gather_tables(rest + basis)
-    p = pack(rho)
     if not qubits:
-        state = kernels.trial_pass(encoded, p, chi, tables[0])
+        state = kernels.trial_pass(encoded, pack(rho), chi, tables[0])
     else:
-        state = kernels.trial_pass(encoded, p, None, np.arange(1 << n))
+        state = kernels.trial_pass(encoded, pack(rho), None, np.arange(1 << n))
         (basis_table,), _ = gather_tables(basis)
         state = kernels.trial_pass([[1.0]], circuit_conjugate(rest, state), chi, basis_table)
         state = circuit_conjugate(rest, state, adjoint=True)
 
-    # the hybrid check is the last reader of pack(rho), so it runs first
-    # and p is dropped before the traces allocate; the traces are float64
-    # as the state, each a new array, and the ancilla's is taken back
-    # through the head while packed, a real congruence, so that unpack
-    # leaves it exactly Hermitian.  The product check is the state's last
-    # reader, so it is dropped before the data trace is unpacked
-    hybrid_exact = None
-    if spec.parity == "even" and _is_classical(sigma):
-        hybrid_exact = packed_kron_distance(state, encoded, p) <= HYBRID_TOL
-    del p
+    # the traces are float64 as the state, each a new array, and the
+    # ancilla's is taken back through the head while packed, a real
+    # congruence, so that unpack leaves it exactly Hermitian.  The product
+    # check is the state's last reader, so it is dropped before the data
+    # trace is unpacked
     recovered = partial_trace_leading(state, sigma.shape[0])
     trailing = partial_trace_trailing(state, rho.shape[0])
     ancilla = unpack(trailing)
@@ -235,6 +256,13 @@ def run_trial(
     predicted = _predicted_from_chi(sigma, chi, spec.parity, spec.sign)
     rho_residual = frobenius_distance(recovered_rho, rho)
     ancilla_residual = frobenius_distance(ancilla_out, predicted)
+    # a classical ancilla's hybrid flag, certified by a bound on the direct
+    # residual (_hybrid_bound), never True where that residual is past
+    # HYBRID_TOL
+    hybrid_exact = None
+    if spec.parity == "even" and _is_classical(sigma):
+        bound = _hybrid_bound(encoded, ancilla, recovered, product_residual, rho_residual)
+        hybrid_exact = bound <= HYBRID_TOL
     return SchemeOutcome(
         recovered_rho=recovered_rho,
         ancilla_out=ancilla_out,

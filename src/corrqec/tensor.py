@@ -22,6 +22,7 @@ the joint 2**n-dimensional state.
 from __future__ import annotations
 
 import os
+from math import sqrt
 
 import numpy as np
 
@@ -29,7 +30,8 @@ from . import kernels
 from .errors import BadQubitCount, DimensionMismatch
 
 # Peak number of live dim x dim complex128 matrices inside random_density,
-# from tracemalloc at dim = 64..512 (2.0-2.5), rounded up.
+# from tracemalloc at dim = 64..1024 (2.0-2.5: the draw, or the output,
+# beside X and S), rounded up.
 RANDOM_DENSITY_PEAK_STATES = 3
 # Rows per band of hermitian_deviation.
 _HERMITIAN_BAND = 64
@@ -143,25 +145,29 @@ def random_density(dim: int, seed: int) -> np.ndarray:
     """G G_dag / tr(G G_dag) for G = A + iB with entries uniform in the unit
     square (A drawn first), in real arithmetic.
 
-    G G_dag = S + i (X - X^T) with S = C C^T for C = [A B] and X = B A^T:
-    two real GEMMs in place of one complex one.  The real part is taken as
-    (S + S^T)/2, so the output is exactly Hermitian.  Deterministic per
-    seed (PCG64); satisfies trace 1, Hermitian, PSD.
+    G G_dag = (A A^T + B B^T) + i (X - X^T) with X = B A^T, and
+    A A^T + B B^T = S - (X + X^T) for S = (A + B)(A + B)^T: one GEMM and
+    one symmetric product (syrk, half a GEMM), 1.5 dim**3 multiply-adds.
+    A and B are one (2, dim, dim) draw, scaled by 1 / sqrt(tr(G G_dag)) =
+    1 / |[A B]| before the products, so the trace is 1 with no division
+    pass; the draw is freed before the output is allocated, which then
+    takes its place.  S and X + X^T are exactly symmetric, so the output
+    is exactly Hermitian.  Deterministic per seed (PCG64); satisfies
+    trace 1, Hermitian, PSD.
     """
     if dim < 1:
         raise DimensionMismatch(f"dim must be >= 1, got {dim}")
     # n = ceil(log2 dim): exact for the power-of-two dims the package uses
     check_memory((int(dim) - 1).bit_length(), RANDOM_DENSITY_PEAK_STATES)
-    rng = np.random.default_rng(seed)
-    c = np.empty((dim, 2 * dim))
-    c[:, :dim] = rng.random((dim, dim))
-    c[:, dim:] = rng.random((dim, dim))
-    s = c @ c.T
-    x = c[:, dim:] @ c[:, :dim].T
-    del c
+    c = np.random.default_rng(seed).random((2, dim, dim))
+    c *= 1 / sqrt(np.vdot(c, c))
+    a, b = c
+    x = b @ a.T
+    a += b
+    s = a @ a.T
+    del a, b, c
     out = np.empty((dim, dim), dtype=np.complex128)
-    np.add(s, s.T, out=out.real)
-    out.real *= 0.5
     np.subtract(x, x.T, out=out.imag)
-    out /= np.trace(s)
+    np.add(x, x.T, out=out.real)
+    np.subtract(s, out.real, out=out.real)
     return out

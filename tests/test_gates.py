@@ -247,6 +247,33 @@ def test_a_qubit_that_is_not_an_integer_is_rejected(monkeypatch, q):
         _rejected_before_any_pass(monkeypatch, BadQubitIndex, factors, m)
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        GateOp("h", (0, 1)),
+        GateOp("h", ()),
+        GateOp("cnot", (0, 1, 2)),
+        GateOp("cnot", (1,)),
+        GateOp("cnot", (1, 1)),
+        GateOp("h", 0),
+        GateOp("cnot", None),
+        GateOp("cnot", [0, 1]),
+    ],
+    ids=[
+        "h-on-two", "h-on-none", "cnot-on-three", "cnot-on-one", "cnot-on-one-twice",
+        "h-on-a-bare-int", "cnot-on-None", "cnot-on-a-list",
+    ],
+)
+def test_a_gate_of_the_wrong_arity_is_rejected(op):
+    # an h acts on one qubit and a cnot on two distinct ones, given as a
+    # tuple (a GateOp is hashed by them); anything else is refused as the
+    # circuit is built, not run as a different gate (a cnot with control
+    # equal to target would drop an X on that qubit) or left to fail as a
+    # TypeError
+    with pytest.raises(BadQubitIndex, match="distinct qubits"):
+        Circuit(3, (op,))
+
+
 def test_numpy_integer_qubits_are_accepted():
     one, two = np.int64(1), np.int32(2)
     c = Circuit(3, (cnot_op(two, one), h_op(one), cnot_op(0, two)))

@@ -220,13 +220,14 @@ def test_frob_dist_matches_numpy_norm():
 
 def _kron_cases(n, seed):
     """(a, r) pairs for kron_dist at n: a 2x2 and (n >= 2) a 4x4 a, each with
-    a random r."""
+    a random r, and each again with its odd rows zero, as a classical
+    ancilla's are (steps whose rows of a are all zero skip the product)."""
     cases = []
     for na in (2, 4)[: min(n, 2)]:
         a = random_complex_matrix(na, seed + na)
         r = random_complex_matrix((1 << n) // na, seed + na + 1)
         cases.append((a, r))
-    return cases
+    return cases + [(np.where(np.arange(len(a))[:, None] % 2, 0, a), r) for a, r in cases]
 
 
 def test_kron_dist_against_kron_oracle(monkeypatch):
@@ -243,7 +244,7 @@ def test_kron_dist_against_kron_oracle(monkeypatch):
     n, dim = 4, 16
     monkeypatch.setattr(kernels, "_TILE_BYTES", 2 * 48 * dim * 12)
     d = random_complex_matrix(dim, 99)
-    for a, r in _kron_cases(n, 100)[1:]:
+    for a, r in _kron_cases(n, 100)[1::2]:
         got = _checked(kernels.kron_dist, d, a, r)
         assert got == pytest.approx(kernels.frob_dist(d, np.kron(a, r)), rel=1e-12)
         assert kernels.kron_dist(np.kron(a, r), a, r) == 0.0
@@ -662,6 +663,50 @@ def test_kron_dist_two_terms_against_kron_oracle(monkeypatch):
     product = np.kron(a[0], r) + np.kron(a[1], r.T)
     assert kernels.kron_dist(d, a, r) == pytest.approx(kernels.frob_dist(d, product), rel=1e-12)
     assert kernels.kron_dist(product, a, r) == 0.0
+
+
+def _zero_row_ancillas(rng, na):
+    """(label, terms) for kron_dist, the one or two na x na terms of an
+    ancilla: rows zero in every term (a classical ancilla's, and with a
+    second term), a row zero in the first term only, every row zero, and
+    none."""
+    a1, a2 = rng.normal(size=(2, na, na))
+    odd = (np.arange(na) % 2 == 1)[:, None]
+    return [
+        ("one term, odd rows zero", [np.where(odd, 0.0, a1)]),
+        ("two terms, odd rows zero", [np.where(odd, 0.0, a1), np.where(odd, 0.0, a2)]),
+        ("a row zero in one term", [np.where(odd, 0.0, a1), a2]),
+        ("all zero", [np.zeros((na, na))]),
+        ("no zero row", [a1, a2]),
+    ]
+
+
+# _TILE_BYTES for kron_dist steps of `pairs` rows (i, j) of d: a step takes
+# 1 + 2 * terms rows of dim float64 entries per row of d.  With nr rows of
+# d per ancilla row, 1 and nr // 2 pairs stay within one ancilla row, nr
+# is one whole row, and 3 * nr cover several, the last step shorter.
+@pytest.mark.parametrize("pairs", [None, "one", "half", "row", "rows"])
+@pytest.mark.parametrize("n, na", [(3, 2), (4, 2), (4, 4), (6, 4)])
+def test_kron_dist_sums_zero_ancilla_rows_from_d(monkeypatch, n, na, pairs):
+    dim = 1 << n
+    nr = dim // na
+    rng = np.random.default_rng(n * 10 + na)
+    d = rng.normal(size=(dim, dim))
+    r = rng.normal(size=(nr, nr))
+    for label, terms in _zero_row_ancillas(rng, na):
+        if pairs is not None:
+            steps = {"one": 1, "half": nr // 2, "row": nr, "rows": 3 * nr}[pairs]
+            monkeypatch.setattr(kernels, "_TILE_BYTES", 2 * steps * (1 + 2 * len(terms)) * 8 * dim)
+        a = terms[0] if len(terms) == 1 else np.stack(terms)
+        product = sum(np.kron(t, m) for t, m in zip(terms, (r, r.T)))
+        # a product gives exactly 0.0; any other d matches the dense oracle
+        assert kernels.kron_dist(product, a, r) == 0.0, label
+        got = _checked(kernels.kron_dist, d, a, r)
+        if len(terms) == 1:
+            want = oracles.kron_distance(d, a, r)
+        else:
+            want = float(np.linalg.norm(d - product))
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0), label
 
 
 def test_ptrace_kernels_sum_float64_in_float64():

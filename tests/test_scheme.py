@@ -30,7 +30,8 @@ from corrqec import channels as channels_module
 from corrqec import gates, kernels, scheme
 from corrqec.kernels import _TILE_BYTES
 from corrqec.scheme import TRIAL_PEAK_STATES
-from corrqec.tensor import pack
+from corrqec.tensor import frobenius_distance, pack, packed_kron_distance, unpack
+from corrqec.tensor import partial_trace_leading, partial_trace_trailing
 from corrqec.tolerances import HERMITIAN_TOL, TRIAL_TOL
 
 from oracles import apply_channels, circuit_matrix, complex_trial, decode, encode, fresh_trial
@@ -266,7 +267,7 @@ def test_run_trial_below_one_tile_holds_three_states_plus_half_a_tile(n):
 @pytest.mark.parametrize("kind", ["pauli", "span"])
 def test_run_trial_past_one_tile_holds_under_three_states(kind):
     # n = 10 is past one tile, so every kernel's step scratch is small beside
-    # its output; a classical ancilla also runs the hybrid check.  Each stage's
+    # its output; a classical ancilla also certifies the hybrid flag.  Each stage's
     # input is released once consumed: at most two states live (2.11 measured)
     n = 10
     rho = random_density(256, 23)
@@ -420,6 +421,32 @@ def test_packed_trial_matches_the_complex_pipeline(n, kind, ancilla, repeats):
         assert m.dtype == np.complex128 and m.shape == want[key].shape
         assert np.array_equal(m, m.conj().T)
         assert np.allclose(m, want[key], rtol=0.0, atol=1e-15), key
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_hybrid_bound_holds_the_direct_residual_within_its_band(n):
+    # a packed product of the encoded classical ancilla e and rho, perturbed
+    # by delta pack(E) for a Hermitian E of norm 1: the bound B that
+    # certifies the hybrid flag is at least the direct residual H, and to
+    # first order at most (5 + 2 sqrt(dim rho)) H (the module docstring),
+    # here with one more H of slack for rounding
+    head, h, _ = scheme.ancilla_head(build_pn(n))
+    e = 0.5**h * (head @ classical_state(1, 0) @ head.T)
+    dr = 1 << (n - 2)
+    rho = random_density(dr, n + 710)
+    g = np.random.default_rng(n + 711).normal(size=(2, 4 * dr, 4 * dr))
+    err = (g[0] + 1j * g[1]) + (g[0] + 1j * g[1]).conj().T
+    err /= np.linalg.norm(err)
+    for delta in (1e-12, 1e-11, 1e-10, 1e-9, 1e-8):
+        m = pack(np.kron(e, rho)) + delta * pack(err)
+        recovered = partial_trace_leading(m, 4)
+        ancilla = unpack(partial_trace_trailing(m, dr))
+        product = packed_kron_distance(m, ancilla, recovered)
+        rho_residual = frobenius_distance(unpack(recovered), rho)
+        direct = packed_kron_distance(m, e, pack(rho))
+        bound = scheme._hybrid_bound(e, ancilla, recovered, product, rho_residual)
+        assert direct <= bound <= (6 + 2 * np.sqrt(dr)) * direct, (delta, direct, bound)
+        assert direct == pytest.approx(delta, rel=1e-3)
 
 
 @pytest.mark.parametrize("which", ["sigma", "rho"])
@@ -609,10 +636,9 @@ def _drop_cases():
 
 @pytest.mark.parametrize("n, kind, ancilla, substituted", _drop_cases())
 def test_trial_drops_the_packed_data_before_the_traces(monkeypatch, n, kind, ancilla, substituted):
-    # pack(rho) is last read by the pass (by both passes of a substituted
-    # spec whose rest holds a Hadamard) or, at even n with a classical
-    # ancilla, by the hybrid check, which runs first: it is dropped before
-    # the data trace allocates beside the state
+    # pack(rho) is read by the pass alone (by the first pass of a
+    # substituted spec whose rest holds a Hadamard), whatever the ancilla:
+    # it is dropped before the data trace allocates beside the state
     packed, alive = [], []
     real_pack, real_trace = scheme.pack, scheme.partial_trace_leading
 
@@ -645,6 +671,29 @@ def test_trial_drops_the_packed_data_before_the_traces(monkeypatch, n, kind, anc
     assert out.rho_residual < TRIAL_TOL and out.product_residual < TRIAL_TOL
     assert out.hybrid_exact is (True if ancilla == "classical" else None)
     assert alive == [[False]]
+
+
+@pytest.mark.parametrize("kind", ["pauli", "span"])
+@pytest.mark.parametrize("n", [4, 10])
+def test_classical_trial_makes_one_distance_pass(monkeypatch, n, kind):
+    # the hybrid flag is certified from the product and data residuals, so
+    # a classical trial measures its state against a product once, as a
+    # random one does
+    calls = []
+    real = kernels.kron_dist
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "kron_dist", counting)
+    rho = random_density(1 << (n - 2), n + 170)
+    for sigma, hybrid in ((classical_state(1, 1), True), (random_density(4, n + 171), None)):
+        calls.clear()
+        out = run_trial(n, sigma, rho, _channels(n, kind))
+        assert out.rho_residual < TRIAL_TOL and out.product_residual < TRIAL_TOL
+        assert out.hybrid_exact is hybrid
+        assert calls == [(1 << n, 1 << n)]
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
