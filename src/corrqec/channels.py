@@ -7,7 +7,8 @@ banded (diagonal plus anti-diagonal), which the kernels exploit.
 
 The span E = (I, X_n, Y_n, Z_n) is closed under products, so every channel
 here, and any list of them repeated any number of times, is one 4x4 PSD
-process matrix chi: rho -> sum_ab chi_ab E_a rho E_b_dag.  sequence_chi
+process matrix chi: rho -> sum_ab chi_ab E_a rho E_b_dag.  The empty list
+is chi = diag(1, 0, 0, 0), the identity.  sequence_chi
 composes a channel list into one chi with 4x4 algebra and raises it to the
 repeat count by squaring (O(log r) compositions); checked_sequence_chi also
 checks the list against the state.  The trial (scheme.run_trial) hands that
@@ -27,10 +28,19 @@ from math import sqrt
 import numpy as np
 
 from .errors import DimensionMismatch, NotTracePreserving
+from .gates import qubit_count
 from .kernels import scaled_root
 from .tolerances import COMPLETENESS_TOL, PROB_SUM_TOL
 
 Coeffs = tuple[complex, complex, complex, complex]
+
+
+def _qubit_count(n) -> int:
+    """n as an int (gates.qubit_count), which must be >= 1 (DimensionMismatch)."""
+    n = qubit_count(n)
+    if n < 1:
+        raise DimensionMismatch(f"n must be >= 1, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -39,8 +49,7 @@ class PauliChannel:
     probs: tuple[float, float, float, float]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DimensionMismatch(f"n must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", _qubit_count(self.n))
         try:
             probs = tuple(float(p) for p in self.probs)
         except TypeError:
@@ -101,8 +110,10 @@ def completeness_deviation(n: int, kraus_coeffs) -> float:
     Expanding the sum in the orthogonal basis {I, X_n, Y_n, Z_n} (each of
     squared Frobenius norm 2**n) with pauli_products gives the deviation
     without any dense algebra; scaled_root keeps it finite where 2**n
-    alone is past the float range.
+    alone is past the float range.  n must be an integer (BadQubitCount)
+    and at least 1 (DimensionMismatch), as for a channel.
     """
+    n = _qubit_count(n)
     return scaled_root(_gram_deviation_sq(n, kraus_coeffs), n)
 
 
@@ -119,8 +130,7 @@ class SpanChannel:
     kraus_coeffs: tuple[Coeffs, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DimensionMismatch(f"n must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", _qubit_count(self.n))
         try:
             coeffs = tuple(
                 tuple(complex(x) for x in row) for row in self.kraus_coeffs
@@ -183,11 +193,14 @@ def _then(first: np.ndarray, second: np.ndarray, n: int) -> np.ndarray:
 
 def sequence_chi(channels, repeats: int) -> np.ndarray:
     """chi of the channel list applied in order, the whole list `repeats`
-    times; the repeats by squaring, so O(log repeats) compositions.
+    times; the repeats by squaring, so O(log repeats) compositions.  The
+    empty list is the identity, chi = diag(1, 0, 0, 0).
     DimensionMismatch unless every channel acts on the same n."""
     ns = {ch.n for ch in channels}
     if len(ns) > 1:
         raise DimensionMismatch(f"channels act on different qubit counts: {ns}")
+    if not ns:
+        return np.diag(_I_COEFFS)
     n = channels[0].n
     chi = chi_matrix(channels[0])
     for ch in channels[1:]:
@@ -213,15 +226,14 @@ def check_repeats(repeats) -> int:
     return repeats
 
 
-def checked_sequence_chi(channels, shape, repeats: int) -> np.ndarray | None:
-    """sequence_chi of the channel list for a state of the given shape, None
-    for an empty list; DimensionMismatch unless every channel acts on the
-    same n (sequence_chi) and the state is 2**n x 2**n."""
+def checked_sequence_chi(channels, shape, repeats: int) -> np.ndarray:
+    """sequence_chi of the channel list for a state of the given shape;
+    DimensionMismatch unless every channel acts on the same n (sequence_chi)
+    and the state is 2**n x 2**n.  The empty list fits any state."""
     channels = list(channels)
     repeats = check_repeats(repeats)
-    if not channels:
-        return None
-    n = channels[0].n
-    if len(shape) != 2 or shape[0] != shape[1] or shape[0] != (1 << n):
-        raise DimensionMismatch(f"state shape {shape} does not match n={n} qubits")
+    if channels:
+        n = channels[0].n
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] != (1 << n):
+            raise DimensionMismatch(f"state shape {shape} does not match n={n} qubits")
     return sequence_chi(channels, repeats)

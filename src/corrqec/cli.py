@@ -148,7 +148,10 @@ def _numbers(value, count: int, what: str) -> list[float]:
 def load_channels(path: Path, n: int) -> list:
     """Parse a JSON channel list: {"pauli": [p0..p3]} or {"span": [[8 reals], ...]}."""
     # integers parse as floats too: one past the float range becomes inf
-    data = json.loads(Path(path).read_text(), parse_int=float)
+    try:
+        data = json.loads(Path(path).read_text(), parse_int=float)
+    except RecursionError:
+        raise ValueError("channels file nests too deeply to parse") from None
     if not isinstance(data, list) or not data:
         raise ValueError("channels file must be a nonempty JSON array")
     out = []

@@ -21,8 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadQubitCount
+from .errors import BadQubitCount, DimensionMismatch
 from .gates import Circuit, circuit_factors, cnot_op, cnot_perm, conjugate_pauli, h_op, pauli
+from .gates import qubit_count
 from .kernels import scaled_root
 
 _D_DIAG = {
@@ -68,15 +69,19 @@ def build_p3() -> EncoderSpec:
     return EncoderSpec(3, "odd", 1, -1, circuit)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_pn(n: int) -> EncoderSpec:
     """Encoder for any n >= 2; odd n has 3k CNOTs, even n has 3k+2 CNOTs + 1 H.
+    n must be an integer (BadQubitCount, gates.qubit_count); the cache is
+    typed, so that 3.0 is never served the spec cached for an equal
+    integer such as np.int64(3).
 
     The recursion P_m = (I ox P_inner)(head ox I) is unrolled into a loop:
     each step emits the head (P_3 on the top three qubits of an odd m, P_2
     on the top two of an even m) and descends to the inner register, until
     the P_2 or P_3 base is reached.
     """
+    n = qubit_count(n)
     if n < 2:
         raise BadQubitCount(f"n must be >= 2, got {n}")
     p2, p3 = build_p2().circuit, build_p3().circuit
@@ -130,6 +135,15 @@ def ancilla_head(spec: EncoderSpec) -> tuple[np.ndarray | None, int, tuple]:
     return (u if peeled else None), h, circuit_factors(rest)
 
 
+def check_frame(parity: str, sign: int) -> None:
+    """ValueError unless parity is "odd" or "even" and sign is 1 or -1, the
+    values an EncoderSpec's parity and (-1)**k take."""
+    if parity not in ("odd", "even"):
+        raise ValueError(f'parity must be "odd" or "even", got {parity!r}')
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+
+
 def ancilla_images(parity: str, sign: int) -> tuple[np.ndarray, ...]:
     """Images of I, X_n, Y_n, Z_n on the ancilla after conjugation by P_n.
 
@@ -168,8 +182,15 @@ def conjugation_report(spec: EncoderSpec) -> tuple[float, float, float]:
     its square root rounded once: the float that a dense check summing the
     same squares exactly gives, and all three are 0.0 for build_pn.  The
     cost is O(n) per gate and no 2**n-sized array is built.
+
+    The spec's circuit must act on spec.n qubits (DimensionMismatch), and
+    its parity and sign must be values a spec takes (ValueError,
+    check_frame).
     """
     n = spec.n
+    if spec.circuit.n_qubits != n:
+        raise DimensionMismatch(f"a {spec.circuit.n_qubits}-qubit circuit in a spec with n={n}")
+    check_frame(spec.parity, spec.sign)
     a = spec.ancilla_dim.bit_length() - 1
     data = n - a
     ones = (1 << n) - 1

@@ -57,6 +57,16 @@ def _qubit(q) -> int:
         raise BadQubitIndex(f"qubit {q!r} is not an integer") from None
 
 
+def qubit_count(n) -> int:
+    """n as an int (a numpy integer too); BadQubitCount for a float or any
+    other non-integer, which a range check alone would let through.  The
+    range is the caller's to check."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise BadQubitCount(f"qubit count {n!r} is not an integer") from None
+
+
 def cnot_op(control: int, target: int) -> GateOp:
     if _qubit(control) == _qubit(target):
         raise BadQubitIndex(f"control and target coincide: {control}")
@@ -74,6 +84,7 @@ class Circuit:
     ops: tuple[GateOp, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "n_qubits", qubit_count(self.n_qubits))
         if self.n_qubits < 1:
             raise BadQubitCount(f"n_qubits must be >= 1, got {self.n_qubits}")
         object.__setattr__(self, "ops", tuple(self.ops))
@@ -123,13 +134,17 @@ def cnot_perm(n: int, control: int, target: int) -> np.ndarray:
 def conjugate_pauli(circuit: Circuit, x: int, z: int, e: int) -> tuple[int, int, int]:
     """P_dag (i**e X**x Z**z) P as (x, z, e mod 4), for P the circuit's unitary.
 
-    x and z are bit masks, bit q for qubit q, and X**x Z**z is the product of
-    X_q over the bits of x times Z_q over the bits of z.  The gates run last
-    first, each conjugating the string in place (Aaronson and Gottesman,
-    PRA 70, 052328): CNOT(c, t) sends X_c to X_c X_t and Z_t to Z_c Z_t, so
-    x_t ^= x_c and z_c ^= z_t; H(q) swaps X_q and Z_q, and X_q Z_q to
-    Z_q X_q = -X_q Z_q, so it swaps bits q of x and z and adds 2 x_q z_q to e.
+    x and z are bit masks in [0, 2**n) (BadQubitIndex else), bit q for
+    qubit q, and X**x Z**z is the product of X_q over the bits of x times
+    Z_q over the bits of z.  The gates run last first, each conjugating
+    the string in place (Aaronson and Gottesman, PRA 70, 052328):
+    CNOT(c, t) sends X_c to X_c X_t and Z_t to Z_c Z_t, so x_t ^= x_c and
+    z_c ^= z_t; H(q) swaps X_q and Z_q, and X_q Z_q to Z_q X_q = -X_q Z_q,
+    so it swaps bits q of x and z and adds 2 x_q z_q to e.
     """
+    limit = 1 << circuit.n_qubits
+    if not (0 <= x < limit and 0 <= z < limit):
+        raise BadQubitIndex(f"masks x={x}, z={z} out of range for {circuit.n_qubits} qubits")
     for op in reversed(circuit.ops):
         if op.kind == "cnot":
             c, t = op.qubits

@@ -13,10 +13,11 @@ step touches (inputs and views, scratch and output) within half of
 _TILE_BYTES (4 MiB), and no more than the matrix has.  So a call holds
 its output plus one step's scratch, and a small matrix is one step.
 
-- frob_dist and kron_dist sum per-step squares in a different order from
-  the whole-array expression (equal to within rounding) and are exactly
-  0.0 on equal inputs.  trial_pass's channel sums are BLAS dot products,
-  equal to within rounding at every tile size.
+- kron_dist (and tensor.frobenius_distance, in the same steps) sums
+  per-step squares in a different order from the whole-array expression
+  (equal to within rounding) and is exactly 0.0 on equal inputs.
+  trial_pass's channel sums are BLAS dot products, equal to within
+  rounding at every tile size.
 - trial_pass is the trial's whole dense pipeline in one walk over steps of
   output rows: it builds the rows of the packed product pack(a ox rho) a
   step needs from the small ancilla a and the packed data state, gathers
@@ -34,21 +35,21 @@ its output plus one step's scratch, and a small matrix is one step.
   m[np.ix_(perm, perm)] at every tile size.
 - The trial carries its states packed, as one float64 matrix
   Re rho + Im rho (tensor.pack), so the float64 paths are the ones it
-  runs.  gather_conjugate, kron_dist and ptrace_* keep a float64 matrix
-  in its dtype (real_or_complex), with buffers and scratch of the same
-  dtype, since the encoders' gates are real: each float64 entry gets the
-  operations the real part of a complex one would.  kron_dist's scratch
-  is complex128 if any input is complex; frob_dist takes complex128.  The
+  runs.  gather_conjugate and kron_dist (and tensor's partial traces)
+  keep a float64 matrix in its dtype (real_or_complex), with buffers and
+  scratch of the same dtype, since the encoders' gates are real: each
+  float64 entry gets the operations the real part of a complex one would.
+  kron_dist's scratch is complex128 if any input is complex.  The
   packed entry points (trial_pass, and tensor's unpack and
   packed_kron_distance) reject a complex state (as_packed) rather than
   drop its imaginary part.
 
 trial_pass applies any channel whose Kraus operators lie in span{I, X_n,
-Y_n, Z_n}, given as its 4x4 process matrix chi (a Pauli channel by its
-probabilities, the diagonal of chi), in channel_basis, a CNOT permutation
-under which X_n and Z_n act on the leading one (odd n) or two (even n)
-qubits only.  There each block of the output is a weighted sum of the
-blocks of the state and of its transpose (the transpose carries the
+Y_n, Z_n}, given as its 4x4 process matrix chi (diagonal for a Pauli
+channel, diag(1, 0, 0, 0) for no channel), in channel_basis, a CNOT
+permutation under which X_n and Z_n act on the leading one (odd n) or two
+(even n) qubits only.  There each block of the output is a weighted sum
+of the blocks of the state and of its transpose (the transpose carries the
 imaginary parts of a span channel's weights): one real matrix product per
 step of rows, whose weight matrix is 4 x 8 for odd n and 16 x 32 for even
 n, half that for a Pauli channel.  The trial composes channel_basis into
@@ -109,7 +110,12 @@ def _step_rows(rows: int, bytes_per_row: int) -> int:
 
 def _check_table(table, dim: int, name: str) -> np.ndarray:
     """table as an intp array of dim indices in [0, dim), which mode="clip"
-    never clips; DimensionMismatch for any other, which it would."""
+    never clips; DimensionMismatch for any other, which it would, and for
+    a table of a dtype other than an integer one, which the cast to intp
+    would truncate."""
+    table = np.asarray(table)
+    if table.dtype.kind not in "iu":
+        raise DimensionMismatch(f"{name} must hold integers, got dtype {table.dtype}")
     table = np.ascontiguousarray(table, dtype=np.intp)
     if table.shape != (dim,) or not 0 <= table.min() <= table.max() < dim:
         raise DimensionMismatch(f"{name} must hold {dim} indices in [0, {dim}), got {table.shape}")
@@ -221,11 +227,13 @@ def _basis_images(n: int) -> np.ndarray:
     return e
 
 
-def _basis_transfer(probs, n: int) -> np.ndarray:
-    """chi_transfer of probs (a 4x4 chi, or its diagonal) on the images of E
-    on the leading qubits of channel_basis (_basis_images)."""
-    chi = np.asarray(probs, dtype=np.complex128)
-    return chi_transfer(np.diag(chi) if chi.ndim == 1 else chi, _basis_images(n % 4))
+def _basis_transfer(chi, n: int) -> np.ndarray:
+    """chi_transfer of a 4x4 chi on the images of E on the leading qubits
+    of channel_basis (_basis_images); DimensionMismatch for any other shape."""
+    chi = np.asarray(chi, dtype=np.complex128)
+    if chi.shape != (4, 4):
+        raise DimensionMismatch(f"chi must be a 4x4 process matrix, got shape {chi.shape}")
+    return chi_transfer(chi, _basis_images(n % 4))
 
 
 def _kron_rows(a: np.ndarray, p: np.ndarray, pt, src, rows: np.ndarray, scratch) -> None:
@@ -263,11 +271,9 @@ def trial_pass(a, p, chi, perm) -> np.ndarray:
     or real, square), p the packed data state (as_packed), perm the encode
     gather table, a permutation of a's dim times p's (DimensionMismatch
     else, and for a product dim that is not a power of two), and chi the
-    channel on the encoded state, given in channel_basis: a 4x4 process
-    matrix or its diagonal, the probabilities, for sum_ab chi_ab E_a rho
-    E_b_dag over E = (I, X_n, Y_n, Z_n); None for no channel.  The gathers
-    only move entries, so with chi None the output is pack(a ox rho)
-    itself, built row step by row step.
+    channel on the encoded state, given in channel_basis: the 4x4 process
+    matrix of sum_ab chi_ab E_a rho E_b_dag over E = (I, X_n, Y_n, Z_n),
+    diag(1, 0, 0, 0) for no channel (_basis_transfer).
 
     In channel_basis each E_a is e_a ox I, e_a on the leading qubits, so a
     state split into q x q blocks (q = 2 for odd n, 4 for even n) of
@@ -306,19 +312,12 @@ def trial_pass(a, p, chi, perm) -> np.ndarray:
     perm = _check_table(perm, dim, "perm")
     dest = _inverse(perm, "perm")
     n = dim.bit_length() - 1
-    if chi is not None and n < 1:
+    if n < 1:
         raise DimensionMismatch("a channel acts on at least one qubit, got a 1-dim state")
-    transfer = None if chi is None else _basis_transfer(chi, n)
-    transposed = transfer is not None and transfer.imag.any()
+    transfer = _basis_transfer(chi, n)
+    transposed = transfer.imag.any()
     pt = np.ascontiguousarray(p.T) if transposed or a.imag.any() else None
     out = np.empty((dim, dim))
-    if transfer is None:
-        step = _step_rows(dim, 8 * (nr + dim))
-        scratch = np.empty((step, nr)), np.empty((step, dim))
-        for r0 in range(0, dim, step):
-            src = np.arange(r0, min(r0 + step, dim))
-            _kron_rows(a, p, pt, src, out[r0 : r0 + len(src)], [b[: len(src)] for b in scratch])
-        return out
     weights = np.hstack((transfer.real, transfer.imag)) if transposed else transfer.real
     q = 2 if n % 2 else 4
     h = dim // q
@@ -344,47 +343,6 @@ def trial_pass(a, p, chi, perm) -> np.ndarray:
     return out
 
 
-def _ptrace_dims(m: np.ndarray, keep: int) -> tuple[np.ndarray, int]:
-    """(m, dim / keep) for a square m whose dim keep divides (real_or_complex);
-    DimensionMismatch else."""
-    m = real_or_complex(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or keep < 1 or m.shape[0] % keep:
-        raise DimensionMismatch(f"cannot keep {keep} of a matrix of shape {m.shape}")
-    return m, m.shape[0] // keep
-
-
-def ptrace_leading(m: np.ndarray, keep: int) -> np.ndarray:
-    """Trace out the leading factor, keeping the trailing keep x keep block
-    as a new array, in m's dtype (real_or_complex): a float64 m is summed
-    in float64, with no complex copy of it.  m must be square, of a dim
-    keep divides (DimensionMismatch)."""
-    m, d = _ptrace_dims(m, keep)
-    return np.einsum("ikil->kl", m.reshape(d, keep, d, keep))
-
-
-def ptrace_trailing(m: np.ndarray, keep: int) -> np.ndarray:
-    """Trace out the trailing factor, keeping the leading keep x keep block,
-    as ptrace_leading."""
-    m, d = _ptrace_dims(m, keep)
-    return np.einsum("ikjk->ij", m.reshape(keep, d, keep, d))
-
-
-def frob_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of a - b, summed step by step, in complex128; 0.0
-    when a == b."""
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    b = np.ascontiguousarray(b, dtype=np.complex128)
-    rows = a.shape[0]
-    step = _step_rows(rows, 48 * a.shape[1])
-    scratch = np.empty((step,) + a.shape[1:], dtype=np.complex128)
-    total = 0.0
-    for r0 in range(0, rows, step):
-        r = slice(r0, r0 + step)
-        d = np.subtract(a[r], b[r], out=scratch[: min(step, rows - r0)])
-        total += np.vdot(d, d).real
-    return sqrt(total)
-
-
 def kron_dist(d: np.ndarray, a: np.ndarray, r: np.ndarray) -> float:
     """Frobenius norm of d - a ox r, without forming a ox r; 0.0 when d
     equals it.
@@ -396,7 +354,7 @@ def kron_dist(d: np.ndarray, a: np.ndarray, r: np.ndarray) -> float:
     The a2 term is skipped where a2 is all zero.
 
     d is walked as (A, R, A, R), d[i, j, k, l] = d[i R + j, k R + l], in
-    blocks of rows (i, j) from _pair_blocks, in frob_dist's steps (a row of
+    blocks of rows (i, j) from _pair_blocks, in _step_rows steps (a row of
     d, of scratch and at most one of r per row of d, two more for an a2
     term).  A step builds its slice of a ox r in scratch, the one rounding
     np.kron makes, and subtracts it from d.  An a2 term is built in a

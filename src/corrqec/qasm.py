@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .encoder import build_pn
 from .errors import BadQubitCount
-from .gates import Circuit, invert
+from .gates import Circuit, invert, qubit_count
 
 WHICH_CHOICES = ("encode", "decode", "roundtrip")
 ERROR_CHOICES = ("X", "Y", "Z", "I")
@@ -28,6 +28,7 @@ def _gate_lines(circuit: Circuit) -> list[str]:
 
 def export_qasm(n: int, which: str, error_insert: str | None = None) -> str:
     """OpenQASM 2.0 program text for the n-qubit encoder."""
+    n = qubit_count(n)
     if not 2 <= n <= 12:
         raise BadQubitCount(f"n must be in 2..12, got {n}")
     if which not in WHICH_CHOICES:

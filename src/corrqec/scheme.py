@@ -6,7 +6,8 @@ errors commute through P_n onto the ancilla alone, so decoding with P_n_dag
 leaves an exact product: the predicted ancilla times the untouched data rho.
 The prediction is the trial's own chi (channels.sequence_chi) through the
 ancilla images, one channel algebra for both: run_trial composes the list
-once and hands the one chi to both.
+once and hands the one chi to both.  The empty list is the identity chi,
+diag(1, 0, 0, 0), so every list takes the same pass.
 
 run_trial carries every 2**n-dimensional state packed (tensor.pack): one
 float64 matrix Re + Im, half the bytes of a complex one.  The encoder's
@@ -51,7 +52,7 @@ import numpy as np
 from . import kernels
 from .channels import PauliChannel, SpanChannel, check_repeats
 from .channels import checked_sequence_chi, sequence_chi
-from .encoder import EncoderSpec, ancilla_head, ancilla_images, build_pn
+from .encoder import EncoderSpec, ancilla_head, ancilla_images, build_pn, check_frame
 from .errors import AncillaSizeError, BadQubitCount, DimensionMismatch, NotHermitian
 from .gates import circuit_conjugate, gather_tables
 from .tensor import check_memory, frobenius_distance, hermitian_deviation, pack
@@ -64,11 +65,12 @@ from .tolerances import CLASSICAL_TOL, HERMITIAN_TOL, HYBRID_TOL
 # Pauli, span-Pauli-span and empty lists (repeats 1 and 2, n = 12 at 1;
 # random and classical ancillas): at most 2.73 at n = 8, 1.29 at n = 9,
 # 0.70 at n = 10, 0.78 at n = 11 and 0.57 at n = 12, with a random
-# ancilla and the span list (at n = 9 the empty list ties it), rounded
-# up.  The one packed state trial_pass writes is half a complex state; up
-# to n = 9 its step scratch, half a tile (2 MiB) for the span list's
-# transposed rows, outweighs it.  From n = 10 the pass sets the peak: the
-# state beside pack(rho) and its transposed copy (an eighth of a state
+# ancilla and the span list (the empty list, whose chi is the identity:
+# 2.23, 1.16, 0.67, 0.78 and 0.57), rounded up.  The one packed state
+# trial_pass writes is half a complex state; up to n = 9 its step
+# scratch, half a tile (2 MiB) for the span list's transposed rows,
+# outweighs it.  From n = 10 the pass sets the peak: the state beside
+# pack(rho) and its transposed copy (an eighth of a state
 # each at n = 11).  pack(rho) dies with the pass, so the traces and the
 # product check (0.77 at n = 11, with its transposed copy of the data
 # trace) reuse its place; the recovered rho is unpacked after the state is
@@ -125,11 +127,8 @@ def predicted_ancilla(
     sum_ab chi_ab A_a sigma A_b_dag.  An empty list leaves sigma.  As in
     run_trial, the channels must act on one n of the given parity
     (DimensionMismatch); parity must be "odd" or "even" and sign +-1
-    (ValueError)."""
-    if parity not in ("odd", "even"):
-        raise ValueError(f'parity must be "odd" or "even", got {parity!r}')
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+    (ValueError, encoder.check_frame)."""
+    check_frame(parity, sign)
     out = np.asarray(sigma, dtype=np.complex128)
     expected = 2 if parity == "odd" else 4
     if out.shape != (expected, expected):
@@ -138,15 +137,12 @@ def predicted_ancilla(
     channels = list(channels)
     if channels and (channels[0].n % 2 == 1) != (parity == "odd"):
         raise DimensionMismatch(f"{parity} ancilla for channels on n={channels[0].n}")
-    chi = sequence_chi(channels, repeats) if channels else None
-    return _predicted_from_chi(out, chi, parity, sign)
+    return _predicted_from_chi(out, sequence_chi(channels, repeats), parity, sign)
 
 
 def _predicted_from_chi(sigma: np.ndarray, chi, parity: str, sign: int) -> np.ndarray:
     """predicted_ancilla of a complex128 sigma of the parity's size, given
-    the list's composed chi (None for an empty list: a copy of sigma)."""
-    if chi is None:
-        return sigma.copy()
+    the list's composed 4x4 chi."""
     transfer = kernels.chi_transfer(chi, ancilla_images(parity, sign))
     return (transfer @ sigma.reshape(-1)).reshape(sigma.shape)
 
@@ -236,7 +232,8 @@ def run_trial(
     if not qubits:
         state = kernels.trial_pass(encoded, pack(rho), chi, tables[0])
     else:
-        state = kernels.trial_pass(encoded, pack(rho), None, np.arange(1 << n))
+        identity = sequence_chi([], 1)
+        state = kernels.trial_pass(encoded, pack(rho), identity, np.arange(1 << n))
         (basis_table,), _ = gather_tables(basis)
         state = kernels.trial_pass([[1.0]], circuit_conjugate(rest, state), chi, basis_table)
         state = circuit_conjugate(rest, state, adjoint=True)

@@ -49,7 +49,8 @@ def _square(m: np.ndarray) -> np.ndarray:
 
 
 def _traced(t, d: int) -> tuple[np.ndarray, int]:
-    """(t, dim / d) for a square t whose dim d divides; DimensionMismatch else."""
+    """(t, dim / d) for a square t whose dim d divides, t as
+    kernels.real_or_complex gives it; DimensionMismatch else."""
     t = _square(kernels.real_or_complex(t))
     if d < 1 or t.shape[0] % d != 0:
         raise DimensionMismatch(f"traced dim {d} does not divide dim={t.shape[0]}")
@@ -57,24 +58,37 @@ def _traced(t, d: int) -> tuple[np.ndarray, int]:
 
 
 def partial_trace_leading(t, d_lead: int) -> np.ndarray:
-    """Trace out the leading d_lead-dimensional factor of t; a float64 t is
-    summed and returned in float64 (kernels.ptrace_leading), so a packed
-    state gives its trace packed."""
-    return kernels.ptrace_leading(*_traced(t, d_lead))
+    """Trace out the leading d_lead-dimensional factor of t, as a new array;
+    a float64 t is summed and returned in float64, with no complex copy
+    (kernels.real_or_complex), so a packed state gives its trace packed."""
+    t, keep = _traced(t, d_lead)
+    return np.einsum("ikil->kl", t.reshape(d_lead, keep, d_lead, keep))
 
 
 def partial_trace_trailing(t, d_trail: int) -> np.ndarray:
     """Trace out the trailing d_trail-dimensional factor of t, as
     partial_trace_leading."""
-    return kernels.ptrace_trailing(*_traced(t, d_trail))
+    t, keep = _traced(t, d_trail)
+    return np.einsum("ikjk->ij", t.reshape(keep, d_trail, keep, d_trail))
 
 
 def frobenius_distance(a, b) -> float:
+    """Frobenius norm of a - b for square a and b of one shape, in
+    complex128, summed in steps of rows (kernels._step_rows, for a row of
+    a, of b and of scratch per row), in half a tile of scratch at most;
+    0.0 when a == b."""
     a = as_square(a)
     b = as_square(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"distance on shapes {a.shape} and {b.shape}")
-    return kernels.frob_dist(a, b)
+    rows = a.shape[0]
+    step = kernels._step_rows(rows, 48 * rows)
+    scratch = np.empty((step, rows), dtype=np.complex128)
+    total = 0.0
+    for r0 in range(0, rows, step):
+        d = np.subtract(a[r0 : r0 + step], b[r0 : r0 + step], out=scratch[: min(step, rows - r0)])
+        total += np.vdot(d, d).real
+    return sqrt(total)
 
 
 def hermitian_deviation(m) -> float:

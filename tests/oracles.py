@@ -224,10 +224,10 @@ def chi_channel(rho, chi) -> np.ndarray:
 def apply_channels(channels, rho, repeats: int = 1) -> np.ndarray:
     """The channel list applied in order, the whole list `repeats` times, on
     a complex128 rho: the list's composed chi (channels.checked_sequence_chi,
-    as run_trial composes it) through chi_channel; rho for an empty list."""
+    as run_trial composes it, the identity for an empty list) through
+    chi_channel."""
     rho = np.asarray(rho, dtype=complex)
-    chi = checked_sequence_chi(channels, rho.shape, repeats)
-    return rho if chi is None else chi_channel(rho, chi)
+    return chi_channel(rho, checked_sequence_chi(channels, rho.shape, repeats))
 
 
 def encode(n: int, sigma, rho) -> np.ndarray:
@@ -390,11 +390,10 @@ def pack_kron(a, p) -> np.ndarray:
     return out
 
 
-def pauli_channel_basis_packed(m: np.ndarray, probs) -> np.ndarray:
-    """sum_ab chi_ab E_a rho E_b_dag over E = (I, X_n, Y_n, Z_n), on the
-    packed Hermitian state m of rho given in channel_basis, float64 in
-    (as_packed, square_dim) and out.
-    probs is a 4x4 chi or the probabilities (p0, p1, p2, p3), its diagonal.
+def pauli_channel_basis_packed(m: np.ndarray, chi) -> np.ndarray:
+    """sum_ab chi_ab E_a rho E_b_dag over E = (I, X_n, Y_n, Z_n), for a 4x4
+    chi, on the packed Hermitian state m of rho given in channel_basis,
+    float64 in (as_packed, square_dim) and out.
 
     In channel_basis each E_a is e_a ox I, e_a on the leading qubits, so a
     state split into q x q blocks (q = 2 for odd n, 4 for even n) of
@@ -418,7 +417,7 @@ def pauli_channel_basis_packed(m: np.ndarray, probs) -> np.ndarray:
     m = as_packed(m)
     dim = square_dim(m)
     n = dim.bit_length() - 1
-    transfer = _basis_transfer(probs, n)
+    transfer = _basis_transfer(chi, n)
     transposed = transfer.imag.any()
     weights = np.hstack((transfer.real, transfer.imag)) if transposed else transfer.real
     q = 2 if n % 2 else 4
@@ -460,8 +459,7 @@ def fresh_trial(n: int, sigma, rho, channels, repeats: int = 1) -> dict:
     factors = rest + (("perm", kernels.channel_basis(n)),)
     p = pack(rho)
     state = circuit_conjugate(factors, pack_kron(encoded, p))
-    if chi is not None:
-        state = pauli_channel_basis_packed(state, chi)
+    state = pauli_channel_basis_packed(state, chi)
     state = circuit_conjugate(factors, state, adjoint=True)
     recovered = partial_trace_leading(state, sigma.shape[0])
     trailing = partial_trace_trailing(state, rho.shape[0])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrqec import (
+    BadQubitCount,
     DimensionMismatch,
     NotTracePreserving,
     PauliChannel,
@@ -292,8 +293,8 @@ def _count_channel_passes(monkeypatch) -> list:
 @pytest.mark.parametrize("length,repeats", [(0, 1), (1, 1), (1, 7), (3, 1), (4, 1000)])
 def test_pauli_only_list_is_one_pauli_pass(monkeypatch, length, repeats):
     """A trial makes one pass of its state for a list of Pauli channels, at
-    any repeat count, by the list's composed chi, and by None for an empty
-    list."""
+    any repeat count, by the list's composed chi, the identity for an
+    empty list."""
     n = 4
     rng = np.random.default_rng(length + repeats)
     channels = [PauliChannel(n, tuple(rng.dirichlet(np.ones(4)))) for _ in range(length)]
@@ -304,11 +305,10 @@ def test_pauli_only_list_is_one_pauli_pass(monkeypatch, length, repeats):
     assert len(calls) == 1
     for a, p, chi, perm, got in calls:
         if not channels:
-            assert chi is None
-            continue
+            assert np.array_equal(chi, np.diag([1.0, 0.0, 0.0, 0.0]))
         assert np.array_equal(chi, sequence_chi(channels, repeats))
-        # the same output as the probabilities form, the 4-vector of chi's diagonal
-        want = real(a, p, np.diagonal(chi).real, perm)
+        # the same output as the real diagonal chi of the probabilities
+        want = real(a, p, np.diag(np.diagonal(chi).real), perm)
         assert np.array_equal(got, want)
 
 
@@ -334,7 +334,8 @@ def test_list_with_a_span_channel_makes_at_most_four_conjugations(monkeypatch, s
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_one_channel_applied_once_is_the_direct_applier(n):
     """A one-channel list, once, is the channel's own chi, and a Pauli
-    channel's pass by that chi is its pass by the probabilities."""
+    channel's pass by that chi is its pass by the real diagonal matrix of
+    its probabilities."""
     pauli = PauliChannel(n, (0.4, 0.3, 0.2, 0.1))
     span = SpanChannel(n, random_span_coeffs(n, n, terms=4))
     for ch in (pauli, span):
@@ -346,5 +347,44 @@ def test_one_channel_applied_once_is_the_direct_applier(n):
     identity = np.arange(1 << n)
     assert np.array_equal(
         kernels.trial_pass([[1.0]], m, chi_matrix(pauli), identity),
-        kernels.trial_pass([[1.0]], m, pauli.probs, identity),
+        kernels.trial_pass([[1.0]], m, np.diag(pauli.probs), identity),
     )
+
+
+def test_pauli_channel_rejects_a_qubit_count_that_is_not_an_integer():
+    for n in (2.5, 3.0, "3", None):
+        with pytest.raises(BadQubitCount, match="not an integer"):
+            PauliChannel(n, (1.0, 0.0, 0.0, 0.0))
+    assert type(PauliChannel(np.int64(3), (1.0, 0.0, 0.0, 0.0)).n) is int
+
+
+def test_span_channel_rejects_a_qubit_count_that_is_not_an_integer():
+    for n in (2.5, 3.0, "3", None):
+        with pytest.raises(BadQubitCount, match="not an integer"):
+            SpanChannel(n, ((1.0, 0.0, 0.0, 0.0),))
+    assert type(SpanChannel(np.int64(3), ((1.0, 0.0, 0.0, 0.0),)).n) is int
+
+
+def test_completeness_deviation_rejects_what_the_channels_reject():
+    # n = -3 read 0.0; a channel refuses it, and a float n, already
+    for n in (2.5, 3.0, "3", None):
+        with pytest.raises(BadQubitCount, match="not an integer"):
+            completeness_deviation(n, ((1.0, 0.0, 0.0, 0.0),))
+    for n in (0, -3):
+        with pytest.raises(DimensionMismatch):
+            completeness_deviation(n, ((1.0, 0.0, 0.0, 0.0),))
+    assert completeness_deviation(np.int64(3), ((1.0, 0.0, 0.0, 0.0),)) == 0.0
+
+
+def test_the_empty_list_is_the_identity_chi():
+    # every channel list is one 4x4 chi, the empty one included, at any
+    # repeat count, for a state of any n
+    identity = np.diag([1.0, 0.0, 0.0, 0.0])
+    for repeats in (1, 7, 10**6):
+        assert np.array_equal(sequence_chi([], repeats), identity)
+    for n in (1, 3, 4):
+        assert np.array_equal(checked_sequence_chi([], (1 << n, 1 << n), 2), identity)
+        rho = random_density(1 << n, n)
+        assert np.array_equal(apply_channels([], rho), rho)
+    with pytest.raises(ValueError, match="repeats"):
+        checked_sequence_chi([], (8, 8), 0)

@@ -235,3 +235,16 @@ def test_optimality_output_matches_golden_file(capsys):
     assert (cmd_optimality() + "\n").encode() == golden
     assert main(["optimality"]) == 0
     assert capsys.readouterr().out.encode() == golden
+
+
+def test_a_channels_file_nested_past_the_recursion_limit_is_rejected(tmp_path, capsys):
+    # json.loads raises RecursionError on a deeply nested file; it is a bad
+    # channels file like any other, so main prints one error line and
+    # returns 2, with no traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10**5 + "]" * 10**5)
+    with pytest.raises(ValueError, match="nests too deeply"):
+        load_channels(path, 3)
+    assert main(["trial", "--n", "3", "--channels", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

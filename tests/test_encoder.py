@@ -10,6 +10,7 @@ import pytest
 from corrqec import (
     BadQubitCount,
     Circuit,
+    DimensionMismatch,
     build_p2,
     build_p3,
     build_pn,
@@ -53,6 +54,13 @@ def test_bad_qubit_count():
         build_pn(1)
     with pytest.raises(BadQubitCount):
         build_pn(0)
+    # 3.0 built a spec with a float n and k; the cache is typed, so a
+    # cached build_pn(np.int64(3)), a key equal to 3.0, does not answer
+    # for it
+    assert build_pn(np.int64(3)) == build_pn(3)
+    for n in (2.5, 3.0, "3", None):
+        with pytest.raises(BadQubitCount, match="not an integer"):
+            build_pn(n)
 
 
 @pytest.mark.parametrize("n", [*range(2, 13), 1013, 5000, 5001])
@@ -145,7 +153,9 @@ def test_conjugation_report_calls_no_kernel_and_no_memory_bound(monkeypatch):
     def fail(*args):
         raise AssertionError("conjugation_report called a dense kernel")
 
-    for name in ("gather_conjugate", "kron_dist", "frob_dist"):
+    # (_step_rows sizes the steps of every tiled kernel, the tensor
+    # module's Frobenius distance among them)
+    for name in ("gather_conjugate", "kron_dist", "_step_rows"):
         monkeypatch.setattr(kernels, name, fail)
     monkeypatch.setattr(gates, "_hadamard_in_place", fail)
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 512}
@@ -252,3 +262,23 @@ def test_odd_encoders_are_exact_permutations(n):
     assert set(vals) == {0.0, 1.0}
     assert np.array_equal(m.sum(axis=0), np.ones(1 << n))
     assert np.array_equal(m.sum(axis=1), np.ones(1 << n))
+
+
+def test_conjugation_report_rejects_an_inconsistent_spec():
+    # a circuit on fewer qubits than the spec's n read (4.0, 4.0, 4.0); a
+    # parity other than "odd" ran as even, and a sign of 2 read a Y residual
+    # of 8.49: each is refused with predicted_ancilla's parity/sign check
+    spec = build_pn(3)
+    with pytest.raises(DimensionMismatch):
+        conjugation_report(dataclasses.replace(spec, circuit=build_pn(2).circuit))
+    spec = build_pn(4)
+    for parity in ("x", "Odd", None):
+        with pytest.raises(ValueError, match="parity"):
+            conjugation_report(dataclasses.replace(spec, parity=parity))
+    for sign in (2, 0, -2, 0.5):
+        with pytest.raises(ValueError, match="sign"):
+            conjugation_report(dataclasses.replace(spec, sign=sign))
+    # a spec with the other parity's values, or the flipped sign, is a
+    # consistent spec whose residuals are nonzero, not an error
+    assert any(conjugation_report(dataclasses.replace(spec, parity="odd")))
+    assert conjugation_report(dataclasses.replace(spec, sign=-spec.sign))[1] > 0.0

@@ -230,6 +230,11 @@ def test_circuit_validation():
         cnot_op(1, 1)
     with pytest.raises(BadQubitCount):
         Circuit(0)
+    # a float passes n_qubits >= 1, and 3.0 made 2**n_qubits a float
+    for n in (2.5, 3.0, "3", None):
+        with pytest.raises(BadQubitCount, match="not an integer"):
+            Circuit(n)
+    assert type(Circuit(np.int64(3)).n_qubits) is int
 
 
 @pytest.mark.parametrize("q", [1.5, 2.0, "1", None])
@@ -524,3 +529,16 @@ def test_circuit_conjugate_holds_two_states_plus_half_a_tile(dtype):
         finally:
             tracemalloc.stop()
         assert peak < 2 * m.nbytes + kernels._TILE_BYTES // 2, (dtype, adjoint)
+
+
+def test_conjugate_pauli_rejects_masks_outside_the_register():
+    # a mask past bit n - 1 or a negative one names no Pauli string on the
+    # circuit's qubits; the shifts would run on it all the same
+    c = build_pn(3).circuit
+    for x, z in ((-1, 0), (1 << 10, 0), (8, 0), (0, -1), (0, 8)):
+        with pytest.raises(BadQubitIndex, match="masks"):
+            conjugate_pauli(c, x, z, 0)
+    assert conjugate_pauli(c, 0, 0, 0) == (0, 0, 0)
+    # the widest masks are accepted, and map into the register
+    x, z, _ = conjugate_pauli(c, 7, 7, 3)
+    assert 0 <= x < 8 and 0 <= z < 8

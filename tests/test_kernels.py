@@ -9,6 +9,7 @@ import pytest
 from corrqec import kernels
 from corrqec.errors import DimensionMismatch
 from corrqec.gates import circuit_conjugate
+from corrqec.tensor import frobenius_distance, partial_trace_leading, partial_trace_trailing
 
 import oracles
 from oracles import (
@@ -146,6 +147,10 @@ _PARTLY_ZERO_CHI = [
 ]
 
 
+# the identity chi, sequence_chi of an empty channel list
+_IDENTITY_CHI = np.diag([1.0, 0.0, 0.0, 0.0])
+
+
 def _pauli_channel_apply(rho, chi):
     """The channel as the trial applies it, kernels.trial_pass with the 1x1
     ancilla and the identity table on the packed Hermitian rho in
@@ -162,11 +167,10 @@ def test_pauli_channel_apply_against_kraus_sum():
     rho = random_complex_matrix(1 << n, 4)
     rho = rho + rho.conj().T
     probs = rng.dirichlet(np.ones(4))
-    got = _pauli_channel_apply(rho, probs)
+    got = _pauli_channel_apply(rho, np.diag(probs))
     want = _to_basis(_pack(pauli_channel_dense(n, probs, rho)), n)
     assert np.allclose(got, want, rtol=0.0, atol=1e-13)
-    # a diagonal chi, real or complex, is the same pass as its diagonal
-    assert np.array_equal(_pauli_channel_apply(rho, np.diag(probs)), got)
+    # a diagonal chi is the same pass, real or complex
     chi = np.diag(probs).astype(complex)
     assert np.array_equal(_pauli_channel_apply(rho, chi), got)
 
@@ -181,9 +185,9 @@ def test_pauli_channel_apply_chi_against_dense_oracle():
             got = _pauli_channel_apply(rho, chi)
             want = _to_basis(_pack(_chi_dense(chi, rho)), n)
             assert np.allclose(got, want, rtol=0.0, atol=1e-11), n
-        for chi in _PARTLY_ZERO_CHI[:2]:
-            got = _pauli_channel_apply(rho, np.diagonal(chi))
-            assert np.array_equal(got, _pauli_channel_apply(rho, chi)), n
+        # the identity chi, an empty channel list's, leaves the state as it is
+        got = _pauli_channel_apply(rho, _IDENTITY_CHI)
+        assert np.array_equal(got, _to_basis(_pack(rho), n)), n
 
 
 def test_chi_channel_oracle_against_dense_kraus_sums():
@@ -203,9 +207,10 @@ def test_chi_channel_oracle_against_dense_kraus_sums():
 
 @pytest.mark.parametrize("keep", [1, 2, 4, 8])
 def test_ptrace_kernels_against_direct_sum(keep):
+    # the partial traces keeping a keep x keep block
     m = random_complex_matrix(8, 7)
-    lead = kernels.ptrace_leading(m, keep)
-    trail = kernels.ptrace_trailing(m, keep)
+    lead = partial_trace_leading(m, 8 // keep)
+    trail = partial_trace_trailing(m, 8 // keep)
     assert np.allclose(lead, ptrace_leading_direct(m, 8 // keep), atol=1e-13)
     assert np.allclose(trail, ptrace_trailing_direct(m, 8 // keep), atol=1e-13)
 
@@ -213,9 +218,9 @@ def test_ptrace_kernels_against_direct_sum(keep):
 def test_frob_dist_matches_numpy_norm():
     a = random_complex_matrix(6, 8)
     b = random_complex_matrix(6, 9)
-    got = kernels.frob_dist(a, b)
+    got = frobenius_distance(a, b)
     assert got == pytest.approx(float(np.linalg.norm(a - b)), rel=1e-13)
-    assert kernels.frob_dist(a, a.copy()) == 0.0
+    assert frobenius_distance(a, a.copy()) == 0.0
 
 
 def _kron_cases(n, seed):
@@ -235,7 +240,7 @@ def test_kron_dist_against_kron_oracle(monkeypatch):
         dim = 1 << n
         d = random_complex_matrix(dim, n + 90)
         for a, r in _kron_cases(n, n + 91):
-            want = kernels.frob_dist(d, np.kron(a, r))
+            want = frobenius_distance(d, np.kron(a, r))
             got = _checked(kernels.kron_dist, d, a, r)
             assert got == pytest.approx(want, rel=1e-12), n
             assert kernels.kron_dist(np.kron(a, r), a, r) == 0.0, n
@@ -246,7 +251,7 @@ def test_kron_dist_against_kron_oracle(monkeypatch):
     d = random_complex_matrix(dim, 99)
     for a, r in _kron_cases(n, 100)[1::2]:
         got = _checked(kernels.kron_dist, d, a, r)
-        assert got == pytest.approx(kernels.frob_dist(d, np.kron(a, r)), rel=1e-12)
+        assert got == pytest.approx(frobenius_distance(d, np.kron(a, r)), rel=1e-12)
         assert kernels.kron_dist(np.kron(a, r), a, r) == 0.0
 
 
@@ -264,7 +269,7 @@ def test_kron_dist_on_float64_matches_the_complex_call():
             assert kernels.kron_dist(np.kron(a, r), a, r) == 0.0, n
             # a complex a against a real d: the difference is measured in full
             ia = a + 1j * rng.normal(size=(na, na))
-            want = kernels.frob_dist(d, np.kron(ia, r))
+            want = frobenius_distance(d, np.kron(ia, r))
             assert kernels.kron_dist(d, ia, r) == pytest.approx(want, rel=1e-12), n
 
 
@@ -282,8 +287,8 @@ def test_real_kernels_keep_float64_and_the_rest_take_complex():
         assert got.dtype == np.float64
         assert np.array_equal(got, want)
     # the partial traces of a float64 matrix are float64 too
-    assert kernels.ptrace_leading(m, 4).dtype == np.float64
-    assert kernels.ptrace_trailing(m, 4).dtype == np.float64
+    assert partial_trace_leading(m, 4).dtype == np.float64
+    assert partial_trace_trailing(m, 4).dtype == np.float64
     # integer (int16 included) and float32 input still become complex128
     ints = np.arange(256).reshape(16, 16)
     for other in (m.astype(np.float32), ints, ints.astype(np.int16)):
@@ -294,8 +299,8 @@ def test_real_kernels_keep_float64_and_the_rest_take_complex():
 def test_wrappers_accept_noncontiguous_input():
     m = random_complex_matrix(8, 13)
     view = m[::2, ::2]
-    direct = kernels.frob_dist(np.ascontiguousarray(view), np.zeros((4, 4)))
-    assert kernels.frob_dist(view, np.zeros((4, 4))) == direct
+    direct = frobenius_distance(np.ascontiguousarray(view), np.zeros((4, 4)))
+    assert frobenius_distance(view, np.zeros((4, 4))) == direct
     perm = np.array([3, 2, 1, 0], dtype=np.int64)
     assert np.allclose(
         kernels.gather_conjugate(view, perm),
@@ -313,7 +318,7 @@ def _checked(fn, *args):
 
 
 # _TILE_BYTES = 16*dim*k, k rows of the matrix, so a step takes k // 6
-# rows of gather_conjugate, frob_dist and kron_dist (at least 1).
+# rows of gather_conjugate, frobenius_distance and kron_dist (at least 1).
 # kron_dist keeps a step within one block of dim / A rows of d (A = 2 or 4,
 # the size of its a) while the step is shorter than the block.  k = None:
 # the default tile, one step per matrix; k = 1 and 6: one row per step;
@@ -341,7 +346,7 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     perm = rng.permutation(dim).astype(np.int64)
     kron_cases = _kron_cases(n, n + 50)
     whole = {
-        "dist": kernels.frob_dist(m, rho),
+        "dist": frobenius_distance(m, rho),
         "kron": [kernels.kron_dist(m, a, r) for a, r in kron_cases],
         "real_kron": [kernels.kron_dist(real, a, r) for a, r in real_kron],
         "trial": [kernels.trial_pass(*args) for args in _trial_pass_cases(n)],
@@ -357,8 +362,8 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
     for x in (m, real):
         got = _checked(kernels.gather_conjugate, x, perm)
         assert got.dtype == x.dtype and np.array_equal(got, x[np.ix_(perm, perm)])
-    assert _checked(kernels.frob_dist, m, rho) == pytest.approx(whole["dist"], rel=1e-12)
-    assert _checked(kernels.frob_dist, m, m.copy()) == 0.0
+    assert _checked(frobenius_distance, m, rho) == pytest.approx(whole["dist"], rel=1e-12)
+    assert _checked(frobenius_distance, m, m.copy()) == 0.0
     for (a, r), dist in zip(kron_cases, whole["kron"]):
         assert _checked(kernels.kron_dist, m, a, r) == pytest.approx(dist, rel=1e-12)
         assert kernels.kron_dist(np.kron(a, r), a, r) == 0.0
@@ -366,11 +371,12 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
         assert _checked(kernels.kron_dist, real, a, r) == pytest.approx(dist, rel=1e-12)
         assert kernels.kron_dist(np.kron(a, r), a, r) == 0.0
     # the trial pass's channel sums are BLAS dot products, whose rounding
-    # may follow the product's width: equal to within rounding; with no
-    # channel it only builds and moves entries, bit for bit
+    # may follow the product's width: equal to within rounding; the
+    # identity chi's sums add exact zeros, so it only builds and moves
+    # entries, equal at every width
     for args, want in zip(_trial_pass_cases(n), whole["trial"]):
         got = _checked(kernels.trial_pass, *args)
-        if args[2] is None:
+        if args[2] is _IDENTITY_CHI:
             assert np.array_equal(got, want)
         else:
             assert np.allclose(got, want, rtol=0.0, atol=1e-15 * np.abs(want).max())
@@ -379,8 +385,8 @@ def test_kernels_are_tile_size_independent(monkeypatch, n, k):
 def _trial_pass_cases(n):
     """(a, p, chi, perm) for kernels.trial_pass at n: a complex and a real
     ancilla of the trial's size (2 for odd n, 4 for even), a random chi,
-    probabilities and no channel; seeded by n, so every call gives the
-    same cases."""
+    a Pauli channel's and the identity; seeded by n, so every call gives
+    the same cases."""
     draw = np.random.default_rng(n + 500)
     na = 2 if n % 2 else 4
     nr = (1 << n) // na
@@ -388,7 +394,7 @@ def _trial_pass_cases(n):
     a = a + a.conj().T
     p = _pack(_hermitian(n, n + 502)[:nr, :nr])
     perm = draw.permutation(1 << n)
-    chis = (_random_chi(draw), draw.dirichlet(np.ones(4)), None)
+    chis = (_random_chi(draw), np.diag(draw.dirichlet(np.ones(4))), _IDENTITY_CHI)
     return [(x, p, chi, perm) for x in (a, a.real) for chi in chis]
 
 
@@ -412,7 +418,7 @@ def test_dense_kernels_hold_one_output_plus_tile_scratch():
         perm = rng.permutation(dim)
         assert _peak_bytes(kernels.gather_conjugate, m, perm) < state + scratch, n
         # no output matrix: scratch only
-        assert _peak_bytes(kernels.frob_dist, m, 2 * m) < scratch, n
+        assert _peak_bytes(frobenius_distance, m, 2 * m) < scratch, n
         for a, r in _kron_cases(n, 62 + n):
             assert _peak_bytes(kernels.kron_dist, m, a, r) < scratch, n
         # a float64 matrix: a float64 output, half a state
@@ -427,9 +433,6 @@ def test_dense_kernels_hold_one_output_plus_tile_scratch():
 KERNEL_SIGNATURES = {
     "gather_conjugate": ("m", "perm"),
     "trial_pass": ("a", "p", "chi", "perm"),
-    "ptrace_leading": ("m", "keep"),
-    "ptrace_trailing": ("m", "keep"),
-    "frob_dist": ("a", "b"),
     "kron_dist": ("d", "a", "r"),
 }
 
@@ -488,17 +491,18 @@ def test_pauli_channel_basis_packed_is_the_packed_complex_pass():
             assert got.dtype == np.float64
             want = _to_basis(_pack(chi_channel(rho, chi)), n)
             assert np.allclose(got, want, rtol=0.0, atol=1e-12), n
-        probs = rng.dirichlet(np.ones(4))
-        got = pauli_channel_basis_packed(m, probs)
-        assert np.array_equal(got, pauli_channel_basis_packed(m, np.diag(probs)))
+        chi = np.diag(rng.dirichlet(np.ones(4)))
+        # chi is a 4x4 process matrix: its diagonal alone is rejected
+        with pytest.raises(DimensionMismatch):
+            pauli_channel_basis_packed(m, np.diagonal(chi))
         # a packed state is real: a complex one is rejected, not cast
         with pytest.raises(DimensionMismatch):
-            pauli_channel_basis_packed(m + 0.25j, probs)
+            pauli_channel_basis_packed(m + 0.25j, chi)
     # and a register of qubits: a dim that is not a power of two has no
     # leading qubits to act on
     for dim in (6, 12):
         with pytest.raises(DimensionMismatch):
-            pauli_channel_basis_packed(np.eye(dim), probs)
+            pauli_channel_basis_packed(np.eye(dim), chi)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
@@ -524,17 +528,15 @@ def test_pauli_channel_basis_packed_holds_one_output_plus_tile_scratch():
     scratch = kernels._TILE_BYTES // 2
     for n in (8, 9, 10):
         m = _pack(_hermitian(n, n + 140))
-        for chi in (_random_chi(np.random.default_rng(n)), (0.4, 0.3, 0.2, 0.1)):
+        for chi in (_random_chi(np.random.default_rng(n)), np.diag([0.4, 0.3, 0.2, 0.1])):
             assert _peak_bytes(pauli_channel_basis_packed, m, chi) < m.nbytes + scratch
 
 
 def _four_stages(a, p, chi, perm):
     """trial_pass's stages apart, a whole array each: pack_kron, the gather
-    by perm, pauli_channel_basis_packed (none for chi None) and the gather
-    by perm's inverse."""
+    by perm, pauli_channel_basis_packed and the gather by perm's inverse."""
     state = kernels.gather_conjugate(pack_kron(a, p), perm)
-    if chi is not None:
-        state = pauli_channel_basis_packed(state, chi)
+    state = pauli_channel_basis_packed(state, chi)
     return kernels.gather_conjugate(state, np.argsort(perm))
 
 
@@ -565,7 +567,8 @@ def test_trial_pass_is_the_four_stage_pipeline_bit_for_bit(monkeypatch, n, k):
     rng = np.random.default_rng(n * 13 + (k or 0))
     if k is not None:
         monkeypatch.setattr(kernels, "_TILE_BYTES", 16 * dim * k)
-    chis = [_random_chi(rng), rng.dirichlet(np.ones(4)), None] + _PARTLY_ZERO_CHI[2:]
+    chis = [_random_chi(rng), np.diag(rng.dirichlet(np.ones(4))), _IDENTITY_CHI]
+    chis += _PARTLY_ZERO_CHI[2:]
     for na in (1, 2, 4)[: n + 1]:
         nr = dim // na
         h = random_complex_matrix(na, n + 510)
@@ -604,23 +607,29 @@ def test_trial_pass_rejects_what_it_cannot_pass():
     p = _pack(_hermitian(3, 530))
     a = np.eye(2)
     perm = np.arange(16)
-    assert kernels.trial_pass(a, p, (0.4, 0.3, 0.2, 0.1), perm).shape == (16, 16)
+    pauli = np.diag([0.4, 0.3, 0.2, 0.1])
+    identity = _IDENTITY_CHI
+    assert kernels.trial_pass(a, p, pauli, perm).shape == (16, 16)
     for bad in (
         # a table that is not a permutation: it repeats an index, is out of
         # range or of the wrong length
-        (a, p, None, np.r_[0, 0, perm[2:]]),
-        (a, p, (0.4, 0.3, 0.2, 0.1), np.r_[perm[:-1], 16]),
-        (a, p, None, perm[:-1]),
+        (a, p, identity, np.r_[0, 0, perm[2:]]),
+        (a, p, pauli, np.r_[perm[:-1], 16]),
+        (a, p, identity, perm[:-1]),
         # a packed state is real: a complex one is rejected, not cast
-        (a, p + 0.25j, None, perm),
-        (a, p + 0.25j, (0.4, 0.3, 0.2, 0.1), perm),
+        (a, p + 0.25j, identity, perm),
+        (a, p + 0.25j, pauli, perm),
         # dims whose product is not a power of two, or not square
-        (np.eye(3), p, None, np.arange(24)),
-        (np.eye(1), np.eye(6), (0.4, 0.3, 0.2, 0.1), np.arange(6)),
-        (np.ones((2, 1)), p, None, perm),
-        (a, np.ones((8, 4)), None, perm),
-        # a channel needs a qubit to act on
-        (np.ones((1, 1)), np.ones((1, 1)), (0.4, 0.3, 0.2, 0.1), [0]),
+        (np.eye(3), p, identity, np.arange(24)),
+        (np.eye(1), np.eye(6), pauli, np.arange(6)),
+        (np.ones((2, 1)), p, identity, perm),
+        (a, np.ones((8, 4)), identity, perm),
+        # a channel needs a qubit to act on, the identity's too
+        (np.ones((1, 1)), np.ones((1, 1)), pauli, [0]),
+        (np.ones((1, 1)), np.ones((1, 1)), identity, [0]),
+        # chi is a 4x4 process matrix, not the probabilities on its diagonal
+        (a, p, (0.4, 0.3, 0.2, 0.1), perm),
+        (a, p, np.eye(3), perm),
     ):
         with pytest.raises(DimensionMismatch):
             kernels.trial_pass(*bad)
@@ -649,7 +658,7 @@ def test_kron_dist_two_terms_against_kron_oracle(monkeypatch):
             r = rng.normal(size=(dim // na, dim // na))
             product = np.kron(a1, r) + np.kron(a2, r.T)
             got = _checked(kernels.kron_dist, d, np.stack((a1, a2)), r)
-            assert got == pytest.approx(kernels.frob_dist(d, product), rel=1e-12), n
+            assert got == pytest.approx(frobenius_distance(d, product), rel=1e-12), n
             # equal inputs: the step builds the oracle's own roundings
             assert kernels.kron_dist(product, np.stack((a1, a2)), r) == 0.0, n
             # an all-zero a2 term is skipped: the one-term call, bit for bit
@@ -661,7 +670,7 @@ def test_kron_dist_two_terms_against_kron_oracle(monkeypatch):
     a = rng.normal(size=(2, 4, 4))
     r = rng.normal(size=(4, 4))
     product = np.kron(a[0], r) + np.kron(a[1], r.T)
-    assert kernels.kron_dist(d, a, r) == pytest.approx(kernels.frob_dist(d, product), rel=1e-12)
+    assert kernels.kron_dist(d, a, r) == pytest.approx(frobenius_distance(d, product), rel=1e-12)
     assert kernels.kron_dist(product, a, r) == 0.0
 
 
@@ -711,12 +720,12 @@ def test_kron_dist_sums_zero_ancilla_rows_from_d(monkeypatch, n, na, pairs):
 
 def test_ptrace_kernels_sum_float64_in_float64():
     m = np.random.default_rng(44).normal(size=(16, 16))
-    for fn in (kernels.ptrace_leading, kernels.ptrace_trailing):
+    for fn in (partial_trace_leading, partial_trace_trailing):
         got = fn(m, 4)
         assert got.dtype == np.float64
         assert np.allclose(got, fn(m.astype(complex), 4), rtol=0.0, atol=1e-15)
     # no complex copy of the input: the peak is the 4x4 output
-    assert _peak_bytes(kernels.ptrace_leading, m, 4) < m.nbytes
+    assert _peak_bytes(partial_trace_leading, m, 4) < m.nbytes
 
 
 # out is the array a kernel returns: each allocates its own.  _TILE_BYTES =
@@ -743,7 +752,7 @@ def _kernel_calls():
     """(name, call(m, table)) for the gather, a circuit_conjugate of a
     Hadamard between two gathers by the table, and the oracle channel pass,
     which takes no table."""
-    chi = (0.4, 0.3, 0.2, 0.1)
+    chi = np.diag([0.4, 0.3, 0.2, 0.1])
     return [
         ("gather", kernels.gather_conjugate),
         ("factors", lambda m, t: circuit_conjugate((("perm", t), ("h", 1), ("perm", t)), m)),
@@ -777,6 +786,14 @@ def test_gather_conjugate_rejects_a_table_it_would_clip():
     for perm in ([0, 1, 2, 9], [0, 1, -1, 2], [0, 1, 2], [0, 1, 2, 3, 0]):
         with pytest.raises(DimensionMismatch):
             kernels.gather_conjugate(m, perm)
+    # a float table, which the cast to intp would truncate ([0.5, 1, 2, 3]
+    # to the identity): rejected by its dtype, even where its values are
+    # whole, and as a circuit factor too
+    for perm in ([0.5, 1, 2, 3], np.arange(4.0), np.array([0, 1, 2, 3], dtype=bool)):
+        with pytest.raises(DimensionMismatch):
+            kernels.gather_conjugate(m, perm)
+    with pytest.raises(DimensionMismatch):
+        circuit_conjugate((("perm", [0.5, 1]),), np.eye(2))
     # a dim that is not a power of two, or a matrix that is not square, is
     # not a register of qubits
     for bad in (np.eye(6), np.ones((16, 8)), np.arange(4.0)):
@@ -790,17 +807,17 @@ def test_gather_conjugate_rejects_a_table_it_would_clip():
 
 
 def test_gather_and_ptrace_kernels_reject_wrong_shapes():
-    # a non-square or 1-d m is not a state, and a keep that does not divide
-    # the dim is not a factor of it: each is DimensionMismatch, not numpy's
-    # ValueError from take's output or from a reshape
+    # a non-square or 1-d m is not a state, and a traced dim that does not
+    # divide the dim is not a factor of it: each is DimensionMismatch, not
+    # numpy's ValueError from take's output or from a reshape
     for bad in (np.ones((16, 8)), np.arange(16.0)):
         with pytest.raises(DimensionMismatch):
             kernels.gather_conjugate(bad, np.arange(16))
     m = np.arange(64.0).reshape(8, 8)
-    for keep in (3, 5, 16, 0):
-        for fn in (kernels.ptrace_leading, kernels.ptrace_trailing):
+    for d in (3, 5, 16, 0):
+        for fn in (partial_trace_leading, partial_trace_trailing):
             with pytest.raises(DimensionMismatch):
-                fn(m, keep)
-    for fn in (kernels.ptrace_leading, kernels.ptrace_trailing):
+                fn(m, d)
+    for fn in (partial_trace_leading, partial_trace_trailing):
         with pytest.raises(DimensionMismatch):
             fn(np.ones((8, 4)), 2)

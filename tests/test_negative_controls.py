@@ -169,3 +169,28 @@ def test_every_single_gate_mutant_trial_matches_the_full_circuit(n, use_spec):
                 diff = abs(getattr(got, key) - want[key])
                 assert diff <= 1e-15 * max(1.0, want[key]), (label, key, diff)
             assert got.hybrid_exact is want["hybrid_exact"], label
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_an_empty_list_through_every_hadamard_rest_mutant_matches_the_full_circuit(n, use_spec):
+    # a mutant whose rest (what follows its ancilla-only prefix) holds a
+    # Hadamard takes run_trial's fork that conjugates by the rest on either
+    # side of a pass in the basis alone; its first pass, which builds the
+    # state, runs by the identity chi, and with an empty list so does the
+    # second
+    sigmas = (random_density(4, n + 410), classical_state(1, 0))
+    rho = random_density(1 << (n - 2), n + 411)
+    forked = 0
+    for label, spec in _mutant_specs(n):
+        if not scheme.gather_tables(scheme.ancilla_head(spec)[2])[1]:
+            continue
+        forked += 1
+        use_spec(spec)
+        for sigma in sigmas:
+            got = scheme.run_trial(n, sigma, rho, [])
+            want = complex_trial(n, sigma, rho, [])
+            for key in ("rho_residual", "ancilla_residual", "product_residual"):
+                diff = abs(getattr(got, key) - want[key])
+                assert diff <= 1e-15 * max(1.0, want[key]), (label, key, diff)
+            assert got.hybrid_exact is want["hybrid_exact"], label
+    assert forked > 0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from corrqec import BadQubitCount, export_qasm
@@ -63,6 +64,11 @@ def test_validation():
         export_qasm(1, "encode")
     with pytest.raises(BadQubitCount):
         export_qasm(13, "encode")
+    # 3.0 passed 2 <= n <= 12 and wrote "qreg q[3.0];", which is not QASM
+    for n in (3.0, 2.5, "3", None):
+        with pytest.raises(BadQubitCount, match="not an integer"):
+            export_qasm(n, "encode")
+    assert "qreg q[3];" in export_qasm(np.int64(3), "encode").splitlines()
     with pytest.raises(ValueError):
         export_qasm(3, "nonsense")
     with pytest.raises(ValueError):

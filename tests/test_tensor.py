@@ -183,12 +183,12 @@ def test_pack_kron_is_the_packed_product():
         # the packed factor is real: an unpacked complex r is rejected
         with pytest.raises(DimensionMismatch):
             pack_kron(a, r)
-        # the fused trial pass with no channel is this product, bit for bit,
-        # whatever its gather table: the gathers only move entries
+        # the fused trial pass with the identity chi is this product, bit
+        # for bit, whatever its gather table: the gathers only move entries
         perm = np.random.default_rng(na * nr).permutation(na * nr)
         for x in (a, a.real):
             want = pack_kron(x, pack(r))
-            got = kernels.trial_pass(x, pack(r), None, perm)
+            got = kernels.trial_pass(x, pack(r), np.diag([1.0, 0.0, 0.0, 0.0]), perm)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
