@@ -21,26 +21,27 @@ from .errors import (
     CorrQecError,
     DimensionMismatch,
     NotHermitian,
+    NotNormalized,
     NotTracePreserving,
+    WrongType,
 )
 from .gates import (
+    BitMatrix,
     Circuit,
     GateOp,
     circuit_conjugate,
+    circuit_table,
     cnot_op,
-    cnot_perm,
     conjugate_pauli,
     h_op,
+    identity_table,
     invert,
     pauli,
 )
 from .optimality import (
-    BitMatrix,
-    circuit_table,
     cnot_pairs,
     counting_lower_bound,
     exhaustive_search,
-    identity_table,
     mismatch_count,
 )
 from .qasm import export_qasm

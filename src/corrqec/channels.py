@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import operator
 from cmath import isfinite
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from math import sqrt
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotTracePreserving
+from .errors import DimensionMismatch, NotTracePreserving, check_type
 from .gates import qubit_count
 from .kernels import scaled_root
 from .tolerances import COMPLETENESS_TOL, PROB_SUM_TOL
@@ -213,6 +214,13 @@ def sequence_chi(channels, repeats: int) -> np.ndarray:
         if not repeats:
             return out
         chi = _then(chi, chi, n)
+
+
+def channel_list(channels) -> list:
+    """channels, a channel or an iterable of channels, as a list; WrongType else."""
+    if isinstance(channels, Channel):
+        return [channels]
+    return [check_type(ch, Channel, "a channel") for ch in check_type(channels, Iterable, "channels")]
 
 
 def check_repeats(repeats) -> int:

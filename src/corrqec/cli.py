@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -141,12 +142,13 @@ def _numbers(value, count: int, what: str) -> list[float]:
     if not isinstance(value, list) or len(value) != count or any(
         type(x) is not float for x in value
     ):
-        raise ValueError(f"{what} needs a list of {count} numbers, got {value!r}")
+        raise ValueError(f"{what} needs a list of {count} numbers, got {reprlib.repr(value)}")
     return value
 
 
 def load_channels(path: Path, n: int) -> list:
-    """Parse a JSON channel list: {"pauli": [p0..p3]} or {"span": [[8 reals], ...]}."""
+    """Parse a JSON channel list: {"pauli": [p0..p3]} or {"span": [[8 reals], ...]};
+    an error names the offending entry cut short by reprlib."""
     # integers parse as floats too: one past the float range becomes inf
     try:
         data = json.loads(Path(path).read_text(), parse_int=float)
@@ -157,12 +159,12 @@ def load_channels(path: Path, n: int) -> list:
     out = []
     for item in data:
         if not isinstance(item, dict):
-            raise ValueError(f"channel entry must be an object, got {item!r}")
+            raise ValueError(f"channel entry must be an object, got {reprlib.repr(item)}")
         if "pauli" in item:
             out.append(PauliChannel(n, tuple(_numbers(item["pauli"], 4, "pauli"))))
         elif "span" in item:
             if not isinstance(item["span"], list):
-                raise ValueError(f"span needs a list of rows, got {item['span']!r}")
+                raise ValueError(f"span needs a list of rows, got {reprlib.repr(item['span'])}")
             coeffs = []
             for row in item["span"]:
                 row = _numbers(row, 8, "a span row (re/im pairs of a, b, c, d)")
@@ -171,7 +173,7 @@ def load_channels(path: Path, n: int) -> list:
                 )
             out.append(SpanChannel(n, tuple(coeffs)))
         else:
-            raise ValueError(f"channel entry needs 'pauli' or 'span': {item!r}")
+            raise ValueError(f"channel entry needs 'pauli' or 'span': {reprlib.repr(item)}")
     return out
 
 

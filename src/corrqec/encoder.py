@@ -11,7 +11,9 @@ X_n, Y_n, Z_n by P_n collapses them onto the ancilla qubits:
 with D_X = diag(1,-1,1,-1), D_Y = diag(-1,-1,1,1), D_Z = diag(1,-1,-1,1).
 Each error is a Pauli string, and CNOT and H map Pauli strings to Pauli
 strings, so conjugation_report checks these identities on bit masks
-(gates.conjugate_pauli) in O(n) per gate, at any n.
+(gates.conjugate_pauli) in O(n) per gate, at any n.  The trial splits P_n
+at its ancilla-only head (ancilla_head) and gathers by one table, the
+rest's GF(2) matrix composed with gates.channel_basis (encode_table).
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadQubitCount, DimensionMismatch
-from .gates import Circuit, circuit_factors, cnot_op, cnot_perm, conjugate_pauli, h_op, pauli
-from .gates import qubit_count
+from .gates import Circuit, channel_basis, circuit_table, cnot_op, cnot_table, compose
+from .gates import conjugate_pauli, h_op, pauli, qubit_count
 from .kernels import scaled_root
 
 _D_DIAG = {
@@ -35,6 +37,8 @@ _D_DIAG = {
 
 def d_matrix(axis: str) -> np.ndarray:
     """The diagonal 4x4 image of a correlated error under even-n conjugation."""
+    if axis not in ("X", "Y", "Z"):  # a tuple: an unhashable axis is no KeyError
+        raise ValueError(f"axis must be X, Y, or Z, got {axis!r}")
     return np.diag(_D_DIAG[axis])
 
 
@@ -102,14 +106,14 @@ _H_UNSCALED = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
 @lru_cache(maxsize=None)
-def ancilla_head(spec: EncoderSpec) -> tuple[np.ndarray | None, int, tuple]:
-    """(U', h, factors): spec's circuit split at the longest prefix of gates
+def ancilla_head(spec: EncoderSpec) -> tuple[np.ndarray | None, int, Circuit]:
+    """(U', h, rest): spec's circuit split at the longest prefix of gates
     that act on the ancilla qubits alone, the top log2(ancilla_dim).
 
     The prefix is U = 2**(-h/2) U' on the ancilla, U' its real matrix with
     each of its h Hadamards unscaled, so U' has integer entries and
     U sigma U^T = 2**-h U' sigma U'^T exactly where the products are; U' is
-    None for an empty prefix.  factors are the circuit_factors of the rest,
+    None for an empty prefix.  rest is the Circuit of the gates after it,
     so P = R (U ox I), R the rest.  For build_pn the prefix is the P_2 head
     CNOT(n-2, n-1) H(n-2) CNOT(n-2, n-1) at even n, the encoder's one
     Hadamard, and empty at odd n, whose first gate reaches qubit n-2.
@@ -123,16 +127,27 @@ def ancilla_head(spec: EncoderSpec) -> tuple[np.ndarray | None, int, tuple]:
         if min(qubits) < 0:
             break
         if op.kind == "cnot":
-            u = u[np.argsort(cnot_perm(a, *qubits))]
+            u = u[cnot_table(a, *qubits).table()]  # a CNOT is its own inverse
         else:
             (q,) = qubits
             u = np.kron(np.kron(np.eye(1 << (a - 1 - q)), _H_UNSCALED), np.eye(1 << q)) @ u
             h += 1
         peeled += 1
-    rest = Circuit(spec.n, spec.circuit.ops[peeled:])
     if peeled:
         u.setflags(write=False)
-    return (u if peeled else None), h, circuit_factors(rest)
+    return (u if peeled else None), h, Circuit(spec.n, spec.circuit.ops[peeled:])
+
+
+@lru_cache(maxsize=None)
+def encode_table(rest: Circuit) -> np.ndarray:
+    """The read-only gather table t of the CNOT-only circuit rest R and then
+    gates.channel_basis B, composed as GF(2) matrices: G_t(x) = x[t][:, t]
+    is B R x R_dag B_dag.  Cached, so a trial does no table work; the empty
+    circuit gives B's own table.  BadQubitIndex for a rest with a Hadamard.
+    """
+    table = compose(circuit_table(rest), channel_basis(rest.n_qubits)).inverse().table()
+    table.setflags(write=False)
+    return table
 
 
 def check_frame(parity: str, sign: int) -> None:

@@ -3,27 +3,24 @@
 A Circuit lists gates in application order (first element acts first on the
 state), so its unitary is G_m ... G_1 for gates [g1, ..., gm].  CNOT and H
 map Pauli strings to Pauli strings, so conjugate_pauli conjugates one as a
-pair of bit masks and a phase, in O(n) per gate.  On a dense matrix, CNOT
-runs compose into exact basis permutations and a Hadamard becomes a
-butterfly.  circuit_conjugate exploits this factored form so conjugating a
-matrix by a circuit never needs its dense matrix: each composed table is
-one gather (kernels.gather_conjugate), which allocates its output, and
-each Hadamard a butterfly in place on the gather before it, so an H-free
-circuit is one gather.  The trial (scheme.run_trial) takes the one gather
-table (gather_tables) of the CNOTs after the encoder's ancilla-only head
-(encoder.ancilla_head) into kernels.trial_pass, which gathers by it as it
-builds the state, at every n.
+pair of bit masks and a phase, in O(n) per gate.  A run of CNOTs is an
+invertible n x n matrix over GF(2), a BitMatrix of row masks (Patel, Markov
+and Hayes, QIC 8, 282), and so is channel_basis; CNOT(c, t) XORs row c into
+row t.  A 2**n-entry table exists only at a gather (BitMatrix.table), so
+circuit_conjugate is one gather per CNOT run and a butterfly per Hadamard,
+and the trial one gather by encoder.encode_table.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import kernels
-from .errors import BadQubitCount, BadQubitIndex, DimensionMismatch
+from .errors import BadQubitCount, BadQubitIndex, DimensionMismatch, check_type
 from .tensor import check_memory
 
 # Complex128 states circuit_conjugate holds at its peak: its input, the
@@ -89,14 +86,13 @@ class Circuit:
             raise BadQubitCount(f"n_qubits must be >= 1, got {self.n_qubits}")
         object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
+            check_type(op, GateOp, "a gate")
             if not isinstance(op.kind, str) or op.kind not in _ARITY:
                 raise BadQubitIndex(f"unknown gate kind {op.kind!r}")
             qubits = op.qubits if isinstance(op.qubits, tuple) else ()
             for q in qubits:
                 if not 0 <= _qubit(q) < self.n_qubits:
-                    raise BadQubitIndex(
-                        f"qubit {q} out of range for {self.n_qubits} qubits"
-                    )
+                    raise BadQubitIndex(f"qubit {q} out of range for {self.n_qubits} qubits")
             # the qubits are integers here, so they compare as such
             if len(qubits) != _ARITY[op.kind] or (len(qubits) == 2 and qubits[0] == qubits[1]):
                 raise BadQubitIndex(
@@ -116,19 +112,9 @@ class Circuit:
 
 
 def pauli(axis: str) -> np.ndarray:
-    if axis not in _PAULI:
+    if axis not in ("X", "Y", "Z"):  # a tuple: an unhashable axis is no TypeError
         raise ValueError(f"axis must be X, Y, or Z, got {axis!r}")
     return _PAULI[axis].copy()
-
-
-def cnot_perm(n: int, control: int, target: int) -> np.ndarray:
-    """Basis permutation of C_{control,target}: flip target bit when control is 1."""
-    if not (0 <= _qubit(control) < n and 0 <= _qubit(target) < n):
-        raise BadQubitIndex(f"control={control}, target={target} out of range for n={n}")
-    if control == target:
-        raise BadQubitIndex(f"control and target coincide: {control}")
-    s = np.arange(1 << n, dtype=np.int64)
-    return s ^ (((s >> control) & 1) << target)
 
 
 def conjugate_pauli(circuit: Circuit, x: int, z: int, e: int) -> tuple[int, int, int]:
@@ -160,55 +146,128 @@ def conjugate_pauli(circuit: Circuit, x: int, z: int, e: int) -> tuple[int, int,
 
 
 # ---------------------------------------------------------------------------
-# factored realization
+# CNOT runs as GF(2) matrices, and conjugation by them
 
 
-def circuit_factors(circuit: Circuit) -> tuple:
-    """Collapse a circuit to alternating permutation and Hadamard factors.
+def _gauss_jordan(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The rows of A's inverse, by one Gauss-Jordan pass on [A | I] (A's
+    part in the high n bits of each row); DimensionMismatch for a singular
+    A.  Row i's pivot, the lowest bit left in its A part, is cleared from
+    every other row, so each row ends as a unit vector beside A^-1's row."""
+    n = len(rows)
+    aug = [r << n | 1 << t for t, r in enumerate(rows)]
+    for i in range(n):
+        x = aug[i]
+        if not x >> n:
+            raise DimensionMismatch(f"rows {rows} are singular over GF(2)")
+        pivot = x & -(x >> n << n)
+        aug = [y ^ x if y & pivot and j != i else y for j, y in enumerate(aug)]
+    inverse = [0] * n
+    for x in aug:
+        inverse[(x >> n).bit_length() - 1] = x & ((1 << n) - 1)
+    return tuple(inverse)
 
-    Returns a tuple of ("perm", table) and ("h", qubit) entries in
-    application order; consecutive CNOTs merge into one permutation table.
+
+@dataclass(frozen=True)
+class BitMatrix:
+    """Invertible n x n matrix over GF(2); rows[t] masks the inputs of output
+    bit t, so basis state s goes to the state whose bit t is the parity of
+    s & rows[t]."""
+
+    n: int
+    rows: tuple[int, ...]
+
+    def __post_init__(self):
+        rows = tuple(int(r) for r in self.rows)
+        object.__setattr__(self, "rows", rows)
+        if self.n < 1 or len(rows) != self.n or any(not 0 <= r < 1 << self.n for r in rows):
+            raise DimensionMismatch(f"need n={self.n} >= 1 row masks below 2**n, got {rows}")
+        _gauss_jordan(rows)
+
+    def inverse(self) -> "BitMatrix":
+        return BitMatrix(self.n, _gauss_jordan(self.rows))
+
+    def table(self) -> np.ndarray:
+        """The basis permutation, table[s] the image of s, written once: the
+        image is the XOR of the columns at the set bits of s, so entries
+        2**j .. 2**(j+1) are the first 2**j XOR column j."""
+        table = np.zeros(1 << self.n, dtype=np.int64)
+        for j in range(self.n):
+            column = sum((r >> j & 1) << t for t, r in enumerate(self.rows))
+            np.bitwise_xor(table[: 1 << j], column, out=table[1 << j : 2 << j])
+        return table
+
+
+def identity_table(n: int) -> BitMatrix:
+    return BitMatrix(n, tuple(1 << t for t in range(n)))
+
+
+def cnot_table(n: int, control: int, target: int) -> BitMatrix:
+    """One CNOT: output bit target also reads input bit control."""
+    return circuit_table(Circuit(n, (cnot_op(control, target),)))
+
+
+def compose(first: BitMatrix, second: BitMatrix) -> BitMatrix:
+    """Apply first, then second: the GF(2) product second * first.
+
+    Output bit t of second reads the bits in second.rows[t] of first's
+    output, so its row is the XOR of those rows of first.
     """
-    comp = None
-    factors = []
+    if first.n != second.n:
+        raise DimensionMismatch(f"tables on n={first.n} and n={second.n}")
+    rows = []
+    for mask in second.rows:
+        row = 0
+        for s, r in enumerate(first.rows):
+            if mask >> s & 1:
+                row ^= r
+        rows.append(row)
+    return BitMatrix(first.n, rows)
+
+
+def _runs(circuit: Circuit):
+    """(run, q) per CNOT run, in order: the BitMatrix of the CNOTs up to the
+    next Hadamard, each rows[t] ^= rows[c], and its qubit (None at the end)."""
+    n = circuit.n_qubits
+    rows = [1 << t for t in range(n)]
     for op in circuit.ops:
         if op.kind == "cnot":
-            p = cnot_perm(circuit.n_qubits, *op.qubits)
-            comp = p if comp is None else p[comp]
+            c, t = op.qubits
+            rows[t] ^= rows[c]
         else:
-            if comp is not None:
-                factors.append(("perm", comp))
-                comp = None
-            factors.append(("h", op.qubits[0]))
-    if comp is not None:
-        factors.append(("perm", comp))
-    return tuple(factors)
+            yield BitMatrix(n, rows), op.qubits[0]
+            rows = [1 << t for t in range(n)]
+    yield BitMatrix(n, rows), None
+
+
+def circuit_table(circuit: Circuit) -> BitMatrix:
+    """Matrix of a CNOT-only circuit (BadQubitIndex on a Hadamard)."""
+    if circuit.count("h"):
+        raise BadQubitIndex("circuit contains non-CNOT gates")
+    return next(_runs(circuit))[0]
+
+
+@lru_cache(maxsize=None)
+def channel_basis(n: int) -> BitMatrix:
+    """The CNOT map B that carries X_n and Z_n onto the leading qubits.
+
+    X_n complements a basis state s and Z_n = (-1)**t, t the parity of s.
+    Bit n - 1 of B(s) is t.  Odd n: bit j < n - 1 is s_j ^ t, which X_n
+    keeps, so X_n is X and Z_n is Z on qubit n - 1.  Even n: bit n - 2 is
+    s_(n-1) and bit j < n - 2 is s_j ^ s_(n-1), which X_n keeps, so X_n
+    is X on qubit n - 2 and Z_n is Z on qubit n - 1.
+    """
+    ones, top = (1 << n) - 1, 1 << (n - 1)
+    if n % 2:
+        rows = [ones & ~(1 << j) for j in range(n - 1)] + [ones]
+    else:
+        rows = [(1 << j) | top for j in range(n - 2)] + [top, ones]
+    return BitMatrix(n, rows)
 
 
 def invert(circuit: Circuit) -> Circuit:
     """Reverse the gate list; CNOT and H are self-inverse."""
     return Circuit(circuit.n_qubits, tuple(reversed(circuit.ops)))
-
-
-def gather_tables(factors, adjoint: bool = False) -> tuple[list, list]:
-    """(tables, qubits): circuit factors as the gathers and Hadamards that
-    conjugate by them, in the order they run.  qubits are the Hadamards'
-    qubits; tables[i] is the composed gather table before Hadamard i
-    (None for none) and tables[-1] the one after the last, so an H-free
-    circuit is the one table tables[0]: G_t(x) = x[t][:, t] is P x P_dag
-    (adjoint=False) or P_dag x P (adjoint=True).  Each permutation factor
-    conjugates as the gather by its table's inverse (by the table itself
-    for the adjoint), and consecutive gathers compose exactly into one
-    table (G_u after G_t is G_t[u])."""
-    tables, qubits = [None], []
-    for kind, arg in reversed(factors) if adjoint else factors:
-        if kind == "perm":
-            table = arg if adjoint else np.argsort(arg)
-            tables[-1] = table if tables[-1] is None else tables[-1][table]
-        else:
-            qubits.append(arg)
-            tables.append(None)
-    return tables, qubits
 
 
 def _hadamard_in_place(x: np.ndarray, q: int) -> None:
@@ -225,41 +284,28 @@ def _hadamard_in_place(x: np.ndarray, q: int) -> None:
     x *= 0.5
 
 
-def circuit_conjugate(factors_or_circuit, m: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """Conjugate m by the realized circuit P without forming P.
+def circuit_conjugate(circuit: Circuit, m: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """Conjugate m by the circuit's unitary P without forming P.
 
     adjoint=False returns P m P_dag (encode direction); adjoint=True returns
-    P_dag m P (decode direction).  Each table of gather_tables is one
-    kernels.gather_conjugate (by the identity for None), which writes a new
-    array, and each Hadamard a butterfly in place on the gather before it:
-    an even-n encoder is two gathers and a butterfly, an H-free circuit one
-    exact gather.  A float64 m keeps its dtype (the gates are real); any
-    other m is conjugated as complex128.  The result is never m.
+    P_dag m P (decode direction), by the reversed circuit (invert).  Each
+    CNOT run R is one gather by the table of R's inverse, R m R_dag, and
+    each Hadamard a butterfly in place on it: an even-n encoder is two
+    gathers and a butterfly.  A float64 m keeps its dtype (the gates are
+    real); any other m is conjugated as complex128.  The result is never m.
 
-    Checked before the first pass: m is square, of dim 2**n_qubits for a
-    Circuit and of power-of-two dim for factors, and each ("perm", table)
-    a permutation of range(dim) (DimensionMismatch); every other factor is
-    ("h", qubit) on a qubit of m (BadQubitIndex); and
+    Checked before the first pass: circuit is a Circuit (WrongType), m is
+    square of dim 2**n_qubits (DimensionMismatch), and
     CONJUGATE_PEAK_STATES states fit in memory (check_memory).
     """
+    check_type(circuit, Circuit, "circuit_conjugate's circuit")
     m = np.asarray(m)
     dim = kernels.square_dim(m)
-    if isinstance(factors_or_circuit, Circuit):
-        if dim != 1 << factors_or_circuit.n_qubits:
-            raise DimensionMismatch(f"{factors_or_circuit.n_qubits}-qubit circuit on dim {dim}")
-        factors_or_circuit = circuit_factors(factors_or_circuit)
-    factors = []
-    for kind, arg in factors_or_circuit:
-        if kind == "perm":
-            arg = kernels._check_table(arg, dim, "perm")
-            kernels._inverse(arg, "perm")
-        elif kind != "h" or not 0 <= _qubit(arg) < dim.bit_length() - 1:
-            raise BadQubitIndex(f"factor ({kind!r}, {arg!r}) on a {dim}-dim matrix")
-        factors.append((kind, arg))
-    check_memory(dim.bit_length() - 1, CONJUGATE_PEAK_STATES)
-    tables, qubits = gather_tables(factors, adjoint)
-    for table, q in zip(tables, qubits + [None]):
-        m = kernels.gather_conjugate(m, np.arange(dim) if table is None else table)
+    if dim != 1 << circuit.n_qubits:
+        raise DimensionMismatch(f"{circuit.n_qubits}-qubit circuit on dim {dim}")
+    check_memory(circuit.n_qubits, CONJUGATE_PEAK_STATES)
+    for run, q in _runs(invert(circuit) if adjoint else circuit):
+        m = kernels.gather_conjugate(m, run.inverse().table())
         if q is not None:
             _hadamard_in_place(m, q)
     return m

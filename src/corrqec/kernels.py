@@ -1,59 +1,41 @@
 """Hot numeric kernels, in numpy.
 
-All encoders in this package are CNOT permutations plus at most one Hadamard,
-and all error operators are diagonal or anti-diagonal up to signs.  Every hot
+All encoders in this package are CNOT runs plus at most one Hadamard, and
+all error operators are diagonal or anti-diagonal up to signs.  Every hot
 operation therefore reduces to index gathers and blockwise products with
 small weight matrices, which cost O(dim^2) memory passes instead of
 O(dim^3) matrix products; a Hadamard is a butterfly, which
 gates.circuit_conjugate runs in place on a gather's output.
 
-The dense kernels write one output matrix and walk their input in steps
-of whole rows sized by one rule, _step_rows: as many rows as keep all a
-step touches (inputs and views, scratch and output) within half of
-_TILE_BYTES (4 MiB), and no more than the matrix has.  So a call holds
-its output plus one step's scratch, and a small matrix is one step.
+The dense kernels write at most one output matrix and walk their input
+in steps of whole rows sized by one rule, _step_rows: as many rows as keep
+all a step touches within half of _TILE_BYTES (4 MiB), so a call holds its
+output plus one step's scratch.  gather_conjugate only moves entries, so
+it is bit-identical to m[np.ix_(perm, perm)] at every tile size; the sums
+of kron_dist and trial_pass agree with the whole-array expressions to
+within rounding, and kron_dist is exactly 0.0 on equal inputs.
+trial_pass is the trial's whole dense pipeline in one walk, so a trial
+makes one state, not the four a pass per stage would write; kron_dist
+builds each step's slice of its kron product in scratch, so the product
+checks hold one state, not two.
 
-- kron_dist (and tensor.frobenius_distance, in the same steps) sums
-  per-step squares in a different order from the whole-array expression
-  (equal to within rounding) and is exactly 0.0 on equal inputs.
-  trial_pass's channel sums are BLAS dot products, equal to within
-  rounding at every tile size.
-- trial_pass is the trial's whole dense pipeline in one walk over steps of
-  output rows: it builds the rows of the packed product pack(a ox rho) a
-  step needs from the small ancilla a and the packed data state, gathers
-  them by the encoder's table, applies the channel and gathers the result
-  back, writing each output row once.  So a trial makes one state, not
-  the four a pass per stage would write.
-- kron_dist measures d against a kron product a ox r, or against the
-  two-term a1 ox r + a2 ox r^T of a packed product, with no output at all:
-  each step builds its own slice of the product in scratch, so the
-  product checks hold one state, not two; rows of a that are zero in
-  every term are summed straight from d.
-- gather_conjugate, for the CNOT runs of a circuit, takes a step of rows
-  of m into scratch and then their columns into the step's rows of the
-  output, with np.take: entries only move, so it is bit-identical to
-  m[np.ix_(perm, perm)] at every tile size.
-- The trial carries its states packed, as one float64 matrix
-  Re rho + Im rho (tensor.pack), so the float64 paths are the ones it
-  runs.  gather_conjugate and kron_dist (and tensor's partial traces)
-  keep a float64 matrix in its dtype (real_or_complex), with buffers and
-  scratch of the same dtype, since the encoders' gates are real: each
-  float64 entry gets the operations the real part of a complex one would.
-  kron_dist's scratch is complex128 if any input is complex.  The
-  packed entry points (trial_pass, and tensor's unpack and
-  packed_kron_distance) reject a complex state (as_packed) rather than
-  drop its imaginary part.
+The trial carries its states packed, as one float64 matrix Re rho + Im rho
+(tensor.pack).  gather_conjugate and kron_dist (and tensor's partial
+traces) keep a float64 matrix in its dtype (real_or_complex), since the
+encoders' gates are real; the packed entry points (trial_pass, and
+tensor's unpack and packed_kron_distance) reject a complex state
+(as_packed) rather than drop its imaginary part.
 
 trial_pass applies any channel whose Kraus operators lie in span{I, X_n,
 Y_n, Z_n}, given as its 4x4 process matrix chi (diagonal for a Pauli
-channel, diag(1, 0, 0, 0) for no channel), in channel_basis, a CNOT
-permutation under which X_n and Z_n act on the leading one (odd n) or two
+channel, diag(1, 0, 0, 0) for no channel), in gates.channel_basis, a CNOT
+map under which X_n and Z_n act on the leading one (odd n) or two
 (even n) qubits only.  There each block of the output is a weighted sum
 of the blocks of the state and of its transpose (the transpose carries the
 imaginary parts of a span channel's weights): one real matrix product per
 step of rows, whose weight matrix is 4 x 8 for odd n and 16 x 32 for even
-n, half that for a Pauli channel.  The trial composes channel_basis into
-its encoder's gather table, so the basis costs no pass of its own.
+n, half that for a Pauli channel.  The basis is composed into the
+encoder's one gather table (encoder.encode_table), so it costs no pass.
 """
 
 from __future__ import annotations
@@ -110,9 +92,8 @@ def _step_rows(rows: int, bytes_per_row: int) -> int:
 
 def _check_table(table, dim: int, name: str) -> np.ndarray:
     """table as an intp array of dim indices in [0, dim), which mode="clip"
-    never clips; DimensionMismatch for any other, which it would, and for
-    a table of a dtype other than an integer one, which the cast to intp
-    would truncate."""
+    never clips; DimensionMismatch else, and for a non-integer dtype, which
+    the cast to intp would truncate."""
     table = np.asarray(table)
     if table.dtype.kind not in "iu":
         raise DimensionMismatch(f"{name} must hold integers, got dtype {table.dtype}")
@@ -177,33 +158,6 @@ def y_phase(n: int) -> complex:
     return (-1j) ** (n % 4)
 
 
-@lru_cache(maxsize=None)
-def channel_basis(n: int) -> np.ndarray:
-    """The basis permutation B, |i> -> |B[i]> (a circuit_factors table), that
-    carries X_n and Z_n onto the leading qubits; read-only.
-
-    t = popcount(i) mod 2 is the parity of i, so Z_n = diag((-1)**t), and
-    X_n complements every bit of i.  Odd n: B[i] = (t, l'), l' the low n - 1
-    bits of i complemented where t = 1.  Complementing i flips t and keeps
-    l', so X_n is X and Z_n is Z on qubit n - 1.  Even n: B[i] = (t, b, l'),
-    b the top bit of i and l' its low n - 2 bits complemented where b = 1.
-    Complementing i keeps t, flips b and keeps l', so X_n is X on qubit
-    n - 2 and Z_n is Z on qubit n - 1.  Each bit of B[i] is a parity of bits
-    of i, so B is the permutation of a CNOT circuit.
-    """
-    i = np.arange(1 << n, dtype=np.int64)
-    t = np.bitwise_count(i).astype(np.int64) & 1
-    if n % 2:
-        low = (1 << (n - 1)) - 1
-        out = (t << (n - 1)) | (i & low) ^ (t * low)
-    else:
-        low = (1 << (n - 2)) - 1
-        b = i >> (n - 1)
-        out = (t << (n - 1)) | (b << (n - 2)) | (i & low) ^ (b * low)
-    out.setflags(write=False)
-    return out
-
-
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _Z = np.diag([1.0, -1.0])
 
@@ -218,9 +172,9 @@ def chi_transfer(chi: np.ndarray, images) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _basis_images(n: int) -> np.ndarray:
-    """The images of E on the leading qubits of channel_basis, for n in
-    0..3, the residue mod 4 that fixes them: one qubit for odd n, two for
-    even n (see channel_basis), with Y_n = omega Z_n X_n; read-only."""
+    """The images of E on the leading qubits of gates.channel_basis, for n
+    in 0..3, the residue mod 4 that fixes them: one qubit for odd n, two
+    for even n (see channel_basis), with Y_n = omega Z_n X_n; read-only."""
     x, z = (_X, _Z) if n % 2 else (np.kron(np.eye(2), _X), np.kron(_Z, np.eye(2)))
     e = np.stack((np.eye(len(x)), x, y_phase(n) * (z @ x), z))
     e.setflags(write=False)
@@ -229,7 +183,7 @@ def _basis_images(n: int) -> np.ndarray:
 
 def _basis_transfer(chi, n: int) -> np.ndarray:
     """chi_transfer of a 4x4 chi on the images of E on the leading qubits
-    of channel_basis (_basis_images); DimensionMismatch for any other shape."""
+    of gates.channel_basis (_basis_images); DimensionMismatch for any other shape."""
     chi = np.asarray(chi, dtype=np.complex128)
     if chi.shape != (4, 4):
         raise DimensionMismatch(f"chi must be a 4x4 process matrix, got shape {chi.shape}")
@@ -271,9 +225,9 @@ def trial_pass(a, p, chi, perm) -> np.ndarray:
     or real, square), p the packed data state (as_packed), perm the encode
     gather table, a permutation of a's dim times p's (DimensionMismatch
     else, and for a product dim that is not a power of two), and chi the
-    channel on the encoded state, given in channel_basis: the 4x4 process
-    matrix of sum_ab chi_ab E_a rho E_b_dag over E = (I, X_n, Y_n, Z_n),
-    diag(1, 0, 0, 0) for no channel (_basis_transfer).
+    channel on the encoded state, given in gates.channel_basis: the 4x4
+    process matrix of sum_ab chi_ab E_a rho E_b_dag over E = (I, X_n, Y_n,
+    Z_n), diag(1, 0, 0, 0) for no channel (_basis_transfer).
 
     In channel_basis each E_a is e_a ox I, e_a on the leading qubits, so a
     state split into q x q blocks (q = 2 for odd n, 4 for even n) of

@@ -1,85 +1,24 @@
 """Minimality of the three-CNOT encoder P_3, by counting and by search.
 
 A CNOT-only circuit maps basis states by an invertible n x n matrix over
-GF(2), kept as n row masks; CNOT(c, t) is rows[t] ^= rows[c], so it changes
-one row.  A row that differs between two circuits flips its output bit on
-exactly half of the 2**n basis states, so the binary digits in which their
-basis permutations differ number 2**(n-1) per differing row (4 of 24 at
-n=3).  The rows that differ from the identity therefore bound the CNOT count
-below at every n: P_3's 12 mismatches are three rows.  The exhaustive search
-over short CNOT words, which extends each word prefix once by the GF(2)
-product `compose`, confirms the bound is tight.
+GF(2), gates.BitMatrix (re-exported here with identity_table, cnot_table,
+circuit_table and compose, the module global exhaustive_search calls);
+CNOT(c, t) is rows[t] ^= rows[c], so it changes one row.  A row that
+differs between two circuits flips its output bit on half of the 2**n
+basis states, so their basis permutations differ in 2**(n-1) binary digits
+per differing row (4 of 24 at n=3).  The rows that differ from the
+identity therefore bound the CNOT count below at every n: P_3's 12
+mismatches are three rows.  The exhaustive search over short CNOT words,
+which extends each word prefix once by `compose`, confirms it is tight.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import BadQubitIndex, DimensionMismatch
-from .gates import Circuit, cnot_op
+from .errors import DimensionMismatch
+from .gates import BitMatrix, Circuit, circuit_table, cnot_op, cnot_table  # noqa: F401
+from .gates import compose, identity_table
 
 CnotPair = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class BitMatrix:
-    """Invertible n x n matrix over GF(2); rows[t] masks the inputs of output bit t."""
-
-    n: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self):
-        rows = tuple(int(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        n = self.n
-        if n < 1 or len(rows) != n or any(not 0 <= r < 1 << n for r in rows):
-            raise DimensionMismatch(f"need n={n} >= 1 row masks below 2**n, got {rows}")
-        rest = list(rows)
-        while rest:  # Gaussian elimination on each row's lowest set bit
-            r = rest.pop()
-            if r == 0:
-                raise DimensionMismatch(f"rows {rows} are singular over GF(2)")
-            rest = [x ^ r if x & r & -r else x for x in rest]
-
-
-def identity_table(n: int) -> BitMatrix:
-    return BitMatrix(n, tuple(1 << t for t in range(n)))
-
-
-def cnot_table(n: int, control: int, target: int) -> BitMatrix:
-    """One CNOT: output bit target also reads input bit control."""
-    word_circuit(n, [(control, target)])  # raises BadQubitIndex on bad indices
-    rows = list(identity_table(n).rows)
-    rows[target] |= 1 << control
-    return BitMatrix(n, rows)
-
-
-def compose(first: BitMatrix, second: BitMatrix) -> BitMatrix:
-    """Apply first, then second: the GF(2) product second * first.
-
-    Output bit t of second reads the bits in second.rows[t] of first's
-    output, so its row is the XOR of those rows of first.
-    """
-    if first.n != second.n:
-        raise DimensionMismatch(f"tables on n={first.n} and n={second.n}")
-    rows = []
-    for mask in second.rows:
-        row = 0
-        for s, r in enumerate(first.rows):
-            if mask >> s & 1:
-                row ^= r
-        rows.append(row)
-    return BitMatrix(first.n, rows)
-
-
-def circuit_table(circuit: Circuit) -> BitMatrix:
-    """Matrix of a CNOT-only circuit (raises on other gates)."""
-    table = identity_table(circuit.n_qubits)
-    for op in circuit.ops:
-        if op.kind != "cnot":
-            raise BadQubitIndex("circuit contains non-CNOT gates")
-        table = compose(table, cnot_table(circuit.n_qubits, *op.qubits))
-    return table
 
 
 def word_circuit(n: int, word) -> Circuit:

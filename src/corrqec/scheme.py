@@ -10,25 +10,18 @@ once and hands the one chi to both.  The empty list is the identity chi,
 diag(1, 0, 0, 0), so every list takes the same pass.
 
 run_trial carries every 2**n-dimensional state packed (tensor.pack): one
-float64 matrix Re + Im, half the bytes of a complex one.  The encoder's
-gates are real and every state is Hermitian, so encode, the channel pass,
-decode, the partial traces and the product checks all act on the packed
-matrix; only the ancilla and the recovered rho are unpacked.  At even n
-the encoder opens with the P_2 head, whose gates, the encoder's one
-Hadamard among them, act on the two ancilla qubits alone
-(encoder.ancilla_head): the trial applies it to the 4x4 sigma and takes
-it back off the 4x4 decoded ancilla, so the state passes CNOTs only, as at
-odd n.  The trial encodes into kernels.channel_basis, where the correlated
-errors act on the leading qubits alone, so the channel pass is one small
-real matrix product per step of rows; encode and decode are then one
-gather table, the decode leaving that basis in the same gather.  The four
-dense stages (the input product, encode, the channel pass and decode) run
-as one kernel, kernels.trial_pass, which builds each step's rows of the
-input product from sigma and the packed rho and writes each decoded row
-once: a trial holds one packed state.  pack(rho) is read by the pass
-alone and dies with it, so the traces allocate beside the state alone;
-the traces and the product check follow, and the state is dropped before
-the recovered rho is unpacked.
+float64 matrix Re + Im, half the bytes of a complex one, on which the
+encoder's real gates, the channel pass, the traces and the product check
+all act.  At even n the encoder opens with the P_2 head, its one Hadamard
+among it, on the two ancilla qubits alone (encoder.ancilla_head): the
+trial applies it to the 4x4 sigma and takes it back off the decoded
+ancilla, so the state passes CNOTs only, gathered by one table into
+gates.channel_basis, where the correlated errors act on the leading qubits
+alone (encoder.encode_table).  kernels.trial_pass builds each step's rows
+of the input product from sigma and the packed rho, gathers them, passes
+the channel as one small real matrix product and writes each decoded row
+once: a trial holds one packed state.  pack(rho) dies with the pass, and
+the state is dropped before rho is unpacked.
 
 The hybrid check (even n, classical ancilla) asks that the decoded M be
 within HYBRID_TOL of e ox rho, e the encoded ancilla.  It is certified
@@ -46,35 +39,30 @@ HYBRID_TOL]: a working encoder leaves H near 1e-16, a broken one O(1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from . import kernels
-from .channels import PauliChannel, SpanChannel, check_repeats
+from .channels import PauliChannel, channel_list, check_repeats
 from .channels import checked_sequence_chi, sequence_chi
-from .encoder import EncoderSpec, ancilla_head, ancilla_images, build_pn, check_frame
+from .encoder import EncoderSpec, ancilla_head, ancilla_images, build_pn, check_frame, encode_table
 from .errors import AncillaSizeError, BadQubitCount, DimensionMismatch, NotHermitian
-from .gates import circuit_conjugate, gather_tables
+from .errors import NotNormalized, check_type
+from .gates import Circuit, circuit_conjugate
 from .tensor import check_memory, frobenius_distance, hermitian_deviation, pack
 from .tensor import packed_kron_distance, unpack
 from .tensor import partial_trace_leading, partial_trace_trailing
-from .tolerances import CLASSICAL_TOL, HERMITIAN_TOL, HYBRID_TOL
+from .tolerances import CLASSICAL_TOL, HERMITIAN_TOL, HYBRID_TOL, TRACE_TOL
 
 # Peak memory of a trial, in 2**n x 2**n complex128 matrices (16*4**n
 # bytes; a packed state is half of one), from tracemalloc at n = 8..12 with
-# Pauli, span-Pauli-span and empty lists (repeats 1 and 2, n = 12 at 1;
-# random and classical ancillas): at most 2.73 at n = 8, 1.29 at n = 9,
-# 0.70 at n = 10, 0.78 at n = 11 and 0.57 at n = 12, with a random
-# ancilla and the span list (the empty list, whose chi is the identity:
-# 2.23, 1.16, 0.67, 0.78 and 0.57), rounded up.  The one packed state
-# trial_pass writes is half a complex state; up to n = 9 its step
-# scratch, half a tile (2 MiB) for the span list's transposed rows,
-# outweighs it.  From n = 10 the pass sets the peak: the state beside
-# pack(rho) and its transposed copy (an eighth of a state
-# each at n = 11).  pack(rho) dies with the pass, so the traces and the
-# product check (0.77 at n = 11, with its transposed copy of the data
-# trace) reuse its place; the recovered rho is unpacked after the state is
-# dropped.
+# Pauli, span-Pauli-span and empty lists (repeats 1 and 2) and random and
+# classical ancillas, rounded up: at most 2.73, 1.29, 0.70, 0.78 and 0.57,
+# with a random ancilla and the span list.  Up to n = 9 trial_pass's step
+# scratch (half a tile) outweighs the one packed state it writes; from
+# n = 10 the pass sets the peak, the state beside pack(rho), which dies
+# with the pass, so the traces and the product check reuse its place.
 TRIAL_PEAK_STATES = 3
 
 
@@ -91,6 +79,8 @@ class SchemeOutcome:
 
 def classical_state(i: int, j: int) -> np.ndarray:
     """The two-bit computational projector |ij><ij| (i is the higher bit)."""
+    check_type(i, Integral, "a classical bit")
+    check_type(j, Integral, "a classical bit")
     if i not in (0, 1) or j not in (0, 1):
         raise ValueError(f"classical bits must be 0 or 1, got ({i}, {j})")
     out = np.zeros((4, 4), dtype=np.complex128)
@@ -99,6 +89,9 @@ def classical_state(i: int, j: int) -> np.ndarray:
 
 
 def _check_states(spec: EncoderSpec, sigma: np.ndarray, rho: np.ndarray):
+    """sigma and rho as complex128, of the spec's sizes, Hermitian within
+    HERMITIAN_TOL (NotHermitian) and of trace 1 within TRACE_TOL
+    (NotNormalized); neither need be PSD."""
     sigma = np.asarray(sigma, dtype=np.complex128)
     rho = np.asarray(rho, dtype=np.complex128)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
@@ -115,6 +108,14 @@ def _check_states(spec: EncoderSpec, sigma: np.ndarray, rho: np.ndarray):
             f"ancilla dim {sigma.shape[0]} times data dim {rho.shape[0]} "
             f"must be 2**{spec.n}"
         )
+    for name, m in (("ancilla", sigma), ("data state", rho)):
+        dev = hermitian_deviation(m)
+        if not dev <= HERMITIAN_TOL:
+            raise NotHermitian(f"{name} is not Hermitian: an entry of m - m_dag reaches "
+                               f"{dev:.3e}, past {HERMITIAN_TOL}")
+        trace = complex(np.trace(m))
+        if not abs(trace - 1) <= TRACE_TOL:
+            raise NotNormalized(f"{name} has trace {trace:.6g}, not 1 within {TRACE_TOL}")
     return sigma, rho
 
 
@@ -134,7 +135,7 @@ def predicted_ancilla(
     if out.shape != (expected, expected):
         raise DimensionMismatch(f"{parity} ancilla must be {expected}x{expected}, got {out.shape}")
     repeats = check_repeats(repeats)
-    channels = list(channels)
+    channels = channel_list(channels)
     if channels and (channels[0].n % 2 == 1) != (parity == "odd"):
         raise DimensionMismatch(f"{parity} ancilla for channels on n={channels[0].n}")
     return _predicted_from_chi(out, sequence_chi(channels, repeats), parity, sign)
@@ -167,16 +168,6 @@ def _hybrid_bound(encoded, ancilla, recovered, product_residual, rho_residual) -
     )
 
 
-def _check_hermitian(sigma: np.ndarray, rho: np.ndarray) -> None:
-    for name, m in (("ancilla", sigma), ("data state", rho)):
-        dev = hermitian_deviation(m)
-        if not dev <= HERMITIAN_TOL:
-            raise NotHermitian(
-                f"{name} is not Hermitian: an entry of m - m_dag reaches {dev:.3e}, "
-                f"past {HERMITIAN_TOL}"
-            )
-
-
 def run_trial(
     n: int, sigma: np.ndarray, rho: np.ndarray, channels, repeats: int = 1
 ) -> SchemeOutcome:
@@ -184,29 +175,20 @@ def run_trial(
 
     The decoded state is predicted to be predicted_ancilla(sigma) ox rho;
     the outcome reports the Frobenius residuals of that prediction and of
-    the product factorization itself.  sigma and rho must be Hermitian
-    (NotHermitian otherwise), as the trial carries its states packed:
-    M = pack(sigma' ox rho) = Re sigma' ox P + Im sigma' ox P^T,
-    P = pack(rho), with sigma' the ancilla through the encoder's
-    ancilla-only head, is encoded by the rest of the circuit (into
-    kernels.channel_basis, as a last permutation of its gather), passed
-    through the channels and decoded as one float64 matrix, in one
-    kernels.trial_pass that never forms the input M.  The partial traces
-    of the decoded M are the packed ancilla and data states, which are
-    unpacked, the ancilla after the head is taken back off it; the product
-    check measures M against the packed A ox R blockwise, and a classical
-    ancilla's hybrid flag is certified from the residuals
-    (_hybrid_bound), with no pass of its own.  Every check runs before any
-    4**n allocation.
+    the product factorization itself, measured blockwise on the packed
+    state, and a classical ancilla's hybrid flag, certified from them
+    (_hybrid_bound).  sigma and rho must be Hermitian, as the trial carries
+    its states packed (NotHermitian), and of trace 1, as the product check
+    compares a product M with tr(M) M (NotNormalized); neither need be PSD.
+    The passes are the module docstring's: one kernels.trial_pass that
+    never forms the input product.  Every check runs before any 4**n
+    allocation.
     """
     repeats = check_repeats(repeats)
-    if isinstance(channels, (PauliChannel, SpanChannel)):
-        channels = [channels]
-    channels = list(channels)
+    channels = channel_list(channels)
     check_memory(n, TRIAL_PEAK_STATES)
     spec = build_pn(n)
     sigma, rho = _check_states(spec, sigma, rho)
-    _check_hermitian(sigma, rho)
     chi = checked_sequence_chi(channels, (1 << n, 1 << n), repeats)
 
     # the ancilla-only head of the encoder (encoder.ancilla_head: the P_2
@@ -221,21 +203,16 @@ def run_trial(
     scale = 0.5**h
     encoded = sigma if head is None else scale * (head @ sigma @ head.T)
 
-    # the rest and then channel_basis, as one gather table: trial_pass
-    # builds, encodes, passes the channel and decodes in one walk, with no
-    # other state.  A rest that holds a Hadamard (a substituted circuit;
-    # build_pn's rest is CNOT-only) is conjugated on either side of a pass
-    # in the basis alone.  pack(rho) is read by the pass alone, so it dies
-    # as the pass returns, before the traces allocate
-    basis = (("perm", kernels.channel_basis(n)),)
-    tables, qubits = gather_tables(rest + basis)
-    if not qubits:
-        state = kernels.trial_pass(encoded, pack(rho), chi, tables[0])
+    # one pass by the rest's gather table into the basis.  A rest that holds
+    # a Hadamard (a substituted circuit; build_pn's rest is CNOT-only) is
+    # conjugated on either side of a pass in the basis alone.  pack(rho)
+    # dies as the pass returns, before the traces allocate
+    if not rest.count("h"):
+        state = kernels.trial_pass(encoded, pack(rho), chi, encode_table(rest))
     else:
-        identity = sequence_chi([], 1)
-        state = kernels.trial_pass(encoded, pack(rho), identity, np.arange(1 << n))
-        (basis_table,), _ = gather_tables(basis)
-        state = kernels.trial_pass([[1.0]], circuit_conjugate(rest, state), chi, basis_table)
+        state = kernels.trial_pass(encoded, pack(rho), sequence_chi([], 1), np.arange(1 << n))
+        basis = encode_table(Circuit(n))
+        state = kernels.trial_pass([[1.0]], circuit_conjugate(rest, state), chi, basis)
         state = circuit_conjugate(rest, state, adjoint=True)
 
     # the traces are float64 as the state, each a new array, and the

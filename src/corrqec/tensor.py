@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import os
 from math import sqrt
+from numbers import Integral
 
 import numpy as np
 
 from . import kernels
-from .errors import BadQubitCount, DimensionMismatch
+from .errors import BadQubitCount, DimensionMismatch, check_type
 
 # Peak number of live dim x dim complex128 matrices inside random_density,
 # from tracemalloc at dim = 64..1024 (2.0-2.5: the draw, or the output,
@@ -169,6 +170,8 @@ def random_density(dim: int, seed: int) -> np.ndarray:
     is exactly Hermitian.  Deterministic per seed (PCG64); satisfies
     trace 1, Hermitian, PSD.
     """
+    check_type(dim, Integral, "random_density's dim")
+    check_type(seed, Integral, "random_density's seed")
     if dim < 1:
         raise DimensionMismatch(f"dim must be >= 1, got {dim}")
     # n = ceil(log2 dim): exact for the power-of-two dims the package uses

@@ -10,3 +10,4 @@ HYBRID_TOL = 1e-11  # classical ancilla: decoded state vs sigma ox rho
 CONJ_TOL_EVEN = 1e-11
 TRIAL_TOL = 1e-11  # each residual of a verify trial
 HERMITIAN_TOL = 1e-12  # run_trial: largest |m - m_dag| entry of sigma and of rho
+TRACE_TOL = 1e-12  # run_trial: |tr m - 1| of sigma and of rho, so 2e-12 < TRIAL_TOL

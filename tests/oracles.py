@@ -24,8 +24,8 @@ from corrqec import encoder, kernels
 from corrqec.channels import Channel, PauliChannel, checked_sequence_chi
 from corrqec.encoder import ancilla_head, ancilla_images, build_pn
 from corrqec.errors import DimensionMismatch
-from corrqec.gates import circuit_conjugate, circuit_factors, cnot_perm
-from corrqec.kernels import _basis_transfer, _step_rows, as_packed, square_dim
+from corrqec.gates import circuit_conjugate, cnot_table
+from corrqec.kernels import _basis_transfer, _step_rows, as_packed, gather_conjugate, square_dim
 from corrqec.scheme import classical_state, predicted_ancilla
 from corrqec.tensor import as_square, frobenius_distance, pack
 from corrqec.tensor import packed_kron_distance, unpack
@@ -89,18 +89,55 @@ def circuit_matrix(plain_ops, n: int) -> np.ndarray:
     return m
 
 
+def gate_perm(n: int, control: int, target: int) -> np.ndarray:
+    """The basis permutation of one CNOT, from its definition: the target
+    bit flips where the control bit is 1."""
+    s = np.arange(1 << n, dtype=np.int64)
+    return s ^ (((s >> control) & 1) << target)
+
+
+def circuit_perm(circuit) -> np.ndarray:
+    """perm[s], the image of basis state s under a CNOT-only circuit, as
+    the per-gate permutations composed in order."""
+    perm = np.arange(1 << circuit.n_qubits)
+    for op in circuit.ops:
+        assert op.kind == "cnot", op
+        perm = gate_perm(circuit.n_qubits, *op.qubits)[perm]
+    return perm
+
+
+def channel_basis_perm(n: int) -> np.ndarray:
+    """The channel basis B as a basis permutation, |i> -> |B[i]>, by bit
+    arithmetic: for t = popcount(i) mod 2, B[i] = (t, l') at odd n, l' the
+    low n - 1 bits of i complemented where t = 1, and B[i] = (t, b, l') at
+    even n, b the top bit of i and l' its low n - 2 bits complemented
+    where b = 1."""
+    i = np.arange(1 << n, dtype=np.int64)
+    t = np.bitwise_count(i).astype(np.int64) & 1
+    if n % 2:
+        low = (1 << (n - 1)) - 1
+        return (t << (n - 1)) | (i & low) ^ (t * low)
+    low = (1 << (n - 2)) - 1
+    b = i >> (n - 1)
+    return (t << (n - 1)) | (b << (n - 2)) | (i & low) ^ (b * low)
+
+
 def realize(circuit) -> np.ndarray:
-    """Dense unitary G_m ... G_1 of a circuit [g1, ..., gm], built from its
-    factors: a merged CNOT permutation moves rows, and a Hadamard on qubit q
+    """Dense unitary G_m ... G_1 of a circuit [g1, ..., gm], built gate by
+    gate: a CNOT moves row s to row gate_perm[s], and a Hadamard on qubit q
     is one whole-array row butterfly (a +- b) * sqrt(1/2) over rows r and
     r + 2**q."""
-    dim = 1 << circuit.n_qubits
+    n = circuit.n_qubits
+    dim = 1 << n
     m = np.eye(dim, dtype=complex)
-    for kind, arg in circuit_factors(circuit):
-        if kind == "perm":
-            m = m[np.argsort(arg)]
+    for op in circuit.ops:
+        if op.kind == "cnot":
+            moved = np.empty_like(m)
+            moved[gate_perm(n, *op.qubits)] = m
+            m = moved
         else:
-            pairs = m.reshape(dim >> (arg + 1), 2, 1 << arg, dim)
+            (q,) = op.qubits
+            pairs = m.reshape(dim >> (q + 1), 2, 1 << q, dim)
             out = np.empty_like(pairs)
             np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0])
             np.subtract(pairs[:, 0], pairs[:, 1], out=out[:, 1])
@@ -327,8 +364,8 @@ def permutation_matrix(perm) -> np.ndarray:
 
 
 def cnot_matrix(n: int, control: int, target: int) -> np.ndarray:
-    """The package's CNOT permutation as a dense matrix."""
-    return permutation_matrix(cnot_perm(n, control, target))
+    """The package's CNOT table (gates.cnot_table) as a dense matrix."""
+    return permutation_matrix(cnot_table(n, control, target).table())
 
 
 def dyadic_density(dim: int, seed: int, k: int = 6) -> np.ndarray:
@@ -456,11 +493,13 @@ def fresh_trial(n: int, sigma, rho, channels, repeats: int = 1) -> dict:
     head, h, rest = ancilla_head(spec)
     scale = 0.5**h
     encoded = sigma if head is None else scale * (head @ sigma @ head.T)
-    factors = rest + (("perm", kernels.channel_basis(n)),)
+    # the rest, then the channel basis, as the oracles' own permutation:
+    # encode gathers by its inverse, decode by itself
+    perm = channel_basis_perm(n)[circuit_perm(rest)]
     p = pack(rho)
-    state = circuit_conjugate(factors, pack_kron(encoded, p))
+    state = gather_conjugate(pack_kron(encoded, p), np.argsort(perm))
     state = pauli_channel_basis_packed(state, chi)
-    state = circuit_conjugate(factors, state, adjoint=True)
+    state = gather_conjugate(state, perm)
     recovered = partial_trace_leading(state, sigma.shape[0])
     trailing = partial_trace_trailing(state, rho.shape[0])
     ancilla = unpack(trailing)

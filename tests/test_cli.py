@@ -248,3 +248,31 @@ def test_a_channels_file_nested_past_the_recursion_limit_is_rejected(tmp_path, c
     assert main(["trial", "--n", "3", "--channels", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+_DEEP = 300  # parses under pytest's stack; the CI smoke step runs 985 deep
+
+
+@pytest.mark.parametrize(
+    "text, what",
+    [
+        ("[" * (_DEEP + 1) + "]" * (_DEEP + 1), "must be an object"),
+        ('[{"pauli": ' + "[" * _DEEP + "]" * _DEEP + "}]", "pauli needs a list"),
+        ('[{"span": [' + "[" * _DEEP + "]" * _DEEP + "]}]", "a span row"),
+        ('[{"span": {"a": ' + "[" * _DEEP + "]" * _DEEP + "}}]", "span needs a list of rows"),
+        ('[{"x": ' + "[" * _DEEP + "]" * _DEEP + ', "y": "' + "z" * 5000 + '"}]',
+         "needs 'pauli' or 'span'"),
+    ],
+    ids=["entry", "pauli", "span-row", "span", "kind"],
+)
+def test_an_error_line_of_a_nested_channels_file_stays_short(tmp_path, capsys, text, what):
+    # each of load_channels' messages shows the offending entry cut short
+    # by reprlib (whole, an entry nested 300 deep printed a line of over
+    # 600 characters), so the line stays readable and still names what
+    # was wrong
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    assert main(["trial", "--n", "3", "--channels", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and what in err and "Traceback" not in err
+    assert len(err.rstrip("\n")) < 200, err

@@ -9,6 +9,7 @@ import pytest
 
 from corrqec import (
     BadQubitCount,
+    BadQubitIndex,
     Circuit,
     DimensionMismatch,
     build_p2,
@@ -18,11 +19,13 @@ from corrqec import (
     conjugate_pauli,
     conjugation_report,
     d_matrix,
+    encoder,
     gates,
     h_op,
     kernels,
 )
-from corrqec.gates import circuit_factors
+
+import oracles
 
 from oracles import (
     circuit_matrix,
@@ -133,15 +136,15 @@ def test_real_conjugation_is_the_complex_one(n):
     # each error is u R with R real and u = 1 or (-i)**n, and the gates are
     # real, so P_dag (u R) P = u (P_dag R P) entry for entry: the float64
     # kernel path, scaled by its exact 0.5, against the complex128 one
-    factors = circuit_factors(build_pn(n).circuit)
+    circuit = build_pn(n).circuit
     for axis in "XYZ":
         w = pauli_power(axis, n)
         u = (-1j) ** n if axis == "Y" else 1
         r = (w / u).real
         assert np.array_equal(u * r, w)
-        want = circuit_conjugate(factors, w, adjoint=True)
+        want = circuit_conjugate(circuit, w, adjoint=True)
         assert want.dtype == np.complex128
-        real = circuit_conjugate(factors, r, adjoint=True)
+        real = circuit_conjugate(circuit, r, adjoint=True)
         assert real.dtype == np.float64
         assert np.array_equal(u * real, want), (n, axis)
 
@@ -282,3 +285,25 @@ def test_conjugation_report_rejects_an_inconsistent_spec():
     # consistent spec whose residuals are nonzero, not an error
     assert any(conjugation_report(dataclasses.replace(spec, parity="odd")))
     assert conjugation_report(dataclasses.replace(spec, sign=-spec.sign))[1] > 0.0
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_encode_table_is_the_rest_then_the_channel_basis(n):
+    # the rest after the ancilla-only head and then channel_basis, composed
+    # as GF(2) matrices and written once from the inverse: the gather table
+    # of the oracles' per-gate permutations and bit formula, cached and
+    # read-only
+    rest = encoder.ancilla_head(build_pn(n))[2]
+    assert isinstance(rest, Circuit) and rest.count("h") == 0
+    perm = oracles.channel_basis_perm(n)[oracles.circuit_perm(rest)]
+    table = encoder.encode_table(rest)
+    assert np.array_equal(table, np.argsort(perm))
+    assert encoder.encode_table(rest) is table and not table.flags.writeable
+    # the empty circuit is the basis alone
+    basis = encoder.encode_table(Circuit(n))
+    assert np.array_equal(basis, np.argsort(oracles.channel_basis_perm(n)))
+
+
+def test_encode_table_refuses_a_hadamard():
+    with pytest.raises(BadQubitIndex, match="non-CNOT"):
+        encoder.encode_table(Circuit(3, (h_op(1),)))

@@ -14,18 +14,22 @@ from corrqec import (
     gates,
     kernels,
     BadQubitIndex,
+    BitMatrix,
     Circuit,
     DimensionMismatch,
     GateOp,
+    WrongType,
     circuit_conjugate,
+    circuit_table,
     cnot_op,
-    cnot_perm,
     conjugate_pauli,
     h_op,
     invert,
     pauli,
 )
-from corrqec.gates import CONJUGATE_PEAK_STATES, circuit_factors
+from corrqec.gates import CONJUGATE_PEAK_STATES, channel_basis, cnot_table
+
+import oracles
 
 from oracles import (
     HAD,
@@ -94,12 +98,12 @@ def test_cnot_bad_indices():
     with pytest.raises(BadQubitIndex):
         cnot_matrix(3, 0, 3)
     with pytest.raises(BadQubitIndex):
-        cnot_perm(2, -1, 0)
+        cnot_table(2, -1, 0)
 
 
 def test_cnot_differs_from_identity_in_half_the_columns():
     for n in range(2, 6):
-        perm = cnot_perm(n, 1, 0)
+        perm = cnot_table(n, 1, 0).table()
         assert int(np.sum(perm != np.arange(1 << n))) == 1 << (n - 1)
 
 
@@ -238,18 +242,15 @@ def test_circuit_validation():
 
 
 @pytest.mark.parametrize("q", [1.5, 2.0, "1", None])
-def test_a_qubit_that_is_not_an_integer_is_rejected(monkeypatch, q):
+def test_a_qubit_that_is_not_an_integer_is_rejected(q):
     # a float passes 0 <= q < n; it is refused where a qubit enters, not
     # left to fail as a TypeError in a shift
     for build in (lambda: h_op(q), lambda: cnot_op(q, 0), lambda: cnot_op(0, q),
                   lambda: Circuit(3, (GateOp("h", (q,)),)),
                   lambda: Circuit(3, (GateOp("cnot", (0, q)),)),
-                  lambda: cnot_perm(3, q, 0)):
+                  lambda: cnot_table(3, q, 0)):
         with pytest.raises(BadQubitIndex):
             build()
-    m = np.random.default_rng(47).normal(size=(64, 64))
-    for factors in ((("h", q),), (("perm", np.arange(64)), ("h", 0), ("h", q))):
-        _rejected_before_any_pass(monkeypatch, BadQubitIndex, factors, m)
 
 
 @pytest.mark.parametrize(
@@ -284,10 +285,9 @@ def test_numpy_integer_qubits_are_accepted():
     c = Circuit(3, (cnot_op(two, one), h_op(one), cnot_op(0, two)))
     want = Circuit(3, (cnot_op(2, 1), h_op(1), cnot_op(0, 2)))
     assert conjugate_pauli(c, 0b101, 0b010, 0) == conjugate_pauli(want, 0b101, 0b010, 0)
-    assert np.array_equal(cnot_perm(3, two, one), cnot_perm(3, 2, 1))
+    assert cnot_table(3, two, one) == cnot_table(3, 2, 1)
     m = np.random.default_rng(48).normal(size=(8, 8))
     assert np.array_equal(circuit_conjugate(c, m), circuit_conjugate(want, m))
-    assert np.array_equal(circuit_conjugate((("h", one),), m), circuit_conjugate((("h", 1),), m))
 
 
 def test_circuit_conjugate_matches_dense():
@@ -323,17 +323,12 @@ def test_circuit_conjugate_matches_realize(index):
     p = realize(c)
     rng = np.random.default_rng(index)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    # one factor per gate, so consecutive CNOT tables compose inside
-    # circuit_conjugate rather than in circuit_factors
-    per_gate = tuple(
-        ("perm", cnot_perm(c.n_qubits, *op.qubits)) if op.kind == "cnot" else ("h", op.qubits[0])
-        for op in c.ops
-    )
-    for factors in (c, per_gate):
-        got = circuit_conjugate(factors, m)
-        assert np.allclose(got, p @ m @ p.conj().T, atol=1e-13)
-        got = circuit_conjugate(factors, m, adjoint=True)
-        assert np.allclose(got, p.conj().T @ m @ p, atol=1e-13)
+    # realize builds p gate by gate, so the CNOT runs that circuit_conjugate
+    # composes as GF(2) matrices are checked against the gates themselves
+    got = circuit_conjugate(c, m)
+    assert np.allclose(got, p @ m @ p.conj().T, atol=1e-13)
+    got = circuit_conjugate(c, m, adjoint=True)
+    assert np.allclose(got, p.conj().T @ m @ p, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -366,21 +361,33 @@ def test_single_qubit_embedding_convention():
         assert np.allclose(got, want, atol=1e-15)
 
 
-def _factor_by_factor(circuit, m, adjoint):
-    """circuit_conjugate with one single-factor call, and one new array,
-    per factor of circuit_factors."""
-    factors = circuit_factors(circuit)
-    for factor in reversed(factors) if adjoint else factors:
-        m = circuit_conjugate((factor,), m, adjoint=adjoint)
+def _pieces(circuit):
+    """The circuit as Circuits of its CNOT runs and its Hadamards alone, in
+    order: run, H, run, ..., run (a run may be empty)."""
+    pieces = [()]
+    for op in circuit.ops:
+        if op.kind == "cnot":
+            pieces[-1] += (op,)
+        else:
+            pieces += [(op,), ()]
+    return [Circuit(circuit.n_qubits, ops) for ops in pieces]
+
+
+def _run_by_run(circuit, m, adjoint):
+    """circuit_conjugate with one call, and one new array, per CNOT run and
+    per Hadamard of the circuit."""
+    pieces = _pieces(circuit)
+    for piece in reversed(pieces) if adjoint else pieces:
+        m = circuit_conjugate(piece, m, adjoint=adjoint)
     return m
 
 
 @pytest.mark.parametrize("index", range(len(CONJUGATE_CIRCUITS)))
 def test_circuit_conjugate_into_out_matches_the_allocating_call(index):
-    # circuit_conjugate composes the CNOT tables on either side of each
-    # Hadamard into one gather, each allocating its output; gathers only
-    # move entries, so it is the factor-by-factor calls bit for bit, in
-    # either dtype and direction, and leaves its input as it was
+    # circuit_conjugate composes the CNOTs on either side of each Hadamard
+    # into one gather, each allocating its output; gathers only move
+    # entries, so it is the run-by-run calls bit for bit, in either dtype
+    # and direction, and leaves its input as it was
     c = CONJUGATE_CIRCUITS[index]
     dim = 1 << c.n_qubits
     rng = np.random.default_rng(index + 40)
@@ -390,13 +397,13 @@ def test_circuit_conjugate_into_out_matches_the_allocating_call(index):
         for adjoint in (False, True):
             got = circuit_conjugate(c, x, adjoint=adjoint)
             assert got.dtype == x.dtype
-            assert np.array_equal(got, _factor_by_factor(c, x, adjoint))
+            assert np.array_equal(got, _run_by_run(c, x, adjoint))
         assert np.array_equal(x, kept)
 
 
 def test_circuit_conjugate_rejects_a_matrix_of_the_wrong_size():
-    # a Circuit conjugates a 2**n_qubits-dim square matrix, factors a square
-    # matrix of power-of-two dim; anything else is refused before any pass
+    # a Circuit conjugates a 2**n_qubits-dim square matrix; anything else
+    # is refused before any pass
     p2 = Circuit(2, (h_op(0),))
     for circuit, m in (
         (p2, np.arange(256.0).reshape(16, 16)),
@@ -404,16 +411,15 @@ def test_circuit_conjugate_rejects_a_matrix_of_the_wrong_size():
         (Circuit(4), np.eye(3)),
         (Circuit(4), np.arange(5.0)),
         (Circuit(2, (cnot_op(0, 1),)), np.eye(8)),
-        ((), np.eye(6)),
-        ((("h", 0),), np.eye(6)),
-        ((("h", 0),), np.ones((16, 8))),
+        (Circuit(3, (h_op(0),)), np.eye(6)),
+        (Circuit(3, (h_op(0),)), np.ones((16, 8))),
     ):
         for adjoint in (False, True):
             with pytest.raises(DimensionMismatch):
                 circuit_conjugate(circuit, m, adjoint=adjoint)
     # the right sizes still pass
     assert circuit_conjugate(Circuit(4), np.eye(16)).shape == (16, 16)
-    assert np.array_equal(circuit_conjugate((), np.eye(8)), np.eye(8))
+    assert np.array_equal(circuit_conjugate(Circuit(3), np.eye(8)), np.eye(8))
 
 
 def test_circuit_conjugate_rejects_a_bad_out():
@@ -436,7 +442,7 @@ def test_circuit_conjugate_never_returns_its_input(dtype):
     m = rng.normal(size=(16, 16)).astype(dtype)
     if dtype == np.complex128:
         m += 1j * rng.normal(size=(16, 16))
-    for circuit in (Circuit(4), ()):
+    for circuit in (Circuit(4), Circuit(4, (cnot_op(0, 1), cnot_op(0, 1)))):
         for adjoint in (False, True):
             got = circuit_conjugate(circuit, m, adjoint=adjoint)
             assert got.dtype == m.dtype and np.array_equal(got, m)
@@ -470,32 +476,32 @@ def _rejected_before_any_pass(monkeypatch, error, factors, m):
     [(("bogus", 0),), (("perm", np.arange(64)[::-1]), ("H", 1)), (("h", 0), ("cnot", (0, 1)))],
 )
 def test_circuit_conjugate_rejects_an_unknown_factor_kind(monkeypatch, factors):
-    # only "perm" and "h" are factors: any other kind is refused, not run
-    # as a Hadamard, wherever it stands in the list
+    # circuit_conjugate takes a Circuit alone: a list of factors, of any
+    # kind, is refused as a wrong type, not run
     m = np.random.default_rng(43).normal(size=(64, 64))
-    _rejected_before_any_pass(monkeypatch, BadQubitIndex, factors, m)
+    _rejected_before_any_pass(monkeypatch, WrongType, factors, m)
 
 
 def test_circuit_conjugate_rejects_a_perm_factor_that_is_not_a_permutation(monkeypatch):
-    # a table that repeats an index is no permutation: argsort would make
-    # it the identity in one direction and the gather duplicate rows in the
-    # other, so it is refused in both, as is one a gather would clip
+    # a CNOT run is a BitMatrix, which is invertible by construction, so
+    # every table it writes is a permutation: a singular matrix, whose
+    # table would repeat an index, is refused as it is built, and a table
+    # given in its place is refused as a wrong type before any pass
+    for rows in ((0b01, 0b01), (0b011, 0b110, 0b101), (0b10, 0b00)):
+        with pytest.raises(DimensionMismatch, match="singular"):
+            BitMatrix(len(rows), rows)
     m = np.random.default_rng(45).normal(size=(64, 64))
     repeats = np.arange(64)
     repeats[1] = 0
-    for table in ([0, 0, 1, 2] + list(range(4, 64)), repeats):
-        for factors in ((("perm", table),), (("h", 2), ("perm", table))):
-            _rejected_before_any_pass(monkeypatch, DimensionMismatch, factors, m)
-    for table in (list(range(63)) + [64], [-1] + list(range(1, 64)), range(63), range(65)):
-        for factors in ((("perm", table),), (("perm", np.arange(64)), ("h", 0), ("perm", table))):
-            _rejected_before_any_pass(monkeypatch, DimensionMismatch, factors, m)
+    for factors in ((("perm", repeats),), (("h", 2), ("perm", repeats))):
+        _rejected_before_any_pass(monkeypatch, WrongType, factors, m)
 
 
 @pytest.mark.parametrize("q", [-1, 6, 9])
-def test_circuit_conjugate_rejects_a_hadamard_on_no_qubit(monkeypatch, q):
-    m = np.random.default_rng(46).normal(size=(64, 64))
-    for factors in ((("h", q),), (("h", 0), ("perm", np.arange(64)), ("h", q))):
-        _rejected_before_any_pass(monkeypatch, BadQubitIndex, factors, m)
+def test_circuit_conjugate_rejects_a_hadamard_on_no_qubit(q):
+    # the circuit that would carry it is refused as it is built
+    with pytest.raises(BadQubitIndex):
+        Circuit(6, (h_op(0), cnot_op(0, 1), h_op(q)))
 
 
 def test_circuit_conjugate_checks_memory_before_any_pass(monkeypatch):
@@ -542,3 +548,49 @@ def test_conjugate_pauli_rejects_masks_outside_the_register():
     # the widest masks are accepted, and map into the register
     x, z, _ = conjugate_pauli(c, 7, 7, 3)
     assert 0 <= x < 8 and 0 <= z < 8
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_channel_basis_rows_match_the_bit_formula(n):
+    # channel_basis is written as its row masks; its table is the parent
+    # bit formula the oracles keep, entry for entry
+    basis = channel_basis(n)
+    assert np.array_equal(basis.table(), oracles.channel_basis_perm(n))
+    assert np.array_equal(basis.inverse().table(), np.argsort(oracles.channel_basis_perm(n)))
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_encoder_run_tables_are_the_per_gate_permutations(n):
+    # each CNOT run of P_n, composed as a GF(2) matrix and written once,
+    # is the composition of its gates' own permutations (oracles.gate_perm)
+    for run in _pieces(build_pn(n).circuit)[::2]:
+        assert np.array_equal(circuit_table(run).table(), oracles.circuit_perm(run))
+
+
+@st.composite
+def _words(draw):
+    """A {CNOT, H} word on n <= 6 qubits, 0 to 12 gates."""
+    n = draw(st.integers(1, 6))
+    cnot = st.permutations(range(n)).map(lambda qs: cnot_op(qs[0], qs[1]))
+    gate = st.integers(0, n - 1).map(h_op) if n == 1 else st.one_of(
+        cnot, st.integers(0, n - 1).map(h_op)
+    )
+    return Circuit(n, tuple(draw(st.lists(gate, max_size=12))))
+
+
+@given(_words(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_gf2_runs_match_the_gates_one_by_one(circuit, seed):
+    # table() against the per-gate permutations composed in order,
+    # inverse().table() against argsort, and circuit_conjugate against the
+    # dense product of the gates (realize) in both directions
+    for run in _pieces(circuit)[::2]:
+        table = circuit_table(run).table()
+        assert np.array_equal(table, oracles.circuit_perm(run))
+        assert np.array_equal(circuit_table(run).inverse().table(), np.argsort(table))
+    dim = 1 << circuit.n_qubits
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    p = realize(circuit)
+    assert np.allclose(circuit_conjugate(circuit, m), p @ m @ p.conj().T, atol=1e-12)
+    assert np.allclose(circuit_conjugate(circuit, m, adjoint=True), p.conj().T @ m @ p, atol=1e-12)

@@ -8,7 +8,7 @@ import pytest
 
 from corrqec import kernels
 from corrqec.errors import DimensionMismatch
-from corrqec.gates import circuit_conjugate
+from corrqec.gates import Circuit, channel_basis, circuit_conjugate, cnot_op, h_op
 from corrqec.tensor import frobenius_distance, partial_trace_leading, partial_trace_trailing
 
 import oracles
@@ -40,22 +40,35 @@ def test_gather_conjugate_against_gemm():
 def test_hadamard_conjugate_against_gemm(q):
     m = random_complex_matrix(16, 2)
     h = embed_single(HAD, 4, q)
-    got = circuit_conjugate((("h", q),), m)
+    got = circuit_conjugate(Circuit(4, (h_op(q),)), m)
     assert np.allclose(got, h @ m @ h, atol=1e-13)
     eye = np.eye(16, dtype=complex)
-    got = circuit_conjugate((("h", q),), eye)
+    got = circuit_conjugate(Circuit(4, (h_op(q),)), eye)
     assert np.allclose(got, eye, atol=1e-15)
 
 
-def _hadamard_factors(before, q, after):
-    """Circuit factors whose conjugation (adjoint=False) is
-    G_after(H_q G_before(m) H_q), with G_t(x) = x[t][:, t] and None the
-    identity: a perm factor conjugates as the gather by its table's
-    inverse."""
-    def perm(t):
-        return () if t is None else (("perm", np.argsort(t)),)
+def _cnot_word(n, rng):
+    """A random CNOT-only Circuit on n qubits, 1 to 3n gates (none at n = 1)."""
+    if n == 1:
+        return Circuit(1)
+    pairs = [rng.choice(n, size=2, replace=False) for _ in range(int(rng.integers(1, 3 * n + 1)))]
+    return Circuit(n, tuple(cnot_op(int(c), int(t)) for c, t in pairs))
 
-    return perm(before) + (("h", q),) + perm(after)
+
+def _gather_table(word):
+    """The table t whose gather G_t(x) = x[t][:, t] is W x W_dag for the
+    CNOT word W, from the oracles' per-gate permutations; None for None."""
+    return None if word is None else np.argsort(oracles.circuit_perm(word))
+
+
+def _hadamard_circuit(n, before, q, after):
+    """The circuit of CNOT words before and after around H_q (None for no
+    word): its conjugation (adjoint=False) is G_a(H_q G_b(m) H_q) for b and
+    a the words' gather tables (_gather_table)."""
+    def ops(word):
+        return () if word is None else word.ops
+
+    return Circuit(n, ops(before) + (h_op(q),) + ops(after))
 
 
 def _gather_hadamard_dense(m, before, q, after):
@@ -74,11 +87,11 @@ def test_hadamard_factors_against_dense_oracle():
         dim = 1 << n
         m = random_complex_matrix(dim, n + 70)
         for q in range(n):
-            perms = [rng.permutation(dim) for _ in range(2)]
-            for before, after in ((None, None), (perms[0], None), (None, perms[1]), perms):
-                factors = _hadamard_factors(before, q, after)
-                got = _checked(lambda x: circuit_conjugate(factors, x), m)
-                want = _gather_hadamard_dense(m, before, q, after)
+            words = [_cnot_word(n, rng) for _ in range(2)]
+            for before, after in ((None, None), (words[0], None), (None, words[1]), words):
+                circuit = _hadamard_circuit(n, before, q, after)
+                got = _checked(lambda x: circuit_conjugate(circuit, x), m)
+                want = _gather_hadamard_dense(m, _gather_table(before), q, _gather_table(after))
                 assert np.allclose(got, want, rtol=0.0, atol=1e-12), (n, q)
 
 
@@ -100,13 +113,13 @@ def test_hadamard_factors_are_exact_on_gaussian_integers():
         m = re + 1j * im
         for q in range(n):
             h = _integer_hadamard(n, q)
-            perms = [rng.permutation(dim) for _ in range(2)]
-            for before, after in ((None, None), (perms[0], None), perms):
-                b = np.arange(dim) if before is None else before
-                c = np.arange(dim) if after is None else after
+            words = [_cnot_word(n, rng) for _ in range(2)]
+            for before, after in ((None, None), (words[0], None), words):
+                b = np.arange(dim) if before is None else _gather_table(before)
+                c = np.arange(dim) if after is None else _gather_table(after)
                 want_re, want_im = ((h @ x[b][:, b] @ h)[c][:, c] for x in (re, im))
-                factors = _hadamard_factors(before, q, after)
-                got = _checked(lambda x: circuit_conjugate(factors, x), m)
+                circuit = _hadamard_circuit(n, before, q, after)
+                got = _checked(lambda x: circuit_conjugate(circuit, x), m)
                 assert np.array_equal(got, (want_re + 1j * want_im) / 2), (n, q)
 
 
@@ -277,12 +290,11 @@ def test_real_kernels_keep_float64_and_the_rest_take_complex():
     rng = np.random.default_rng(29)
     m = rng.normal(size=(16, 16))
     perm = rng.permutation(16)
+    word = _cnot_word(4, rng)
+    circuit = _hadamard_circuit(4, word, 2, Circuit(4, word.ops[::-1]))
     for got, want in (
         (kernels.gather_conjugate(m, perm), kernels.gather_conjugate(m.astype(complex), perm)),
-        (
-            circuit_conjugate(_hadamard_factors(perm, 2, perm[::-1]), m),
-            circuit_conjugate(_hadamard_factors(perm, 2, perm[::-1]), m.astype(complex)),
-        ),
+        (circuit_conjugate(circuit, m), circuit_conjugate(circuit, m.astype(complex))),
     ):
         assert got.dtype == np.float64
         assert np.array_equal(got, want)
@@ -293,7 +305,7 @@ def test_real_kernels_keep_float64_and_the_rest_take_complex():
     ints = np.arange(256).reshape(16, 16)
     for other in (m.astype(np.float32), ints, ints.astype(np.int16)):
         assert kernels.gather_conjugate(other, perm).dtype == np.complex128
-        assert circuit_conjugate(_hadamard_factors(perm, 2, None), other).dtype == np.complex128
+        assert circuit_conjugate(_hadamard_circuit(4, word, 2, None), other).dtype == np.complex128
 
 
 def test_wrappers_accept_noncontiguous_input():
@@ -460,14 +472,15 @@ def _hermitian(n, seed):
 
 
 def _to_basis(m, n):
-    """m in kernels.channel_basis: entry (i, k) moves to (B[i], B[k])."""
-    inv = np.argsort(kernels.channel_basis(n))
+    """m in the channel basis: entry (i, k) moves to (B[i], B[k]), for B
+    the oracles' bit formula (oracles.channel_basis_perm)."""
+    inv = np.argsort(oracles.channel_basis_perm(n))
     return m[np.ix_(inv, inv)]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_channel_basis_carries_x_n_and_z_n_to_the_leading_qubits(n):
-    b = kernels.channel_basis(n)
+    b = channel_basis(n).table()
     i = np.arange(1 << n)
     assert np.array_equal(np.sort(b), i)
     # a CNOT circuit's permutation is linear over GF(2)
@@ -592,7 +605,7 @@ def test_trial_pass_in_the_standard_basis_is_the_dense_kraus_sum():
     # a ox rho
     rng = np.random.default_rng(47)
     for n in range(1, 8):
-        into_basis = np.argsort(kernels.channel_basis(n))
+        into_basis = channel_basis(n).inverse().table()
         for na in (1, 2, 4)[: n + 1]:
             a = random_complex_matrix(na, n + 520)
             a = a + a.conj().T
@@ -750,12 +763,14 @@ def test_into_out_kernels_return_out_and_match_the_allocating_forms(monkeypatch,
 
 def _kernel_calls():
     """(name, call(m, table)) for the gather, a circuit_conjugate of a
-    Hadamard between two gathers by the table, and the oracle channel pass,
-    which takes no table."""
+    Hadamard between two CNOT words, and the oracle channel pass; only the
+    gather takes the table."""
     chi = np.diag([0.4, 0.3, 0.2, 0.1])
+    word = _cnot_word(4, np.random.default_rng(172))
+    circuit = _hadamard_circuit(4, word, 1, word)
     return [
         ("gather", kernels.gather_conjugate),
-        ("factors", lambda m, t: circuit_conjugate((("perm", t), ("h", 1), ("perm", t)), m)),
+        ("circuit", lambda m, t: circuit_conjugate(circuit, m)),
         ("channel", lambda m, t: pauli_channel_basis_packed(m, chi)),
     ]
 
@@ -774,7 +789,7 @@ def test_into_out_kernels_reject_a_bad_out(index):
     clipped = np.arange(16)
     clipped[3] = 16
     rejected = [(m[:, :8], perm)]
-    rejected.append((m + 0j, perm) if name == "channel" else (m, clipped))
+    rejected.append({"gather": (m, clipped), "circuit": (m[:8, :8], perm)}.get(name, (m + 0j, perm)))
     for bad, table in rejected:
         with pytest.raises(DimensionMismatch):
             call(bad, table)
@@ -788,12 +803,10 @@ def test_gather_conjugate_rejects_a_table_it_would_clip():
             kernels.gather_conjugate(m, perm)
     # a float table, which the cast to intp would truncate ([0.5, 1, 2, 3]
     # to the identity): rejected by its dtype, even where its values are
-    # whole, and as a circuit factor too
+    # whole
     for perm in ([0.5, 1, 2, 3], np.arange(4.0), np.array([0, 1, 2, 3], dtype=bool)):
         with pytest.raises(DimensionMismatch):
             kernels.gather_conjugate(m, perm)
-    with pytest.raises(DimensionMismatch):
-        circuit_conjugate((("perm", [0.5, 1]),), np.eye(2))
     # a dim that is not a power of two, or a matrix that is not square, is
     # not a register of qubits
     for bad in (np.eye(6), np.ones((16, 8)), np.arange(4.0)):

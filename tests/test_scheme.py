@@ -16,10 +16,13 @@ from corrqec import (
     CorrQecError,
     DimensionMismatch,
     NotHermitian,
+    NotNormalized,
     PauliChannel,
     SpanChannel,
     build_pn,
+    circuit_conjugate,
     classical_state,
+    d_matrix,
     h_op,
     hybrid_sweep,
     predicted_ancilla,
@@ -32,7 +35,7 @@ from corrqec.kernels import _TILE_BYTES
 from corrqec.scheme import TRIAL_PEAK_STATES
 from corrqec.tensor import frobenius_distance, pack, packed_kron_distance, unpack
 from corrqec.tensor import partial_trace_leading, partial_trace_trailing
-from corrqec.tolerances import HERMITIAN_TOL, TRIAL_TOL
+from corrqec.tolerances import HERMITIAN_TOL, TRACE_TOL, TRIAL_TOL
 
 from oracles import apply_channels, circuit_matrix, complex_trial, decode, encode, fresh_trial
 from oracles import dyadic_density, induced_kraus, plain_ops, random_span_coeffs
@@ -474,6 +477,76 @@ def test_run_trial_rejects_non_hermitian_states_before_allocating(which):
     assert run_trial(n, *near_states, []).rho_residual < 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_run_trial_rejects_a_trace_other_than_one(n):
+    # a correct encoder failed its trial on these: at n = 3 sigma =
+    # 5 sigma_1 read rho_residual 3.44, at n = 4 rho = 3 rho_1 read
+    # product_residual 5.16 and hybrid_exact False.  The product check
+    # compares M with A ox R, which for a product is tr(M) M
+    if n == 3:
+        sigma, rho, name = 5 * random_density(2, 1), random_density(4, 2), "ancilla"
+    else:
+        sigma, rho, name = classical_state(1, 0), 3 * random_density(4, 2), "data state"
+    with pytest.raises(NotNormalized, match=name):
+        run_trial(n, sigma, rho, [])
+    assert issubclass(NotNormalized, CorrQecError)
+
+
+def test_the_trace_check_comes_before_any_allocation_and_asks_no_psd():
+    n = 10
+    sigma, rho = classical_state(0, 1), random_density(256, 30)
+    for bad in (sigma * (1 + 10 * TRACE_TOL), np.zeros((4, 4))):
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotNormalized):
+                run_trial(n, bad, rho, PauliChannel(n, (0.7, 0.1, 0.1, 0.1)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 4**n
+    # within the tolerance a state is accepted, and a Hermitian state of
+    # trace 1 need not be PSD: the trial is linear in it and recovers it
+    near = sigma * (1 + TRACE_TOL / 2)
+    assert run_trial(n, near, rho, []).rho_residual < 1e-12
+    indefinite = np.diag([1.5, -0.5]).astype(complex)
+    out = run_trial(3, indefinite, random_density(4, 2), PauliChannel(3, (0.7, 0.1, 0.1, 0.1)))
+    assert max(out.rho_residual, out.ancilla_residual, out.product_residual) < TRIAL_TOL
+
+
+_S3, _R3 = random_density(2, 60), random_density(4, 61)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_trial(3, _S3, _R3, [1]),
+        lambda: run_trial(3, _S3, _R3, None),
+        lambda: predicted_ancilla(_S3, [None], 1, "odd", -1),
+        lambda: classical_state(1.0, 0),
+        lambda: d_matrix("Q"),
+        lambda: d_matrix(["X"]),
+        lambda: gates.pauli(["X"]),
+        lambda: random_density(4, 1.5),
+        lambda: random_density(4.0, 1),
+        lambda: Circuit(3, (1,)),
+        lambda: circuit_conjugate((("h", 0),), np.eye(8)),
+    ],
+    ids=[
+        "run_trial-an-int-channel", "run_trial-no-list", "predicted_ancilla-a-None-channel",
+        "classical_state-a-float-bit", "d_matrix-an-unknown-axis", "d_matrix-a-list-axis",
+        "pauli-a-list-axis",
+        "random_density-a-float-seed", "random_density-a-float-dim", "Circuit-an-int-gate",
+        "circuit_conjugate-factors",
+    ],
+)
+def test_a_wrong_type_is_a_value_error_or_a_corrqec_error(call):
+    # the rule in errors.py: never an AttributeError, IndexError, KeyError
+    # or TypeError from deeper in the code
+    with pytest.raises((ValueError, CorrQecError)) as info:
+        call()
+    assert type(info.value) is not TypeError
+
+
 def test_run_trial_rejects_nan_states():
     rho = random_density(4, 31)
     rho[1, 1] = np.nan
@@ -660,7 +733,7 @@ def test_trial_drops_the_packed_data_before_the_traces(monkeypatch, n, kind, anc
         ops = spec.circuit.ops + (h_op(0), h_op(0))
         spec = dataclasses.replace(spec, circuit=Circuit(n, ops))
         monkeypatch.setattr(scheme, "build_pn", lambda m: spec)
-        assert scheme.gather_tables(scheme.ancilla_head(spec)[2])[1] == [0, 0]
+        assert scheme.ancilla_head(spec)[2].ops[-2:] == (h_op(0), h_op(0))
     if ancilla == "classical":
         sigma = classical_state(0, 1)
     else:
